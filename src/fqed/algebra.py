@@ -45,6 +45,8 @@ BIG_SIGMA.setflags(write=False)
 I4 = np.eye(4, dtype=complex)
 I4.setflags(write=False)
 
+_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+
 
 def _check_index(mu: int) -> int:
     if mu not in (0, 1, 2, 3):
@@ -67,29 +69,25 @@ def big_sigma(mu: int) -> np.ndarray:
     return BIG_SIGMA[_check_index(mu)]
 
 
-def slash(p) -> np.ndarray:
-    """gamma^mu p_mu = gamma^0 p^0 - gamma_vec . p_vec.
+def _lowered(p, mats) -> np.ndarray:
+    """mats^mu p_mu, contracting the last axis of a FourVector or (..., 4)
+    (possibly complex) array of contravariant components."""
+    return np.einsum("...m,mij->...ij", _components(p), _METRIC_DIAG * mats)
 
-    Accepts a FourVector or a length-4 (possibly complex) array of
-    contravariant components.
-    """
-    c = _components(p)
-    return (c[0] * GAMMA[0] - c[1] * GAMMA[1]
-            - c[2] * GAMMA[2] - c[3] * GAMMA[3])
+
+def slash(p) -> np.ndarray:
+    """gamma^mu p_mu = gamma^0 p^0 - gamma_vec . p_vec, shape (..., 4, 4)."""
+    return _lowered(p, GAMMA)
 
 
 def sigma_slash(p) -> np.ndarray:
     """sigma^mu p_mu on the photon/Pauli C^2 space."""
-    c = _components(p)
-    return (c[0] * SIGMA[0] - c[1] * SIGMA[1]
-            - c[2] * SIGMA[2] - c[3] * SIGMA[3])
+    return _lowered(p, SIGMA)
 
 
 def big_sigma_slash(p) -> np.ndarray:
     """Sigma^mu p_mu on the photon internal C^2 (x) C^2 space."""
-    c = _components(p)
-    return (c[0] * BIG_SIGMA[0] - c[1] * BIG_SIGMA[1]
-            - c[2] * BIG_SIGMA[2] - c[3] * BIG_SIGMA[3])
+    return _lowered(p, BIG_SIGMA)
 
 
 def trace_product(ms) -> complex:

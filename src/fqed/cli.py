@@ -9,6 +9,7 @@ kinematics), 3 numeric error (quadrature/pole), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,6 +33,14 @@ NUMERIC_EXIT = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _Given(argparse.Action):
+    """Store action that notes the options the user actually gave."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace._given = getattr(namespace, "_given", set()) | {self.dest}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +70,8 @@ def _parse_sweep(spec: str):
         return name, np.linspace(start, stop, count)
     if start == 0.0 or stop == 0.0:
         raise _UsageError("log sweep endpoints must be nonzero")
-    # mixed-sign log sweeps keep the start's sign on the magnitude grid
+    if (start > 0) != (stop > 0):
+        raise _UsageError("log sweep endpoints must have the same sign")
     sign = 1.0 if start > 0 else -1.0
     return name, sign * np.geomspace(abs(start), abs(stop), count)
 
@@ -72,16 +82,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_table(args, columns, rows):
+def _config(args) -> dict:
+    """The JSON config block: every set option but the plumbing."""
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in ("func", "output") and not k.startswith("_")
+            and v is not None}
+
+
+def _write_table(args, table: dict):
+    """Write a table given as one sequence per column name."""
+    # tolist() gives Python scalars, so floats print round-trip
+    rows = list(zip(*(np.asarray(v).tolist() for v in table.values())))
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines = [",".join(table)] + [",".join(map(_fmt, r)) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
-        cfg = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "output") and v is not None}
-        text = json.dumps({"config": cfg, "rows": rows}, indent=1) + "\n"
+        text = json.dumps({"config": _config(args),
+                           "rows": [dict(zip(table, r)) for r in rows]},
+                          indent=1) + "\n"
+    _emit(args, text)
+
+
+def _emit(args, text: str) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -101,19 +123,30 @@ def _thread_count(args) -> int:
     return 1
 
 
-def _run_sweep(args, param_names, evaluate):
-    """Build rows over the sweep grid (ordered), in parallel if asked."""
+def _grid(args, param_names) -> dict:
+    """Every row's parameter values, one array per parameter: the sweep
+    grid, plus the swept parameter's value as an extra row when the user
+    gave one off the grid; or the single point of the options."""
+    # a bad thread setting is a usage error on every table command,
+    # though only the loop quantities run in threads
+    _thread_count(args)
     base = {n: getattr(args, n) for n in param_names}
-    sweep = getattr(args, "sweep", None)
-    points = [base]
-    if sweep:
-        name, values = _parse_sweep(sweep)
-        if name not in base:
-            raise _UsageError(f"unknown sweep parameter: {name}")
-        points = [{**base, name: float(v)} for v in values]
-        if base[name] is not None and not any(
-                p[name] == base[name] for p in points):
-            points.append(dict(base))       # explicit value as extra row
+    if not args.sweep:
+        return {n: np.array([v]) for n, v in base.items()}
+    name, values = _parse_sweep(args.sweep)
+    if name not in base:
+        raise _UsageError(f"unknown sweep parameter: {name}")
+    if (name in getattr(args, "_given", ())
+            and not np.any(values == base[name])):
+        values = np.append(values, base[name])
+    return {n: values if n == name else np.full(len(values), base[n])
+            for n in param_names}
+
+
+def _map_rows(args, grid: dict, evaluate) -> list:
+    """evaluate(point) at every grid point, in order, in threads if asked."""
+    points = [dict(zip(grid, vals))
+              for vals in zip(*(v.tolist() for v in grid.values()))]
     nthreads = _thread_count(args)
     if nthreads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=nthreads) as pool:
@@ -126,100 +159,64 @@ def _escale(args) -> float:
 
 
 # -- subcommand evaluators -------------------------------------------------
+#
+# The tree-level subcommands evaluate the whole grid in one batched call.
 
 def _cmd_compton(args):
     esc = _escale(args)
-
-    def evaluate(p):
-        theta = math.radians(p["theta"])
-        cfg = processes.compton_lab_config(p["omega_in"], theta,
-                                           mass=args.mass)
-        m2 = processes.spin_summed_squared(cfg, args.alpha)
-        w2 = processes.compton_omega_out(p["omega_in"], theta, args.mass)
-        dsig = (w2 / p["omega_in"]) ** 2 * m2 / (
-            64.0 * math.pi ** 2 * args.mass ** 2)
-        return {"theta_deg": p["theta"], "omega_in": p["omega_in"] * esc,
-                "omega_out": w2 * esc, "M2_spin_avg": m2,
-                "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig}
-
-    rows = _run_sweep(args, ("theta", "omega_in"), evaluate)
-    _write_table(args, ["theta_deg", "omega_in", "omega_out",
-                        "M2_spin_avg", "dsigma_dOmega"], rows)
+    g = _grid(args, ("theta", "omega_in"))
+    theta = np.radians(g["theta"])
+    cfg = processes.compton_lab_config(g["omega_in"], theta, mass=args.mass)
+    m2 = processes.spin_summed_squared(cfg, args.alpha)
+    w2 = processes.compton_omega_out(g["omega_in"], theta, args.mass)
+    dsig = (w2 / g["omega_in"]) ** 2 * m2 / (
+        64.0 * math.pi ** 2 * args.mass ** 2)
+    _write_table(args, {
+        "theta_deg": g["theta"], "omega_in": g["omega_in"] * esc,
+        "omega_out": w2 * esc, "M2_spin_avg": m2,
+        "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig})
 
 
 def _cmd_annihilate(args):
+    g = _grid(args, ("theta", "pmag"))
+    cfg = processes.annihilation_cm_config(g["pmag"], np.radians(g["theta"]),
+                                           mass=args.mass)
+    _write_table(args, {
+        "theta_deg": g["theta"], "pmag": g["pmag"] * _escale(args),
+        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)})
+
+
+def _coulomb_cmd(args, params, builder):
+    """brems and pairprod: two energies, two angles, one helicity."""
     esc = _escale(args)
-
-    def evaluate(p):
-        theta = math.radians(p["theta"])
-        cfg = processes.annihilation_cm_config(p["pmag"], theta,
-                                               mass=args.mass)
-        m2 = processes.spin_summed_squared(cfg, args.alpha)
-        return {"theta_deg": p["theta"], "pmag": p["pmag"] * esc,
-                "M2_spin_avg": m2}
-
-    rows = _run_sweep(args, ("theta", "pmag"), evaluate)
-    _write_table(args, ["theta_deg", "pmag", "M2_spin_avg"], rows)
+    g = _grid(args, params)
+    energies, angles = params[:2], params[2:]
+    cfg = builder(*(g[p] for p in energies),
+                  *(np.radians(g[p]) for p in angles), Z=args.Z,
+                  mass=args.mass)
+    m = processes.amplitude(cfg, args.alpha).value
+    _write_table(args, {**{p: g[p] * esc for p in energies},
+                        **{p + "_deg": g[p] for p in angles},
+                        "re_M": m.real, "im_M": m.imag,
+                        "abs2_M": np.abs(m) ** 2})
 
 
 def _cmd_brems(args):
-    esc = _escale(args)
-
-    def evaluate(p):
-        cfg = processes.bremsstrahlung_config(
-            p["e_in"], p["omega"], math.radians(p["theta_e"]),
-            math.radians(p["theta_k"]), Z=args.Z, mass=args.mass)
-        amp = processes.bremsstrahlung_amplitude(cfg, args.alpha)
-        return {"e_in": p["e_in"] * esc, "omega": p["omega"] * esc,
-                "theta_e_deg": p["theta_e"], "theta_k_deg": p["theta_k"],
-                "re_M": amp.value.real, "im_M": amp.value.imag,
-                "abs2_M": abs(amp.value) ** 2}
-
-    rows = _run_sweep(args, ("e_in", "omega", "theta_e", "theta_k"),
-                      evaluate)
-    _write_table(args, ["e_in", "omega", "theta_e_deg", "theta_k_deg",
-                        "re_M", "im_M", "abs2_M"], rows)
+    _coulomb_cmd(args, ("e_in", "omega", "theta_e", "theta_k"),
+                 processes.bremsstrahlung_config)
 
 
 def _cmd_pairprod(args):
-    esc = _escale(args)
-
-    def evaluate(p):
-        cfg = processes.pair_production_config(
-            p["omega_in"], p["e_plus"], math.radians(p["theta_p"]),
-            math.radians(p["theta_m"]), Z=args.Z, mass=args.mass)
-        amp = processes.pair_production_amplitude(cfg, args.alpha)
-        return {"omega_in": p["omega_in"] * esc,
-                "e_plus": p["e_plus"] * esc,
-                "theta_p_deg": p["theta_p"], "theta_m_deg": p["theta_m"],
-                "re_M": amp.value.real, "im_M": amp.value.imag,
-                "abs2_M": abs(amp.value) ** 2}
-
-    rows = _run_sweep(args, ("omega_in", "e_plus", "theta_p", "theta_m"),
-                      evaluate)
-    _write_table(args, ["omega_in", "e_plus", "theta_p_deg", "theta_m_deg",
-                        "re_M", "im_M", "abs2_M"], rows)
+    _coulomb_cmd(args, ("omega_in", "e_plus", "theta_p", "theta_m"),
+                 processes.pair_production_config)
 
 
-def _four_fermion_cmd(args, builder, label):
-    esc = _escale(args)
-
-    def evaluate(p):
-        cfg = builder(p["energy"], math.radians(p["theta"]), mass=args.mass)
-        m2 = processes.spin_summed_squared(cfg, args.alpha)
-        return {"energy": p["energy"] * esc, "theta_deg": p["theta"],
-                "M2_spin_avg": m2}
-
-    rows = _run_sweep(args, ("energy", "theta"), evaluate)
-    _write_table(args, ["energy", "theta_deg", "M2_spin_avg"], rows)
-
-
-def _cmd_moller(args):
-    _four_fermion_cmd(args, processes.moller_cm_config, "moller")
-
-
-def _cmd_bhabha(args):
-    _four_fermion_cmd(args, processes.bhabha_cm_config, "bhabha")
+def _four_fermion_cmd(args, builder):
+    g = _grid(args, ("energy", "theta"))
+    cfg = builder(g["energy"], np.radians(g["theta"]), mass=args.mass)
+    _write_table(args, {
+        "energy": g["energy"] * _escale(args), "theta_deg": g["theta"],
+        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)})
 
 
 def _cmd_vacuum_pol(args):
@@ -230,10 +227,11 @@ def _cmd_vacuum_pol(args):
     def evaluate(p):
         val = loops.vacuum_polarization_finite(p["k2"], quad, args.mass,
                                                args.alpha)
-        return {"k2": p["k2"], "re_pi_bar": val.real, "im_pi_bar": val.imag}
+        return p["k2"], val.real, val.imag
 
-    rows = _run_sweep(args, ("k2",), evaluate)
-    _write_table(args, ["k2", "re_pi_bar", "im_pi_bar"], rows)
+    rows = _map_rows(args, _grid(args, ("k2",)), evaluate)
+    _write_table(args, dict(zip(["k2", "re_pi_bar", "im_pi_bar"],
+                                zip(*rows))))
 
 
 def _cmd_self_energy(args):
@@ -248,13 +246,11 @@ def _cmd_self_energy(args):
         om = loops.self_energy(pvec, quad, args.mass, args.alpha)
         a, b = _decompose(om.finite, pvec)
         pa, pb = _decompose(om.pole, pvec)
-        return {"p2": p["p2"], "re_a": a.real, "im_a": a.imag,
-                "re_b": b.real, "im_b": b.imag,
-                "pole_a": pa.real, "pole_b": pb.real}
+        return p["p2"], a.real, a.imag, b.real, b.imag, pa.real, pb.real
 
-    rows = _run_sweep(args, ("p2",), evaluate)
-    _write_table(args, ["p2", "re_a", "im_a", "re_b", "im_b",
-                        "pole_a", "pole_b"], rows)
+    rows = _map_rows(args, _grid(args, ("p2",)), evaluate)
+    _write_table(args, dict(zip(["p2", "re_a", "im_a", "re_b", "im_b",
+                                 "pole_a", "pole_b"], zip(*rows))))
 
 
 def _decompose(mat, p: FourVector):
@@ -273,12 +269,12 @@ def _cmd_energy_shift(args):
     quad = loops.QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     esc = _escale(args)
     levels = [args.level] if args.level else sorted(spec.levels)
-    rows = []
-    for lab in levels:
-        val = loops.energy_shift(spec, lab, quad, args.alpha)
-        rows.append({"level": lab, "energy": spec.levels[lab] * esc,
-                     "re_shift": val.real * esc, "im_shift": val.imag * esc})
-    _write_table(args, ["level", "energy", "re_shift", "im_shift"], rows)
+    shifts = [loops.energy_shift(spec, lab, quad, args.alpha)
+              for lab in levels]
+    _write_table(args, {"level": levels,
+                        "energy": [spec.levels[lab] * esc for lab in levels],
+                        "re_shift": [v.real * esc for v in shifts],
+                        "im_shift": [v.imag * esc for v in shifts]})
 
 
 def _cmd_classical(args):
@@ -308,14 +304,9 @@ def _cmd_classical(args):
         cols = lines[0].split(",")
         rows = [dict(zip(cols, (float(v) for v in ln.split(","))))
                 for ln in lines[1:]]
-        cfg = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("func", "output") and v is not None}
-        text = json.dumps({"config": cfg, "rows": rows}, indent=1) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        text = json.dumps({"config": _config(args), "rows": rows},
+                          indent=1) + "\n"
+    _emit(args, text)
 
 
 def _cmd_selftest(args):
@@ -340,14 +331,11 @@ def _cmd_selftest(args):
                    for m in range(4) for n in range(4))
 
     def dirac_residual():
-        for _ in range(50):
-            p3 = rng.normal(size=3)
-            E = math.sqrt(1.0 + p3 @ p3)
-            p = FourVector.from_spatial(E, p3)
-            u = states.electron_spinor(p, +1).components
-            if np.linalg.norm((algebra.slash(p) - np.eye(4)) @ u) > 1e-12:
-                return False
-        return True
+        p3 = rng.normal(size=(50, 3))
+        p = np.column_stack([np.sqrt(1.0 + np.sum(p3 * p3, axis=1)), p3])
+        u = states.dirac_spinors(p)[:, 0]
+        r = np.einsum("nij,nj->ni", algebra.slash(p) - np.eye(4), u)
+        return np.max(np.linalg.norm(r, axis=1)) <= 1e-12
 
     def photon_residual():
         for kind in states.PHOTON_KINDS:
@@ -412,19 +400,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="fqed", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("compton")
+    def command(name):
+        sp = sub.add_parser(name)
+        sp.register("action", None, _Given)     # plain options note use
+        return sp
+
+    sp = command("compton")
     sp.add_argument("--omega-in", dest="omega_in", type=float, default=1.0)
     sp.add_argument("--theta", type=float, default=90.0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_compton)
 
-    sp = sub.add_parser("annihilate")
+    sp = command("annihilate")
     sp.add_argument("--pmag", type=float, default=0.5)
     sp.add_argument("--theta", type=float, default=60.0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_annihilate)
 
-    sp = sub.add_parser("brems")
+    sp = command("brems")
     sp.add_argument("--e-in", dest="e_in", type=float, default=2.0)
     sp.add_argument("--omega", type=float, default=0.5)
     sp.add_argument("--theta-e", dest="theta_e", type=float, default=20.0)
@@ -433,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_brems)
 
-    sp = sub.add_parser("pairprod")
+    sp = command("pairprod")
     sp.add_argument("--omega-in", dest="omega_in", type=float, default=3.0)
     sp.add_argument("--e-plus", dest="e_plus", type=float, default=1.5)
     sp.add_argument("--theta-p", dest="theta_p", type=float, default=30.0)
@@ -442,32 +435,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_pairprod)
 
-    for name, fn in (("moller", _cmd_moller), ("bhabha", _cmd_bhabha)):
-        sp = sub.add_parser(name)
+    for name, builder in (("moller", processes.moller_cm_config),
+                          ("bhabha", processes.bhabha_cm_config)):
+        sp = command(name)
         sp.add_argument("--energy", type=float, default=2.0)
         sp.add_argument("--theta", type=float, default=60.0)
         _add_common(sp)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=functools.partial(_four_fermion_cmd,
+                                               builder=builder))
 
-    sp = sub.add_parser("vacuum-pol")
+    sp = command("vacuum-pol")
     sp.add_argument("--k2", type=float, default=None)
     _add_common(sp, quad=True)
     sp.set_defaults(func=_cmd_vacuum_pol)
 
-    sp = sub.add_parser("self-energy")
+    sp = command("self-energy")
     sp.add_argument("--p2", type=float, default=0.5,
                     help="p^2 in units of m^2")
     _add_common(sp, quad=True)
     sp.set_defaults(func=_cmd_self_energy)
 
-    sp = sub.add_parser("energy-shift")
+    sp = command("energy-shift")
     sp.add_argument("--spectrum", required=True)
     sp.add_argument("--level", default=None)
     sp.add_argument("--k-max", dest="k_max", type=float, default=10.0)
     _add_common(sp, quad=True)
     sp.set_defaults(func=_cmd_energy_shift)
 
-    sp = sub.add_parser("classical")
+    sp = command("classical")
     sp.add_argument("--particle", choices=("electron", "photon"),
                     default="electron")
     sp.add_argument("--z", default="0.7071067811865476,0,"
@@ -480,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_classical)
 
-    sp = sub.add_parser("selftest")
+    sp = command("selftest")
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
 

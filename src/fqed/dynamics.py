@@ -52,6 +52,17 @@ class ElectronState:
     def zbar(self) -> np.ndarray:
         return self.z.conj() @ _G0
 
+    @property
+    def zbar_z(self) -> float:
+        return _dirac_norm(self.z)
+
+
+def _dirac_norm(z: np.ndarray) -> float:
+    """zbar z = |z_upper|^2 - |z_lower|^2, in real arithmetic: conjugate
+    upper and lower components cancel exactly."""
+    sq = z.real ** 2 + z.imag ** 2
+    return float((sq[0] + sq[1]) - (sq[2] + sq[3]))
+
 
 @dataclass(frozen=True)
 class PhotonClassicalState:
@@ -239,7 +250,7 @@ def integrate(state0, field: ExternalField | None = None,
         zs[i] = z
         v = np.real(z.conj() @ mats @ z) if dim == 4 else np.real(
             z.conj() @ _S @ z)
-        norms[i] = (np.real(z.conj() @ _G0 @ z) if dim == 4
+        norms[i] = (_dirac_norm(z) if dim == 4
                     else np.real(z.conj() @ z))
         hs[i] = float(v @ (_METRIC_DIAG * p))
 

@@ -48,9 +48,6 @@ class FourVector:
     def spatial(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    def spatial_norm(self) -> float:
-        return float(np.linalg.norm(self.spatial()))
-
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.t + other.t, self.x + other.x,
                           self.y + other.y, self.z + other.z)
@@ -73,10 +70,11 @@ class FourVector:
 
 
 def _components(v):
+    """Contravariant components of a FourVector or of a (..., 4) array."""
     if isinstance(v, FourVector):
         return v.as_array()
     a = np.asarray(v)
-    if a.shape != (4,):
+    if a.ndim == 0 or a.shape[-1] != 4:
         raise DomainError(f"expected 4 components, got shape {a.shape}")
     return a
 
@@ -84,25 +82,14 @@ def _components(v):
 def minkowski_dot(a, b):
     """a0*b0 - a.b under signature (+,-,-,-).
 
-    Accepts FourVector or any length-4 array; complex arrays are allowed
-    (polarization vectors), in which case the result is complex and no
-    conjugation is applied.
+    Accepts FourVectors or (..., 4) arrays, contracting the last axis;
+    complex arrays are allowed (polarization vectors), in which case the
+    result is complex and no conjugation is applied.
     """
     av = _components(a)
     bv = _components(b)
-    return av[0] * bv[0] - av[1] * bv[1] - av[2] * bv[2] - av[3] * bv[3]
-
-
-def boost_z(E_over_m: float) -> np.ndarray:
-    """Lorentz boost matrix along z with gamma = E/m."""
-    g = float(E_over_m)
-    if g < 1.0:
-        raise DomainError(f"gamma must be >= 1, got {g}")
-    b = math.sqrt(1.0 - 1.0 / (g * g))
-    L = np.eye(4)
-    L[0, 0] = L[3, 3] = g
-    L[0, 3] = L[3, 0] = g * b
-    return L
+    return (av[..., 0] * bv[..., 0] - av[..., 1] * bv[..., 1]
+            - av[..., 2] * bv[..., 2] - av[..., 3] * bv[..., 3])
 
 
 def on_shell(mass: float, p3, backward: bool = False) -> FourVector:
@@ -112,14 +99,11 @@ def on_shell(mass: float, p3, backward: bool = False) -> FourVector:
     return FourVector.from_spatial(E, p3)
 
 
-def check_on_shell(p: FourVector, mass: float, tol: float = 1e-10) -> None:
-    dev = abs(p.norm2() - mass * mass)
-    if dev > tol * max(mass * mass, 1.0):
+def check_on_shell(p, mass: float, tol: float = 1e-10) -> None:
+    """Raise DomainError unless p (a FourVector or (..., 4) array) is on
+    the mass shell at every point."""
+    dev = np.asarray(minkowski_dot(p, p) - mass * mass)
+    bad = ~(np.abs(dev) <= tol * max(mass * mass, 1.0))
+    if bad.any():
         raise DomainError(
-            f"momentum off shell: p^2 - m^2 = {p.norm2() - mass * mass:.3e}")
-
-
-def check_lightlike(k: FourVector, mass_scale: float = 1.0,
-                    tol: float = 1e-10) -> None:
-    if abs(k.norm2()) > tol * max(mass_scale * mass_scale, 1.0):
-        raise DomainError(f"momentum not lightlike: k^2 = {k.norm2():.3e}")
+            f"momentum off shell: p^2 - m^2 = {dev[bad][0]:.3e}")

@@ -114,11 +114,6 @@ def electron_energy_factor(initial: str = "E_i",
                                           final: Fraction(-1, 2)})
 
 
-def delta4() -> NormalizationLedger:
-    """(2 pi)^4 of the overall conservation delta function."""
-    return NormalizationLedger.of(**{"2pi": 4})
-
-
 # -- printed final prefactors of the implemented processes -----------------
 
 def compton_prefactor() -> NormalizationLedger:

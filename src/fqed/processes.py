@@ -14,6 +14,15 @@ Conventions
   eps-slash form of the final matrix elements); the raw Sigma-bilinears
   remain available in fqed.states as diagnostics.
 
+Batches
+-------
+A KinematicConfig holds one point (FourVector legs) or N points ((N, 4)
+array legs). Evaluation validates the kinematics once per call, builds
+spinors and polarization vectors for every point and spin or helicity
+slot at once, and each topology core contracts them with einsum into
+every helicity amplitude of every point. One point is a batch of one
+through the same code and returns Python scalars.
+
 Crossing
 --------
 A SubstitutionTable maps the external legs of a base process onto a
@@ -33,11 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ledger as _ledger
-from .algebra import GAMMA, I4, bilinear_current, slash
+from .algebra import GAMMA, slash
 from .constants import ALPHA_DEFAULT
 from .errors import DomainError, PoleError
-from .fourvec import FourVector, minkowski_dot
-from .states import electron_spinor, photon_state, polarization_vector
+from .fourvec import FourVector, _components, minkowski_dot
+from .propagators import PropagatorConfig, fermion_propagator
+from .states import HELICITIES, dirac_spinors, polarization_vectors, spin_slot
 
 FERMION_POLE_THRESHOLD = 1e-6      # |q^2 - m^2| below this raises, units m^2
 PHOTON_POLE_THRESHOLD = 1e-10      # |q^2| below this raises, units m^2
@@ -79,313 +89,301 @@ _BACKWARD_FERMIONS = {
     "moller": (),
     "bhabha": ("p_i_plus", "p_f_plus"),
 }
-# (incoming, outgoing) for the conservation check; the external-Coulomb
-# processes conserve energy only.
-_CONSERVATION = {
+# (incoming, outgoing) legs for the conservation check
+_BALANCE = {
     "compton": (("p_i", "k_i"), ("p_f", "k_f")),
     "annihilation": (("p_minus", "p_plus"), ("k_i", "k_f")),
     "moller": (("p_i1", "p_i2"), ("p_f1", "p_f2")),
     "bhabha": (("p_i_minus", "p_i_plus"), ("p_f_minus", "p_f_plus")),
-}
-_ENERGY_ONLY = {
     "bremsstrahlung": (("p_i",), ("p_f", "k_f")),
     "pair_production": (("k_i",), ("p_minus", "p_plus")),
 }
+# the external-Coulomb processes conserve energy only
+_ENERGY_ONLY = ("bremsstrahlung", "pair_production")
+# helicity axes of the amplitude arrays, in the order the direct
+# evaluation of each process produces them
+_AXES = {
+    "compton": ("p_f", "p_i", "k_i", "k_f"),
+    "annihilation": ("p_plus", "p_minus", "k_i", "k_f"),
+    "bremsstrahlung": ("p_f", "p_i", "k_f"),
+    "pair_production": ("p_plus", "p_minus", "k_i"),
+    "moller": ("p_f2", "p_i2", "p_f1", "p_i1"),
+    "bhabha": ("p_i_plus", "p_f_plus", "p_f_minus", "p_i_minus"),
+}
+_G0_DIAG = np.array([1.0, 1.0, -1.0, -1.0])     # gamma^0 is diagonal
+_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _sum_momenta(momenta, labels) -> FourVector:
-    acc = FourVector(0.0, 0.0, 0.0, 0.0)
-    for lab in labels:
-        acc = acc + momenta[lab]
-    return acc
+def _reject(bad: np.ndarray, what: str, values: np.ndarray, legs=(),
+            error=DomainError) -> None:
+    """Raise at the first point where bad holds; with legs, the first
+    axis of bad runs over those leg labels."""
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        where = f"{legs[first[0]]} " if legs else ""
+        raise error(f"{where}{what} = {values[first]:.3e}")
 
 
 @dataclass(frozen=True)
 class KinematicConfig:
-    """External kinematics of one process evaluation.
+    """External kinematics of one process evaluation, or of N at once.
 
-    momenta/spins/pols are keyed by leg label; spins are +-1 (meaning
-    s = +-1/2), pols are 'plus' or 'minus'.
+    momenta is keyed by leg label: a FourVector per leg for one point,
+    or an (N, 4) array of contravariant components per leg for N points.
+    spins/pols pick the helicity configuration the amplitude functions
+    report: spins are +-1 (meaning s = +-1/2), pols are 'plus' or
+    'minus'. Spin sums run over all of them.
     """
 
     process: str
-    momenta: dict[str, FourVector]
+    momenta: dict
     spins: dict[str, int] = field(default_factory=dict)
     pols: dict[str, str] = field(default_factory=dict)
     Z: float = 1.0
     frame: str = "lab"
     mass: float = 1.0
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def _is_point(self) -> bool:
+        return all(np.ndim(_components(v)) == 1
+                   for v in self.momenta.values())
+
+    def validate(self, tol: float = 1e-10) -> dict[str, np.ndarray]:
+        """Check on-shell fermions with p0 > 0, lightlike photons with
+        |k| > 0 and conservation at every point at once; returns every
+        leg as an (N, 4) array (N = 1 for one point)."""
         if self.process not in PROCESS_IDS:
             raise DomainError(f"unknown process: {self.process}")
-        m = self.mass
-        for lab in _FERMION_LABELS[self.process]:
-            p = self.momenta[lab]
-            if abs(p.norm2() - m * m) > tol * m * m:
-                raise DomainError(
-                    f"{lab} off shell: p^2 - m^2 = {p.norm2() - m * m:.3e}")
-        for lab in _PHOTON_LABELS[self.process]:
-            k = self.momenta[lab]
-            if abs(k.norm2()) > tol * m * m:
-                raise DomainError(
-                    f"{lab} not lightlike: k^2 = {k.norm2():.3e}")
-        if self.process in _CONSERVATION:
-            inc, out = _CONSERVATION[self.process]
-            res = _sum_momenta(self.momenta, inc) - _sum_momenta(
-                self.momenta, out)
-            if np.linalg.norm(res.as_array()) > tol * m:
-                raise DomainError(
-                    f"4-momentum not conserved, residual {res.as_array()}")
-        else:
-            inc, out = _ENERGY_ONLY[self.process]
-            de = (_sum_momenta(self.momenta, inc).t
-                  - _sum_momenta(self.momenta, out).t)
-            if abs(de) > tol * m:
-                raise DomainError(f"energy not conserved, residual {de:.3e}")
+        mom = self._legs()
+        m2 = self.mass * self.mass
+        fermions = _FERMION_LABELS[self.process]
+        p = np.stack([mom[lab] for lab in fermions])
+        dev = minkowski_dot(p, p) - m2
+        _reject(~(np.abs(dev) <= tol * m2), "off shell: p^2 - m^2", dev,
+                fermions)
+        _reject(~(p[..., 0] > 0), "needs p0 > 0, p0", p[..., 0], fermions)
+        photons = _PHOTON_LABELS[self.process]
+        if photons:
+            k = np.stack([mom[lab] for lab in photons])
+            k2 = minkowski_dot(k, k)
+            _reject(~(np.abs(k2) <= tol * m2), "not lightlike: k^2", k2,
+                    photons)
+            kmag = np.sqrt(np.sum(k[..., 1:] ** 2, axis=-1))
+            _reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, photons)
+        res = np.linalg.norm(_residual(self.process, mom), axis=-1)
+        what = "energy" if self.process in _ENERGY_ONLY else "4-momentum"
+        _reject(~(res <= tol * self.mass),
+                f"{what} not conserved, |residual|", res)
+        return mom
 
-    def conservation_residual(self) -> FourVector:
-        if self.process in _CONSERVATION:
-            inc, out = _CONSERVATION[self.process]
-            return _sum_momenta(self.momenta, inc) - _sum_momenta(
-                self.momenta, out)
-        inc, out = _ENERGY_ONLY[self.process]
-        de = (_sum_momenta(self.momenta, inc).t
-              - _sum_momenta(self.momenta, out).t)
-        return FourVector(de, 0.0, 0.0, 0.0)
+    def conservation_residual(self):
+        """Incoming minus outgoing four-momentum (energy only for the
+        external-Coulomb processes): a FourVector, or (N, 4) array."""
+        return self._point_or_batch(_residual(self.process, self._legs()))
+
+    def _legs(self) -> dict[str, np.ndarray]:
+        legs = [np.atleast_2d(np.asarray(_components(v), dtype=float))
+                for v in self.momenta.values()]
+        return dict(zip(self.momenta, np.broadcast_arrays(*legs)))
+
+    def _point_or_batch(self, res: np.ndarray):
+        return FourVector.from_array(res[0]) if self._is_point() else res
+
+
+def _residual(process: str, mom: dict) -> np.ndarray:
+    inc, out = _BALANCE[process]
+    res = sum(mom[lab] for lab in inc) - sum(mom[lab] for lab in out)
+    if process in _ENERGY_ONLY:
+        res[:, 1:] = 0.0
+    return res
 
 
 @dataclass(frozen=True)
 class ReducedAmplitude:
-    value: complex
+    value: complex                  # (N,) complex array for N points
     ledger: _ledger.NormalizationLedger
-    conservation: FourVector
+    conservation: FourVector        # (N, 4) array for N points
 
 
+# built once: every amplitude of a process carries the same ledger
 _PREFACTORS = {
-    "compton": _ledger.compton_prefactor,
-    "annihilation": _ledger.pair_annihilation_prefactor,
-    "bremsstrahlung": _ledger.bremsstrahlung_prefactor,
-    "pair_production": _ledger.pair_production_prefactor,
-    "moller": _ledger.moller_prefactor,
-    "bhabha": _ledger.bhabha_prefactor,
+    "compton": _ledger.compton_prefactor(),
+    "annihilation": _ledger.pair_annihilation_prefactor(),
+    "bremsstrahlung": _ledger.bremsstrahlung_prefactor(),
+    "pair_production": _ledger.pair_production_prefactor(),
+    "moller": _ledger.moller_prefactor(),
+    "bhabha": _ledger.bhabha_prefactor(),
 }
 
 
 # -- external legs ---------------------------------------------------------
 
-def _u(p: FourVector, spin: int, mass: float,
-       backward: bool = False) -> np.ndarray:
-    """Relativistically normalized spinor (u-bar u = +-2m)."""
-    st = electron_spinor(p, spin, mass, backward=backward)
-    return math.sqrt(2.0 * p.t) * st.components
+def _u(p: np.ndarray, mass: float, backward: bool = False) -> np.ndarray:
+    """Relativistically normalized spinors (u-bar u = +-2m), (N, 2, 4)."""
+    return (np.sqrt(2.0 * p[:, 0])[:, None, None]
+            * dirac_spinors(p, mass, backward))
 
 
-def _ubar(p: FourVector, spin: int, mass: float,
-          backward: bool = False) -> np.ndarray:
-    return (_u(p, spin, mass, backward).conj()) @ GAMMA[0]
-
-
-def _eps(k: FourVector, pol: str, conjugate: bool) -> np.ndarray:
-    kmag = k.spatial_norm()
-    if kmag <= 0:
-        raise DomainError("photon leg requires |k| > 0")
-    axis = k.spatial() / kmag
-    e = polarization_vector(photon_state(pol, kmag, axis))
-    return e.conj() if conjugate else e
-
-
-def _fermion_kernel(q: FourVector, mass: float) -> np.ndarray:
-    """1/(slash(q) - m) rationalized, with the near-pole guard."""
-    if abs(q.norm2() - mass * mass) < FERMION_POLE_THRESHOLD * mass * mass:
-        raise PoleError(
-            f"intermediate fermion too close to mass shell: "
-            f"q^2 - m^2 = {q.norm2() - mass * mass:.3e}")
-    return (slash(q) + mass * I4) / (q.norm2() - mass * mass)
-
-
-def _photon_denom(q: FourVector, mass: float) -> float:
-    q2 = float(q.norm2())
-    if abs(q2) < PHOTON_POLE_THRESHOLD * mass * mass:
-        raise PoleError(f"photon line at q^2 = {q2:.3e}")
-    return q2
+def _bar(u: np.ndarray) -> np.ndarray:
+    return u.conj() * _G0_DIAG
 
 
 # -- core topologies (shared by direct evaluation and crossing) ------------
+#
+# Each core returns every helicity amplitude of every point; the axes are
+# the points, then the spin or helicity slots of its arguments in order.
 
-def _compton_core(bar_out, u_in, eps_abs, eps_em,
-                  p_in: FourVector, k_abs: FourVector, k_em: FourVector,
-                  mass: float, e2: float) -> complex:
+def _kernels(q1, q2, mass: float) -> np.ndarray:
+    """Internal fermion lines 1/(slash(q) - m) at both momenta, with the
+    near-pole guard; shape (2, N, 4, 4)."""
+    q = np.stack([q1, q2])
+    dev = minkowski_dot(q, q) - mass * mass
+    _reject(np.abs(dev) < FERMION_POLE_THRESHOLD * mass * mass,
+            "intermediate fermion too close to mass shell: q^2 - m^2", dev,
+            error=PoleError)
+    return fermion_propagator(q, PropagatorConfig(mass, epsilon=0.0))
+
+
+def _compton_core(bar_out, u_in, eps_abs, eps_em, p_in, k_abs, k_em,
+                  mass: float, e2: float) -> np.ndarray:
     """bar_out [ eps_em 1/(p+k_abs-m) eps_abs
-                 + eps_abs 1/(p-k_em-m) eps_em ] u_in * (-i e^2)."""
-    s1 = slash(eps_em) @ _fermion_kernel(p_in + k_abs, mass) @ slash(eps_abs)
-    s2 = slash(eps_abs) @ _fermion_kernel(p_in - k_em, mass) @ slash(eps_em)
-    return complex(-1j * e2 * (bar_out @ (s1 + s2) @ u_in))
+                 + eps_abs 1/(p-k_em-m) eps_em ] u_in * (-i e^2),
+    axes (N, out, in, abs, em)."""
+    s1, s2 = _kernels(p_in + k_abs, p_in - k_em, mass)
+    a, e = slash(eps_abs), slash(eps_em)
+    bar_e = np.einsum("noi,neij->noej", bar_out, e)
+    bar_a = np.einsum("noi,naij->noaj", bar_out, a)
+    a_u = np.einsum("naij,nmj->nmai", a, u_in)
+    e_u = np.einsum("neij,nmj->nmei", e, u_in)
+    m = (np.einsum("noej,njk,nmak->nomae", bar_e, s1, a_u)
+         + np.einsum("noaj,njk,nmek->nomae", bar_a, s2, e_u))
+    return -1j * e2 * m
 
 
-def _coulomb_core(bar_out, u_in, eps,
-                  p_out: FourVector, p_in: FourVector, k: FourVector,
-                  mass: float, Z: float, e3: float) -> complex:
+def _coulomb_core(bar_out, u_in, eps, p_out, p_in, k, mass: float,
+                  Z: float, e3: float) -> np.ndarray:
     """External-Coulomb topology with static gamma^0 vertex.
 
     -Z e^3/|q|^2 * bar_out [ eps 1/(p_out+k-m) g0
                              + g0 1/(p_in-k-m) eps ] u_in * (-i),
-    with q = spatial part of (k + p_out - p_in).
+    with q = spatial part of (k + p_out - p_in); axes (N, out, in, photon).
     """
-    qvec = (k + p_out - p_in).spatial()
-    q2 = float(qvec @ qvec)
-    if q2 < PHOTON_POLE_THRESHOLD * mass * mass:
-        raise PoleError(f"Coulomb pole: |q|^2 = {q2:.3e}")
-    eps_sl = slash(eps)
-    s1 = eps_sl @ _fermion_kernel(p_out + k, mass) @ GAMMA[0]
-    s2 = GAMMA[0] @ _fermion_kernel(p_in - k, mass) @ eps_sl
-    return complex(-1j * (-Z) * e3 / q2 * (bar_out @ (s1 + s2) @ u_in))
+    qvec = (k + p_out - p_in)[:, 1:]
+    q2 = np.sum(qvec * qvec, axis=1)
+    _reject(q2 < PHOTON_POLE_THRESHOLD * mass * mass, "Coulomb pole: |q|^2",
+            q2, error=PoleError)
+    s1, s2 = _kernels(p_out + k, p_in - k, mass)
+    e = slash(eps)
+    bar_e = np.einsum("noi,ncij->nocj", bar_out, e)
+    e_u = np.einsum("ncij,nmj->nmci", e, u_in)
+    m = (np.einsum("nocj,njk,nmk->nomc", bar_e, s1, u_in * _G0_DIAG)
+         + np.einsum("noj,njk,nmck->nomc", bar_out * _G0_DIAG, s2, e_u))
+    return (-1j * (-Z) * e3 / q2)[:, None, None, None] * m
 
 
-def _four_fermion_core(bar_a, u_a, bar_b, u_b, q_direct: FourVector,
-                       bar_c, u_c, bar_d, u_d, q_exchange: FourVector,
-                       mass: float, e2: float) -> complex:
-    """[ (bar_a G u_a).(bar_b G u_b)/q_d^2
-         - (bar_c G u_c).(bar_d G u_d)/q_e^2 ] * (-i e^2),
+def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
+                       mass: float, e2: float) -> np.ndarray:
+    """[ (bar_1 G u_1).(bar_2 G u_2)/q_d^2
+         - (bar_2 G u_1).(bar_1 G u_2)/q_e^2 ] * (-i e^2),
     G = gamma^mu, Minkowski-contracted currents."""
-    t = _photon_denom(q_direct, mass)
-    u = _photon_denom(q_exchange, mass)
-    direct = minkowski_dot(bilinear_current(bar_a, u_a),
-                           bilinear_current(bar_b, u_b)) / t
-    exchange = minkowski_dot(bilinear_current(bar_c, u_c),
-                             bilinear_current(bar_d, u_d)) / u
-    return complex(-1j * e2 * (direct - exchange))
+    q = np.stack([q_direct, q_exchange])
+    q2 = minkowski_dot(q, q)
+    _reject(np.abs(q2) < PHOTON_POLE_THRESHOLD * mass * mass,
+            "photon line at q^2", q2, error=PoleError)
+    t, u = q2[:, :, None, None, None, None]
+    # direct and exchange through the same contraction, so that relabeling
+    # the two outgoing fermions swaps the two terms exactly
+    currents = lambda bar, ket: np.einsum("nai,mij,nbj->nabm", bar, GAMMA,
+                                          ket)
+    dot = lambda j, k: np.einsum("nabm,ncdm->nabcd", j * _METRIC_DIAG, k)
+    direct = dot(currents(bar_1, u_1), currents(bar_2, u_2))
+    exchange = dot(currents(bar_2, u_1), currents(bar_1, u_2))
+    return -1j * e2 * (direct / t - exchange.transpose(0, 3, 2, 1, 4) / u)
 
 
 # -- direct amplitudes -----------------------------------------------------
 
-def compton_amplitude(cfg: KinematicConfig,
-                      alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom = cfg.mass, cfg.momenta
+def _direct(cfg: KinematicConfig, mom: dict, alpha: float,
+            eps_abs=None) -> np.ndarray:
+    """Every helicity amplitude at the validated legs mom, from the
+    process's own legs; axes (N, *_AXES[process]). eps_abs replaces the
+    absorbed photon's polarization slots of the Compton topology."""
+    m = cfg.mass
     e2 = 4.0 * math.pi * alpha
-    val = _compton_core(
-        _ubar(mom["p_f"], cfg.spins["p_f"], m),
-        _u(mom["p_i"], cfg.spins["p_i"], m),
-        _eps(mom["k_i"], cfg.pols["k_i"], conjugate=False),
-        _eps(mom["k_f"], cfg.pols["k_f"], conjugate=True),
-        mom["p_i"], mom["k_i"], mom["k_f"], m, e2)
-    return ReducedAmplitude(val, _PREFACTORS["compton"](),
-                            cfg.conservation_residual())
-
-
-def pair_annihilation_amplitude(cfg: KinematicConfig,
-                                alpha: float = ALPHA_DEFAULT
-                                ) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom = cfg.mass, cfg.momenta
-    e2 = 4.0 * math.pi * alpha
-    # vbar(p+)[ eps_f* 1/(p_- - k_i - m) eps_i*
-    #           + eps_i* 1/(p_- - k_f - m) eps_f* ]u(p_-)
-    val = _compton_core(
-        _ubar(mom["p_plus"], cfg.spins["p_plus"], m, backward=True),
-        _u(mom["p_minus"], cfg.spins["p_minus"], m),
-        _eps(mom["k_i"], cfg.pols["k_i"], conjugate=True),
-        _eps(mom["k_f"], cfg.pols["k_f"], conjugate=True),
-        mom["p_minus"], -mom["k_i"], mom["k_f"], m, e2)
-    return ReducedAmplitude(val, _PREFACTORS["annihilation"](),
-                            cfg.conservation_residual())
-
-
-def bremsstrahlung_amplitude(cfg: KinematicConfig,
-                             alpha: float = ALPHA_DEFAULT
-                             ) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom = cfg.mass, cfg.momenta
-    e2 = 4.0 * math.pi * alpha
-    val = _coulomb_core(
-        _ubar(mom["p_f"], cfg.spins["p_f"], m),
-        _u(mom["p_i"], cfg.spins["p_i"], m),
-        _eps(mom["k_f"], cfg.pols["k_f"], conjugate=True),
-        mom["p_f"], mom["p_i"], mom["k_f"], m, cfg.Z, e2 * math.sqrt(e2))
-    return ReducedAmplitude(val, _PREFACTORS["bremsstrahlung"](),
-                            cfg.conservation_residual())
-
-
-def pair_production_amplitude(cfg: KinematicConfig,
-                              alpha: float = ALPHA_DEFAULT
-                              ) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom = cfg.mass, cfg.momenta
-    if mom["k_i"].t < 2.0 * m:
-        raise DomainError(f"photon energy {mom['k_i'].t} below pair "
-                          f"threshold {2.0 * m}")
-    e2 = 4.0 * math.pi * alpha
-    # vbar(p+)[ eps_i 1/(p_+ - k_i - m) g0
-    #           + g0 1/(-p_- + k_i - m) eps_i ]u(p_-) / |q|^2
-    val = _coulomb_core(
-        _ubar(mom["p_plus"], cfg.spins["p_plus"], m, backward=True),
-        _u(mom["p_minus"], cfg.spins["p_minus"], m),
-        _eps(mom["k_i"], cfg.pols["k_i"], conjugate=False),
-        mom["p_plus"], -mom["p_minus"], -mom["k_i"], m, cfg.Z,
-        e2 * math.sqrt(e2))
-    return ReducedAmplitude(val, _PREFACTORS["pair_production"](),
-                            cfg.conservation_residual())
-
-
-def electron_electron_amplitude(cfg: KinematicConfig,
-                                alpha: float = ALPHA_DEFAULT
-                                ) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom, s = cfg.mass, cfg.momenta, cfg.spins
-    e2 = 4.0 * math.pi * alpha
-    val = _four_fermion_core(
-        _ubar(mom["p_f2"], s["p_f2"], m), _u(mom["p_i2"], s["p_i2"], m),
-        _ubar(mom["p_f1"], s["p_f1"], m), _u(mom["p_i1"], s["p_i1"], m),
-        mom["p_i1"] - mom["p_f1"],
-        _ubar(mom["p_f1"], s["p_f1"], m), _u(mom["p_i2"], s["p_i2"], m),
-        _ubar(mom["p_f2"], s["p_f2"], m), _u(mom["p_i1"], s["p_i1"], m),
-        mom["p_i1"] - mom["p_f2"], m, e2)
-    return ReducedAmplitude(val, _PREFACTORS["moller"](),
-                            cfg.conservation_residual())
-
-
-def electron_positron_amplitude(cfg: KinematicConfig,
-                                alpha: float = ALPHA_DEFAULT
-                                ) -> ReducedAmplitude:
-    cfg.validate()
-    m, mom, s = cfg.mass, cfg.momenta, cfg.spins
-    e2 = 4.0 * math.pi * alpha
+    u = lambda lab, backward=False: _u(mom[lab], m, backward)
+    eps = lambda lab, conj: polarization_vectors(mom[lab], conj)
+    proc = cfg.process
+    if proc == "compton":
+        return _compton_core(
+            _bar(u("p_f")), u("p_i"),
+            eps("k_i", False) if eps_abs is None else eps_abs,
+            eps("k_f", True), mom["p_i"], mom["k_i"], mom["k_f"], m, e2)
+    if proc == "annihilation":
+        # vbar(p+)[ eps_f* 1/(p_- - k_i - m) eps_i*
+        #           + eps_i* 1/(p_- - k_f - m) eps_f* ]u(p_-)
+        return _compton_core(
+            _bar(u("p_plus", True)), u("p_minus"), eps("k_i", True),
+            eps("k_f", True), mom["p_minus"], -mom["k_i"], mom["k_f"], m,
+            e2)
+    if proc == "bremsstrahlung":
+        return _coulomb_core(
+            _bar(u("p_f")), u("p_i"), eps("k_f", True), mom["p_f"],
+            mom["p_i"], mom["k_f"], m, cfg.Z, e2 * math.sqrt(e2))
+    if proc == "pair_production":
+        # vbar(p+)[ eps_i 1/(p_+ - k_i - m) g0
+        #           + g0 1/(-p_- + k_i - m) eps_i ]u(p_-) / |q|^2
+        return _coulomb_core(
+            _bar(u("p_plus", True)), u("p_minus"), eps("k_i", False),
+            mom["p_plus"], -mom["p_minus"], -mom["k_i"], m, cfg.Z,
+            e2 * math.sqrt(e2))
+    if proc == "moller":
+        return _four_fermion_core(
+            _bar(u("p_f2")), u("p_i2"), _bar(u("p_f1")), u("p_i1"),
+            mom["p_i1"] - mom["p_f1"], mom["p_i1"] - mom["p_f2"], m, e2)
     # scattering term vbar(pi+)G v(pf+) . ubar(pf-)G u(pi-) / (pi- - pf-)^2
     # minus annihilation term ubar(pf-)G v(pf+) . vbar(pi+)G u(pi-)
     #                                           / (pi- + pi+)^2
-    val = _four_fermion_core(
-        _ubar(mom["p_i_plus"], s["p_i_plus"], m, backward=True),
-        _u(mom["p_f_plus"], s["p_f_plus"], m, backward=True),
-        _ubar(mom["p_f_minus"], s["p_f_minus"], m),
-        _u(mom["p_i_minus"], s["p_i_minus"], m),
+    return _four_fermion_core(
+        _bar(u("p_i_plus", True)), u("p_f_plus", True),
+        _bar(u("p_f_minus")), u("p_i_minus"),
         mom["p_i_minus"] - mom["p_f_minus"],
-        _ubar(mom["p_f_minus"], s["p_f_minus"], m),
-        _u(mom["p_f_plus"], s["p_f_plus"], m, backward=True),
-        _ubar(mom["p_i_plus"], s["p_i_plus"], m, backward=True),
-        _u(mom["p_i_minus"], s["p_i_minus"], m),
         mom["p_i_minus"] + mom["p_i_plus"], m, e2)
-    return ReducedAmplitude(val, _PREFACTORS["bhabha"](),
-                            cfg.conservation_residual())
 
 
-_DIRECT = {
-    "compton": compton_amplitude,
-    "annihilation": pair_annihilation_amplitude,
-    "bremsstrahlung": bremsstrahlung_amplitude,
-    "pair_production": pair_production_amplitude,
-    "moller": electron_electron_amplitude,
-    "bhabha": electron_positron_amplitude,
-}
+def _slots(cfg: KinematicConfig) -> tuple:
+    """Index of cfg's spins and polarizations on the helicity axes."""
+    idx = []
+    for lab in _AXES[cfg.process]:
+        if lab in cfg.spins:
+            idx.append(spin_slot(cfg.spins[lab]))
+        elif cfg.pols.get(lab) in HELICITIES:
+            idx.append(HELICITIES.index(cfg.pols[lab]))
+        else:
+            raise DomainError(f"{lab} needs a spin or a transverse "
+                              f"polarization, got {cfg.pols.get(lab)}")
+    return (slice(None), *idx)
+
+
+def _reduced(cfg: KinematicConfig, amps: np.ndarray,
+             mom: dict) -> ReducedAmplitude:
+    """The amplitude at cfg's helicities, with its ledger."""
+    value = amps[_slots(cfg)]
+    res = cfg._point_or_batch(_residual(cfg.process, mom))
+    if cfg._is_point():
+        value = complex(value[0])
+    return ReducedAmplitude(value, _PREFACTORS[cfg.process], res)
 
 
 def amplitude(cfg: KinematicConfig,
               alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
-    try:
-        f = _DIRECT[cfg.process]
-    except KeyError:
-        raise DomainError(f"unknown process: {cfg.process}") from None
-    return f(cfg, alpha)
+    """The reduced amplitude at cfg's spins and polarizations."""
+    mom = cfg.validate()
+    return _reduced(cfg, _direct(cfg, mom, alpha), mom)
+
+
+# the per-process names of the direct evaluation
+compton_amplitude = pair_annihilation_amplitude = amplitude
+bremsstrahlung_amplitude = pair_production_amplitude = amplitude
+electron_electron_amplitude = electron_positron_amplitude = amplitude
 
 
 # -- crossing engine -------------------------------------------------------
@@ -480,234 +478,225 @@ def apply_crossing(base: str, table: SubstitutionTable,
     if table.target != cfg.process:
         raise DomainError(
             f"table target {table.target} != config process {cfg.process}")
-    cfg.validate()
+    mom = cfg.validate()
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
 
     def fermion(base_lab):
         cl = table.legs[base_lab]
-        p = cfg.momenta[cl.label]
-        return (_ubar(p, cfg.spins[cl.label], m, backward=cl.backward),
-                _u(p, cfg.spins[cl.label], m, backward=cl.backward),
-                p if cl.sign > 0 else -p)
+        p = mom[cl.label]
+        return _u(p, m, cl.backward), p if cl.sign > 0 else -p
 
     def photon(base_lab):
         cl = table.legs[base_lab]
-        k = cfg.momenta[cl.label]
+        k = mom[cl.label]
         # crossing a leg to the other side of the reaction flips the
         # conjugation, so the target's role decides: emitted legs enter
         # conjugated
         conj = cl.label in _EMITTED_PHOTONS[cfg.process]
-        return (_eps(k, cfg.pols[cl.label], conjugate=conj),
-                k if cl.sign > 0 else -k)
+        return polarization_vectors(k, conj), k if cl.sign > 0 else -k
 
     if base == "compton":
-        bar_f, _, _ = fermion("p_f")
-        _, u_i, p_in = fermion("p_i")
+        u_f, _ = fermion("p_f")
+        u_i, p_in = fermion("p_i")
         eps_abs, k_abs = photon("k_i")
         eps_em, k_em = photon("k_f")
-        val = _compton_core(bar_f, u_i, eps_abs, eps_em,
-                            p_in, k_abs, k_em, m, e2)
+        amps = _compton_core(_bar(u_f), u_i, eps_abs, eps_em,
+                             p_in, k_abs, k_em, m, e2)
     elif base == "bremsstrahlung":
-        bar_f, _, p_out = fermion("p_f")
-        _, u_i, p_in = fermion("p_i")
+        u_f, p_out = fermion("p_f")
+        u_i, p_in = fermion("p_i")
         eps, k = photon("k_f")
-        val = _coulomb_core(bar_f, u_i, eps, p_out, p_in, k, m, cfg.Z,
-                            e2 * math.sqrt(e2))
+        amps = _coulomb_core(_bar(u_f), u_i, eps, p_out, p_in, k, m, cfg.Z,
+                             e2 * math.sqrt(e2))
     elif base == "moller":
-        bar_f2, _, q_f2 = fermion("p_f2")
-        bar_f1, _, q_f1 = fermion("p_f1")
-        _, u_i2, _ = fermion("p_i2")
-        _, u_i1, q_i1 = fermion("p_i1")
-        val = _four_fermion_core(
-            bar_f2, u_i2, bar_f1, u_i1, q_i1 - q_f1,
-            bar_f1, u_i2, bar_f2, u_i1, q_i1 - q_f2,
-            m, e2)
+        u_f2, q_f2 = fermion("p_f2")
+        u_f1, q_f1 = fermion("p_f1")
+        u_i2, _ = fermion("p_i2")
+        u_i1, q_i1 = fermion("p_i1")
+        amps = _four_fermion_core(_bar(u_f2), u_i2, _bar(u_f1), u_i1,
+                                  q_i1 - q_f1, q_i1 - q_f2, m, e2)
     else:
         raise DomainError(f"{base} is not a base topology")
-    return ReducedAmplitude(val, _PREFACTORS[cfg.process](),
-                            cfg.conservation_residual())
+    # base helicity axes, renamed to target legs, in the target's order
+    crossed = [table.legs[lab].label for lab in _AXES[base]]
+    order = [crossed.index(lab) + 1 for lab in _AXES[cfg.process]]
+    return _reduced(cfg, amps.transpose(0, *order), mom)
 
 
 # -- spin and polarization sums --------------------------------------------
 
 def spin_summed_squared(cfg: KinematicConfig,
-                        alpha: float = ALPHA_DEFAULT) -> float:
+                        alpha: float = ALPHA_DEFAULT):
     """(1/4) sum over all spin and polarization labels of |M|^2.
 
-    Explicit enumeration over the discrete labels; 2->2 processes only.
+    All helicity amplitudes come from one batched evaluation; 2->2
+    processes only. A float for one point, an (N,) array for N points.
     """
     if cfg.process not in ("compton", "annihilation", "moller", "bhabha"):
         raise DomainError(
             f"spin_summed_squared needs a 2->2 process, got {cfg.process}")
-    spin_labels = sorted(cfg.spins)
-    pol_labels = sorted(cfg.pols)
-    total = 0.0
-    assignments = [{}]
-    for lab in spin_labels:
-        assignments = [{**a, lab: s} for a in assignments for s in (+1, -1)]
-    pol_assign = [{}]
-    for lab in pol_labels:
-        pol_assign = [{**a, lab: p} for a in pol_assign
-                      for p in ("plus", "minus")]
-    for spins in assignments:
-        for pols in pol_assign:
-            c = KinematicConfig(cfg.process, cfg.momenta, spins, pols,
-                                cfg.Z, cfg.frame, cfg.mass)
-            total += abs(amplitude(c, alpha).value) ** 2
-    return total / 4.0
+    amps = _direct(cfg, cfg.validate(), alpha)
+    amps = amps.reshape(len(amps), -1)
+    total = np.sum(amps.real ** 2 + amps.imag ** 2, axis=1) / 4.0
+    return float(total[0]) if cfg._is_point() else total
 
 
 # -- Ward-identity hook ----------------------------------------------------
 
 def compton_value_with_polarization(cfg: KinematicConfig, eps_in,
-                                    alpha: float = ALPHA_DEFAULT) -> complex:
+                                    alpha: float = ALPHA_DEFAULT):
     """Compton value with an explicit absorbed-photon polarization.
 
     Substituting eps_in = k_i must annihilate the two-diagram sum.
+    eps_in is a length-4 array, or (N, 4) for N points.
     """
-    cfg.validate()
-    m, mom = cfg.mass, cfg.momenta
-    e2 = 4.0 * math.pi * alpha
-    return _compton_core(
-        _ubar(mom["p_f"], cfg.spins["p_f"], m),
-        _u(mom["p_i"], cfg.spins["p_i"], m),
-        np.asarray(eps_in, dtype=complex),
-        _eps(mom["k_f"], cfg.pols["k_f"], conjugate=True),
-        mom["p_i"], mom["k_i"], mom["k_f"], m, e2)
+    if cfg.process != "compton":
+        raise DomainError(f"expected a compton config, got {cfg.process}")
+    eps = np.asarray(eps_in, dtype=complex).reshape(-1, 1, 4)
+    slots = list(_slots(cfg))
+    slots[1 + _AXES["compton"].index("k_i")] = 0
+    value = _direct(cfg, cfg.validate(), alpha, eps_abs=eps)[tuple(slots)]
+    return complex(value[0]) if cfg._is_point() else value
 
 
 # -- kinematics builders ---------------------------------------------------
+#
+# Every builder takes scalars or arrays (broadcast together): scalars give
+# a one-point config with FourVector legs, arrays an N-point config.
 
-def compton_omega_out(omega_in: float, theta: float,
-                      mass: float = 1.0) -> float:
+def _above(name: str, value, low: float) -> None:
+    """Reject inputs at or below low, naming the first one."""
+    value = np.asarray(value, dtype=float)
+    _reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
+
+
+def _direction(theta, phi):
+    """Cartesian components of the unit vectors at (theta, phi)."""
+    return (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+            np.cos(theta))
+
+
+def _config(process: str, legs: dict, spins: dict, pols: dict,
+            **kwargs) -> KinematicConfig:
+    """legs maps each label to its (t, x, y, z), broadcast together."""
+    comps = [c for leg in legs.values() for c in leg]
+    shape = np.broadcast(*comps).shape
+    arrays = np.empty((len(legs),) + shape + (4,))
+    for i, c in enumerate(comps):
+        arrays[(i // 4, ..., i % 4)] = c
+    if not shape:
+        arrays = [FourVector.from_array(v) for v in arrays]
+    return KinematicConfig(process, dict(zip(legs, arrays)), spins, pols,
+                           **kwargs)
+
+
+def compton_omega_out(omega_in, theta, mass: float = 1.0):
     """Lab-frame Compton relation for the scattered photon energy."""
-    return omega_in / (1.0 + (omega_in / mass) * (1.0 - math.cos(theta)))
+    return omega_in / (1.0 + (omega_in / mass) * (1.0 - np.cos(theta)))
 
 
-def compton_lab_config(omega_in: float, theta: float, phi: float = 0.0,
+def compton_lab_config(omega_in, theta, phi=0.0,
                        s_i: int = +1, s_f: int = +1,
                        pol_i: str = "plus", pol_f: str = "plus",
                        mass: float = 1.0) -> KinematicConfig:
     """Electron at rest, photon along +z, scattering at (theta, phi)."""
-    if omega_in <= 0:
-        raise DomainError("omega_in must be positive")
+    _above("omega_in", omega_in, 0.0)
     w2 = compton_omega_out(omega_in, theta, mass)
-    k_i = FourVector(omega_in, 0.0, 0.0, omega_in)
-    n = np.array([math.sin(theta) * math.cos(phi),
-                  math.sin(theta) * math.sin(phi), math.cos(theta)])
-    k_f = FourVector.from_spatial(w2, w2 * n)
-    p_i = FourVector(mass, 0.0, 0.0, 0.0)
-    pf3 = k_i.spatial() - k_f.spatial()
-    p_f = FourVector.from_spatial(
-        math.sqrt(float(pf3 @ pf3) + mass * mass), pf3)
-    return KinematicConfig("compton",
-                           {"p_i": p_i, "p_f": p_f, "k_i": k_i, "k_f": k_f},
-                           {"p_i": s_i, "p_f": s_f},
-                           {"k_i": pol_i, "k_f": pol_f}, mass=mass)
+    nx, ny, nz = _direction(theta, phi)
+    # p_f = p_i + k_i - k_f, with the energy put on shell
+    px, py, pz = -w2 * nx, -w2 * ny, omega_in - w2 * nz
+    return _config(
+        "compton",
+        {"p_i": (mass, 0.0, 0.0, 0.0),
+         "p_f": (np.sqrt(px * px + py * py + pz * pz + mass * mass),
+                 px, py, pz),
+         "k_i": (omega_in, 0.0, 0.0, omega_in),
+         "k_f": (w2, w2 * nx, w2 * ny, w2 * nz)},
+        {"p_i": s_i, "p_f": s_f}, {"k_i": pol_i, "k_f": pol_f}, mass=mass)
 
 
-def annihilation_cm_config(pmag: float, theta: float, phi: float = 0.0,
+def annihilation_cm_config(pmag, theta, phi=0.0,
                            s_minus: int = +1, s_plus: int = +1,
                            pol_i: str = "plus", pol_f: str = "plus",
                            mass: float = 1.0) -> KinematicConfig:
     """e- e+ back to back along z; photons back to back at (theta, phi)."""
-    if pmag <= 0:
-        raise DomainError("|p| must be positive")
-    E = math.sqrt(pmag * pmag + mass * mass)
-    n = np.array([math.sin(theta) * math.cos(phi),
-                  math.sin(theta) * math.sin(phi), math.cos(theta)])
-    return KinematicConfig(
+    _above("|p|", pmag, 0.0)
+    E = np.sqrt(pmag * pmag + mass * mass)
+    nx, ny, nz = _direction(theta, phi)
+    return _config(
         "annihilation",
-        {"p_minus": FourVector(E, 0.0, 0.0, pmag),
-         "p_plus": FourVector(E, 0.0, 0.0, -pmag),
-         "k_i": FourVector.from_spatial(E, E * n),
-         "k_f": FourVector.from_spatial(E, -E * n)},
+        {"p_minus": (E, 0.0, 0.0, pmag),
+         "p_plus": (E, 0.0, 0.0, -pmag),
+         "k_i": (E, E * nx, E * ny, E * nz),
+         "k_f": (E, -E * nx, -E * ny, -E * nz)},
         {"p_minus": s_minus, "p_plus": s_plus},
         {"k_i": pol_i, "k_f": pol_f}, frame="cm", mass=mass)
 
 
-def moller_cm_config(E: float, theta: float, phi: float = 0.0,
-                     spins: dict | None = None, mass: float = 1.0,
+def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
+                     mass: float = 1.0,
                      process: str = "moller") -> KinematicConfig:
     """Symmetric CM collision at beam energy E per particle."""
-    if E <= mass:
-        raise DomainError(f"beam energy must exceed m, got {E}")
-    pmag = math.sqrt(E * E - mass * mass)
-    n = np.array([math.sin(theta) * math.cos(phi),
-                  math.sin(theta) * math.sin(phi), math.cos(theta)])
-    labels = (_FERMION_LABELS[process][0:2] + _FERMION_LABELS[process][2:4]
-              if process == "moller"
+    _above("beam energy", E, mass)
+    pmag = np.sqrt(E * E - mass * mass)
+    nx, ny, nz = _direction(theta, phi)
+    labels = (("p_i1", "p_i2", "p_f1", "p_f2") if process == "moller"
               else ("p_i_minus", "p_i_plus", "p_f_minus", "p_f_plus"))
-    moms = {
-        labels[0]: FourVector(E, 0.0, 0.0, pmag),
-        labels[1]: FourVector(E, 0.0, 0.0, -pmag),
-        labels[2]: FourVector.from_spatial(E, pmag * n),
-        labels[3]: FourVector.from_spatial(E, -pmag * n),
-    }
+    legs = dict(zip(labels, (
+        (E, 0.0, 0.0, pmag),
+        (E, 0.0, 0.0, -pmag),
+        (E, pmag * nx, pmag * ny, pmag * nz),
+        (E, -pmag * nx, -pmag * ny, -pmag * nz))))
     if spins is None:
         spins = {lab: +1 for lab in labels}
-    return KinematicConfig(process, moms, dict(spins), {}, frame="cm",
-                           mass=mass)
+    return _config(process, legs, dict(spins), {}, frame="cm", mass=mass)
 
 
-def bhabha_cm_config(E: float, theta: float, phi: float = 0.0,
-                     spins: dict | None = None,
+def bhabha_cm_config(E, theta, phi=0.0, spins: dict | None = None,
                      mass: float = 1.0) -> KinematicConfig:
     return moller_cm_config(E, theta, phi, spins, mass, process="bhabha")
 
 
-def bremsstrahlung_config(E_i: float, omega_f: float,
-                          theta_e: float, theta_k: float,
-                          phi_e: float = 0.0, phi_k: float = 0.0,
+def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
+                          phi_e=0.0, phi_k=0.0,
                           s_i: int = +1, s_f: int = +1,
                           pol_f: str = "plus", Z: float = 1.0,
                           mass: float = 1.0) -> KinematicConfig:
     """Electron E_i along z radiates omega_f; energy conservation only."""
-    if E_i <= mass:
-        raise DomainError("incident energy must exceed m")
-    if omega_f <= 0:
-        raise DomainError("omega_f must be positive")
+    _above("incident energy", E_i, mass)
+    _above("omega_f", omega_f, 0.0)
     E_f = E_i - omega_f
-    if E_f <= mass:
-        raise DomainError("final electron energy must exceed m")
-    p_i = FourVector(E_i, 0.0, 0.0, math.sqrt(E_i * E_i - mass * mass))
-    pf = math.sqrt(E_f * E_f - mass * mass)
-    ne = np.array([math.sin(theta_e) * math.cos(phi_e),
-                   math.sin(theta_e) * math.sin(phi_e), math.cos(theta_e)])
-    nk = np.array([math.sin(theta_k) * math.cos(phi_k),
-                   math.sin(theta_k) * math.sin(phi_k), math.cos(theta_k)])
-    return KinematicConfig(
+    _above("final electron energy", E_f, mass)
+    pf = np.sqrt(E_f * E_f - mass * mass)
+    ex, ey, ez = _direction(theta_e, phi_e)
+    kx, ky, kz = _direction(theta_k, phi_k)
+    return _config(
         "bremsstrahlung",
-        {"p_i": p_i,
-         "p_f": FourVector.from_spatial(E_f, pf * ne),
-         "k_f": FourVector.from_spatial(omega_f, omega_f * nk)},
+        {"p_i": (E_i, 0.0, 0.0, np.sqrt(E_i * E_i - mass * mass)),
+         "p_f": (E_f, pf * ex, pf * ey, pf * ez),
+         "k_f": (omega_f, omega_f * kx, omega_f * ky, omega_f * kz)},
         {"p_i": s_i, "p_f": s_f}, {"k_f": pol_f}, Z=Z, mass=mass)
 
 
-def pair_production_config(omega_i: float, E_plus: float,
-                           theta_p: float, theta_m: float,
-                           phi_p: float = 0.0, phi_m: float = math.pi,
+def pair_production_config(omega_i, E_plus, theta_p, theta_m,
+                           phi_p=0.0, phi_m=math.pi,
                            s_plus: int = +1, s_minus: int = +1,
                            pol_i: str = "plus", Z: float = 1.0,
                            mass: float = 1.0) -> KinematicConfig:
     """Photon omega_i along z converts; E_minus fixed by energy balance."""
-    if omega_i < 2.0 * mass:
-        raise DomainError(
-            f"photon energy {omega_i} below pair threshold {2 * mass}")
+    _above("photon energy", omega_i, 2.0 * mass)
     E_minus = omega_i - E_plus
-    if E_plus <= mass or E_minus <= mass:
-        raise DomainError("pair energies must each exceed m")
-    pp = math.sqrt(E_plus * E_plus - mass * mass)
-    pm = math.sqrt(E_minus * E_minus - mass * mass)
-    np_ = np.array([math.sin(theta_p) * math.cos(phi_p),
-                    math.sin(theta_p) * math.sin(phi_p), math.cos(theta_p)])
-    nm = np.array([math.sin(theta_m) * math.cos(phi_m),
-                   math.sin(theta_m) * math.sin(phi_m), math.cos(theta_m)])
-    return KinematicConfig(
+    _above("E_plus", E_plus, mass)
+    _above("E_minus", E_minus, mass)
+    pp = np.sqrt(E_plus * E_plus - mass * mass)
+    pm = np.sqrt(E_minus * E_minus - mass * mass)
+    px, py, pz = _direction(theta_p, phi_p)
+    mx, my, mz = _direction(theta_m, phi_m)
+    return _config(
         "pair_production",
-        {"k_i": FourVector(omega_i, 0.0, 0.0, omega_i),
-         "p_plus": FourVector.from_spatial(E_plus, pp * np_),
-         "p_minus": FourVector.from_spatial(E_minus, pm * nm)},
+        {"k_i": (omega_i, 0.0, 0.0, omega_i),
+         "p_plus": (E_plus, pp * px, pp * py, pp * pz),
+         "p_minus": (E_minus, pm * mx, pm * my, pm * mz)},
         {"p_plus": s_plus, "p_minus": s_minus}, {"k_i": pol_i},
         Z=Z, mass=mass)

@@ -21,7 +21,7 @@ import numpy as np
 from . import ledger as _ledger
 from .algebra import I4, slash
 from .errors import DomainError, PoleError, SingularityError
-from .fourvec import FourVector
+from .fourvec import minkowski_dot
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,15 @@ class PropagatorConfig:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def fermion_propagator(p: FourVector, cfg: PropagatorConfig) -> np.ndarray:
-    """(slash(p) + m) / (p^2 - m^2 + i eps)."""
+def fermion_propagator(p, cfg: PropagatorConfig) -> np.ndarray:
+    """(slash(p) + m) / (p^2 - m^2 + i eps), at a FourVector or (..., 4)."""
     m = cfg.mass
-    p2 = p.norm2()
-    denom = p2 - m * m + 1j * cfg.epsilon * m * m
-    if denom == 0:
+    denom = np.asarray(minkowski_dot(p, p) - m * m
+                       + 1j * cfg.epsilon * m * m)
+    if np.any(denom == 0):
         raise SingularityError("fermion propagator evaluated exactly on shell"
                                " with epsilon = 0")
-    return (slash(p) + m * I4) / denom
+    return (slash(p) + m * I4) / denom[..., None, None]
 
 
 def transverse_photon_kernel(omega: float, kmag: float,

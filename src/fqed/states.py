@@ -10,14 +10,16 @@ so u^dag u = v^dag v = 1 and (slash(p) -+ m) annihilates u / v.
 Photon internal states live in C^2 (x) C^2. Along the propagation axis:
 
     plus          |uu>            omega = +k   (positive helicity)
-    minus         |dd>            omega = -k   (stored as written; the
-                                  amplitude layer reads it as the
-                                  opposite-helicity forward wave)
+    minus         |dd>            omega = -k   (stored as written; it is
+                                  the opposite-helicity forward wave)
     longitudinal  (|ud>+|du>)/sqrt2, omega = 0, k != 0
     vacuum        (|ud>+|du>)/sqrt2, omega = k = 0
 
 Arbitrary axes are reached by the spin-1/2 (x) spin-1/2 rotation
 U (x) U with U in SU(2).
+
+dirac_spinors and polarization_vectors serve the batched amplitude layer:
+both slots of every point of a (..., 4) momentum array at once.
 """
 
 from __future__ import annotations
@@ -32,18 +34,15 @@ from .algebra import BIG_SIGMA, GAMMA, SIGMA
 from .errors import DomainError
 from .fourvec import FourVector, check_on_shell
 
-_CHI = {+1: np.array([1.0, 0.0], dtype=complex),
-        -1: np.array([0.0, 1.0], dtype=complex)}
-
 PHOTON_KINDS = ("plus", "minus", "longitudinal", "vacuum")
+# polarization-vector slots: positive helicity first
+HELICITIES = ("plus", "minus")
 
 
-def _spin_key(s) -> int:
-    # accepts +-1/2 or +-1
-    if s in (+1, -1):
-        return int(s)
-    if abs(abs(float(s)) - 0.5) < 1e-12:
-        return +1 if s > 0 else -1
+def spin_slot(s) -> int:
+    """Slot of a spin label (+-1/2 or +-1): 0 for spin up, 1 for down."""
+    if s in (+1, -1) or abs(abs(float(s)) - 0.5) < 1e-12:
+        return 0 if s > 0 else 1
     raise DomainError(f"spin label must be +-1/2, got {s}")
 
 
@@ -71,6 +70,33 @@ class PhotonSpinor:
         return FourVector.from_spatial(self.omega, self.kvec)
 
 
+def dirac_spinors(p, mass: float = 1.0, backward: bool = False,
+                  tol: float = 1e-10) -> np.ndarray:
+    """Normalized u (forward) or v (backward) spinors at on-shell momenta.
+
+    p is a (..., 4) array with p0 > 0 everywhere (the time direction is
+    carried by the backward flag). Returns (..., 2, 4): both spin slots
+    of every point, slot 0 built on chi_up and slot 1 on chi_down.
+    """
+    p = np.asarray(p, dtype=float)
+    check_on_shell(p, mass, tol)
+    E = p[..., 0]
+    if not (E > 0).all():
+        raise DomainError(f"p0 must be positive, got {E[~(E > 0)][0]}")
+    x, y, z = p[..., 1], p[..., 2], p[..., 3]
+    norm = np.sqrt((E + mass) / (2.0 * E))
+    f = norm / (E + mass)
+    out = np.zeros(p.shape[:-1] + (2, 4), dtype=complex)
+    chi, lower = (2, 0) if backward else (0, 2)
+    out[..., 0, chi] = out[..., 1, chi + 1] = norm
+    # (sigma.p) chi_s / (E + m) in the other half
+    out[..., 0, lower] = z * f
+    out[..., 0, lower + 1] = (x + 1j * y) * f
+    out[..., 1, lower] = (x - 1j * y) * f
+    out[..., 1, lower + 1] = -z * f
+    return out
+
+
 def electron_spinor(p: FourVector, s, mass: float = 1.0,
                     backward: bool = False,
                     tol: float = 1e-10) -> DiracSpinor:
@@ -78,41 +104,22 @@ def electron_spinor(p: FourVector, s, mass: float = 1.0,
 
     p0 > 0 always; the time direction is carried by the backward flag.
     """
-    check_on_shell(p, mass, tol)
-    if p.t <= 0:
-        raise DomainError(f"p0 must be positive, got {p.t}")
-    sk = _spin_key(s)
-    E = p.t
-    chi = _CHI[sk]
-    sp = (p.x * SIGMA[1] + p.y * SIGMA[2] + p.z * SIGMA[3]) / (E + mass)
-    norm = math.sqrt((E + mass) / (2.0 * E))
-    if backward:
-        comp = norm * np.concatenate([sp @ chi, chi])
-    else:
-        comp = norm * np.concatenate([chi, sp @ chi])
-    return DiracSpinor(comp, p, sk, backward)
+    slot = spin_slot(s)
+    comp = dirac_spinors(p.as_array(), mass, backward, tol)[slot]
+    return DiracSpinor(comp, p, 1 - 2 * slot, backward)
 
 
 def helicity_spinor(p: FourVector, helicity, mass: float = 1.0,
                     backward: bool = False) -> DiracSpinor:
     """Spinor with chi rotated so the spin axis is along p-hat."""
-    sk = _spin_key(helicity)
+    slot = spin_slot(helicity)
+    spinors = dirac_spinors(p.as_array(), mass, backward)
     n = p.spatial()
     kn = np.linalg.norm(n)
-    if kn == 0.0:
-        return electron_spinor(p, sk, mass, backward)
-    n = n / kn
-    U = _su2_to_axis(n)
-    chi = U @ _CHI[sk]
-    check_on_shell(p, mass)
-    E = p.t
-    sp = (p.x * SIGMA[1] + p.y * SIGMA[2] + p.z * SIGMA[3]) / (E + mass)
-    norm = math.sqrt((E + mass) / (2.0 * E))
-    if backward:
-        comp = norm * np.concatenate([sp @ chi, chi])
-    else:
-        comp = norm * np.concatenate([chi, sp @ chi])
-    return DiracSpinor(comp, p, sk, backward)
+    # the spinor is linear in chi: the rotated chi is column slot of U
+    comp = (spinors[slot] if kn == 0.0
+            else _su2_to_axis(n / kn)[:, slot] @ spinors)
+    return DiracSpinor(comp, p, 1 - 2 * slot, backward)
 
 
 def _su2_to_axis(axis: np.ndarray) -> np.ndarray:
@@ -178,17 +185,39 @@ def photon_current(state: PhotonSpinor) -> FourVector:
     return FourVector(*vals)
 
 
-def transverse_frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-handed (e1, e2) with e1 x e2 = axis, chosen deterministically."""
+def transverse_frame(axis) -> tuple[np.ndarray, np.ndarray]:
+    """Right-handed (e1, e2) with e1 x e2 = axis, chosen deterministically.
+
+    axis is a unit 3-vector or a (..., 3) array of them.
+    """
     axis = np.asarray(axis, dtype=float)
-    ref = np.array([0.0, 0.0, 1.0])
-    if abs(abs(axis @ ref) - 1.0) < 1e-12:
-        e1 = np.array([1.0, 0.0, 0.0])
-    else:
-        e1 = np.cross(ref, axis)
-        e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    # e1 = z-hat x axis normalized, or x-hat along the poles; e1_z = 0
+    polar = np.abs(np.abs(z) - 1.0) < 1e-12
+    norm = np.where(polar, 1.0, np.sqrt(y * y + x * x))
+    e1x = np.where(polar, 1.0, -y / norm)
+    e1y = np.where(polar, 0.0, x / norm)
+    e1 = np.stack([e1x, e1y, np.zeros_like(x)], axis=-1)
+    e2 = np.stack([-z * e1y, z * e1x, x * e1y - y * e1x], axis=-1)
     return e1, e2
+
+
+def polarization_vectors(k, conjugate: bool = False) -> np.ndarray:
+    """Circular polarization four-vectors of photons with momenta k.
+
+    k is a (..., 4) array with |k| > 0; returns (..., 2, 4), slot s the
+    helicity HELICITIES[s] along the direction of k (the vectors of
+    polarization_vector). conjugate gives eps* for emitted photons.
+    """
+    k = np.asarray(k, dtype=float)
+    kmag = np.linalg.norm(k[..., 1:], axis=-1, keepdims=True)
+    if not np.all(kmag > 0):
+        raise DomainError("photon leg requires |k| > 0")
+    e1, e2 = transverse_frame(k[..., 1:] / kmag)
+    eps = np.zeros(e1.shape[:-1] + (2, 4), dtype=complex)
+    eps[..., 0, 1:] = (e1 + 1j * e2) / math.sqrt(2)
+    eps[..., 1, 1:] = eps[..., 0, 1:].conj()        # e1, e2 are real
+    return eps.conj() if conjugate else eps
 
 
 def polarization_vector(state: PhotonSpinor) -> np.ndarray:
@@ -198,13 +227,11 @@ def polarization_vector(state: PhotonSpinor) -> np.ndarray:
     eps.k = 0 and eps.eps* = -1. Longitudinal/vacuum states couple
     through Sigma^0 instead and are rejected here.
     """
-    if state.kind not in ("plus", "minus"):
+    if state.kind not in HELICITIES:
         raise DomainError(
             f"{state.kind} state has no transverse polarization vector")
-    e1, e2 = transverse_frame(state.axis)
-    sgn = 1.0 if state.kind == "plus" else -1.0
-    eps3 = (e1 + sgn * 1j * e2) / math.sqrt(2)
-    return np.concatenate([[0.0 + 0.0j], eps3])
+    k = np.concatenate([[1.0], state.axis])
+    return polarization_vectors(k)[HELICITIES.index(state.kind)]
 
 
 def rotate_photon(state: PhotonSpinor, U: np.ndarray,

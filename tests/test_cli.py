@@ -35,7 +35,8 @@ class TestSweepParsing:
 
     def test_bad_specs(self):
         for spec in ("theta:0:90", "theta:a:90:4", "theta:0:90:0",
-                     "theta:0:90:4:cubic", "k2:0:1:3:log"):
+                     "theta:0:90:4:cubic", "k2:0:1:3:log",
+                     "k2:-10:5:4:log"):
             with pytest.raises(cli._UsageError):
                 cli._parse_sweep(spec)
 
@@ -109,6 +110,13 @@ class TestTables:
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 5 + 1
         assert float(lines[-1].split(",")[0]) == 0.5
+
+    def test_default_is_not_an_extra_point(self, capsys):
+        rc, out, _ = run_capture(capsys, ["compton", "--sweep",
+                                          "theta:10:20:2"])
+        assert rc == 0
+        rows = out.strip().split("\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [10.0, 20.0]
 
     def test_deterministic_output(self, capsys):
         argv = ["moller", "--sweep", "theta:20:160:8"]
