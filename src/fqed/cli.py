@@ -3,7 +3,8 @@
 Every subcommand evaluates a table of rows (one per sweep point, or a
 single row when no sweep is given) and writes CSV or JSON with full
 round-trip precision. Exit codes: 0 success, 2 domain error (bad
-kinematics), 3 numeric error (quadrature/pole), 64 usage error.
+kinematics or input), 3 numeric error (pole, singular point, aborted
+trajectory), 64 usage error.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -111,25 +110,10 @@ def _emit(args, text: str) -> None:
             fh.write(text)
 
 
-def _thread_count(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("FQED_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise _UsageError(f"bad FQED_THREADS value: {env}") from None
-    return 1
-
-
 def _grid(args, param_names) -> dict:
     """Every row's parameter values, one array per parameter: the sweep
     grid, plus the swept parameter's value as an extra row when the user
     gave one off the grid; or the single point of the options."""
-    # a bad thread setting is a usage error on every table command,
-    # though only the loop quantities run in threads
-    _thread_count(args)
     base = {n: getattr(args, n) for n in param_names}
     if not args.sweep:
         return {n: np.array([v]) for n, v in base.items()}
@@ -143,24 +127,13 @@ def _grid(args, param_names) -> dict:
             for n in param_names}
 
 
-def _map_rows(args, grid: dict, evaluate) -> list:
-    """evaluate(point) at every grid point, in order, in threads if asked."""
-    points = [dict(zip(grid, vals))
-              for vals in zip(*(v.tolist() for v in grid.values()))]
-    nthreads = _thread_count(args)
-    if nthreads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
-
-
 def _escale(args) -> float:
     return ELECTRON_MASS_MEV if getattr(args, "mev", False) else 1.0
 
 
 # -- subcommand evaluators -------------------------------------------------
 #
-# The tree-level subcommands evaluate the whole grid in one batched call.
+# Every table subcommand evaluates its whole grid in one batched call.
 
 def _cmd_compton(args):
     esc = _escale(args)
@@ -222,54 +195,30 @@ def _four_fermion_cmd(args, builder):
 def _cmd_vacuum_pol(args):
     if args.k2 is None and not args.sweep:
         raise _UsageError("vacuum-pol needs --k2 and/or --sweep")
-    quad = loops.QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-
-    def evaluate(p):
-        val = loops.vacuum_polarization_finite(p["k2"], quad, args.mass,
-                                               args.alpha)
-        return p["k2"], val.real, val.imag
-
-    rows = _map_rows(args, _grid(args, ("k2",)), evaluate)
-    _write_table(args, dict(zip(["k2", "re_pi_bar", "im_pi_bar"],
-                                zip(*rows))))
+    k2 = _grid(args, ("k2",))["k2"]
+    val = loops.vacuum_polarization_finite(k2, args.mass, args.alpha)
+    _write_table(args, {"k2": k2, "re_pi_bar": val.real,
+                        "im_pi_bar": val.imag})
 
 
 def _cmd_self_energy(args):
-    quad = loops.QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
-
-    def evaluate(p):
-        p2 = p["p2"] * args.mass ** 2
-        if p2 > 0:
-            pvec = FourVector(math.sqrt(p2), 0.0, 0.0, 0.0)
-        else:
-            pvec = FourVector(0.0, math.sqrt(-p2), 0.0, 0.0)
-        om = loops.self_energy(pvec, quad, args.mass, args.alpha)
-        a, b = _decompose(om.finite, pvec)
-        pa, pb = _decompose(om.pole, pvec)
-        return p["p2"], a.real, a.imag, b.real, b.imag, pa.real, pb.real
-
-    rows = _map_rows(args, _grid(args, ("p2",)), evaluate)
-    _write_table(args, dict(zip(["p2", "re_a", "im_a", "re_b", "im_b",
-                                 "pole_a", "pole_b"], zip(*rows))))
-
-
-def _decompose(mat, p: FourVector):
-    """Split a I + b slash(p) by traces; p2 = 0 leaves b = 0."""
-    from .algebra import slash
-    a = complex(np.trace(mat)) / 4.0
-    p2 = float(p.norm2())
-    if p2 == 0.0:
-        return a, 0.0 + 0.0j
-    b = complex(np.trace(slash(p) @ mat)) / (4.0 * p2)
-    return a, b
+    p2 = _grid(args, ("p2",))["p2"]
+    a, b = loops.self_energy_ab(p2 * args.mass ** 2, args.mass, args.alpha)
+    c = args.alpha / (4.0 * math.pi)
+    # p2 = 0 is the zero momentum, whose pslash vanishes: b reads 0
+    zero = p2 == 0.0
+    b[zero] = 0.0
+    _write_table(args, {"p2": p2, "re_a": a.real, "im_a": a.imag,
+                        "re_b": b.real, "im_b": b.imag,
+                        "pole_a": np.full(len(p2), 4.0 * args.mass * c),
+                        "pole_b": np.where(zero, 0.0, -c)})
 
 
 def _cmd_energy_shift(args):
     spec = loops.load_spectrum(args.spectrum, args.k_max)
-    quad = loops.QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
     esc = _escale(args)
     levels = [args.level] if args.level else sorted(spec.levels)
-    shifts = [loops.energy_shift(spec, lab, quad, args.alpha)
+    shifts = [loops.energy_shift(spec, lab, alpha=args.alpha)
               for lab in levels]
     _write_table(args, {"level": levels,
                         "energy": [spec.levels[lab] * esc for lab in levels],
@@ -278,20 +227,27 @@ def _cmd_energy_shift(args):
 
 
 def _cmd_classical(args):
-    if args.particle == "electron":
+    try:
         z0 = np.array([complex(c) for c in args.z.split(",")])
+    except ValueError:
+        raise _UsageError(f"bad internal components: {args.z}") from None
+    if not (np.isfinite(z0).all() and math.isfinite(args.pz)):
+        raise DomainError("internal components and pz must be finite")
+    if args.particle == "electron":
         if len(z0) != 4:
             raise _UsageError("electron spinor needs 4 components")
         pz = args.pz
         p = FourVector(math.sqrt(args.mass ** 2 + pz * pz), 0.0, 0.0, pz)
         state = ElectronState(FourVector(0, 0, 0, 0), p, z0)
     else:
-        eta = np.array([complex(c) for c in args.z.split(",")])[:2]
+        eta = z0[:2]
         if len(eta) != 2:
             raise _UsageError("photon internal state needs 2 components")
         p = FourVector(args.pz, 0.0, 0.0, args.pz)
         state = PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
-    traj = integrate(state, None, (0.0, args.tau_max), args.dt)
+    # overflow ends the run as an abort, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(state, None, (0.0, args.tau_max), args.dt)
     if args.stride > 1:
         from .dynamics import Trajectory
         sl = slice(None, None, args.stride)
@@ -307,6 +263,11 @@ def _cmd_classical(args):
         text = json.dumps({"config": _config(args), "rows": rows},
                           indent=1) + "\n"
     _emit(args, text)
+    if traj.aborted:
+        # the rows up to the last finite state are written first
+        raise NumericError(f"trajectory aborted after tau = "
+                           f"{float(traj.tau[-1])!r}: the state became "
+                           f"non-finite")
 
 
 def _cmd_selftest(args):
@@ -381,19 +342,15 @@ def _cmd_selftest(args):
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sp, quad=False):
+def _add_common(sp):
     sp.add_argument("--mass", type=float, default=1.0)
     sp.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("-o", "--output", default="-")
     sp.add_argument("--mev", action="store_true",
                     help="display energies in MeV (0.51099895 MeV per m)")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--sweep", default=None,
                     help="name:start:stop:count[:log]")
-    if quad:
-        sp.add_argument("--abs-tol", type=float, default=1e-12)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,20 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("vacuum-pol")
     sp.add_argument("--k2", type=float, default=None)
-    _add_common(sp, quad=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_vacuum_pol)
 
     sp = command("self-energy")
     sp.add_argument("--p2", type=float, default=0.5,
                     help="p^2 in units of m^2")
-    _add_common(sp, quad=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_self_energy)
 
     sp = command("energy-shift")
     sp.add_argument("--spectrum", required=True)
     sp.add_argument("--level", default=None)
     sp.add_argument("--k-max", dest="k_max", type=float, default=10.0)
-    _add_common(sp, quad=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_energy_shift)
 
     sp = command("classical")

@@ -3,8 +3,11 @@
 The divergent integrals are never evaluated in d dimensions
 numerically. Their pole structure at epsilon = 4 - d -> 0 is known in
 closed form and is stored symbolically as a two-term Laurent series
-(pole, finite); only the epsilon^0 Feynman-parameter integrals are done
-by quadrature.
+(pole, finite). The epsilon^0 Feynman-parameter integrals are
+elementary and are evaluated in closed form on arrays: the k^2 and p^2
+functions below take a scalar (Python scalars out) or an array (arrays
+out), a scalar being a batch of one through the same code. scipy's quad
+is used only for energy shifts with callable transition currents.
 
 Vacuum polarization scalar part, with the subtraction at k^2 = 0
 already performed:
@@ -16,7 +19,20 @@ The overall sign is fixed by the small-k^2 limit
 Pi_bar -> +(alpha/15 pi) k^2/m^2. The log argument first turns negative
 at k^2 = 4 m^2 (max of x(1-x) is 1/4); above that threshold the branch
 is taken as log(-|r|) = log|r| + i pi, which makes Im Pi_bar < 0
-(absorptive part of the forward amplitude).
+(absorptive part of the forward amplitude). With r = k^2/m^2 and
+beta = sqrt(1 - 4/r) the integral is (Peskin & Schroeder 7.5,
+Berestetskii-Lifshitz-Pitaevskii 113)
+
+    Pi_bar = (alpha/3 pi) [5/3 + 4/r - (1 + 2/r) B(r)]
+
+    B = beta log((beta + 1)/(beta - 1))                   r < 0
+    B = 2 b arctan(1/b),  b = sqrt(4/r - 1)               0 < r <= 4
+    B = beta log((1 + beta)/(1 - beta)) + i pi beta       r > 4
+
+with each region in real arithmetic, so Pi_bar is exactly real below
+threshold. The bracket cancels as r -> 0; for |r| < 1 the series
+Pi_bar = (2 alpha/pi) sum_n c_n r^n, c_n = ((n+1)!)^2 / (n (2n+3)!),
+from expanding the log and int (x(1-x))^j dx = (j!)^2/(2j+1)!, is used.
 
 Electron self-energy matrix Omega(p), finite part from the z-integral
 
@@ -28,7 +44,16 @@ Electron self-energy matrix Omega(p), finite part from the z-integral
 with G(z) = 1 - p^2 (1-z)/m^2 and L = log(4 pi) - gamma_E - 2 log m,
 and the pole part (alpha/4 pi)(1/eps)[4m - pslash]. Above the mass
 shell G turns negative and log G = log|G| - i pi (the -i epsilon of the
-originating denominators).
+originating denominators). The finite part is a 1 + b pslash, and it
+needs i1 = int (1-z) log G dz and i2 = int log G dz. Substituting
+u = G, with F(u) = u log|u| - u and H(u) = u^2 log|u|/2 - u^2/4,
+
+    i2 = [F(1) - F(1-r)] / r
+    i1 = [F(1) - F(1-r) - H(1) + H(1-r)] / r^2,    r = p^2/m^2,
+
+plus, above the shell (z0 = 1 - 1/r), -i pi z0 and -i pi (z0 - z0^2/2).
+For |r| < 1/2, where these cancel, the series i2 = -sum r^k/(k(k+1))
+and i1 = -sum r^k/(k(k+2)) are used.
 
 The complex level-shift kernel for a discrete spectrum with isotropic
 transition currents J_db(k):
@@ -39,7 +64,11 @@ transition currents J_db(k):
             + P/2k (1/(E+k) - 1/(E-k)) ] J_db . J_db* }
 
 with E = E_d - E_b, Minkowski contraction of the currents, the delta
-terms collapsed analytically and P the principal value.
+terms collapsed analytically and P the principal value. For tabulated
+(piecewise-linear) currents both integrals are exact sums over the
+segments between table nodes: a polynomial for the static term, and a
+polynomial plus P(a) log|(a - x0)/(a - x1)| for the principal value
+with pole a. Callable currents are integrated by quadrature.
 """
 
 from __future__ import annotations
@@ -58,6 +87,15 @@ from .errors import (DegenerateLevelError, DomainError, NumericError,
 from .fourvec import METRIC, FourVector
 
 _EULER_GAMMA = 0.5772156649015329
+
+# power-series coefficients of r^1, r^2, ... (module docstring); the
+# terms fall as (r/4)^n for Pi_bar and as r^k for the self energy, so
+# 30 and 60 terms are below rounding on |r| < 1 and |r| < 1/2
+_PI_BAR_SERIES = np.array([math.factorial(n + 1) ** 2
+                           / (n * math.factorial(2 * n + 3))
+                           for n in range(1, 31)])
+_I1_SERIES = np.array([-1.0 / (k * (k + 2)) for k in range(1, 61)])
+_I2_SERIES = np.array([-1.0 / (k * (k + 1)) for k in range(1, 61)])
 
 
 @dataclass(frozen=True)
@@ -112,44 +150,67 @@ def _quad(f, a, b, quad: QuadratureConfig, points=None) -> float:
     return val
 
 
+def _batch(x, name: str) -> tuple[np.ndarray, bool]:
+    """x as an array of at least one dimension, and whether it was a
+    scalar; a non-finite value is a DomainError naming the first one."""
+    arr = np.asarray(x, dtype=float)
+    flat = np.atleast_1d(arr)
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {flat[bad][0]}")
+    return flat, arr.ndim == 0
+
+
+def _power_series(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k-1] r^k for a 1-d r, summed row by row."""
+    powers = np.cumprod(np.repeat(r[:, None], len(coeffs), axis=1), axis=1)
+    return np.sum(powers * coeffs, axis=1)
+
+
+def _complex(re: np.ndarray, im: np.ndarray, scalar: bool):
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return complex(out[0]) if scalar else out
+
+
 # -- vacuum polarization ---------------------------------------------------
 
-def _log_roots(r: float) -> tuple[float, float] | None:
-    """Roots of 1 - r x(1-x) in (0,1), present for r > 4."""
-    if r <= 4.0:
-        return None
-    s = math.sqrt(1.0 - 4.0 / r)
-    return 0.5 * (1.0 - s), 0.5 * (1.0 + s)
-
-
-def vacuum_polarization_finite(k2: float, quad: QuadratureConfig =
-                               DEFAULT_QUAD, mass: float = 1.0,
-                               alpha: float = ALPHA_DEFAULT) -> complex:
-    """Subtracted scalar vacuum polarization Pi_bar(k^2).
+def vacuum_polarization_finite(k2, mass: float = 1.0,
+                               alpha: float = ALPHA_DEFAULT):
+    """Subtracted scalar vacuum polarization Pi_bar(k^2), closed form.
 
     Real for k^2 < 4 m^2; above threshold picks up a negative
-    imaginary part from the log branch.
+    imaginary part from the log branch. k2 is a scalar (complex out)
+    or an array (complex array out).
     """
-    if not math.isfinite(k2):
-        raise DomainError(f"k2 must be finite, got {k2}")
-    if k2 == 0.0:
-        return 0.0 + 0.0j
-    r = k2 / (mass * mass)
-    roots = _log_roots(r)
-
-    def real_part(x):
-        arg = 1.0 - r * x * (1.0 - x)
-        return x * (1.0 - x) * math.log(abs(arg)) if arg != 0.0 else 0.0
-
-    re = -(2.0 * alpha / math.pi) * _quad(
-        real_part, 0.0, 1.0, quad, points=list(roots) if roots else None)
-    im = 0.0
-    if roots is not None:
-        # int x(1-x) dx over the negative-argument window, closed form
-        x1, x2 = roots
-        prim = lambda x: x * x / 2.0 - x ** 3 / 3.0
-        im = -2.0 * alpha * (prim(x2) - prim(x1))
-    return complex(re, im)
+    r, scalar = _batch(k2, "k2")
+    r = r / (mass * mass)
+    re = np.empty_like(r)
+    im = np.zeros_like(r)
+    small = np.abs(r) < 1.0
+    re[small] = (2.0 * alpha / math.pi) * _power_series(_PI_BAR_SERIES,
+                                                       r[small])
+    B = np.empty_like(r)
+    spacelike = r <= -1.0
+    rs = r[spacelike]
+    beta = np.sqrt(1.0 - 4.0 / rs)
+    # (beta + 1)/(beta - 1) = 1 - (beta + 1) r/2
+    B[spacelike] = beta * np.log1p(-0.5 * (beta + 1.0) * rs)
+    below = (r >= 1.0) & (r <= 4.0)
+    b = np.sqrt(4.0 / r[below] - 1.0)
+    B[below] = 2.0 * b * np.arctan2(1.0, b)
+    above = r > 4.0
+    ra = r[above]
+    beta = np.sqrt(1.0 - 4.0 / ra)
+    # (1 + beta)/(1 - beta) = 1 + beta (1 + beta) r/2
+    B[above] = beta * np.log1p(0.5 * beta * (1.0 + beta) * ra)
+    im[above] = -(alpha / 3.0) * (1.0 + 2.0 / ra) * beta
+    big = ~small
+    rb = r[big]
+    re[big] = (alpha / (3.0 * math.pi)) * (
+        5.0 / 3.0 + 4.0 / rb - (1.0 + 2.0 / rb) * B[big])
+    return _complex(re, im, scalar)
 
 
 def vacuum_polarization_pole(alpha: float = ALPHA_DEFAULT,
@@ -165,8 +226,7 @@ def vacuum_polarization_pole(alpha: float = ALPHA_DEFAULT,
     return LaurentValue(complex(pole), complex(pole * L / 2.0))
 
 
-def vacuum_polarization(k2: float, quad: QuadratureConfig = DEFAULT_QUAD,
-                        mass: float = 1.0,
+def vacuum_polarization(k2, mass: float = 1.0,
                         alpha: float = ALPHA_DEFAULT) -> LaurentValue:
     """Full Pi_d(k^2) = Pi_d(0) + Pi_bar(k^2) as a Laurent series.
 
@@ -176,22 +236,19 @@ def vacuum_polarization(k2: float, quad: QuadratureConfig = DEFAULT_QUAD,
     base = vacuum_polarization_pole(alpha, mass)
     return LaurentValue(base.pole,
                         base.finite + vacuum_polarization_finite(
-                            k2, quad, mass, alpha))
+                            k2, mass, alpha))
 
 
-def vacuum_polarization_tensor(k: FourVector,
-                               quad: QuadratureConfig = DEFAULT_QUAD,
-                               mass: float = 1.0,
+def vacuum_polarization_tensor(k: FourVector, mass: float = 1.0,
                                alpha: float = ALPHA_DEFAULT) -> np.ndarray:
     """Transverse tensor (g^{mu nu} k^2 - k^mu k^nu) Pi_bar(k^2)."""
     karr = k.as_array()
     k2 = float(k.norm2())
-    pi = vacuum_polarization_finite(k2, quad, mass, alpha)
+    pi = vacuum_polarization_finite(k2, mass, alpha)
     return (METRIC * k2 - np.outer(karr, karr)) * pi
 
 
-def positronium_vacuum_check(quad: QuadratureConfig = DEFAULT_QUAD,
-                             mass: float = 1.0,
+def positronium_vacuum_check(mass: float = 1.0,
                              alpha: float = ALPHA_DEFAULT) -> complex:
     """Vacuum-polarization insertion of the zero-momentum vacuum line.
 
@@ -200,7 +257,7 @@ def positronium_vacuum_check(quad: QuadratureConfig = DEFAULT_QUAD,
     form and annihilate in vacuum with no net contribution.
     """
     tensor = vacuum_polarization_tensor(FourVector(0.0, 0.0, 0.0, 0.0),
-                                        quad, mass, alpha)
+                                        mass, alpha)
     # contract the two Sigma^0 vertices: the (0,0) component, plus the
     # full trace as a second zero witness
     return complex(tensor[0, 0] + np.einsum("mn,mn->", METRIC, tensor))
@@ -208,50 +265,63 @@ def positronium_vacuum_check(quad: QuadratureConfig = DEFAULT_QUAD,
 
 # -- electron self-energy --------------------------------------------------
 
-def self_energy(p: FourVector, quad: QuadratureConfig = DEFAULT_QUAD,
-                mass: float = 1.0,
-                alpha: float = ALPHA_DEFAULT) -> LaurentValue:
-    """Self-energy matrix Omega(p) as a Laurent series of 4x4 matrices.
+def self_energy_ab(p2, mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
+    """Finite part of the self energy as Omega = a 1 + b pslash.
 
-    Pole part (alpha/4 pi)(1/eps)[4m - pslash]; finite part from the
-    z-quadrature described in the module docstring. Exactly on shell
-    the z-integral's derivative structure is logarithmically singular
-    and the point is rejected.
+    The z-integrals in closed form (module docstring). p2 is p^2, a
+    scalar (a pair of complex scalars out) or an array (a pair of
+    complex arrays out). A point exactly on the mass shell, where the
+    z-integral is logarithmically singular, rejects the whole batch.
     """
     m = mass
-    p2 = float(p.norm2())
-    if abs(p2 - m * m) <= 1e-12 * m * m:
+    p2, scalar = _batch(p2, "p2")
+    if np.any(np.abs(p2 - m * m) <= 1e-12 * m * m):
         raise SingularityError(
             "self-energy has a logarithmic singularity at p^2 = m^2")
     r = p2 / (m * m)
-    psl = slash(p)
-    pole = (alpha / (4.0 * math.pi)) * (4.0 * m * I4 - psl)
-
-    # G(z) = 1 - r (1-z); negative for z < z0 when r > 1
-    z0 = 1.0 - 1.0 / r if r > 1.0 else None
-
-    def log_abs_G(z):
-        g = 1.0 - r * (1.0 - z)
-        return math.log(abs(g)) if g != 0.0 else 0.0
-
-    points = [z0] if z0 is not None else None
-    # int (1-z) log|G| dz and int log|G| dz
-    i1 = _quad(lambda z: (1.0 - z) * log_abs_G(z), 0.0, 1.0, quad, points)
-    i2 = _quad(log_abs_G, 0.0, 1.0, quad, points)
-    if z0 is not None:
-        # imaginary parts, branch log G = log|G| - i pi below z0
-        i1 = complex(i1, -math.pi * (z0 - z0 * z0 / 2.0))
-        i2 = complex(i2, -math.pi * z0)
-
+    i1 = np.empty_like(r)
+    i2 = np.empty_like(r)
+    small = np.abs(r) < 0.5
+    i1[small] = _power_series(_I1_SERIES, r[small])
+    i2[small] = _power_series(_I2_SERIES, r[small])
+    big = ~small
+    rb = r[big]
+    u = 1.0 - rb
+    logu = np.log(np.abs(u))
+    dF = -1.0 - (u * logu - u)                      # F(1) - F(1 - r)
+    dH = -0.25 - (0.5 * u * u * logu - 0.25 * u * u)  # H(1) - H(1 - r)
+    i2[big] = dF / rb
+    i1[big] = (dF - dH) / (rb * rb)
     L = math.log(4.0 * math.pi) - _EULER_GAMMA - 2.0 * math.log(m)
-    # coefficient of pslash: int (1-z)[1 + log G] = 1/2 + i1, plus the
-    # -(1/2) log z and L/2 pieces with int (1-z) log z = -3/4
-    coeff_p = (0.5 + i1) + 3.0 / 8.0 - L / 4.0
-    # coefficient of the identity (times m): -[1 + 2 i2] + 1 + L
-    coeff_m = -(1.0 + 2.0 * i2) + 1.0 + L
-    finite = (alpha / (2.0 * math.pi)) * (
-        coeff_p * psl.astype(complex) + m * coeff_m * I4.astype(complex))
-    return LaurentValue(pole.astype(complex), finite)
+    c = alpha / (2.0 * math.pi)
+    # identity (times m): -[1 + 2 i2] from the G terms, +1 from
+    # -(1/2) int log z * 2, and L; pslash: int (1-z)[1 + log G] =
+    # 1/2 + i1, then the log z and L pieces, with int (1-z) log z = -3/4
+    re_a = c * m * (L - 2.0 * i2)
+    re_b = c * ((0.5 + i1) + 3.0 / 8.0 - L / 4.0)
+    # imaginary parts above the shell, from log G = log|G| - i pi on
+    # z < z0 = 1 - 1/r
+    im_a = np.zeros_like(r)
+    im_b = np.zeros_like(r)
+    above = r > 1.0
+    z0 = 1.0 - 1.0 / r[above]
+    im_a[above] = 2.0 * math.pi * c * m * z0
+    im_b[above] = -math.pi * c * (z0 - 0.5 * z0 * z0)
+    return _complex(re_a, im_a, scalar), _complex(re_b, im_b, scalar)
+
+
+def self_energy(p: FourVector, mass: float = 1.0,
+                alpha: float = ALPHA_DEFAULT) -> LaurentValue:
+    """Self-energy matrix Omega(p) as a Laurent series of 4x4 matrices.
+
+    Pole part (alpha/4 pi)(1/eps)[4m - pslash]; finite part
+    a 1 + b pslash from self_energy_ab. Exactly on shell the point is
+    rejected.
+    """
+    a, b = self_energy_ab(float(p.norm2()), mass, alpha)
+    psl = slash(p)
+    pole = (alpha / (4.0 * math.pi)) * (4.0 * mass * I4 - psl)
+    return LaurentValue(pole.astype(complex), a * I4 + b * psl)
 
 
 def self_energy_near_shell(p: FourVector, mass: float = 1.0,
@@ -261,10 +331,21 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
     (alpha/4 pi) { (1/eps)[3m - (pslash - m)]
                    - (pslash - m) log((m^2 - p^2)/m^2) }
 
-    Note: expanding the full z-integral of self_energy around the mass
-    shell gives the same pole bracket but a log coefficient of
-    -alpha/pi, four times this printed -alpha/4pi; the two forms are
-    reconciled nowhere and both are kept, this one as the quoted
+    The full z-integral of self_energy has the same pole bracket but a
+    log coefficient four times this printed -alpha/4pi. Expand its
+    closed form (module docstring, m = 1) at delta = 1 - p^2 -> 0: with
+    1 - r = delta, the log delta parts are -delta log delta/(1 - delta)
+    in i2 and -(delta - delta^2/2) log delta/(1 - delta)^2 in i1. On a
+    spinor with pslash = lambda = sqrt(1 - delta), a + lambda b then
+    carries
+
+        (alpha/2 pi) log delta [2 delta/(1 - delta)
+                                - lambda (delta - delta^2/2)/(1 - delta)^2]
+        = (alpha/2 pi) delta log delta (1 + O(delta)),
+
+    and delta = -(lambda - 1)(lambda + 1) = -2 (lambda - 1) + O((lambda - 1)^2)
+    makes this -(alpha/pi)(lambda - 1) log delta: the coefficient is
+    exactly -alpha/pi. Both forms are kept, this one as the quoted
     representation.
     """
     m = mass
@@ -289,8 +370,9 @@ class SpectrumInput:
 
     levels maps label -> energy. currents maps (row, col) label pairs
     to either a callable k -> length-4 complex array or a pair of
-    arrays (k_samples, J (4, n)) interpolated linearly. Missing pairs
-    are zero. k_max bounds all photon-momentum integrals.
+    arrays (k_samples, J (4, n)) interpolated linearly (constant beyond
+    the end samples). Missing pairs are zero. k_max bounds all
+    photon-momentum integrals.
     """
 
     levels: dict[str, float]
@@ -306,13 +388,17 @@ class SpectrumInput:
         if self.k_max <= 0:
             raise DomainError("k_max must be positive")
 
+    def _entry(self, row: str, col: str):
+        """The stored current of a pair, and whether it is stored for
+        the reversed pair (it then enters conjugated)."""
+        if (row, col) in self.currents:
+            return self.currents[(row, col)], False
+        entry = self.currents.get((col, row))
+        return entry, entry is not None
+
     def current(self, row: str, col: str):
         """Callable k -> J^mu_{row,col}(k) as a length-4 array."""
-        entry = self.currents.get((row, col))
-        conj = False
-        if entry is None:
-            entry = self.currents.get((col, row))
-            conj = entry is not None
+        entry, conj = self._entry(row, col)
         if entry is None:
             return lambda k: np.zeros(4, dtype=complex)
         if callable(entry):
@@ -336,9 +422,101 @@ class SpectrumInput:
         return (row, col) in self.currents or (col, row) in self.currents
 
 
-def _contract(a: np.ndarray, b: np.ndarray) -> complex:
-    """Minkowski contraction J . J'^* of two current four-vectors."""
-    return complex(a[0] * np.conj(b[0]) - a[1:] @ np.conj(b[1:]))
+def _contract(u: np.ndarray, v: np.ndarray):
+    """Minkowski contraction u . v^* of currents, over the leading axis
+    of a (4,) or (4, n) array."""
+    uv = u * np.conj(v)
+    return uv[0] - uv[1] - uv[2] - uv[3]
+
+
+def _table(spec: SpectrumInput, row: str, col: str):
+    """A pair's current as a table (k nodes, J (4, n)), conjugated for a
+    reversed pair and zero for a missing one; None when it is callable."""
+    entry, conj = spec._entry(row, col)
+    if entry is None:
+        return np.zeros(1), np.zeros((4, 1), dtype=complex)
+    if callable(entry):
+        return None
+    ks, J = entry
+    J = np.asarray(J, dtype=complex)
+    return np.asarray(ks, dtype=float), J.conj() if conj else J
+
+
+def _breakpoints(k_max: float, tables) -> tuple[np.ndarray, list]:
+    """The nodes of all tables inside (0, k_max), with 0 and k_max, and
+    each table's current there, clamped beyond its ends as np.interp
+    does: between two break points every current is linear."""
+    inner = [ks[(ks > 0.0) & (ks < k_max)] for ks, _ in tables]
+    x = np.unique(np.concatenate([[0.0, k_max], *inner]))
+    return x, [np.array([np.interp(x, ks, comp) for comp in J])
+               for ks, J in tables]
+
+
+def _static_integral(k_max: float, t_dd, t_bb) -> float:
+    """int_0^k_max Re J_dd . J_bb^* dk for tabulated currents: on each
+    segment the product of two linear functions, integrated exactly."""
+    x, (f, g) = _breakpoints(k_max, (t_dd, t_bb))
+    f0, f1, g0, g1 = f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:]
+    seg = (2.0 * _contract(f0, g0) + _contract(f0, g1)
+           + _contract(f1, g0) + 2.0 * _contract(f1, g1))
+    return float(np.sum(np.diff(x) * seg.real)) / 6.0
+
+
+def _log_abs(x: np.ndarray) -> np.ndarray:
+    """log|x|, with 0 where x = 0."""
+    out = np.zeros_like(x)
+    nz = x != 0.0
+    out[nz] = np.log(np.abs(x[nz]))
+    return out
+
+
+# moments int_{-1/2}^{1/2} s^m ds of the segment's centred variable
+_PV_TERMS = 40
+_MOMENTS = np.array([0.5 ** m / (m + 1) if m % 2 == 0 else 0.0
+                     for m in range(_PV_TERMS + 4)])
+_MOMENT_TABLE = _MOMENTS[np.arange(_PV_TERMS)[:, None] + np.arange(4)]
+
+
+def _pv_integrals(k_max: float, table, poles) -> np.ndarray:
+    """P int_0^k_max (k/2) J.J^*(k) / (a - k) dk for each pole a, with
+    a tabulated current.
+
+    On a segment of midpoint xm and width w, in s = (k - xm)/w, the
+    numerator is a cubic Q(s) = sum q_j s^j and, with
+    sigma = (a - xm)/w, dividing Q(s) - Q(sigma) by s - sigma gives
+
+        P int Q(s)/(sigma - s) ds = Q(sigma) log|(a - x0)/(a - x1)|
+                                    - q1 - q2 sigma - q3 (sigma^2 + 1/12)
+
+    over s in [-1/2, 1/2]. A pole on a node gives the two segments that
+    meet there log|0| terms of opposite sign with the same Q value;
+    they cancel, and both are dropped. For a pole far from a short
+    segment these terms cancel instead, so for |sigma| >= 3/2 the
+    expansion of 1/(sigma - s) in s/sigma, sum_n sigma^-(n+1)
+    int Q(s) s^n ds, is used (terms fall by 3 or more each).
+    """
+    x, (f,) = _breakpoints(k_max, (table,))
+    x0, x1, w = x[:-1], x[1:], np.diff(x)
+    xm = 0.5 * (x0 + x1)
+    Jm, D = 0.5 * (f[:, :-1] + f[:, 1:]), np.diff(f, axis=1)
+    # J.J^* on the segment: c0 + c1 s + c2 s^2, real
+    c0 = _contract(Jm, Jm).real
+    c1 = 2.0 * _contract(Jm, D).real
+    c2 = _contract(D, D).real
+    q = np.array([0.5 * xm * c0, 0.5 * (xm * c1 + w * c0),
+                  0.5 * (xm * c2 + w * c1), 0.5 * w * c2])
+    a = np.asarray(poles, dtype=float)[:, None]
+    sigma = (a - xm) / w
+    Q = ((q[3] * sigma + q[2]) * sigma + q[1]) * sigma + q[0]
+    logs = _log_abs(a - x0) - _log_abs(a - x1)
+    near = Q * logs - q[1] - q[2] * sigma - q[3] * (sigma * sigma + 1 / 12)
+    far = np.abs(sigma) >= 1.5
+    u = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=far)
+    moments = np.einsum("nj,jm->nm", _MOMENT_TABLE, q)
+    series = np.zeros_like(sigma)
+    for M in moments[::-1]:
+        series = (series + M) * u
+    return np.sum(np.where(far, series, near), axis=1)
 
 
 def principal_value_integral(f, pole: float, a: float, b: float,
@@ -374,21 +552,27 @@ def energy_shift(spec: SpectrumInput, d: str,
     Real part: static current-current term plus the principal-value
     (level-shift) term; imaginary part: the delta-shell emission and
     absorption terms, collapsed analytically. Energies and momenta in
-    units of the electron mass.
+    units of the electron mass. Terms whose currents are all tabulated
+    are integrated exactly; terms with a callable current by quadrature
+    under quad.
     """
     if d not in spec.levels:
         raise DomainError(f"unknown level: {d}")
     e2 = 4.0 * math.pi * alpha
     E_d = spec.levels[d]
-    J_dd = spec.current(d, d)
+    t_dd = _table(spec, d, d)
     pref = e2 / math.pi
     total = 0.0 + 0.0j
     for b, E_b in spec.levels.items():
-        J_bb = spec.current(b, b)
         # static term: the 1/k^2 cancels the measure
-        total += pref * _quad(
-            lambda k: np.real(_contract(J_dd(k), J_bb(k))),
-            0.0, spec.k_max, quad)
+        t_bb = _table(spec, b, b)
+        if t_dd is None or t_bb is None:
+            J_dd, J_bb = spec.current(d, d), spec.current(b, b)
+            static = _quad(lambda k: _contract(J_dd(k), J_bb(k)).real,
+                           0.0, spec.k_max, quad)
+        else:
+            static = _static_integral(spec.k_max, t_dd, t_bb)
+        total += pref * static
         if b == d:
             continue
         if not spec.has_current(d, b):
@@ -411,10 +595,17 @@ def energy_shift(spec: SpectrumInput, d: str,
             shell = -shell
         total += pref * shell
         # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
-        # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV helper
-        half = lambda k, _c=contr: 0.5 * k * complex(_c(k))
-        term = -(principal_value_integral(half, -E, 0.0, spec.k_max, quad)
-                 + principal_value_integral(half, E, 0.0, spec.k_max, quad))
+        # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
+        t_db = _table(spec, d, b)
+        if t_db is None:
+            half = lambda k, _c=contr: 0.5 * k * complex(_c(k))
+            term = -(principal_value_integral(half, -E, 0.0, spec.k_max,
+                                              quad)
+                     + principal_value_integral(half, E, 0.0, spec.k_max,
+                                                quad))
+        else:
+            term = -complex(np.sum(_pv_integrals(spec.k_max, t_db,
+                                                 (-E, E))))
         total += pref * term
     return total
 

@@ -75,6 +75,51 @@ class TestExitCodes:
         rc, _, _ = run_capture(capsys, ["vacuum-pol"])
         assert rc == 64
 
+    def test_loop_bad_points(self, capsys):
+        for argv, code in ((["vacuum-pol", "--k2", "nan"], 2),
+                           (["vacuum-pol", "--k2", "inf"], 2),
+                           (["self-energy", "--p2", "1.0"], 3),
+                           (["self-energy", "--sweep", "p2:0:2:3"], 3)):
+            rc, out, err = run_capture(capsys, argv)
+            assert rc == code, argv
+            assert out == ""
+            assert err
+
+    def test_self_energy_zero_momentum_row(self, capsys):
+        rc, out, _ = run_capture(capsys, ["self-energy", "--p2", "0.0"])
+        assert rc == 0
+        header, row = out.strip().split("\n")
+        vals = dict(zip(header.split(","), map(float, row.split(","))))
+        assert vals["re_b"] == vals["im_b"] == vals["pole_b"] == 0.0
+        assert vals["pole_a"] > 0.0
+
+    def test_classical_non_finite_input(self, capsys):
+        for extra in (["--z", "nan,0,0,0"], ["--z", "1,0,0,inf"],
+                      ["--pz", "nan"],
+                      ["--particle", "photon", "--z", "nan,1"]):
+            rc, out, err = run_capture(capsys, ["classical", "--tau-max",
+                                                "0.003", "--dt", "0.001"]
+                                       + extra)
+            assert rc == 2, extra
+            assert out == ""
+            assert "domain error" in err
+
+    def test_classical_abort_writes_rows_then_fails(self, capsys):
+        # the first RK4 stage sum overflows, so the run stops after the
+        # initial sample
+        for fmt in ("csv", "json"):
+            rc, out, err = run_capture(capsys, [
+                "classical", "--z", "1e308,0,0,0", "--tau-max", "0.003",
+                "--dt", "0.001", "--format", fmt])
+            assert rc == 3
+            assert "aborted" in err
+            if fmt == "csv":
+                lines = out.strip().split("\n")
+                assert lines[0].startswith("tau,")
+                assert len(lines) == 2
+            else:
+                assert '"rows"' in out
+
 
 class TestTables:
 
@@ -89,6 +134,27 @@ class TestTables:
         cfg = processes.compton_lab_config(1.3, math.radians(37.5))
         m2 = processes.spin_summed_squared(cfg)
         assert float(vals["M2_spin_avg"]) == m2
+
+    def test_vacuum_pol_round_trip_precision(self, capsys):
+        from fqed import loops
+        for k2 in (-0.37, 0.81, 3.2, 7.5):
+            rc, out, _ = run_capture(capsys, ["vacuum-pol", "--k2", repr(k2)])
+            assert rc == 0
+            header, row = out.strip().split("\n")
+            vals = dict(zip(header.split(","), row.split(",")))
+            val = loops.vacuum_polarization_finite(k2)
+            assert float(vals["re_pi_bar"]) == val.real
+            assert float(vals["im_pi_bar"]) == val.imag
+
+    def test_self_energy_row_matches_library(self, capsys):
+        from fqed import loops
+        rc, out, _ = run_capture(capsys, ["self-energy", "--p2", "2.5"])
+        assert rc == 0
+        header, row = out.strip().split("\n")
+        vals = dict(zip(header.split(","), row.split(",")))
+        a, b = loops.self_energy_ab(2.5)
+        assert complex(float(vals["re_a"]), float(vals["im_a"])) == a
+        assert complex(float(vals["re_b"]), float(vals["im_b"])) == b
 
     def test_json_structure(self, capsys):
         rc, out, _ = run_capture(capsys,
@@ -124,20 +190,27 @@ class TestTables:
         _, b, _ = run_capture(capsys, argv)
         assert a == b
 
-    def test_threads_preserve_order(self, capsys, monkeypatch):
-        argv = ["bhabha", "--sweep", "theta:20:160:8"]
-        _, serial, _ = run_capture(capsys, argv)
-        _, threaded, _ = run_capture(capsys, argv + ["--threads", "4"])
-        assert serial == threaded
-        monkeypatch.setenv("FQED_THREADS", "3")
-        _, env_threaded, _ = run_capture(capsys, argv)
-        assert serial == env_threaded
+    def test_loop_sweeps_deterministic(self, capsys):
+        for argv, rows in ((["vacuum-pol", "--sweep", "k2:-10:12:23"], 23),
+                           (["self-energy", "--sweep", "p2:-3:5:16"], 16)):
+            _, a, _ = run_capture(capsys, argv)
+            _, b, _ = run_capture(capsys, argv)
+            assert a == b
+            assert len(a.strip().split("\n")) == 1 + rows
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("FQED_THREADS", "lots")
-        rc, _, _ = run_capture(capsys, ["compton", "--sweep",
-                                        "theta:10:20:2"])
+    def test_threads_option_removed(self, capsys, monkeypatch):
+        rc, _, err = run_capture(capsys, ["vacuum-pol", "--k2", "-1.0",
+                                          "--threads", "4"])
         assert rc == 64
+        assert "usage error" in err
+        # the environment variable is no longer read at all
+        _, plain, _ = run_capture(capsys, ["compton", "--sweep",
+                                           "theta:10:20:2"])
+        monkeypatch.setenv("FQED_THREADS", "lots")
+        rc, out, _ = run_capture(capsys, ["compton", "--sweep",
+                                          "theta:10:20:2"])
+        assert rc == 0
+        assert out == plain
 
     def test_mev_scaling(self, capsys):
         _, plain, _ = run_capture(capsys, ["compton"])
