@@ -20,7 +20,7 @@ import numpy as np
 from . import loops, processes
 from .constants import ALPHA_DEFAULT, ELECTRON_MASS_MEV
 from .dynamics import (ElectronState, PhotonClassicalState, integrate,
-                       trajectory_csv)
+                       trajectory_columns)
 from .errors import (DomainError, FqedError, NumericError, PoleError,
                      SingularityError)
 from .fourvec import FourVector
@@ -99,10 +99,6 @@ def _write_table(args, table: dict):
         text = json.dumps({"config": _config(args),
                            "rows": [dict(zip(table, r)) for r in rows]},
                           indent=1) + "\n"
-    _emit(args, text)
-
-
-def _emit(args, text: str) -> None:
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -125,6 +121,15 @@ def _grid(args, param_names) -> dict:
         values = np.append(values, base[name])
     return {n: values if n == name else np.full(len(values), base[n])
             for n in param_names}
+
+
+def _check_mass_alpha(args) -> None:
+    """The options every subcommand shares: mass finite and > 0, alpha
+    finite."""
+    if not (math.isfinite(args.mass) and args.mass > 0):
+        raise DomainError(f"--mass must be finite and > 0, got {args.mass!r}")
+    if not math.isfinite(args.alpha):
+        raise DomainError(f"--alpha must be finite, got {args.alpha!r}")
 
 
 def _escale(args) -> float:
@@ -227,6 +232,8 @@ def _cmd_energy_shift(args):
 
 
 def _cmd_classical(args):
+    if args.stride < 1:
+        raise _UsageError(f"--stride must be >= 1, got {args.stride}")
     try:
         z0 = np.array([complex(c) for c in args.z.split(",")])
     except ValueError:
@@ -248,21 +255,8 @@ def _cmd_classical(args):
     # overflow ends the run as an abort, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         traj = integrate(state, None, (0.0, args.tau_max), args.dt)
-    if args.stride > 1:
-        from .dynamics import Trajectory
-        sl = slice(None, None, args.stride)
-        traj = Trajectory(traj.tau[sl], traj.x[sl], traj.p[sl],
-                          traj.spinor[sl], traj.zbar_z[sl], traj.H[sl],
-                          traj.aborted)
-    text = trajectory_csv(traj)
-    if args.format == "json":
-        lines = text.strip().split("\n")
-        cols = lines[0].split(",")
-        rows = [dict(zip(cols, (float(v) for v in ln.split(","))))
-                for ln in lines[1:]]
-        text = json.dumps({"config": _config(args), "rows": rows},
-                          indent=1) + "\n"
-    _emit(args, text)
+    _write_table(args, {k: v[::args.stride]
+                        for k, v in trajectory_columns(traj).items()})
     if traj.aborted:
         # the rows up to the last finite state are written first
         raise NumericError(f"trajectory aborted after tau = "
@@ -446,6 +440,7 @@ def run(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     try:
+        _check_mass_alpha(args)
         rc = args.func(args)
         return 0 if rc is None else rc
     except _UsageError as exc:

@@ -9,15 +9,25 @@ separately):
     dp^mu/dtau = -e zbar gamma^nu z  dA_nu/dx_mu
 
 The photon is the two-component analogue with sigma^mu in place of
-gamma^mu. Free motion (field = None) is a linear constant-coefficient
-system with the exact solution
+gamma^mu and eta^dag in place of zbar. Both are integrated by one
+fixed-step RK4 scheme on raw arrays (`_rhs`).
+
+Free motion (field = None) is a linear constant-coefficient system, so
+one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
+once from the stage matrices; a trajectory applies the powers of M by
+doubling and sums the position increments, with no per-step loop. The
+exact solution
 
     z(tau) = exp(-i slash(p) tau) z0
            = [cos(w tau) - i sin(w tau) slash(p)/w] z0,   w = sqrt(p^2)
 
-whose velocity zbar gamma^mu z splits into a constant drift plus
+has a velocity zbar gamma^mu z that splits into a constant drift plus
 e^{+-2iw tau} oscillation (zitterbewegung at frequency 2E in the rest
-frame); x(tau) follows by closed-form integration.
+frame); x(tau) follows by closed-form integration. It is the oracle the
+integrator is tested against.
+
+A run stops at the first sample where x, p or z is non-finite and
+returns the samples before it, flagged as aborted.
 
 The point-contact coupling between an electron and a photon trajectory
 is not integrated as a two-body problem; interactions enter through a
@@ -31,14 +41,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GAMMA, SIGMA, slash, sigma_slash
+from .algebra import GAMMA, SIGMA, _lowered, slash
 from .errors import DomainError
 from .fourvec import FourVector
 
 _G0 = GAMMA[0]
-# gamma^0 gamma^mu stacked, for the velocity bilinear
+# velocity matrices: dx^mu/dtau = z^dag mats^mu z, with mats = gamma^0
+# gamma^mu for the electron and sigma^mu for the photon
 _G0G = np.stack([_G0 @ GAMMA[mu] for mu in range(4)])
-_S = np.stack([SIGMA[mu] for mu in range(4)])
+_S = SIGMA
+_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -54,14 +66,7 @@ class ElectronState:
 
     @property
     def zbar_z(self) -> float:
-        return _dirac_norm(self.z)
-
-
-def _dirac_norm(z: np.ndarray) -> float:
-    """zbar z = |z_upper|^2 - |z_lower|^2, in real arithmetic: conjugate
-    upper and lower components cancel exactly."""
-    sq = z.real ** 2 + z.imag ** 2
-    return float((sq[0] + sq[1]) - (sq[2] + sq[3]))
+        return float(_internal_norm(GAMMA, self.z))
 
 
 @dataclass(frozen=True)
@@ -81,43 +86,55 @@ class ExternalField:
     charge: float = 1.0         # coupling e multiplying the potential
 
 
+def _velocity(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re z^dag mats^mu z over the last axis of z, which may carry leading
+    batch axes: the four-velocity for mats = _G0G or _S."""
+    zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
+    return np.real(zm @ z[..., None])[..., 0]
+
+
+def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z^dag cliff^0 z (zbar z, or eta^dag eta) in real arithmetic:
+    cliff^0 is diagonal, so conjugate components cancel exactly."""
+    return (z.real ** 2 + z.imag ** 2) @ cliff[0].diagonal().real
+
+
+def _rhs(mats, cliff, x, p, z, field):
+    """(dx, dp, dz) on raw arrays; cliff is GAMMA or SIGMA, mats the
+    matching velocity matrices. Free equations when field is None."""
+    v = _velocity(mats, z)
+    if field is None:
+        return v, np.zeros(4), -1j * (_lowered(p, cliff) @ z)
+    xv = FourVector.from_array(x)
+    kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
+    dz = -1j * (_lowered(kin, cliff) @ z)
+    da = np.asarray(field.grad(xv), dtype=float)
+    # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
+    return v, -field.charge * (da @ v) * _METRIC_DIAG, dz
+
+
 def electron_velocity(z: np.ndarray) -> np.ndarray:
     """zbar gamma^mu z, real four-velocity of the internal motion."""
-    return np.real(z.conj() @ _G0G @ z)
+    return _velocity(_G0G, z)
 
 
 def photon_velocity(eta: np.ndarray) -> np.ndarray:
-    return np.real(eta.conj() @ _S @ eta)
+    """eta^dag sigma^mu eta, the photon's (lightlike) four-velocity."""
+    return _velocity(_S, eta)
 
 
 def electron_derivative(state: ElectronState,
                         field: ExternalField | None = None):
     """(dx, dp, dz) right-hand sides; free equations when field is None."""
-    v = electron_velocity(state.z)
-    if field is None:
-        return v, np.zeros(4), -1j * (slash(state.p) @ state.z)
-    a = np.asarray(field.A(state.x), dtype=float)
-    kin = state.p.as_array() - field.charge * a
-    dz = -1j * (slash(kin) @ state.z)
-    da = np.asarray(field.grad(state.x), dtype=float)
-    # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-    dp_lower = -field.charge * (da @ v)
-    dp = dp_lower * np.array([1.0, -1.0, -1.0, -1.0])
-    return v, dp, dz
+    return _rhs(_G0G, GAMMA, state.x.as_array(), state.p.as_array(),
+                state.z, field)
 
 
 def photon_derivative(state: PhotonClassicalState,
                       field: ExternalField | None = None):
-    v = photon_velocity(state.eta)
-    if field is None:
-        return v, np.zeros(4), -1j * (sigma_slash(state.p) @ state.eta)
-    a = np.asarray(field.A(state.x), dtype=float)
-    kin = state.p.as_array() - field.charge * a
-    deta = -1j * (sigma_slash(kin) @ state.eta)
-    da = np.asarray(field.grad(state.x), dtype=float)
-    dp_lower = -field.charge * (da @ v)
-    dp = dp_lower * np.array([1.0, -1.0, -1.0, -1.0])
-    return v, dp, deta
+    """(dx, dp, deta) right-hand sides; free equations when field is None."""
+    return _rhs(_S, SIGMA, state.x.as_array(), state.p.as_array(),
+                state.eta, field)
 
 
 def exact_free_electron(z0: np.ndarray, p: FourVector, tau: float
@@ -182,14 +199,70 @@ class Trajectory:
     aborted: bool = False
 
     def velocity(self, mu: int) -> np.ndarray:
-        if self.spinor.shape[1] == 4:
-            return np.real(np.einsum("ni,ij,nj->n", self.spinor.conj(),
-                                     _G0G[mu], self.spinor))
-        return np.real(np.einsum("ni,ij,nj->n", self.spinor.conj(),
-                                 _S[mu], self.spinor))
+        mats = _G0G if self.spinor.shape[1] == 4 else _S
+        return _velocity(mats, self.spinor)[:, mu]
 
 
-_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+def _free_steps(mats, cliff, x0, p, z0, n, dt):
+    """n free RK4 steps as the step map: (xs, zs), each with n + 1 rows.
+
+    With the constant generator G = -i cliff^mu p_mu the RK4 stages are
+    S_i z with S_1 = 1, S_2 = 1 + h/2 G, S_3 = 1 + h/2 G S_2 and
+    S_4 = 1 + h G S_3, so a step is z -> M z, M = 1 + h/6 G (S_1 + 2 S_2
+    + 2 S_3 + S_4), and x -> x + z^dag Q^mu z, Q^mu = h/6 sum_i w_i
+    S_i^dag mats^mu S_i with weights (1, 2, 2, 1).
+    """
+    eye = np.eye(len(z0))
+    # dz/dtau is linear in z, so the right-hand side of the identity is G
+    g = _rhs(mats, cliff, x0, p, eye, None)[2]
+    s2 = eye + 0.5 * dt * g
+    s3 = eye + 0.5 * dt * g @ s2
+    s4 = eye + dt * g @ s3
+    m = eye + dt / 6.0 * g @ (eye + 2.0 * s2 + 2.0 * s3 + s4)
+    q = dt / 6.0 * sum(w * (s.conj().T @ mats @ s) for w, s in
+                       zip((1.0, 2.0, 2.0, 1.0), (eye, s2, s3, s4)))
+    zs = np.empty((n + 1, len(z0)), dtype=complex)
+    zs[0] = z0
+    done = 1
+    while done <= n:
+        # rows done.. are M^done times rows 0..; then M <- M^2
+        k = min(done, n + 1 - done)
+        zs[done:done + k] = zs[:k] @ m.T
+        m = m @ m
+        done += k
+    xs = np.cumsum(np.vstack([x0, _velocity(q, zs[:-1])]), axis=0)
+    return xs, zs
+
+
+def _field_steps(mats, cliff, x, p, z, n, dt, field):
+    """n RK4 steps in the field: (xs, ps, zs), each with n + 1 rows; the
+    rows after a non-finite state stay NaN."""
+    xs = np.full((n + 1, 4), np.nan)
+    ps = np.full((n + 1, 4), np.nan)
+    zs = np.full((n + 1, len(z)), np.nan, dtype=complex)
+    xs[0], ps[0], zs[0] = x, p, z
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for i in range(1, n + 1):
+        try:
+            v1, q1, k1 = _rhs(mats, cliff, x, p, z, field)
+            v2, q2, k2 = _rhs(mats, cliff, x + half * v1, p + half * q1,
+                              z + half * k1, field)
+            v3, q3, k3 = _rhs(mats, cliff, x + half * v2, p + half * q2,
+                              z + half * k2, field)
+            v4, q4, k4 = _rhs(mats, cliff, x + dt * v3, p + dt * q3,
+                              z + dt * k3, field)
+        except DomainError:
+            # a non-finite stage position reached the four-vector guard
+            break
+        x = x + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        p = p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[i], ps[i], zs[i] = x, p, z
+        if not (np.isfinite(x).all() and np.isfinite(p).all()
+                and np.isfinite(z).all()):
+            break
+    return xs, ps, zs
 
 
 def integrate(state0, field: ExternalField | None = None,
@@ -197,13 +270,14 @@ def integrate(state0, field: ExternalField | None = None,
               dt: float = 1e-3, method: str = "rk4") -> Trajectory:
     """Fixed-step RK4 trajectory with per-step conserved-quantity log.
 
-    Works for ElectronState and PhotonClassicalState. NaN appearance
-    aborts the run, returning the samples up to the last valid state.
+    Works for ElectronState and PhotonClassicalState. The run stops at
+    the first sample where x, p or z is non-finite, returning the
+    samples before it with aborted set.
     """
     if method != "rk4":
         raise DomainError(f"unsupported method: {method}")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and positive, got {dt!r}")
     t0, t1 = tau_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise DomainError("bad tau span")
@@ -212,104 +286,27 @@ def integrate(state0, field: ExternalField | None = None,
         raise DomainError("span shorter than one step")
 
     if isinstance(state0, ElectronState):
-        dim, mats = 4, _G0G
-        deriv = electron_derivative
-        make = ElectronState
-        spin0 = state0.z
+        mats, cliff, z = _G0G, GAMMA, state0.z
     elif isinstance(state0, PhotonClassicalState):
-        dim, mats = 2, _S
-        deriv = photon_derivative
-        make = PhotonClassicalState
-        spin0 = state0.eta
+        mats, cliff, z = _S, SIGMA, state0.eta
     else:
         raise DomainError("state0 must be an electron or photon state")
+    x = state0.x.as_array()
+    p = state0.p.as_array()
+    z = np.asarray(z, dtype=complex)
 
-    taus = t0 + dt * np.arange(n + 1)
-    xs = np.empty((n + 1, 4))
-    ps = np.empty((n + 1, 4))
-    zs = np.empty((n + 1, dim), dtype=complex)
-    norms = np.empty(n + 1)
-    hs = np.empty(n + 1)
-
-    x = np.asarray(state0.x.as_array(), dtype=float)
-    p = np.asarray(state0.p.as_array(), dtype=float)
-    z = np.asarray(spin0, dtype=complex)
-
-    free = field is None
-    gen = None
-    if free:
-        # constant generator -i slash(p): precompute once
-        gen = -1j * (slash(p) if dim == 4 else sigma_slash(p))
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    aborted = False
-
-    def record(i, x, p, z):
-        xs[i] = x
-        ps[i] = p
-        zs[i] = z
-        v = np.real(z.conj() @ mats @ z) if dim == 4 else np.real(
-            z.conj() @ _S @ z)
-        norms[i] = (_dirac_norm(z) if dim == 4
-                    else np.real(z.conj() @ z))
-        hs[i] = float(v @ (_METRIC_DIAG * p))
-
-    record(0, x, p, z)
-    if free:
-        for i in range(1, n + 1):
-            # RK4 on (x, z); p is constant for free motion
-            v1 = np.real(z.conj() @ mats @ z)
-            k1 = gen @ z
-            z2 = z + half * k1
-            v2 = np.real(z2.conj() @ mats @ z2)
-            k2 = gen @ z2
-            z3 = z + half * k2
-            v3 = np.real(z3.conj() @ mats @ z3)
-            k3 = gen @ z3
-            z4 = z + dt * k3
-            v4 = np.real(z4.conj() @ mats @ z4)
-            k4 = gen @ z4
-            x = x + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(z).all():
-                aborted = True
-                n = i - 1
-                break
-            record(i, x, p, z)
+    if field is None:
+        xs, zs = _free_steps(mats, cliff, x, p, z, n, dt)
+        ps = np.tile(p, (n + 1, 1))
     else:
-        for i in range(1, n + 1):
-            try:
-                st = make(FourVector.from_array(x),
-                          FourVector.from_array(p), z, taus[i - 1])
-                v1, q1, k1 = deriv(st, field)
-                st2 = make(FourVector.from_array(x + half * v1),
-                           FourVector.from_array(p + half * q1),
-                           z + half * k1, taus[i - 1] + half)
-                v2, q2, k2 = deriv(st2, field)
-                st3 = make(FourVector.from_array(x + half * v2),
-                           FourVector.from_array(p + half * q2),
-                           z + half * k2, taus[i - 1] + half)
-                v3, q3, k3 = deriv(st3, field)
-                st4 = make(FourVector.from_array(x + dt * v3),
-                           FourVector.from_array(p + dt * q3),
-                           z + dt * k3, taus[i - 1] + dt)
-                v4, q4, k4 = deriv(st4, field)
-            except DomainError:
-                # a NaN produced by the field reached a four-vector guard
-                aborted = True
-                n = i - 1
-                break
-            x = x + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-            p = p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not (np.isfinite(z).all() and np.isfinite(p).all()):
-                aborted = True
-                n = i - 1
-                break
-            record(i, x, p, z)
-    sl = slice(0, n + 1)
-    return Trajectory(taus[sl], xs[sl], ps[sl], zs[sl], norms[sl], hs[sl],
-                      aborted)
+        xs, ps, zs = _field_steps(mats, cliff, x, p, z, n, dt, field)
+    finite = (np.isfinite(xs).all(axis=1) & np.isfinite(ps).all(axis=1)
+              & np.isfinite(zs).all(axis=1))
+    end = n + 1 if finite.all() else int(np.argmin(finite))
+    xs, ps, zs = xs[:end], ps[:end], zs[:end]
+    hs = np.einsum("nm,nm->n", _velocity(mats, zs), ps * _METRIC_DIAG)
+    return Trajectory(t0 + dt * np.arange(end), xs, ps, zs,
+                      _internal_norm(cliff, zs), hs, end <= n)
 
 
 def zitterbewegung_frequency(traj: Trajectory, component: int = 3) -> float:
@@ -336,21 +333,15 @@ def zitterbewegung_frequency(traj: Trajectory, component: int = 3) -> float:
     return 2.0 * math.pi * (freqs[i] + shift * (freqs[1] - freqs[0]))
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """CSV text: tau, x0..x3, p0..p3, spinor Re/Im pairs, zbar_z, H."""
-    dim = traj.spinor.shape[1]
-    cols = (["tau"] + [f"x{i}" for i in range(4)]
-            + [f"p{i}" for i in range(4)]
-            + sum([[f"re_z{i}", f"im_z{i}"] for i in range(dim)], [])
-            + ["zbar_z", "H"])
-    lines = [",".join(cols)]
-    for i in range(len(traj.tau)):
-        row = [repr(float(traj.tau[i]))]
-        row += [repr(float(v)) for v in traj.x[i]]
-        row += [repr(float(v)) for v in traj.p[i]]
-        for j in range(dim):
-            row += [repr(float(traj.spinor[i, j].real)),
-                    repr(float(traj.spinor[i, j].imag))]
-        row += [repr(float(traj.zbar_z[i])), repr(float(traj.H[i]))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def trajectory_columns(traj: Trajectory) -> dict:
+    """Named columns of a trajectory: tau, x0..x3, p0..p3, the spinor's
+    re_z/im_z pairs, zbar_z, H."""
+    cols = {"tau": traj.tau}
+    cols.update({f"x{i}": traj.x[:, i] for i in range(4)})
+    cols.update({f"p{i}": traj.p[:, i] for i in range(4)})
+    for i in range(traj.spinor.shape[1]):
+        cols[f"re_z{i}"] = traj.spinor[:, i].real
+        cols[f"im_z{i}"] = traj.spinor[:, i].imag
+    cols["zbar_z"] = traj.zbar_z
+    cols["H"] = traj.H
+    return cols

@@ -55,11 +55,32 @@ class TestExitCodes:
         assert rc == 64
         rc, _, _ = run_capture(capsys, ["compton", "--sweep", "bogus:0:1:2"])
         assert rc == 64
+        for stride in ("0", "-1"):
+            rc, out, err = run_capture(capsys, [
+                "classical", "--tau-max", "0.01", "--dt", "0.001",
+                "--stride", stride])
+            assert rc == 64, stride
+            assert out == ""
+            assert "stride" in err
 
     def test_domain_error(self, capsys):
         rc, _, err = run_capture(capsys, ["pairprod", "--omega-in", "1.0"])
         assert rc == 2
         assert "domain error" in err
+
+    def test_bad_mass_or_alpha(self, capsys):
+        for argv in (["vacuum-pol", "--k2", "1", "--mass", "0"],
+                     ["vacuum-pol", "--k2", "1", "--mass", "-1"],
+                     ["self-energy", "--mass", "nan"],
+                     ["compton", "--alpha", "nan"],
+                     ["compton", "--mass", "inf"],
+                     ["classical", "--mass", "0"],
+                     ["classical", "--alpha=-inf"],
+                     ["selftest", "--mass", "nan"]):
+            rc, out, err = run_capture(capsys, argv)
+            assert rc == 2, argv
+            assert out == ""
+            assert "domain error" in err
 
     def test_numeric_error(self, capsys):
         rc, _, err = run_capture(capsys, ["moller", "--theta", "1e-9"])
@@ -95,7 +116,7 @@ class TestExitCodes:
 
     def test_classical_non_finite_input(self, capsys):
         for extra in (["--z", "nan,0,0,0"], ["--z", "1,0,0,inf"],
-                      ["--pz", "nan"],
+                      ["--pz", "nan"], ["--dt", "nan"],
                       ["--particle", "photon", "--z", "nan,1"]):
             rc, out, err = run_capture(capsys, ["classical", "--tau-max",
                                                 "0.003", "--dt", "0.001"]

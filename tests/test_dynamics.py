@@ -1,9 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fqed import cli
 from fqed import dynamics as dyn
+from fqed.algebra import GAMMA, SIGMA, sigma_slash, slash
 from fqed.errors import DomainError
 from fqed.fourvec import FourVector, minkowski_dot
 
@@ -12,6 +17,36 @@ def rest_state(z=(1.0, 0.0, 0.0, 0.0), mass=1.0):
     return dyn.ElectronState(FourVector(0, 0, 0, 0),
                              FourVector(mass, 0, 0, 0),
                              np.array(z, dtype=complex))
+
+
+def rk4_free_reference(state, n, dt):
+    """Free motion, one RK4 step at a time: the loop that the step map
+    in `integrate` must reproduce. Returns the (n + 1)-row x and spinor."""
+    if isinstance(state, dyn.ElectronState):
+        mats = np.stack([GAMMA[0] @ GAMMA[mu] for mu in range(4)])
+        gen, z = -1j * slash(state.p), state.z
+    else:
+        mats, gen, z = SIGMA, -1j * sigma_slash(state.p), state.eta
+
+    def vel(z):
+        return np.real(np.einsum("i,mij,j->m", z.conj(), mats, z))
+
+    x = state.x.as_array()
+    xs, zs = [x], [z]
+    for _ in range(n):
+        k1 = gen @ z
+        z2 = z + 0.5 * dt * k1
+        k2 = gen @ z2
+        z3 = z + 0.5 * dt * k2
+        k3 = gen @ z3
+        z4 = z + dt * k3
+        k4 = gen @ z4
+        x = x + dt / 6.0 * (vel(z) + 2.0 * vel(z2) + 2.0 * vel(z3)
+                            + vel(z4))
+        z = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs.append(x)
+        zs.append(z)
+    return np.array(xs), np.array(zs)
 
 
 class TestDerivatives:
@@ -62,6 +97,14 @@ class TestDerivatives:
         v = dyn.electron_velocity(st.z)
         _, dp, _ = dyn.electron_derivative(st, field)
         assert np.isclose(dp[0], -0.1 * v[1])
+        # a spatial gradient, dA_0/dx_3 = 0.1: raising the index flips
+        # the sign, dp^3 = +e v^0 dA_0/dx_3
+        slope = np.zeros((4, 4))
+        slope[3, 0] = 0.1
+        field = dyn.ExternalField(A=lambda x: np.zeros(4),
+                                  grad=lambda x: slope)
+        _, dp, _ = dyn.electron_derivative(st, field)
+        assert np.allclose(dp, [0.0, 0.0, 0.0, 0.1 * v[0]])
 
 
 class TestExactSolution:
@@ -192,6 +235,9 @@ class TestIntegrate:
         st = self.free_state()
         with pytest.raises(DomainError):
             dyn.integrate(st, None, (0.0, 1.0), -0.1)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                dyn.integrate(st, None, (0.0, 1.0), dt)
         with pytest.raises(DomainError):
             dyn.integrate(st, None, (1.0, 0.0), 0.1)
         with pytest.raises(DomainError):
@@ -200,28 +246,95 @@ class TestIntegrate:
             dyn.integrate("nope", None, (0.0, 1.0), 0.1)
 
 
+    def test_position_overflow_aborts_after_last_finite_sample(self):
+        # |z|^2 = 1e307 at rest: x0 grows by about 3e306 a step and
+        # overflows near step 60 while z stays of order 1e153
+        st = rest_state(z=(math.sqrt(1e307), 0.0, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = dyn.integrate(st, None, (0.0, 30.0), 0.3)
+            xs, zs = rk4_free_reference(st, 100, 0.3)
+        first_bad = np.flatnonzero(~np.isfinite(xs).all(axis=1))[0]
+        assert np.isfinite(zs[first_bad]).all()
+        assert traj.aborted
+        assert len(traj.tau) == first_bad
+        assert np.allclose(traj.x, xs[:first_bad], rtol=1e-12, atol=0.0)
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+class TestStepMap:
+
+    @settings(max_examples=30)
+    @given(photon=st.booleans(), mass=st.floats(0.5, 2.0),
+           p3=st.lists(unit, min_size=3, max_size=3),
+           spin=st.lists(unit, min_size=8, max_size=8),
+           n=st.integers(1, 3000), dt=st.floats(1e-3, 0.05))
+    def test_matches_step_loop(self, photon, mass, p3, spin, n, dt):
+        p3 = np.array(p3)
+        spin = np.array(spin[:4]) + 1j * np.array(spin[4:])
+        if photon:
+            assume(np.linalg.norm(p3) > 0.1 and np.linalg.norm(spin[:2]) > 0.1)
+            state = dyn.PhotonClassicalState(
+                FourVector(0, 0, 0, 0),
+                FourVector.from_spatial(np.linalg.norm(p3), p3), spin[:2])
+        else:
+            assume(np.linalg.norm(spin) > 0.1)
+            state = dyn.ElectronState(
+                FourVector(0, 0, 0, 0),
+                FourVector.from_spatial(math.sqrt(mass ** 2 + p3 @ p3), p3),
+                spin)
+        traj = dyn.integrate(state, None, (0.0, n * dt), dt)
+        xs, zs = rk4_free_reference(state, n, dt)
+        assert not traj.aborted
+        assert len(traj.tau) == n + 1
+        assert (np.max(np.abs(traj.spinor - zs))
+                <= 1e-12 * np.max(np.abs(zs)))
+        assert np.max(np.abs(traj.x - xs)) <= 1e-12 * np.max(np.abs(xs))
+
+
 class TestTrajectoryCSV:
 
-    def test_columns_and_rows(self):
-        st = dyn.ElectronState(FourVector(0, 0, 0, 0),
-                               FourVector(1.0, 0, 0, 0),
-                               np.array([1, 0, 0, 0], dtype=complex))
-        traj = dyn.integrate(st, None, (0.0, 0.1), 0.01)
-        text = dyn.trajectory_csv(traj)
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        assert header[0] == "tau"
-        assert "re_z3" in header and "im_z0" in header
-        assert header[-2:] == ["zbar_z", "H"]
-        assert len(lines) == 1 + len(traj.tau)
-        assert len(lines[1].split(",")) == len(header)
+    ARGV = ["classical", "--z", "1,0,0,0", "--tau-max", "0.1",
+            "--dt", "0.01"]
 
-    def test_round_trip_precision(self):
-        st = dyn.ElectronState(FourVector(0, 0, 0, 0),
-                               FourVector(1.0, 0, 0, 0),
-                               np.array([1, 0, 0, 0], dtype=complex))
-        traj = dyn.integrate(st, None, (0.0, 0.1), 0.01)
-        text = dyn.trajectory_csv(traj)
-        row = text.strip().split("\n")[3].split(",")
-        assert float(row[0]) == traj.tau[2]
-        assert float(row[1]) == traj.x[2, 0]
+    @staticmethod
+    def library_columns():
+        traj = dyn.integrate(rest_state(), None, (0.0, 0.1), 0.01)
+        return traj, dyn.trajectory_columns(traj)
+
+    def test_columns_and_rows(self, capsys):
+        traj, cols = self.library_columns()
+        names = list(cols)
+        assert names[0] == "tau"
+        assert "re_z3" in names and "im_z0" in names
+        assert names[-2:] == ["zbar_z", "H"]
+        assert all(len(v) == len(traj.tau) for v in cols.values())
+        photon = dyn.integrate(
+            dyn.PhotonClassicalState(FourVector(0, 0, 0, 0),
+                                     FourVector(1.0, 0, 0, 1.0),
+                                     np.array([1, 0], dtype=complex)),
+            None, (0.0, 0.1), 0.01)
+        assert list(dyn.trajectory_columns(photon))[9:] == [
+            "re_z0", "im_z0", "re_z1", "im_z1", "zbar_z", "H"]
+        assert cli.run(self.ARGV) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0].split(",") == names
+        assert len(lines) == 1 + len(traj.tau)
+        assert all(len(ln.split(",")) == len(names) for ln in lines[1:])
+
+    def test_round_trip_precision(self, capsys):
+        traj, _ = self.library_columns()
+        assert cli.run(self.ARGV) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        header = lines[0].split(",")
+        csv_rows = [dict(zip(header, map(float, ln.split(","))))
+                    for ln in lines[1:]]
+        assert cli.run(self.ARGV + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == csv_rows
+        for i, row in enumerate(csv_rows):
+            z = traj.spinor[i]
+            assert list(row.values()) == [
+                traj.tau[i], *traj.x[i], *traj.p[i],
+                *np.column_stack([z.real, z.imag]).ravel(),
+                traj.zbar_z[i], traj.H[i]]
