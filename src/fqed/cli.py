@@ -75,12 +75,6 @@ def _parse_sweep(spec: str):
     return name, sign * np.geomspace(abs(start), abs(stop), count)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _config(args) -> dict:
     """The JSON config block: every set option but the plumbing."""
     return {k: v for k, v in sorted(vars(args).items())
@@ -90,10 +84,11 @@ def _config(args) -> dict:
 
 def _write_table(args, table: dict):
     """Write a table given as one sequence per column name."""
-    # tolist() gives Python scalars, so floats print round-trip
+    # tolist() gives Python scalars, and str of a Python float is its
+    # repr, so floats print round-trip
     rows = list(zip(*(np.asarray(v).tolist() for v in table.values())))
     if args.format == "csv":
-        lines = [",".join(table)] + [",".join(map(_fmt, r)) for r in rows]
+        lines = [",".join(table)] + [",".join(map(str, r)) for r in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps({"config": _config(args),
@@ -197,6 +192,14 @@ def _four_fermion_cmd(args, builder):
         "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)})
 
 
+def _cmd_moller(args):
+    _four_fermion_cmd(args, processes.moller_cm_config)
+
+
+def _cmd_bhabha(args):
+    _four_fermion_cmd(args, processes.bhabha_cm_config)
+
+
 def _cmd_vacuum_pol(args):
     if args.k2 is None and not args.sweep:
         raise _UsageError("vacuum-pol needs --k2 and/or --sweep")
@@ -247,7 +250,8 @@ def _cmd_classical(args):
         p = FourVector(math.sqrt(args.mass ** 2 + pz * pz), 0.0, 0.0, pz)
         state = ElectronState(FourVector(0, 0, 0, 0), p, z0)
     else:
-        eta = z0[:2]
+        # without --z the photon takes the first two default components
+        eta = z0 if "z" in getattr(args, "_given", ()) else z0[:2]
         if len(eta) != 2:
             raise _UsageError("photon internal state needs 2 components")
         p = FourVector(args.pz, 0.0, 0.0, args.pz)
@@ -386,14 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_pairprod)
 
-    for name, builder in (("moller", processes.moller_cm_config),
-                          ("bhabha", processes.bhabha_cm_config)):
+    for name, func in (("moller", _cmd_moller), ("bhabha", _cmd_bhabha)):
         sp = command(name)
         sp.add_argument("--energy", type=float, default=2.0)
         sp.add_argument("--theta", type=float, default=60.0)
         _add_common(sp)
-        sp.set_defaults(func=functools.partial(_four_fermion_cmd,
-                                               builder=builder))
+        sp.set_defaults(func=func)
 
     sp = command("vacuum-pol")
     sp.add_argument("--k2", type=float, default=None)
@@ -433,9 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses: built once per process, on first use.
+    Parsing keeps no state in it (each call fills a new namespace), and
+    its defaults hold only `_cmd_*` functions, which look library
+    functions up when called, so wrappers installed later see them."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -37,6 +37,7 @@ smooth external-field callable.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,15 @@ _G0 = GAMMA[0]
 _G0G = np.stack([_G0 @ GAMMA[mu] for mu in range(4)])
 _S = SIGMA
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+# no trajectory can hold more bytes of samples than physical memory (or
+# numpy's largest array, where the platform does not report memory)
+try:
+    _MAX_RECORD_BYTES = (os.sysconf("SC_PHYS_PAGES")
+                         * os.sysconf("SC_PAGE_SIZE"))
+except (AttributeError, ValueError, OSError):
+    _MAX_RECORD_BYTES = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,8 @@ def integrate(state0, field: ExternalField | None = None,
 
     Works for ElectronState and PhotonClassicalState. The run stops at
     the first sample where x, p or z is non-finite, returning the
-    samples before it with aborted set.
+    samples before it with aborted set. A step count whose samples
+    would not fit in memory is a DomainError, raised before allocating.
     """
     if method != "rk4":
         raise DomainError(f"unsupported method: {method}")
@@ -281,9 +292,6 @@ def integrate(state0, field: ExternalField | None = None,
     t0, t1 = tau_span
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise DomainError("bad tau span")
-    n = int(round((t1 - t0) / dt))
-    if n < 1:
-        raise DomainError("span shorter than one step")
 
     if isinstance(state0, ElectronState):
         mats, cliff, z = _G0G, GAMMA, state0.z
@@ -294,6 +302,15 @@ def integrate(state0, field: ExternalField | None = None,
     x = state0.x.as_array()
     p = state0.p.as_array()
     z = np.asarray(z, dtype=complex)
+
+    steps = (t1 - t0) / dt
+    # a sample is tau, x, p, z, zbar_z and H: 11 floats and the spinor
+    if (steps + 1.0) * 8 * (11 + 2 * len(z)) > _MAX_RECORD_BYTES:
+        raise DomainError(f"{steps:.3g} steps: the samples would not fit "
+                          f"in memory ({_MAX_RECORD_BYTES} bytes)")
+    n = int(round(steps))
+    if n < 1:
+        raise DomainError("span shorter than one step")
 
     if field is None:
         xs, zs = _free_steps(mats, cliff, x, p, z, n, dt)

@@ -7,7 +7,9 @@ closed form and is stored symbolically as a two-term Laurent series
 elementary and are evaluated in closed form on arrays: the k^2 and p^2
 functions below take a scalar (Python scalars out) or an array (arrays
 out), a scalar being a batch of one through the same code. scipy's quad
-is used only for energy shifts with callable transition currents.
+is used only for energy shifts with callable transition currents, and
+scipy.integrate is imported on the first such quadrature (the module
+attribute `integrate`, loaded by the module __getattr__).
 
 Vacuum polarization scalar part, with the subtraction at k^2 = 0
 already performed:
@@ -75,10 +77,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import I4, slash
 from .constants import ALPHA_DEFAULT
@@ -139,7 +141,20 @@ class LaurentValue:
     __rmul__ = __mul__
 
 
+def __getattr__(name):
+    # scipy.integrate takes most of the import time of fqed and only
+    # callable currents need it: import it on first use, then keep it
+    if name == "integrate":
+        from scipy import integrate
+        globals()["integrate"] = integrate
+        return integrate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _quad(f, a, b, quad: QuadratureConfig, points=None) -> float:
+    # read through the module, so the first call imports scipy and a
+    # replaced `integrate` attribute is honoured
+    integrate = sys.modules[__name__].integrate
     val, err = integrate.quad(f, a, b, epsabs=quad.abs_tol,
                               epsrel=quad.rel_tol, limit=quad.limit,
                               points=points)

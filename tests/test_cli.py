@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from fqed import cli
+from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
+from fqed.dynamics import ElectronState, integrate, trajectory_columns
+from fqed.fourvec import FourVector
 
 
 def run_capture(capsys, argv):
@@ -125,6 +127,28 @@ class TestExitCodes:
             assert out == ""
             assert "domain error" in err
 
+    def test_classical_step_count_bound(self, capsys):
+        # step counts whose samples cannot be allocated (1e300, an
+        # overflowing span / dt, 1e13) are refused before any allocation
+        for extra in (["--tau-max", "1", "--dt", "1e-300"],
+                      ["--tau-max", "1e10", "--dt", "5e-324"],
+                      ["--tau-max", "1e10", "--dt", "1e-3"],
+                      ["--particle", "photon", "--pz", "1",
+                       "--tau-max", "1", "--dt", "1e-300"]):
+            rc, out, err = run_capture(capsys, ["classical"] + extra)
+            assert rc == 2, extra
+            assert out == ""
+            assert "domain error" in err and "memory" in err
+
+    def test_classical_photon_needs_two_components(self, capsys):
+        for z in ("1,0,0,0", "1,0,0", "1"):
+            rc, out, err = run_capture(capsys, [
+                "classical", "--particle", "photon", "--z", z, "--pz", "1",
+                "--tau-max", "0.003", "--dt", "0.001"])
+            assert rc == 64, z
+            assert out == ""
+            assert "2 components" in err
+
     def test_classical_abort_writes_rows_then_fails(self, capsys):
         # the first RK4 stage sum overflows, so the run stops after the
         # initial sample
@@ -233,6 +257,81 @@ class TestTables:
         assert rc == 0
         assert out == plain
 
+    def test_csv_bytes_trajectory(self, capsys):
+        z0 = "0.6,0.0,0.0,0.8j"
+        rc, out, _ = run_capture(capsys, ["classical", "--z", z0, "--pz",
+                                          "0.25", "--tau-max", "0.002",
+                                          "--dt", "0.001"])
+        assert rc == 0
+        p = FourVector(math.sqrt(1.0 + 0.25 ** 2), 0.0, 0.0, 0.25)
+        state = ElectronState(FourVector(0, 0, 0, 0), p,
+                              np.array([0.6, 0.0, 0.0, 0.8j]))
+        cols = trajectory_columns(integrate(state, None, (0.0, 0.002),
+                                            0.001))
+        header = ("tau,x0,x1,x2,x3,p0,p1,p2,p3,re_z0,im_z0,re_z1,im_z1,"
+                  "re_z2,im_z2,re_z3,im_z3,zbar_z,H")
+        rows = [",".join(repr(float(c[i])) for c in cols.values())
+                for i in range(3)]
+        assert out == "\n".join([header] + rows) + "\n"
+        assert [r.split(",", 1)[0] for r in rows] == ["0.0", "0.001",
+                                                      "0.002"]
+
+    def test_csv_bytes_energy_shift_labels(self, capsys, tmp_path):
+        spec = tmp_path / "levels.txt"
+        spec.write_text("[levels]\n2p 1.0\n1s 0.625\n"
+                        "[current 2p 1s]\n"
+                        "0.0 0.0 0.2 0.0 0.0\n"
+                        "4.0 0.0 0.1 0.05 0.0\n")
+        rc, out, _ = run_capture(capsys, ["energy-shift", "--spectrum",
+                                          str(spec), "--k-max", "4.0"])
+        assert rc == 0
+        table = loops.load_spectrum(str(spec), 4.0)
+        shift = {lab: loops.energy_shift(table, lab) for lab in ("1s", "2p")}
+        assert out == (
+            "level,energy,re_shift,im_shift\n"
+            f"1s,0.625,{shift['1s'].real!r},{shift['1s'].imag!r}\n"
+            f"2p,1.0,{shift['2p'].real!r},{shift['2p'].imag!r}\n")
+
+    def test_shared_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        """One process, one parser: no option value, default or noted
+        option (`_given`) of a call reaches the next one."""
+        calls = [
+            (["compton", "--sweep", "theta:10:170:4"], 0),
+            (["compton", "--theta", "33", "--sweep", "theta:10:170:4"], 0),
+            (["compton", "--sweep", "theta:10:170:4"], 0),
+            (["compton", "--bogus"], 64),
+            (["compton", "--theta", "33", "--mev"], 0),
+            (["compton"], 0),
+            (["vacuum-pol", "--k2", "0.5", "--sweep", "k2:-1:1:3"], 0),
+            (["vacuum-pol", "--sweep", "k2:-1:1:3"], 0),
+            (["vacuum-pol"], 64),
+            (["self-energy", "--p2", "0.3", "--format", "json"], 0),
+            (["self-energy", "--sweep", "p2:0.1:0.9:3", "--format",
+              "json"], 0),
+            (["annihilate", "--mass", "-1"], 2),
+            (["annihilate", "--sweep", "pmag:0.1:0.9:3"], 0),
+            (["moller", "--energy", "3"], 0),
+            (["bhabha"], 0),
+            (["moller"], 0),
+            (["brems", "--Z", "2", "--sweep", "omega:0.1:0.5:3"], 0),
+            (["pairprod", "--sweep", "theta_p:10:50:3"], 0),
+            (["classical", "--particle", "photon", "--z", "1,0", "--pz",
+              "1", "--tau-max", "0.003", "--dt", "0.001"], 0),
+            (["classical", "--particle", "photon", "--pz", "1",
+              "--tau-max", "0.003", "--dt", "0.001"], 0),
+            (["classical", "--tau-max", "0.003", "--dt", "nan"], 2),
+            (["classical", "--tau-max", "0.003", "--dt", "0.001",
+              "--stride", "2", "--format", "json"], 0),
+            (["classical", "--tau-max", "0.003", "--dt", "0.001"], 0),
+        ]
+        assert cli._parser() is cli._parser()
+        shared = [run_capture(capsys, argv) for argv, _ in calls]
+        assert [rc for rc, _, _ in shared] == [rc for _, rc in calls]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_capture(capsys, argv) for argv, _ in calls]
+        for (argv, _), a, b in zip(calls, shared, fresh):
+            assert a == b, argv
+
     def test_mev_scaling(self, capsys):
         _, plain, _ = run_capture(capsys, ["compton"])
         _, mev, _ = run_capture(capsys, ["compton", "--mev"])
@@ -315,6 +414,22 @@ class TestSubcommands:
         # lightlike straight line: x0 = x3 = tau
         assert np.isclose(float(last[1]), 0.1)
         assert np.isclose(float(last[4]), 0.1)
+
+    def test_classical_photon_default_components(self, capsys):
+        # without --z the photon starts from the first two components of
+        # the default --z, as an explicit --z with those two does
+        argv = ["classical", "--particle", "photon", "--pz", "1",
+                "--tau-max", "0.003", "--dt", "0.001"]
+        rc, out, _ = run_capture(capsys, argv)
+        assert rc == 0
+        rc, explicit, _ = run_capture(capsys,
+                                      argv + ["--z", "0.7071067811865476,0"])
+        assert rc == 0
+        assert out == explicit
+        header, first = out.split("\n")[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert float(row["re_z0"]) == 0.7071067811865476
+        assert float(row["re_z1"]) == 0.0 and "re_z2" not in row
 
     def test_selftest_passes(self, capsys):
         rc, out, _ = run_capture(capsys, ["selftest"])

@@ -244,6 +244,12 @@ class TestIntegrate:
             dyn.integrate(st, None, (0.0, 1.0), 0.1, method="euler")
         with pytest.raises(DomainError):
             dyn.integrate("nope", None, (0.0, 1.0), 0.1)
+        # more samples than memory holds, or an overflowing span / dt,
+        # are refused before any allocation
+        for span, dt in (((0.0, 1.0), 1e-300), ((0.0, 1e10), 5e-324),
+                         ((0.0, 1e10), 1e-3)):
+            with pytest.raises(DomainError, match="memory"):
+                dyn.integrate(st, None, span, dt)
 
 
     def test_position_overflow_aborts_after_last_finite_sample(self):
