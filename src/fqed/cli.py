@@ -83,17 +83,29 @@ def _config(args) -> dict:
 
 
 def _write_table(args, table: dict):
-    """Write a table given as one sequence per column name."""
-    # tolist() gives Python scalars, and str of a Python float is its
-    # repr, so floats print round-trip
-    rows = list(zip(*(np.asarray(v).tolist() for v in table.values())))
+    """Write a table given as one sequence per column name. Column by
+    column, byte-identical to joining each row's cells with commas and
+    to `json.dumps` of {"config", "rows": [a dict per row]}, indent=1."""
+    cols = [np.asarray(v) for v in table.values()]
     if args.format == "csv":
-        lines = [",".join(table)] + [",".join(map(str, r)) for r in rows]
-        text = "\n".join(lines) + "\n"
+        # str of a Python float (from tolist) is its round-trip repr
+        cells = [list(map(str, c.tolist())) for c in cols]
+        text = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
     else:
-        text = json.dumps({"config": _config(args),
-                           "rows": [dict(zip(table, r)) for r in rows]},
-                          indent=1) + "\n"
+        cells = []
+        for c in cols:
+            v = c.tolist()
+            # repr of a finite float is its JSON, and a float column with a
+            # finite sum holds only finite floats; json.dumps spells the rest
+            finite = c.dtype.kind == "f" and math.isfinite(sum(v))
+            cells.append(list(map(repr if finite else json.dumps, v)))
+        row = "  {\n" + ",\n".join(
+            f"   {json.dumps(k).replace('%', '%%')}: %s" for k in table
+        ) + "\n  }"
+        rows = ",\n".join([row % r for r in zip(*cells)])
+        config = json.dumps(_config(args), indent=1).replace("\n", "\n ")
+        text = ('{\n "config": ' + config + ',\n "rows": ['
+                + ("\n" + rows + "\n " if rows else "") + "]\n}\n")
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -340,15 +352,15 @@ def _cmd_selftest(args):
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sp):
+def _add_common(sp, sweep=True):
     sp.add_argument("--mass", type=float, default=1.0)
     sp.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("-o", "--output", default="-")
     sp.add_argument("--mev", action="store_true",
                     help="display energies in MeV (0.51099895 MeV per m)")
-    sp.add_argument("--sweep", default=None,
-                    help="name:start:stop:count[:log]")
+    if sweep:
+        sp.add_argument("--sweep", help="name:start:stop:count[:log]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spectrum", required=True)
     sp.add_argument("--level", default=None)
     sp.add_argument("--k-max", dest="k_max", type=float, default=10.0)
-    _add_common(sp)
+    _add_common(sp, sweep=False)
     sp.set_defaults(func=_cmd_energy_shift)
 
     sp = command("classical")
@@ -425,11 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau-max", dest="tau_max", type=float, default=100.0)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--stride", type=int, default=1)
-    _add_common(sp)
+    _add_common(sp, sweep=False)
     sp.set_defaults(func=_cmd_classical)
 
     sp = command("selftest")
-    _add_common(sp)
+    _add_common(sp, sweep=False)
     sp.set_defaults(func=_cmd_selftest)
 
     return ap

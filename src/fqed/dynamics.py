@@ -9,8 +9,8 @@ separately):
     dp^mu/dtau = -e zbar gamma^nu z  dA_nu/dx_mu
 
 The photon is the two-component analogue with sigma^mu in place of
-gamma^mu and eta^dag in place of zbar. Both are integrated by one
-fixed-step RK4 scheme on raw arrays (`_rhs`).
+gamma^mu and eta^dag in place of zbar. One right-hand side serves both
+(`_packed_rhs`), a few small real matmuls on y = (x, p, Re z, Im z).
 
 Free motion (field = None) is a linear constant-coefficient system, so
 one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
@@ -109,18 +109,45 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (z.real ** 2 + z.imag ** 2) @ cliff[0].diagonal().real
 
 
-def _rhs(mats, cliff, x, p, z, field):
-    """(dx, dp, dz) on raw arrays; cliff is GAMMA or SIGMA, mats the
-    matching velocity matrices. Free equations when field is None."""
-    v = _velocity(mats, z)
+def _packed(mats, cliff, x, p, z, field):
+    """The packed state y = (x, p, Re z, Im z) of a run, and the real
+    operators (C, V) on u = (Re z, Im z) such that (kin @ C).reshape(2d,
+    2d) @ u is dz = -i cliff^mu kin_mu z and (V @ u).reshape(4, 2d) @ u
+    is v^mu = z^dag mats^mu z. Refuses a field unless A(x) has shape
+    (4,) and grad(x) shape (4, 4)."""
+    if field is not None:
+        xv = FourVector.from_array(x)
+        shapes = np.shape(field.A(xv)), np.shape(field.grad(xv))
+        if shapes != ((4,), (4, 4)):
+            raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
+                              f"(4, 4), got {shapes[0]}, {shapes[1]}")
+    m = np.stack([-1j * _METRIC_DIAG[:, None, None] * cliff, mats])
+    c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    n = c.shape[-1]
+    ops = c.reshape(4, n * n), (v + v.swapaxes(1, 2)).reshape(4 * n, n) / 2
+    return ops, np.concatenate((x, p, z.real, z.imag))
+
+
+def _unpacked(y, d: int):
+    """(x, p, z) of packed states y, over the last axis."""
+    return y[..., :4], y[..., 4:8], y[..., 8:8 + d] + 1j * y[..., 8 + d:]
+
+
+def _packed_rhs(ops, y, field):
+    """dy/dtau of the packed state; the free equations when field is
+    None. A non-finite position raises DomainError (FourVector guard)."""
+    c, vop = ops
+    u, n = y[8:], len(y) - 8
+    v = (vop @ u).reshape(4, n) @ u
     if field is None:
-        return v, np.zeros(4), -1j * (_lowered(p, cliff) @ z)
-    xv = FourVector.from_array(x)
-    kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
-    dz = -1j * (_lowered(kin, cliff) @ z)
-    da = np.asarray(field.grad(xv), dtype=float)
-    # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-    return v, -field.charge * (da @ v) * _METRIC_DIAG, dz
+        kin, dp = y[4:8], np.zeros(4)
+    else:
+        xv = FourVector(*y[:4].tolist())
+        kin = y[4:8] - field.charge * np.asarray(field.A(xv), dtype=float)
+        da = np.asarray(field.grad(xv), dtype=float)
+        # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
+        dp = -field.charge * (da @ v) * _METRIC_DIAG
+    return np.concatenate((v, dp, (kin @ c).reshape(n, n) @ u))
 
 
 def electron_velocity(z: np.ndarray) -> np.ndarray:
@@ -136,15 +163,17 @@ def photon_velocity(eta: np.ndarray) -> np.ndarray:
 def electron_derivative(state: ElectronState,
                         field: ExternalField | None = None):
     """(dx, dp, dz) right-hand sides; free equations when field is None."""
-    return _rhs(_G0G, GAMMA, state.x.as_array(), state.p.as_array(),
-                state.z, field)
+    ops, y = _packed(_G0G, GAMMA, state.x.as_array(), state.p.as_array(),
+                     state.z, field)
+    return _unpacked(_packed_rhs(ops, y, field), 4)
 
 
 def photon_derivative(state: PhotonClassicalState,
                       field: ExternalField | None = None):
     """(dx, dp, deta) right-hand sides; free equations when field is None."""
-    return _rhs(_S, SIGMA, state.x.as_array(), state.p.as_array(),
-                state.eta, field)
+    ops, y = _packed(_S, SIGMA, state.x.as_array(), state.p.as_array(),
+                     state.eta, field)
+    return _unpacked(_packed_rhs(ops, y, field), 2)
 
 
 def exact_free_electron(z0: np.ndarray, p: FourVector, tau: float
@@ -223,8 +252,7 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
     S_i^dag mats^mu S_i with weights (1, 2, 2, 1).
     """
     eye = np.eye(len(z0))
-    # dz/dtau is linear in z, so the right-hand side of the identity is G
-    g = _rhs(mats, cliff, x0, p, eye, None)[2]
+    g = -1j * _lowered(p, cliff)
     s2 = eye + 0.5 * dt * g
     s3 = eye + 0.5 * dt * g @ s2
     s4 = eye + dt * g @ s3
@@ -245,34 +273,25 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
 
 
 def _field_steps(mats, cliff, x, p, z, n, dt, field):
-    """n RK4 steps in the field: (xs, ps, zs), each with n + 1 rows; the
-    rows after a non-finite state stay NaN."""
-    xs = np.full((n + 1, 4), np.nan)
-    ps = np.full((n + 1, 4), np.nan)
-    zs = np.full((n + 1, len(z)), np.nan, dtype=complex)
-    xs[0], ps[0], zs[0] = x, p, z
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    """n RK4 steps in the field on the packed state: (xs, ps, zs), each
+    with n + 1 rows; the rows after a non-finite state stay NaN."""
+    ops, y = _packed(mats, cliff, x, p, z, field)
+    ys = np.full((n + 1, len(y)), np.nan)
+    ys[0] = y
     for i in range(1, n + 1):
         try:
-            v1, q1, k1 = _rhs(mats, cliff, x, p, z, field)
-            v2, q2, k2 = _rhs(mats, cliff, x + half * v1, p + half * q1,
-                              z + half * k1, field)
-            v3, q3, k3 = _rhs(mats, cliff, x + half * v2, p + half * q2,
-                              z + half * k2, field)
-            v4, q4, k4 = _rhs(mats, cliff, x + dt * v3, p + dt * q3,
-                              z + dt * k3, field)
+            k1 = _packed_rhs(ops, y, field)
+            k2 = _packed_rhs(ops, y + 0.5 * dt * k1, field)
+            k3 = _packed_rhs(ops, y + 0.5 * dt * k2, field)
+            k4 = _packed_rhs(ops, y + dt * k3, field)
         except DomainError:
             # a non-finite stage position reached the four-vector guard
             break
-        x = x + sixth * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        p = p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        xs[i], ps[i], zs[i] = x, p, z
-        if not (np.isfinite(x).all() and np.isfinite(p).all()
-                and np.isfinite(z).all()):
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[i] = y
+        if not np.isfinite(y).all():
             break
-    return xs, ps, zs
+    return _unpacked(ys, len(z))
 
 
 def integrate(state0, field: ExternalField | None = None,

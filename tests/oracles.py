@@ -6,12 +6,14 @@ contractions, refined fixed-node quadrature, and smeared-delta dense
 integration.
 """
 
+import json
 import math
 
 import numpy as np
 
-from fqed.algebra import GAMMA, I4, slash
-from fqed.fourvec import minkowski_dot
+from fqed.algebra import GAMMA, I4, SIGMA, slash
+from fqed.errors import DomainError
+from fqed.fourvec import FourVector, minkowski_dot
 
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -139,3 +141,74 @@ def smeared_shift_imag(E_levels, d, currents, k_max, alpha,
                      * (gauss(E - ks) - gauss(E + ks)) * c)
         total += (e2 / math.pi) * np.trapezoid(integrand, ks)
     return total
+
+
+def table_text(config, fmt, table):
+    """The bytes of a CLI table by whole-row formulas: each row's cells
+    joined by commas, or json.dumps of one dict per row."""
+    rows = list(zip(*(np.asarray(v).tolist() for v in table.values())))
+    if fmt == "csv":
+        return "\n".join([",".join(table)]
+                         + [",".join(map(str, r)) for r in rows]) + "\n"
+    return json.dumps({"config": config,
+                       "rows": [dict(zip(table, r)) for r in rows]},
+                      indent=1) + "\n"
+
+
+def rk4_field_complex(cliff, x, p, z, field, n, dt):
+    """n RK4 steps in an external field in complex arithmetic, one
+    (dx, dp, dz) tuple per stage: (xs, ps, zs), with NaN rows after the
+    first non-finite state, as the packed real loop must give them."""
+    mats = np.stack([cliff[0] @ c for c in cliff]) if len(z) == 4 else cliff
+
+    def rhs(x, p, z):
+        xv = FourVector.from_array(x)
+        kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
+        gen = -1j * sum(_METRIC[mu, mu] * kin[mu] * cliff[mu]
+                        for mu in range(4))
+        v = np.real(np.einsum("i,mij,j->m", z.conj(), mats, z))
+        da = np.asarray(field.grad(xv), dtype=float)
+        return v, -field.charge * (da @ v) * np.diag(_METRIC), gen @ z
+
+    xs = np.full((n + 1, 4), np.nan)
+    ps = np.full((n + 1, 4), np.nan)
+    zs = np.full((n + 1, len(z)), np.nan, dtype=complex)
+    xs[0], ps[0], zs[0] = x, p, z
+    for i in range(1, n + 1):
+        try:
+            v1, q1, k1 = rhs(x, p, z)
+            v2, q2, k2 = rhs(x + 0.5 * dt * v1, p + 0.5 * dt * q1,
+                             z + 0.5 * dt * k1)
+            v3, q3, k3 = rhs(x + 0.5 * dt * v2, p + 0.5 * dt * q2,
+                             z + 0.5 * dt * k2)
+            v4, q4, k4 = rhs(x + dt * v3, p + dt * q3, z + dt * k3)
+        except DomainError:
+            break
+        x = x + dt / 6.0 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        p = p + dt / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        z = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        xs[i], ps[i], zs[i] = x, p, z
+        if not (np.isfinite(x).all() and np.isfinite(p).all()
+                and np.isfinite(z).all()):
+            break
+    return xs, ps, zs
+
+
+def exact_free_photon(eta0, k, x0, taus):
+    """(eta(tau), x(tau)) of free photon motion at constant momentum k:
+    eta = exp(-i sigma^mu k_mu tau) eta0, expanded on the eigenvectors of
+    the Hermitian sigma^mu k_mu, and x = x0 + the exact integral of the
+    velocity eta^dag sigma^mu eta, whose terms go as e^{i (l_j - l_k) tau}."""
+    lam, vec = np.linalg.eigh(sum(_METRIC[mu, mu] * k[mu] * SIGMA[mu]
+                                  for mu in range(4)))
+    c = vec.conj().T @ eta0
+    modes = c[None, :] * np.exp(-1j * np.outer(taus, lam))    # (n, 2)
+    xs = np.tile(np.asarray(x0, dtype=float), (len(taus), 1))
+    for j in range(2):
+        for l in range(2):
+            amp = np.einsum("i,mij,j->m", vec[:, j].conj(), SIGMA, vec[:, l])
+            d = lam[j] - lam[l]
+            w = (taus if abs(d) < 1e-12
+                 else (np.exp(1j * d * taus) - 1.0) / (1j * d))
+            xs += np.real(np.outer(w * c[j].conj() * c[l], amp))
+    return modes @ vec.T, xs

@@ -1,9 +1,15 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
 from fqed.dynamics import ElectronState, integrate, trajectory_columns
@@ -64,6 +70,22 @@ class TestExitCodes:
             assert rc == 64, stride
             assert out == ""
             assert "stride" in err
+
+    def test_sweep_only_where_honoured(self, capsys, tmp_path):
+        """Subcommands that evaluate no grid do not take --sweep."""
+        spec = tmp_path / "levels.txt"
+        spec.write_text("[levels]\n2p 1.0\n1s 0.625\n")
+        for argv in (["classical", "--tau-max", "0.01"],
+                     ["energy-shift", "--spectrum", str(spec)],
+                     ["selftest"]):
+            rc, out, err = run_capture(capsys, argv + ["--sweep",
+                                                       "pz:0:1:3"])
+            assert rc == 64, argv
+            assert out == ""
+            assert "--sweep" in err
+            assert run_capture(capsys, argv)[0] == 0, argv
+        assert run_capture(capsys, ["self-energy", "--sweep",
+                                    "p2:0.1:0.9:3"])[0] == 0
 
     def test_domain_error(self, capsys):
         rc, _, err = run_capture(capsys, ["pairprod", "--omega-in", "1.0"])
@@ -345,6 +367,58 @@ class TestTables:
         assert rc == 0
         assert out == ""
         assert target.read_text().startswith("theta_deg,")
+
+
+cell_text = st.text(alphabet=st.sampled_from('ab,%"\\\n\té€😀 '),
+                    max_size=6)
+# the cells of one column: floats with and without NaN and +-inf, text,
+# integers, booleans
+columns = st.sampled_from([st.floats(), st.floats(allow_nan=False,
+                                                  allow_infinity=False),
+                           cell_text, st.integers(-10 ** 6, 10 ** 6),
+                           st.booleans()])
+
+
+@st.composite
+def tables(draw):
+    names = draw(st.lists(cell_text.filter(bool), min_size=1, max_size=4,
+                          unique=True))
+    n = draw(st.sampled_from([0, 1, 2, 5]))
+    table = {}
+    for name in names:
+        cells = draw(columns)
+        table[name] = draw(st.lists(cells, min_size=n, max_size=n))
+    return table
+
+
+class TestWriter:
+    """`_write_table` formats column by column; its bytes must be those
+    of the whole-row formulas in `oracles.table_text`."""
+
+    @settings(max_examples=300)
+    @given(table=tables(), fmt=st.sampled_from(["csv", "json"]),
+           label=cell_text)
+    def test_matches_row_formulas(self, table, fmt, label):
+        args = argparse.Namespace(format=fmt, output="-", label=label,
+                                  mass=1.0, sweep=None, func=None)
+        want = oracles.table_text(cli._config(args), fmt, table)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli._write_table(args, table)
+        assert buf.getvalue() == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_bytes(self, fmt, tmp_path):
+        table = {"x": [1.5, math.nan, -math.inf, 0.1], "name":
+                 ['a"b', "c\\d", "é", ""], "n": [1, 2, 3, 4]}
+        for rows in (0, 1, 4):
+            part = {k: v[:rows] for k, v in table.items()}
+            target = tmp_path / f"t{rows}.{fmt}"
+            args = argparse.Namespace(format=fmt, output=str(target),
+                                      mass=2.0)
+            cli._write_table(args, part)
+            want = oracles.table_text(cli._config(args), fmt, part)
+            assert target.read_bytes() == want.encode("utf-8")
 
 
 class TestSubcommands:

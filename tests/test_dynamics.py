@@ -12,6 +12,8 @@ from fqed.algebra import GAMMA, SIGMA, sigma_slash, slash
 from fqed.errors import DomainError
 from fqed.fourvec import FourVector, minkowski_dot
 
+import oracles
+
 
 def rest_state(z=(1.0, 0.0, 0.0, 0.0), mass=1.0):
     return dyn.ElectronState(FourVector(0, 0, 0, 0),
@@ -209,18 +211,93 @@ class TestIntegrate:
         w = dyn.zitterbewegung_frequency(traj, component=3)
         assert abs(w - 2.0) <= 0.01 * 2.0
 
+    SIN_FIELD = dyn.ExternalField(
+        A=lambda x: np.array([0.05 * math.sin(x.z), 0.0, 0.0, 0.0]),
+        grad=lambda x: np.array([[0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0],
+                                 [0.05 * math.cos(x.z), 0.0, 0.0, 0.0]]))
+
     def test_field_run_conserves_internal_norm(self):
-        field = dyn.ExternalField(
-            A=lambda x: np.array([0.05 * math.sin(x.z), 0.0, 0.0, 0.0]),
-            grad=lambda x: np.array(
-                [[0.0, 0.0, 0.0, 0.0],
-                 [0.0, 0.0, 0.0, 0.0],
-                 [0.0, 0.0, 0.0, 0.0],
-                 [0.05 * math.cos(x.z), 0.0, 0.0, 0.0]]))
-        traj = dyn.integrate(self.free_state(), field, (0.0, 5.0), 1e-3)
+        traj = dyn.integrate(self.free_state(), self.SIN_FIELD, (0.0, 5.0),
+                             1e-3)
         assert not traj.aborted
         assert np.max(np.abs(traj.zbar_z - traj.zbar_z[0])) <= 1e-8
         assert np.max(np.abs(traj.p - traj.p[0])) > 0.0
+
+    def photon_state(self):
+        k = np.array([0.3, -0.2, 1.2])
+        return dyn.PhotonClassicalState(
+            FourVector(0, 0, 0, 0), FourVector.from_spatial(
+                math.sqrt(k @ k), k), np.array([0.6, 0.8j], dtype=complex))
+
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_field_run_matches_complex_loop(self, photon):
+        """The packed real loop against the stage-by-stage complex RK4."""
+        st = self.photon_state() if photon else self.free_state()
+        traj = dyn.integrate(st, self.SIN_FIELD, (0.0, 5.0), 1e-3)
+        xs, ps, zs = oracles.rk4_field_complex(
+            SIGMA if photon else GAMMA, st.x.as_array(), st.p.as_array(),
+            st.eta if photon else st.z, self.SIN_FIELD, 5000, 1e-3)
+        assert not traj.aborted and len(traj.tau) == 5001
+        assert np.max(np.abs(traj.p - traj.p[0])) > 0.0
+        for got, want in ((traj.x, xs), (traj.p, ps), (traj.spinor, zs)):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_constant_field_is_free_motion_at_kinetic_momentum(self,
+                                                               photon):
+        """A constant potential is a pure gauge: the internal norm holds
+        and the motion is free motion at p - eA, with p unchanged."""
+        a = np.array([0.07, -0.03, 0.05, 0.02])
+        field = dyn.ExternalField(lambda x: a, lambda x: np.zeros((4, 4)),
+                                  charge=0.8)
+        st = self.photon_state() if photon else self.free_state()
+        traj = dyn.integrate(st, field, (0.0, 2.0), 1e-3)
+        kin = st.p.as_array() - 0.8 * a
+        if photon:
+            zs, xs = oracles.exact_free_photon(st.eta, kin, st.x.as_array(),
+                                       traj.tau)
+        else:
+            zs, xs = dyn.exact_free_trajectory(
+                st.z, FourVector.from_array(kin), st.x, traj.tau)
+        assert not traj.aborted
+        assert np.max(np.abs(traj.zbar_z - traj.zbar_z[0])) <= 1e-12
+        assert np.max(np.abs(traj.p - st.p.as_array())) == 0.0
+        assert np.max(np.abs(traj.spinor - zs)) <= 1e-10
+        assert np.max(np.abs(traj.x - xs)) <= 1e-10
+
+    @pytest.mark.parametrize("a_shape, grad_shape", [
+        ((3,), (4, 4)), ((4,), (3, 3)), ((4,), (4,)), ((4, 1), (4, 4))])
+    def test_field_of_wrong_shape_is_refused(self, a_shape, grad_shape):
+        """A wrong shape fails before the first step, however numpy would
+        broadcast it (a (4,) gradient would give a wrong dp silently)."""
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return np.full(grad_shape, 0.01)
+
+        field = dyn.ExternalField(lambda x: np.full(a_shape, 0.01), grad)
+        with pytest.raises(DomainError, match="shape"):
+            dyn.integrate(self.free_state(), field, (0.0, 1.0), 0.1)
+        assert len(calls) == 1
+        with pytest.raises(DomainError, match="shape"):
+            dyn.electron_derivative(self.free_state(), field)
+        with pytest.raises(DomainError, match="shape"):
+            dyn.photon_derivative(self.photon_state(), field)
+
+    def test_field_shape_checked_once(self):
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return np.zeros((4, 4))
+
+        field = dyn.ExternalField(lambda x: np.zeros(4), grad)
+        dyn.integrate(self.free_state(), field, (0.0, 1.0), 0.1)
+        # one check at the start, then four stages for each of 10 steps
+        assert len(calls) == 1 + 4 * 10
 
     def test_nan_field_aborts(self):
         field = dyn.ExternalField(
