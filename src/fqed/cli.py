@@ -131,16 +131,17 @@ def _grid(args, param_names) -> dict:
 
 
 def _check_mass_alpha(args) -> None:
-    """The options every subcommand shares: mass finite and > 0, alpha
+    """A declared --mass must be finite and > 0, a declared --alpha
     finite."""
-    if not (math.isfinite(args.mass) and args.mass > 0):
+    opts = vars(args)
+    if "mass" in opts and not (math.isfinite(args.mass) and args.mass > 0):
         raise DomainError(f"--mass must be finite and > 0, got {args.mass!r}")
-    if not math.isfinite(args.alpha):
+    if "alpha" in opts and not math.isfinite(args.alpha):
         raise DomainError(f"--alpha must be finite, got {args.alpha!r}")
 
 
 def _escale(args) -> float:
-    return ELECTRON_MASS_MEV if getattr(args, "mev", False) else 1.0
+    return ELECTRON_MASS_MEV if args.mev else 1.0
 
 
 # -- subcommand evaluators -------------------------------------------------
@@ -334,7 +335,7 @@ def _cmd_selftest(args):
         spins = dict(cfg.spins)
         spins["p_f1"], spins["p_f2"] = spins["p_f2"], spins["p_f1"]
         c2 = processes.KinematicConfig("moller", swapped, spins, {},
-                                       frame="cm", mass=cfg.mass)
+                                       mass=cfg.mass)
         a = processes.electron_electron_amplitude(cfg).value
         b = processes.electron_electron_amplitude(c2).value
         return abs(a + b) <= 1e-12 * max(1.0, abs(a))
@@ -352,82 +353,77 @@ def _cmd_selftest(args):
 
 # -- parser ----------------------------------------------------------------
 
-def _add_common(sp, sweep=True):
-    sp.add_argument("--mass", type=float, default=1.0)
-    sp.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("-o", "--output", default="-")
-    sp.add_argument("--mev", action="store_true",
-                    help="display energies in MeV (0.51099895 MeV per m)")
-    if sweep:
-        sp.add_argument("--sweep", help="name:start:stop:count[:log]")
+# the options several subcommands share; each subcommand declares the ones
+# it reads, so any other is a usage error
+_SHARED = {
+    "mass": (("--mass",), {"type": float, "default": 1.0}),
+    "alpha": (("--alpha",), {"type": float, "default": ALPHA_DEFAULT}),
+    "mev": (("--mev",), {"action": "store_true", "help": "display energies "
+                         "in MeV (0.51099895 MeV per m)"}),
+    "format": (("--format",), {"choices": ("csv", "json"),
+                               "default": "csv"}),
+    "output": (("-o", "--output"), {"default": "-"}),
+    "sweep": (("--sweep",), {"help": "name:start:stop:count[:log]"}),
+}
+_TABLE = ("format", "output")
+_LOOP = ("mass", "alpha", *_TABLE, "sweep")
+_TREE = (*_LOOP, "mev")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="fqed", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    def command(name):
+    def command(name, func, shared):
         sp = sub.add_parser(name)
         sp.register("action", None, _Given)     # plain options note use
+        for opt in shared:
+            flags, kwargs = _SHARED[opt]
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
         return sp
 
-    sp = command("compton")
+    sp = command("compton", _cmd_compton, _TREE)
     sp.add_argument("--omega-in", dest="omega_in", type=float, default=1.0)
     sp.add_argument("--theta", type=float, default=90.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_compton)
 
-    sp = command("annihilate")
+    sp = command("annihilate", _cmd_annihilate, _TREE)
     sp.add_argument("--pmag", type=float, default=0.5)
     sp.add_argument("--theta", type=float, default=60.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_annihilate)
 
-    sp = command("brems")
+    sp = command("brems", _cmd_brems, _TREE)
     sp.add_argument("--e-in", dest="e_in", type=float, default=2.0)
     sp.add_argument("--omega", type=float, default=0.5)
     sp.add_argument("--theta-e", dest="theta_e", type=float, default=20.0)
     sp.add_argument("--theta-k", dest="theta_k", type=float, default=45.0)
     sp.add_argument("--Z", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_brems)
 
-    sp = command("pairprod")
+    sp = command("pairprod", _cmd_pairprod, _TREE)
     sp.add_argument("--omega-in", dest="omega_in", type=float, default=3.0)
     sp.add_argument("--e-plus", dest="e_plus", type=float, default=1.5)
     sp.add_argument("--theta-p", dest="theta_p", type=float, default=30.0)
     sp.add_argument("--theta-m", dest="theta_m", type=float, default=30.0)
     sp.add_argument("--Z", type=float, default=1.0)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pairprod)
 
     for name, func in (("moller", _cmd_moller), ("bhabha", _cmd_bhabha)):
-        sp = command(name)
+        sp = command(name, func, _TREE)
         sp.add_argument("--energy", type=float, default=2.0)
         sp.add_argument("--theta", type=float, default=60.0)
-        _add_common(sp)
-        sp.set_defaults(func=func)
 
-    sp = command("vacuum-pol")
+    sp = command("vacuum-pol", _cmd_vacuum_pol, _LOOP)
     sp.add_argument("--k2", type=float, default=None)
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_vacuum_pol)
 
-    sp = command("self-energy")
+    sp = command("self-energy", _cmd_self_energy, _LOOP)
     sp.add_argument("--p2", type=float, default=0.5,
                     help="p^2 in units of m^2")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_self_energy)
 
-    sp = command("energy-shift")
+    sp = command("energy-shift", _cmd_energy_shift,
+                 ("alpha", "mev", *_TABLE))
     sp.add_argument("--spectrum", required=True)
     sp.add_argument("--level", default=None)
     sp.add_argument("--k-max", dest="k_max", type=float, default=10.0)
-    _add_common(sp, sweep=False)
-    sp.set_defaults(func=_cmd_energy_shift)
 
-    sp = command("classical")
+    sp = command("classical", _cmd_classical, ("mass", *_TABLE))
     sp.add_argument("--particle", choices=("electron", "photon"),
                     default="electron")
     sp.add_argument("--z", default="0.7071067811865476,0,"
@@ -437,12 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau-max", dest="tau_max", type=float, default=100.0)
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--stride", type=int, default=1)
-    _add_common(sp, sweep=False)
-    sp.set_defaults(func=_cmd_classical)
 
-    sp = command("selftest")
-    _add_common(sp, sweep=False)
-    sp.set_defaults(func=_cmd_selftest)
+    command("selftest", _cmd_selftest, ())
 
     return ap
 

@@ -71,10 +71,6 @@ class ElectronState:
     tau: float = 0.0
 
     @property
-    def zbar(self) -> np.ndarray:
-        return self.z.conj() @ _G0
-
-    @property
     def zbar_z(self) -> float:
         return float(_internal_norm(GAMMA, self.z))
 
@@ -296,7 +292,7 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
 
 def integrate(state0, field: ExternalField | None = None,
               tau_span: tuple[float, float] = (0.0, 1.0),
-              dt: float = 1e-3, method: str = "rk4") -> Trajectory:
+              dt: float = 1e-3) -> Trajectory:
     """Fixed-step RK4 trajectory with per-step conserved-quantity log.
 
     Works for ElectronState and PhotonClassicalState. The run stops at
@@ -304,8 +300,6 @@ def integrate(state0, field: ExternalField | None = None,
     samples before it with aborted set. A step count whose samples
     would not fit in memory is a DomainError, raised before allocating.
     """
-    if method != "rk4":
-        raise DomainError(f"unsupported method: {method}")
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
     t0, t1 = tau_span

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DomainError
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+# check_on_shell's tolerance on p^2 - m^2, in units of max(m^2, 1)
+ON_SHELL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -92,18 +94,18 @@ def minkowski_dot(a, b):
             - av[..., 2] * bv[..., 2] - av[..., 3] * bv[..., 3])
 
 
-def on_shell(mass: float, p3, backward: bool = False) -> FourVector:
+def on_shell(mass: float, p3) -> FourVector:
     """Four-momentum (E, p3) with E = +sqrt(|p3|^2 + m^2)."""
     p3 = np.asarray(p3, dtype=float)
     E = math.sqrt(float(p3 @ p3) + mass * mass)
     return FourVector.from_spatial(E, p3)
 
 
-def check_on_shell(p, mass: float, tol: float = 1e-10) -> None:
+def check_on_shell(p, mass: float) -> None:
     """Raise DomainError unless p (a FourVector or (..., 4) array) is on
     the mass shell at every point."""
     dev = np.asarray(minkowski_dot(p, p) - mass * mass)
-    bad = ~(np.abs(dev) <= tol * max(mass * mass, 1.0))
+    bad = ~(np.abs(dev) <= ON_SHELL_TOL * max(mass * mass, 1.0))
     if bad.any():
         raise DomainError(
             f"momentum off shell: p^2 - m^2 = {dev[bad][0]:.3e}")

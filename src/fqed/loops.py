@@ -70,7 +70,10 @@ terms collapsed analytically and P the principal value. For tabulated
 (piecewise-linear) currents both integrals are exact sums over the
 segments between table nodes: a polynomial for the static term, and a
 polynomial plus P(a) log|(a - x0)/(a - x1)| for the principal value
-with pole a. Callable currents are integrated by quadrature.
+with pole a. Callable currents are integrated by scipy's quad with
+fixed tolerances: absolute 1e-12, relative 1e-10, at most 200
+subintervals; an error estimate above ten times either tolerance (of
+the value, for the relative one) raises NumericError.
 """
 
 from __future__ import annotations
@@ -101,22 +104,6 @@ _I2_SERIES = np.array([-1.0 / (k * (k + 1)) for k in range(1, 61)])
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    limit: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.limit < 10:
-            raise DomainError("subdivision limit too small")
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
-
-@dataclass(frozen=True)
 class LaurentValue:
     """Two-term Laurent series a/eps + b in the parameter eps = 4 - d.
 
@@ -125,18 +112,17 @@ class LaurentValue:
 
     pole: object
     finite: object
-    scheme: str = "eps = 4 - d"
 
     def __add__(self, other: "LaurentValue") -> "LaurentValue":
         return LaurentValue(self.pole + other.pole,
-                            self.finite + other.finite, self.scheme)
+                            self.finite + other.finite)
 
     def __sub__(self, other: "LaurentValue") -> "LaurentValue":
         return LaurentValue(self.pole - other.pole,
-                            self.finite - other.finite, self.scheme)
+                            self.finite - other.finite)
 
     def __mul__(self, c) -> "LaurentValue":
-        return LaurentValue(self.pole * c, self.finite * c, self.scheme)
+        return LaurentValue(self.pole * c, self.finite * c)
 
     __rmul__ = __mul__
 
@@ -151,14 +137,20 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _quad(f, a, b, quad: QuadratureConfig, points=None) -> float:
+# quadrature tolerances and subdivision limit (module docstring)
+_QUAD_ABS_TOL = 1e-12
+_QUAD_REL_TOL = 1e-10
+_QUAD_LIMIT = 200
+
+
+def _quad(f, a, b, points=None) -> float:
     # read through the module, so the first call imports scipy and a
     # replaced `integrate` attribute is honoured
     integrate = sys.modules[__name__].integrate
-    val, err = integrate.quad(f, a, b, epsabs=quad.abs_tol,
-                              epsrel=quad.rel_tol, limit=quad.limit,
+    val, err = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL,
+                              epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT,
                               points=points)
-    if err > max(quad.abs_tol * 10.0, quad.rel_tol * 10.0 * abs(val)):
+    if err > max(_QUAD_ABS_TOL * 10.0, _QUAD_REL_TOL * 10.0 * abs(val)):
         raise NumericError(
             f"quadrature did not reach tolerance (error {err:.3e})",
             achieved=err)
@@ -387,7 +379,8 @@ class SpectrumInput:
     to either a callable k -> length-4 complex array or a pair of
     arrays (k_samples, J (4, n)) interpolated linearly (constant beyond
     the end samples). Missing pairs are zero. k_max bounds all
-    photon-momentum integrals.
+    photon-momentum integrals. Energies, k_max and the samples of
+    tabulated currents must be finite.
     """
 
     levels: dict[str, float]
@@ -400,8 +393,14 @@ class SpectrumInput:
         for lab, E in self.levels.items():
             if not math.isfinite(E):
                 raise DomainError(f"level {lab} has non-finite energy")
-        if self.k_max <= 0:
-            raise DomainError("k_max must be positive")
+        if not (math.isfinite(self.k_max) and self.k_max > 0):
+            raise DomainError(f"k_max must be finite and positive, got "
+                              f"{self.k_max!r}")
+        for key, entry in self.currents.items():
+            if not callable(entry) and not all(
+                    np.isfinite(np.asarray(a, dtype=complex)).all()
+                    for a in entry):
+                raise DomainError(f"current {key} has a non-finite sample")
 
     def _entry(self, row: str, col: str):
         """The stored current of a pair, and whether it is stored for
@@ -534,9 +533,7 @@ def _pv_integrals(k_max: float, table, poles) -> np.ndarray:
     return np.sum(np.where(far, series, near), axis=1)
 
 
-def principal_value_integral(f, pole: float, a: float, b: float,
-                             quad: QuadratureConfig = DEFAULT_QUAD
-                             ) -> complex:
+def principal_value_integral(f, pole: float, a: float, b: float) -> complex:
     """P int_a^b f(k)/(pole - k) dk by subtracting the pole residue.
 
     For pole outside (a, b) this is an ordinary integral.
@@ -544,8 +541,8 @@ def principal_value_integral(f, pole: float, a: float, b: float,
     if not a < b:
         raise DomainError("need a < b")
     if not a < pole < b:
-        re = _quad(lambda k: np.real(f(k)) / (pole - k), a, b, quad)
-        im = _quad(lambda k: np.imag(f(k)) / (pole - k), a, b, quad)
+        re = _quad(lambda k: np.real(f(k)) / (pole - k), a, b)
+        im = _quad(lambda k: np.imag(f(k)) / (pole - k), a, b)
         return complex(re, im)
     fp = complex(f(pole))
 
@@ -554,13 +551,12 @@ def principal_value_integral(f, pole: float, a: float, b: float,
             return 0.0j
         return (complex(f(k)) - fp) / (pole - k)
 
-    re = _quad(lambda k: reg(k).real, a, b, quad, points=[pole])
-    im = _quad(lambda k: reg(k).imag, a, b, quad, points=[pole])
+    re = _quad(lambda k: reg(k).real, a, b, points=[pole])
+    im = _quad(lambda k: reg(k).imag, a, b, points=[pole])
     return complex(re, im) + fp * math.log(abs((pole - a) / (b - pole)))
 
 
 def energy_shift(spec: SpectrumInput, d: str,
-                 quad: QuadratureConfig = DEFAULT_QUAD,
                  alpha: float = ALPHA_DEFAULT) -> complex:
     """Complex second-order shift Delta E_d of the level d.
 
@@ -569,7 +565,7 @@ def energy_shift(spec: SpectrumInput, d: str,
     absorption terms, collapsed analytically. Energies and momenta in
     units of the electron mass. Terms whose currents are all tabulated
     are integrated exactly; terms with a callable current by quadrature
-    under quad.
+    (module docstring).
     """
     if d not in spec.levels:
         raise DomainError(f"unknown level: {d}")
@@ -584,7 +580,7 @@ def energy_shift(spec: SpectrumInput, d: str,
         if t_dd is None or t_bb is None:
             J_dd, J_bb = spec.current(d, d), spec.current(b, b)
             static = _quad(lambda k: _contract(J_dd(k), J_bb(k)).real,
-                           0.0, spec.k_max, quad)
+                           0.0, spec.k_max)
         else:
             static = _static_integral(spec.k_max, t_dd, t_bb)
         total += pref * static
@@ -614,10 +610,8 @@ def energy_shift(spec: SpectrumInput, d: str,
         t_db = _table(spec, d, b)
         if t_db is None:
             half = lambda k, _c=contr: 0.5 * k * complex(_c(k))
-            term = -(principal_value_integral(half, -E, 0.0, spec.k_max,
-                                              quad)
-                     + principal_value_integral(half, E, 0.0, spec.k_max,
-                                                quad))
+            term = -(principal_value_integral(half, -E, 0.0, spec.k_max)
+                     + principal_value_integral(half, E, 0.0, spec.k_max))
         else:
             term = -complex(np.sum(_pv_integrals(spec.k_max, t_db,
                                                  (-E, E))))
@@ -639,6 +633,12 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
     section = None
     rows: list[list[float]] = []
     key: tuple[str, str] | None = None
+
+    def numbers(fields, line):
+        try:
+            return [float(v) for v in fields]
+        except ValueError:
+            raise DomainError(f"bad number in: {line}") from None
 
     def flush():
         if key is not None:
@@ -668,9 +668,9 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
             parts = line.split()
             if len(parts) != 2:
                 raise DomainError(f"bad level line: {line}")
-            levels[parts[0]] = float(parts[1])
+            levels[parts[0]] = numbers(parts[1:], line)[0]
         elif section == "current":
-            vals = [float(v) for v in line.split()]
+            vals = numbers(line.split(), line)
             if len(vals) != 5:
                 raise DomainError(f"bad current row: {line}")
             rows.append(vals)
@@ -684,5 +684,10 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
 
 
 def load_spectrum(path: str, k_max: float = 10.0) -> SpectrumInput:
+    """parse_spectrum of a UTF-8 text file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_spectrum(fh.read(), k_max)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_spectrum(text, k_max)

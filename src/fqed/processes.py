@@ -51,6 +51,9 @@ from .states import HELICITIES, dirac_spinors, polarization_vectors, spin_slot
 
 FERMION_POLE_THRESHOLD = 1e-6      # |q^2 - m^2| below this raises, units m^2
 PHOTON_POLE_THRESHOLD = 1e-10      # |q^2| below this raises, units m^2
+# validate's tolerance: on shell and lightlike in units of m^2,
+# conservation in units of m
+KINEMATIC_TOL = 1e-10
 
 PROCESS_IDS = ("compton", "annihilation", "bremsstrahlung",
                "pair_production", "moller", "bhabha")
@@ -140,38 +143,39 @@ class KinematicConfig:
     spins: dict[str, int] = field(default_factory=dict)
     pols: dict[str, str] = field(default_factory=dict)
     Z: float = 1.0
-    frame: str = "lab"
     mass: float = 1.0
 
     def _is_point(self) -> bool:
         return all(np.ndim(_components(v)) == 1
                    for v in self.momenta.values())
 
-    def validate(self, tol: float = 1e-10) -> dict[str, np.ndarray]:
-        """Check on-shell fermions with p0 > 0, lightlike photons with
-        |k| > 0 and conservation at every point at once; returns every
-        leg as an (N, 4) array (N = 1 for one point)."""
+    def validate(self) -> dict[str, np.ndarray]:
+        """Check a finite Z, on-shell fermions with p0 > 0, lightlike
+        photons with |k| > 0 and conservation at every point at once;
+        returns every leg as an (N, 4) array (N = 1 for one point)."""
         if self.process not in PROCESS_IDS:
             raise DomainError(f"unknown process: {self.process}")
+        if not np.isfinite(self.Z).all():
+            raise DomainError(f"Z must be finite, got {self.Z!r}")
         mom = self._legs()
         m2 = self.mass * self.mass
         fermions = _FERMION_LABELS[self.process]
         p = np.stack([mom[lab] for lab in fermions])
         dev = minkowski_dot(p, p) - m2
-        _reject(~(np.abs(dev) <= tol * m2), "off shell: p^2 - m^2", dev,
-                fermions)
+        _reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
+                "off shell: p^2 - m^2", dev, fermions)
         _reject(~(p[..., 0] > 0), "needs p0 > 0, p0", p[..., 0], fermions)
         photons = _PHOTON_LABELS[self.process]
         if photons:
             k = np.stack([mom[lab] for lab in photons])
             k2 = minkowski_dot(k, k)
-            _reject(~(np.abs(k2) <= tol * m2), "not lightlike: k^2", k2,
-                    photons)
+            _reject(~(np.abs(k2) <= KINEMATIC_TOL * m2),
+                    "not lightlike: k^2", k2, photons)
             kmag = np.sqrt(np.sum(k[..., 1:] ** 2, axis=-1))
             _reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, photons)
         res = np.linalg.norm(_residual(self.process, mom), axis=-1)
         what = "energy" if self.process in _ENERGY_ONLY else "4-momentum"
-        _reject(~(res <= tol * self.mass),
+        _reject(~(res <= KINEMATIC_TOL * self.mass),
                 f"{what} not conserved, |residual|", res)
         return mom
 
@@ -631,7 +635,7 @@ def annihilation_cm_config(pmag, theta, phi=0.0,
          "k_i": (E, E * nx, E * ny, E * nz),
          "k_f": (E, -E * nx, -E * ny, -E * nz)},
         {"p_minus": s_minus, "p_plus": s_plus},
-        {"k_i": pol_i, "k_f": pol_f}, frame="cm", mass=mass)
+        {"k_i": pol_i, "k_f": pol_f}, mass=mass)
 
 
 def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
@@ -650,7 +654,7 @@ def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
         (E, -pmag * nx, -pmag * ny, -pmag * nz))))
     if spins is None:
         spins = {lab: +1 for lab in labels}
-    return _config(process, legs, dict(spins), {}, frame="cm", mass=mass)
+    return _config(process, legs, dict(spins), {}, mass=mass)
 
 
 def bhabha_cm_config(E, theta, phi=0.0, spins: dict | None = None,

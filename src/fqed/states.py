@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import BIG_SIGMA, GAMMA, SIGMA
+from .algebra import BIG_SIGMA, SIGMA
 from .errors import DomainError
 from .fourvec import FourVector, check_on_shell
 
@@ -53,9 +53,6 @@ class DiracSpinor:
     spin: int                       # +1 for s=+1/2, -1 for s=-1/2
     backward: bool                  # False: u spinor, True: v spinor
 
-    def bar(self) -> np.ndarray:
-        return self.components.conj() @ GAMMA[0]
-
 
 @dataclass(frozen=True)
 class PhotonSpinor:
@@ -70,8 +67,8 @@ class PhotonSpinor:
         return FourVector.from_spatial(self.omega, self.kvec)
 
 
-def dirac_spinors(p, mass: float = 1.0, backward: bool = False,
-                  tol: float = 1e-10) -> np.ndarray:
+def dirac_spinors(p, mass: float = 1.0,
+                  backward: bool = False) -> np.ndarray:
     """Normalized u (forward) or v (backward) spinors at on-shell momenta.
 
     p is a (..., 4) array with p0 > 0 everywhere (the time direction is
@@ -79,7 +76,7 @@ def dirac_spinors(p, mass: float = 1.0, backward: bool = False,
     of every point, slot 0 built on chi_up and slot 1 on chi_down.
     """
     p = np.asarray(p, dtype=float)
-    check_on_shell(p, mass, tol)
+    check_on_shell(p, mass)
     E = p[..., 0]
     if not (E > 0).all():
         raise DomainError(f"p0 must be positive, got {E[~(E > 0)][0]}")
@@ -98,14 +95,13 @@ def dirac_spinors(p, mass: float = 1.0, backward: bool = False,
 
 
 def electron_spinor(p: FourVector, s, mass: float = 1.0,
-                    backward: bool = False,
-                    tol: float = 1e-10) -> DiracSpinor:
+                    backward: bool = False) -> DiracSpinor:
     """Normalized u (forward) or v (backward) spinor at on-shell p.
 
     p0 > 0 always; the time direction is carried by the backward flag.
     """
     slot = spin_slot(s)
-    comp = dirac_spinors(p.as_array(), mass, backward, tol)[slot]
+    comp = dirac_spinors(p.as_array(), mass, backward)[slot]
     return DiracSpinor(comp, p, 1 - 2 * slot, backward)
 
 
@@ -123,18 +119,20 @@ def helicity_spinor(p: FourVector, helicity, mass: float = 1.0,
 
 
 def _su2_to_axis(axis: np.ndarray) -> np.ndarray:
-    """SU(2) element rotating z-hat into the given unit axis."""
-    ct = float(np.clip(axis[2], -1.0, 1.0))
-    theta = math.acos(ct)
-    if abs(theta) < 1e-15:
-        return np.eye(2, dtype=complex)
-    if abs(theta - math.pi) < 1e-15:
-        # rotate about x by pi
-        m = np.array([1.0, 0.0, 0.0])
+    """SU(2) element rotating z-hat into the given unit axis.
+
+    The polar angle comes from atan2, which stays accurate next to the
+    poles, where acos of the z component loses the angle to rounding.
+    """
+    sin_theta = math.hypot(axis[0], axis[1])
+    theta = math.atan2(sin_theta, axis[2])
+    if sin_theta == 0.0:
+        # along +-z: rotate about x (by 0 or pi)
+        m = (1.0, 0.0)
     else:
-        m = np.cross([0.0, 0.0, 1.0], axis)
-        m = m / np.linalg.norm(m)
-    sm = m[0] * SIGMA[1] + m[1] * SIGMA[2] + m[2] * SIGMA[3]
+        # the unit vector z-hat x axis
+        m = (-axis[1] / sin_theta, axis[0] / sin_theta)
+    sm = m[0] * SIGMA[1] + m[1] * SIGMA[2]
     return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * sm
 
 

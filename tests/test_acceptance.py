@@ -145,7 +145,7 @@ def test_criterion_8_exchange_statistics():
     mom["p_f1"], mom["p_f2"] = mom["p_f2"], mom["p_f1"]
     sp = dict(cfg.spins)
     sp["p_f1"], sp["p_f2"] = sp["p_f2"], sp["p_f1"]
-    swapped = processes.KinematicConfig("moller", mom, sp, {}, frame="cm")
+    swapped = processes.KinematicConfig("moller", mom, sp, {})
     fermi = (processes.electron_electron_amplitude(cfg).value
              == -processes.electron_electron_amplitude(swapped).value)
 
@@ -154,7 +154,7 @@ def test_criterion_8_exchange_statistics():
     mom["k_i"], mom["k_f"] = mom["k_f"], mom["k_i"]
     pols = {"k_i": acfg.pols["k_f"], "k_f": acfg.pols["k_i"]}
     aswap = processes.KinematicConfig("annihilation", mom,
-                                      dict(acfg.spins), pols, frame="cm")
+                                      dict(acfg.spins), pols)
     a = processes.pair_annihilation_amplitude(acfg).value
     b = processes.pair_annihilation_amplitude(aswap).value
     bose = abs(a - b) <= 1e-12 * max(1.0, abs(a))

@@ -33,7 +33,7 @@ def boosted(cfg, eta, theta, phi):
         legs[lab] = FourVector.from_spatial(
             ch * t + sh * along, x + ((ch - 1.0) * along + sh * t) * n)
     return pr.KinematicConfig(cfg.process, legs, cfg.spins, cfg.pols,
-                              cfg.Z, cfg.frame, cfg.mass)
+                              cfg.Z, cfg.mass)
 
 
 @settings(max_examples=40)

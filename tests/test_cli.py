@@ -99,8 +99,8 @@ class TestExitCodes:
                      ["compton", "--alpha", "nan"],
                      ["compton", "--mass", "inf"],
                      ["classical", "--mass", "0"],
-                     ["classical", "--alpha=-inf"],
-                     ["selftest", "--mass", "nan"]):
+                     ["energy-shift", "--spectrum", "/no/file",
+                      "--alpha", "inf"]):
             rc, out, err = run_capture(capsys, argv)
             assert rc == 2, argv
             assert out == ""
@@ -115,6 +115,43 @@ class TestExitCodes:
         rc, _, _ = run_capture(capsys,
                                ["energy-shift", "--spectrum", "/no/file"])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        b"[levels]\n2p abc\n1s 0.625\n",
+        b"[levels]\n2p 1.0\n1s 0.625\n[current 2p 1s]\n0 0 x 0 0\n",
+        "[levels]\n2p 1.0\n1s 0.625 # \u00e9\n".encode("latin-1"),
+        b"[levels]\n2p 1.0\n1s 0.625\n[current 2p 1s]\n"
+        b"0 0 nan 0 0\n4 0 0.1 0 0\n",
+    ], ids=["bad-level", "bad-current", "not-utf8", "nan-current"])
+    def test_bad_spectrum_file(self, capsys, tmp_path, text):
+        spec = tmp_path / "levels.txt"
+        spec.write_bytes(text)
+        rc, out, err = run_capture(capsys, ["energy-shift", "--spectrum",
+                                            str(spec), "--k-max", "4"])
+        assert rc == 2
+        assert out == ""
+        assert "domain error" in err
+
+    @pytest.mark.parametrize("k_max", ["nan", "inf", "-inf", "0"])
+    def test_bad_k_max(self, capsys, tmp_path, k_max):
+        spec = tmp_path / "levels.txt"
+        spec.write_text("[levels]\n2p 1.0\n1s 0.625\n")
+        rc, out, err = run_capture(capsys, ["energy-shift", "--spectrum",
+                                            str(spec), "--k-max=" + k_max])
+        assert rc == 2
+        assert out == ""
+        assert "k_max" in err
+
+    @pytest.mark.parametrize("argv", [["brems", "--Z", "nan"],
+                                      ["pairprod", "--Z", "nan"],
+                                      ["pairprod", "--Z", "inf"],
+                                      ["brems", "--sweep", "omega:0.1:0.5:3",
+                                       "--Z=-inf"]])
+    def test_non_finite_Z(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        assert "Z must be finite" in err
 
     def test_vacuum_pol_needs_point_or_sweep(self, capsys):
         rc, _, _ = run_capture(capsys, ["vacuum-pol"])
@@ -186,6 +223,101 @@ class TestExitCodes:
                 assert len(lines) == 2
             else:
                 assert '"rows"' in out
+
+
+# every option each subcommand declares
+OPTIONS = {
+    "compton": {"--omega-in", "--theta"},
+    "annihilate": {"--pmag", "--theta"},
+    "brems": {"--e-in", "--omega", "--theta-e", "--theta-k", "--Z"},
+    "pairprod": {"--omega-in", "--e-plus", "--theta-p", "--theta-m",
+                 "--Z"},
+    "moller": {"--energy", "--theta"},
+    "bhabha": {"--energy", "--theta"},
+    "vacuum-pol": {"--k2"},
+    "self-energy": {"--p2"},
+    "energy-shift": {"--spectrum", "--level", "--k-max"},
+    "classical": {"--particle", "--z", "--pz", "--tau-max", "--dt",
+                  "--stride"},
+    "selftest": set(),
+}
+TABLE = {"--format", "-o", "--output"}
+TREE = {"--mass", "--alpha", "--mev", "--sweep"} | TABLE
+for sub in ("compton", "annihilate", "brems", "pairprod", "moller",
+            "bhabha"):
+    OPTIONS[sub] |= TREE
+for sub in ("vacuum-pol", "self-energy"):
+    OPTIONS[sub] |= {"--mass", "--alpha", "--sweep"} | TABLE
+OPTIONS["energy-shift"] |= {"--alpha", "--mev"} | TABLE
+OPTIONS["classical"] |= {"--mass"} | TABLE
+
+
+def spectrum_file(tmp_path):
+    spec = tmp_path / "levels.txt"
+    spec.write_text("[levels]\n2p 1.0\n1s 0.625\n"
+                    "[current 2p 1s]\n"
+                    "0.0 0.0 0.2 0.0 0.0\n"
+                    "4.0 0.0 0.1 0.05 0.0\n")
+    return str(spec)
+
+
+def base_argv(sub, tmp_path):
+    """A short, valid run of each subcommand."""
+    return {"vacuum-pol": ["vacuum-pol", "--k2", "0.5"],
+            "energy-shift": ["energy-shift", "--spectrum",
+                             spectrum_file(tmp_path), "--k-max", "4"],
+            "classical": ["classical", "--tau-max", "0.003", "--dt",
+                          "0.001"]}.get(sub, [sub])
+
+
+class TestOptions:
+    """Each subcommand declares the options it reads, and no other."""
+
+    def test_declared_option_sets(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {o for a in sp._actions for o in a.option_strings}
+                    - {"-h", "--help"} for name, sp in sub.choices.items()}
+        assert declared == OPTIONS
+
+    @pytest.mark.parametrize("sub, extra", [
+        ("vacuum-pol", ["--mev"]),
+        ("self-energy", ["--mev"]),
+        ("energy-shift", ["--mass", "2"]),
+        ("classical", ["--alpha", "0.01"]),
+        ("classical", ["--alpha=-inf"]),
+        ("classical", ["--mev"]),
+        ("selftest", ["--mass", "2"]),
+        ("selftest", ["--mass", "nan"]),
+        ("selftest", ["--alpha", "0.01"]),
+        ("selftest", ["--format", "json"]),
+        ("selftest", ["-o", "out.json"]),
+        ("selftest", ["--mev"]),
+    ])
+    def test_undeclared_option_is_usage_error(self, capsys, tmp_path,
+                                              monkeypatch, sub, extra):
+        monkeypatch.chdir(tmp_path)
+        argv = base_argv(sub, tmp_path)
+        assert run_capture(capsys, argv)[0] == 0
+        rc, out, err = run_capture(capsys, argv + extra)
+        assert rc == 64
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_each_shared_option_changes_rows(self, capsys, tmp_path):
+        changed = {"--mass": ["1.2"], "--alpha": ["0.01"], "--mev": [],
+                   "--Z": ["2"]}
+        for sub, opts in OPTIONS.items():
+            argv = base_argv(sub, tmp_path)
+            rc, plain, _ = run_capture(capsys, argv)
+            assert rc == 0, sub
+            for opt in sorted(opts & set(changed)):
+                rc, out, _ = run_capture(capsys, argv + [opt] + changed[opt])
+                assert rc == 0, (sub, opt)
+                header, *rows = out.split("\n")
+                assert header == plain.split("\n")[0], (sub, opt)
+                assert rows != plain.split("\n")[1:], (sub, opt)
 
 
 class TestTables:

@@ -298,6 +298,21 @@ class TestSpectrumFormat:
                                  "0 0 0 0 0\n")
         with pytest.raises(DomainError):
             loops.parse_spectrum("stray 1.0\n")
+        for text in ("[levels]\nd abc\n",
+                     "[levels]\nd 1.0\nb 0.7\n[current d b]\n0 0 x 0 0\n"):
+            with pytest.raises(DomainError, match="bad number"):
+                loops.parse_spectrum(text)
+
+    def test_non_finite_inputs(self):
+        ks = np.array([0.0, 5.0])
+        J = np.zeros((4, 2), dtype=complex)
+        J[1] = 0.2, math.nan
+        for kwargs in ({"currents": {("d", "b"): (ks, J)}},
+                       {"currents": {("d", "b"): ([0.0, math.inf],
+                                                  np.ones((4, 2)))}},
+                       {"k_max": math.nan}, {"k_max": math.inf}):
+            with pytest.raises(DomainError):
+                loops.SpectrumInput({"d": 1.0, "b": 0.7}, **kwargs)
 
 
 class TestLaurentValue:

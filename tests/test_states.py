@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fqed import algebra, states
 from fqed.errors import DomainError
@@ -33,10 +35,11 @@ class TestElectronSpinors:
 
     def test_ubar_u(self):
         p = random_on_shell()
-        st = states.electron_spinor(p, +1)
-        assert np.isclose(st.bar() @ st.components, 1.0 / p.t, atol=1e-12)
-        sv = states.electron_spinor(p, +1, backward=True)
-        assert np.isclose(sv.bar() @ sv.components, -1.0 / p.t, atol=1e-12)
+        u = states.electron_spinor(p, +1).components
+        assert np.isclose(algebra.dirac_adjoint(u) @ u, 1.0 / p.t, atol=1e-12)
+        v = states.electron_spinor(p, +1, backward=True).components
+        assert np.isclose(algebra.dirac_adjoint(v) @ v, -1.0 / p.t,
+                          atol=1e-12)
 
     def test_dirac_equation_residual(self):
         for _ in range(200):
@@ -55,7 +58,8 @@ class TestElectronSpinors:
             for sp in (+1, -1):
                 u = states.electron_spinor(p, s)
                 v = states.electron_spinor(p, sp, backward=True)
-                assert abs(u.bar() @ v.components) <= 1e-12
+                assert abs(algebra.dirac_adjoint(u.components)
+                           @ v.components) <= 1e-12
 
     def test_off_shell_rejected(self):
         with pytest.raises(DomainError):
@@ -82,14 +86,31 @@ class TestPhotonStates:
             assert abs(np.vdot(st.components, st.components) - 1.0) <= 1e-12
             assert states.wave_equation_residual(st) <= 1e-12
 
-    def test_residual_under_random_axes(self):
-        for _ in range(100):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            for kind in states.PHOTON_KINDS:
-                k = 0.0 if kind == "vacuum" else float(rng.uniform(0.1, 3))
-                st = states.photon_state(kind, k, axis)
-                assert states.wave_equation_residual(st) <= 1e-12
+    # the first two axes of the fixed-seed version of this test
+    @example("plus", 2.2276926851004872,
+             (0.7984290498487794, -0.09311313556042694, 0.594845354982016))
+    @example("minus", 1.2687510289293455,
+             (0.7984290498487794, -0.09311313556042694, 0.594845354982016))
+    @example("longitudinal", 0.8831340995140493,
+             (0.7984290498487794, -0.09311313556042694, 0.594845354982016))
+    @example("vacuum", 0.0,
+             (0.7984290498487794, -0.09311313556042694, 0.594845354982016))
+    @example("plus", 1.7216081430917238,
+             (0.8239168542403944, 0.33595584888546814, 0.4563931253845274))
+    @example("minus", 0.4103726014787372,
+             (0.8239168542403944, 0.33595584888546814, 0.4563931253845274))
+    @example("longitudinal", 2.4718705404098227,
+             (0.8239168542403944, 0.33595584888546814, 0.4563931253845274))
+    @example("vacuum", 0.0,
+             (0.8239168542403944, 0.33595584888546814, 0.4563931253845274))
+    @settings(max_examples=200)
+    @given(st.sampled_from(states.PHOTON_KINDS), st.floats(0.1, 3.0),
+           st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+               lambda v: np.linalg.norm(v) > 0.1))
+    def test_residual_under_random_axes(self, kind, k, axis):
+        axis = np.array(axis) / np.linalg.norm(axis)
+        st = states.photon_state(kind, 0.0 if kind == "vacuum" else k, axis)
+        assert states.wave_equation_residual(st) <= 1e-12
 
     def test_currents_along_z(self):
         plus = states.photon_current(states.photon_state("plus", 1.0))
