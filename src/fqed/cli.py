@@ -82,23 +82,37 @@ def _config(args) -> dict:
             and v is not None}
 
 
+def _column_cells(c: np.ndarray, csv: bool) -> list:
+    """The text of each cell of a column: str for CSV, JSON otherwise. A
+    float64 column of two or more rows whose cells all have the bytes of
+    the first (so -0.0 is not 0.0) is formatted once. The bytes are
+    compared only where the last cell equals the first, so that other
+    columns (and NaN ones) pay one float comparison: on a short table
+    the full test would cost more than it saves."""
+    v = c.tolist()
+    if len(v) > 1 and v[-1] == v[0] and c.dtype == np.float64:
+        bits = c.tobytes()
+        if bits == bits[:8] * len(v):
+            return [str(v[0]) if csv else json.dumps(v[0])] * len(v)
+    if csv:
+        # str of a Python float (from tolist) is its round-trip repr
+        return list(map(str, v))
+    # repr of a finite float is its JSON, and a float column with a
+    # finite sum holds only finite floats; json.dumps spells the rest
+    finite = c.dtype.kind == "f" and math.isfinite(sum(v))
+    return list(map(repr if finite else json.dumps, v))
+
+
 def _write_table(args, table: dict):
     """Write a table given as one sequence per column name. Column by
-    column, byte-identical to joining each row's cells with commas and
-    to `json.dumps` of {"config", "rows": [a dict per row]}, indent=1."""
-    cols = [np.asarray(v) for v in table.values()]
-    if args.format == "csv":
-        # str of a Python float (from tolist) is its round-trip repr
-        cells = [list(map(str, c.tolist())) for c in cols]
+    column, a constant float column formatted once, and byte-identical
+    to joining each row's cells with commas and to `json.dumps` of
+    {"config", "rows": [a dict per row]}, indent=1."""
+    csv = args.format == "csv"
+    cells = [_column_cells(np.asarray(v), csv) for v in table.values()]
+    if csv:
         text = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
     else:
-        cells = []
-        for c in cols:
-            v = c.tolist()
-            # repr of a finite float is its JSON, and a float column with a
-            # finite sum holds only finite floats; json.dumps spells the rest
-            finite = c.dtype.kind == "f" and math.isfinite(sum(v))
-            cells.append(list(map(repr if finite else json.dumps, v)))
         row = "  {\n" + ",\n".join(
             f"   {json.dumps(k).replace('%', '%%')}: %s" for k in table
         ) + "\n  }"

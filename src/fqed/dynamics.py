@@ -10,7 +10,12 @@ separately):
 
 The photon is the two-component analogue with sigma^mu in place of
 gamma^mu and eta^dag in place of zbar. One right-hand side serves both
-(`_packed_rhs`), a few small real matmuls on y = (x, p, Re z, Im z).
+(`_packed_rhs`), a few small real matmuls on y = (x, p, Re z, Im z):
+the symmetrised velocity operator V is stacked over the generator C in
+one real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r = (stacked
+@ u).reshape(8, 2d) a stage is v = r[:4] @ u and dz = kin @ r[4:]. Each
+stage writes its row of a (4, 8 + 2d) array k, and an RK4 step in a
+field is y + w @ k with w = dt (1, 2, 2, 1) / 6.
 
 Free motion (field = None) is a linear constant-coefficient system, so
 one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
@@ -52,6 +57,7 @@ _G0 = GAMMA[0]
 _G0G = np.stack([_G0 @ GAMMA[mu] for mu in range(4)])
 _S = SIGMA
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+_NO_FORCE = np.zeros(4)
 
 
 # no trajectory can hold more bytes of samples than physical memory (or
@@ -106,22 +112,26 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _packed(mats, cliff, x, p, z, field):
-    """The packed state y = (x, p, Re z, Im z) of a run, and the real
-    operators (C, V) on u = (Re z, Im z) such that (kin @ C).reshape(2d,
-    2d) @ u is dz = -i cliff^mu kin_mu z and (V @ u).reshape(4, 2d) @ u
-    is v^mu = z^dag mats^mu z. Refuses a field unless A(x) has shape
-    (4,) and grad(x) shape (4, 4)."""
+    """The packed state y = (x, p, Re z, Im z) of a run, and its operators
+    (stacked, em): stacked is the real (8 * 2d, 2d) stack of V over C
+    such that, with u = (Re z, Im z) and r = (stacked @ u).reshape(8, 2d),
+    r[:4] @ u is v^mu = z^dag mats^mu z and kin @ r[4:] is dz = -i
+    cliff^mu kin_mu z; em is -e * metric (None without a field). Refuses
+    a field unless A(x) has shape (4,) and grad(x) shape (4, 4)."""
+    em = None
     if field is not None:
         xv = FourVector.from_array(x)
         shapes = np.shape(field.A(xv)), np.shape(field.grad(xv))
         if shapes != ((4,), (4, 4)):
             raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
                               f"(4, 4), got {shapes[0]}, {shapes[1]}")
+        em = -field.charge * _METRIC_DIAG
     m = np.stack([-1j * _METRIC_DIAG[:, None, None] * cliff, mats])
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
-    ops = c.reshape(4, n * n), (v + v.swapaxes(1, 2)).reshape(4 * n, n) / 2
-    return ops, np.concatenate((x, p, z.real, z.imag))
+    stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c))
+    return ((stacked.reshape(8 * n, n), em),
+            np.concatenate((x, p, z.real, z.imag)))
 
 
 def _unpacked(y, d: int):
@@ -129,21 +139,22 @@ def _unpacked(y, d: int):
     return y[..., :4], y[..., 4:8], y[..., 8:8 + d] + 1j * y[..., 8 + d:]
 
 
-def _packed_rhs(ops, y, field):
-    """dy/dtau of the packed state; the free equations when field is
-    None. A non-finite position raises DomainError (FourVector guard)."""
-    c, vop = ops
-    u, n = y[8:], len(y) - 8
-    v = (vop @ u).reshape(4, n) @ u
+def _packed_rhs(ops, y, field, out):
+    """dy/dtau of the packed state, written into the row out; the free
+    equations when field is None. A non-finite position raises
+    DomainError (FourVector guard)."""
+    stacked, em = ops
+    u = y[8:]
+    r = (stacked @ u).reshape(8, len(u))
+    v = r[:4] @ u
     if field is None:
-        kin, dp = y[4:8], np.zeros(4)
+        kin, dp = y[4:8], _NO_FORCE
     else:
         xv = FourVector(*y[:4].tolist())
         kin = y[4:8] - field.charge * np.asarray(field.A(xv), dtype=float)
-        da = np.asarray(field.grad(xv), dtype=float)
         # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-        dp = -field.charge * (da @ v) * _METRIC_DIAG
-    return np.concatenate((v, dp, (kin @ c).reshape(n, n) @ u))
+        dp = (np.asarray(field.grad(xv), dtype=float) @ v) * em
+    return np.concatenate((v, dp, kin @ r[4:]), out=out)
 
 
 def electron_velocity(z: np.ndarray) -> np.ndarray:
@@ -161,7 +172,7 @@ def electron_derivative(state: ElectronState,
     """(dx, dp, dz) right-hand sides; free equations when field is None."""
     ops, y = _packed(_G0G, GAMMA, state.x.as_array(), state.p.as_array(),
                      state.z, field)
-    return _unpacked(_packed_rhs(ops, y, field), 4)
+    return _unpacked(_packed_rhs(ops, y, field, np.empty_like(y)), 4)
 
 
 def photon_derivative(state: PhotonClassicalState,
@@ -169,7 +180,7 @@ def photon_derivative(state: PhotonClassicalState,
     """(dx, dp, deta) right-hand sides; free equations when field is None."""
     ops, y = _packed(_S, SIGMA, state.x.as_array(), state.p.as_array(),
                      state.eta, field)
-    return _unpacked(_packed_rhs(ops, y, field), 2)
+    return _unpacked(_packed_rhs(ops, y, field, np.empty_like(y)), 2)
 
 
 def exact_free_electron(z0: np.ndarray, p: FourVector, tau: float
@@ -270,21 +281,24 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
 
 def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
-    with n + 1 rows; the rows after a non-finite state stay NaN."""
+    with n + 1 rows; the rows after a non-finite state stay NaN. The
+    four stages fill the rows of k, combined as w @ k."""
     ops, y = _packed(mats, cliff, x, p, z, field)
     ys = np.full((n + 1, len(y)), np.nan)
     ys[0] = y
+    k = np.empty((4, len(y)))
+    w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    half = 0.5 * dt
     for i in range(1, n + 1):
         try:
-            k1 = _packed_rhs(ops, y, field)
-            k2 = _packed_rhs(ops, y + 0.5 * dt * k1, field)
-            k3 = _packed_rhs(ops, y + 0.5 * dt * k2, field)
-            k4 = _packed_rhs(ops, y + dt * k3, field)
+            _packed_rhs(ops, y, field, k[0])
+            _packed_rhs(ops, y + half * k[0], field, k[1])
+            _packed_rhs(ops, y + half * k[1], field, k[2])
+            _packed_rhs(ops, y + dt * k[2], field, k[3])
         except DomainError:
             # a non-finite stage position reached the four-vector guard
             break
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[i] = y
+        y = ys[i] = y + w @ k
         if not np.isfinite(y).all():
             break
     return _unpacked(ys, len(z))

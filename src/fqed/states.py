@@ -190,9 +190,12 @@ def transverse_frame(axis) -> tuple[np.ndarray, np.ndarray]:
     """
     axis = np.asarray(axis, dtype=float)
     x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
-    # e1 = z-hat x axis normalized, or x-hat along the poles; e1_z = 0
-    polar = np.abs(np.abs(z) - 1.0) < 1e-12
-    norm = np.where(polar, 1.0, np.sqrt(y * y + x * x))
+    # e1 = z-hat x axis normalized, or x-hat on the poles, and where
+    # x^2 + y^2 underflows (off the axis by less than 1.5e-154, which is
+    # then how far x-hat is from transverse); e1_z = 0
+    rho2 = y * y + x * x
+    polar = rho2 < np.finfo(float).tiny
+    norm = np.where(polar, 1.0, np.sqrt(rho2))
     e1x = np.where(polar, 1.0, -y / norm)
     e1y = np.where(polar, 0.0, x / norm)
     e1 = np.stack([e1x, e1y, np.zeros_like(x)], axis=-1)

@@ -155,20 +155,27 @@ def table_text(config, fmt, table):
                       indent=1) + "\n"
 
 
+def field_rhs_complex(cliff, field, x, p, z):
+    """(dx, dp, dz) in an external field in complex arithmetic: v^mu =
+    Re z^dag mats^mu z (mats = cliff^0 cliff^mu for the electron, cliff
+    for the photon), dp^mu = -e v^nu dA_nu/dx^mu with the index raised,
+    dz = -i cliff^mu (p - e A)_mu z."""
+    mats = cliff[0] @ cliff if len(z) == 4 else cliff
+    xv = FourVector.from_array(x)
+    kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
+    gen = -1j * sum(_METRIC[mu, mu] * kin[mu] * cliff[mu] for mu in range(4))
+    v = np.real(np.einsum("i,mij,j->m", z.conj(), mats, z))
+    da = np.asarray(field.grad(xv), dtype=float)
+    return v, -field.charge * (da @ v) * np.diag(_METRIC), gen @ z
+
+
 def rk4_field_complex(cliff, x, p, z, field, n, dt):
     """n RK4 steps in an external field in complex arithmetic, one
     (dx, dp, dz) tuple per stage: (xs, ps, zs), with NaN rows after the
     first non-finite state, as the packed real loop must give them."""
-    mats = np.stack([cliff[0] @ c for c in cliff]) if len(z) == 4 else cliff
 
     def rhs(x, p, z):
-        xv = FourVector.from_array(x)
-        kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
-        gen = -1j * sum(_METRIC[mu, mu] * kin[mu] * cliff[mu]
-                        for mu in range(4))
-        v = np.real(np.einsum("i,mij,j->m", z.conj(), mats, z))
-        da = np.asarray(field.grad(xv), dtype=float)
-        return v, -field.charge * (da @ v) * np.diag(_METRIC), gen @ z
+        return field_rhs_complex(cliff, field, x, p, z)
 
     xs = np.full((n + 1, 4), np.nan)
     ps = np.full((n + 1, 4), np.nan)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import oracles
 from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
-from fqed.dynamics import ElectronState, integrate, trajectory_columns
+from fqed.dynamics import (ElectronState, PhotonClassicalState, integrate,
+                           trajectory_columns)
 from fqed.fourvec import FourVector
 
 
@@ -430,6 +431,27 @@ class TestTables:
         assert [r.split(",", 1)[0] for r in rows] == ["0.0", "0.001",
                                                       "0.002"]
 
+    def test_csv_bytes_photon_trajectory(self, capsys):
+        """A free photon along z keeps p and eta0: constant columns."""
+        rc, out, _ = run_capture(capsys, ["classical", "--particle",
+                                          "photon", "--z", "0.6,0.8j",
+                                          "--pz", "1.5", "--tau-max",
+                                          "0.003", "--dt", "0.001"])
+        assert rc == 0
+        state = PhotonClassicalState(FourVector(0, 0, 0, 0),
+                                     FourVector(1.5, 0.0, 0.0, 1.5),
+                                     np.array([0.6, 0.8j]))
+        cols = trajectory_columns(integrate(state, None, (0.0, 0.003),
+                                            0.001))
+        header = ("tau,x0,x1,x2,x3,p0,p1,p2,p3,re_z0,im_z0,re_z1,im_z1,"
+                  "zbar_z,H")
+        rows = [",".join(repr(float(c[i])) for c in cols.values())
+                for i in range(4)]
+        assert out == "\n".join([header] + rows) + "\n"
+        assert [r.split(",")[5:11] for r in rows] == [
+            ["1.5", "0.0", "0.0", "1.5", "0.6", "0.0"]] * 4
+        assert len({r.split(",")[11] for r in rows}) == 4
+
     def test_csv_bytes_energy_shift_labels(self, capsys, tmp_path):
         spec = tmp_path / "levels.txt"
         spec.write_text("[levels]\n2p 1.0\n1s 0.625\n"
@@ -512,15 +534,34 @@ columns = st.sampled_from([st.floats(), st.floats(allow_nan=False,
 
 
 @st.composite
+def signed_zeros(draw, n):
+    """0.0 and -0.0 in one column: equal as floats but not in their bits,
+    so not a constant column to the writer."""
+    zeros = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                          max_size=n))
+    if n > 1:
+        zeros[draw(st.integers(1, n - 1))] = -zeros[0]
+    return zeros
+
+
+def column(n):
+    """n cells of one column: of one kind drawn from `columns`, one value
+    repeated (which the writer formats once), or mixed signed zeros."""
+    constant = st.floats() | st.sampled_from([math.nan, math.inf,
+                                              -math.inf, -0.0])
+    return st.one_of(
+        columns.flatmap(lambda cells: st.lists(cells, min_size=n,
+                                               max_size=n)),
+        constant.map(lambda x: [x] * n),
+        signed_zeros(n))
+
+
+@st.composite
 def tables(draw):
     names = draw(st.lists(cell_text.filter(bool), min_size=1, max_size=4,
                           unique=True))
-    n = draw(st.sampled_from([0, 1, 2, 5]))
-    table = {}
-    for name in names:
-        cells = draw(columns)
-        table[name] = draw(st.lists(cells, min_size=n, max_size=n))
-    return table
+    n = draw(st.sampled_from([0, 1, 2, 5]) | st.integers(0, 50))
+    return {name: draw(column(n)) for name in names}
 
 
 class TestWriter:

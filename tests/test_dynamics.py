@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,16 @@ from fqed.errors import DomainError
 from fqed.fourvec import FourVector, minkowski_dot
 
 import oracles
+
+
+# a plane-wave potential A_nu = a_nu sin(k.x): its gradient dA_nu/dx^mu =
+# k_mu a_nu cos(k.x) is nonzero in every row
+_WAVE_K = np.array([0.3, 0.5, -0.4, 0.7])
+_WAVE_A = np.array([0.02, 0.05, -0.03, 0.04])
+WAVE_FIELD = dyn.ExternalField(
+    A=lambda x: _WAVE_A * math.sin(_WAVE_K @ x.as_array()),
+    grad=lambda x: np.outer(_WAVE_K, _WAVE_A) * math.cos(
+        _WAVE_K @ x.as_array()))
 
 
 def rest_state(z=(1.0, 0.0, 0.0, 0.0), mass=1.0):
@@ -231,18 +242,51 @@ class TestIntegrate:
             FourVector(0, 0, 0, 0), FourVector.from_spatial(
                 math.sqrt(k @ k), k), np.array([0.6, 0.8j], dtype=complex))
 
+    @pytest.mark.parametrize("kind, charge", [
+        ("sin", 1.0), ("sin", 0.8), ("sin", -1.3), ("wave", 0.8)])
     @pytest.mark.parametrize("photon", [False, True])
-    def test_field_run_matches_complex_loop(self, photon):
+    def test_field_run_matches_complex_loop(self, photon, kind, charge):
         """The packed real loop against the stage-by-stage complex RK4."""
         st = self.photon_state() if photon else self.free_state()
-        traj = dyn.integrate(st, self.SIN_FIELD, (0.0, 5.0), 1e-3)
+        field = dataclasses.replace(
+            self.SIN_FIELD if kind == "sin" else WAVE_FIELD, charge=charge)
+        traj = dyn.integrate(st, field, (0.0, 5.0), 1e-3)
         xs, ps, zs = oracles.rk4_field_complex(
             SIGMA if photon else GAMMA, st.x.as_array(), st.p.as_array(),
-            st.eta if photon else st.z, self.SIN_FIELD, 5000, 1e-3)
+            st.eta if photon else st.z, field, 5000, 1e-3)
         assert not traj.aborted and len(traj.tau) == 5001
         assert np.max(np.abs(traj.p - traj.p[0])) > 0.0
         for got, want in ((traj.x, xs), (traj.p, ps), (traj.spinor, zs)):
             assert np.max(np.abs(got - want)) <= 1e-13
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), photon=st.booleans(),
+           kind=st.sampled_from(["none", "sin", "wave"]),
+           charge=st.sampled_from([1.0, 0.8, -1.3]))
+    def test_derivatives_match_complex_rhs(self, seed, photon, kind,
+                                           charge):
+        """electron_derivative and photon_derivative against the complex
+        right-hand side of the oracle loop, at random states; no field is
+        a field of zero potential."""
+        rng = np.random.default_rng(seed)
+        d = 2 if photon else 4
+        x, p = rng.normal(size=4), rng.normal(size=4)
+        z = rng.normal(size=d) + 1j * rng.normal(size=d)
+        zero = dyn.ExternalField(lambda x: np.zeros(4),
+                                 lambda x: np.zeros((4, 4)))
+        f = (None if kind == "none" else dataclasses.replace(
+            self.SIN_FIELD if kind == "sin" else WAVE_FIELD, charge=charge))
+        if photon:
+            got = dyn.photon_derivative(dyn.PhotonClassicalState(
+                FourVector.from_array(x), FourVector.from_array(p), z), f)
+        else:
+            got = dyn.electron_derivative(dyn.ElectronState(
+                FourVector.from_array(x), FourVector.from_array(p), z), f)
+        want = oracles.field_rhs_complex(SIGMA if photon else GAMMA,
+                                         f or zero, x, p, z)
+        scale = (1.0 + np.abs(p).sum()) * (z.conj() @ z).real
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * scale
 
     @pytest.mark.parametrize("photon", [False, True])
     def test_constant_field_is_free_motion_at_kinetic_momentum(self,

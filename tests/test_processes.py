@@ -29,17 +29,6 @@ def random_annihilation():
         pol_f=str(rng.choice(["plus", "minus"])))
 
 
-def random_pair_production():
-    w = float(rng.uniform(2.6, 5.0))
-    return pr.pair_production_config(
-        w, float(rng.uniform(1.2, w - 1.2)),
-        float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0)),
-        float(rng.uniform(0.0, 2 * math.pi)),
-        float(rng.uniform(0.0, 2 * math.pi)),
-        s_plus=int(rng.choice([1, -1])), s_minus=int(rng.choice([1, -1])),
-        pol_i=str(rng.choice(["plus", "minus"])))
-
-
 class TestKinematicConfig:
 
     def test_validate_accepts_builders(self):
@@ -176,6 +165,137 @@ class TestFourFermion:
         assert a == -b
 
 
+SPIN = st.sampled_from([1, -1])
+POL = st.sampled_from(["plus", "minus"])
+
+
+def examples(draws):
+    """Each draw (a tuple of the test's arguments) as a hypothesis
+    @example of the decorated test."""
+    def apply(test):
+        for draw in draws:
+            test = example(*draw)(test)
+        return test
+    return apply
+
+
+# the draws of the fixed-seed versions of the crossing tests
+ANNIHILATION_DRAWS = (
+    (1.4604186650291426, 0.26102844080162735, 0.5375519863617662, 1, -1,
+     "minus", "plus"),
+    (0.3668663720706288, 1.5561347646068362, 0.5745207086628672, 1, -1, "plus",
+     "plus"),
+    (1.9559291899923894, 2.4857866399785857, 1.2788106031867734, 1, 1, "plus",
+     "minus"),
+    (0.622657169219179, 2.615196977809026, 4.729067121018884, -1, -1, "minus",
+     "plus"),
+    (1.658340709348814, 2.7694705780322386, 5.492215123524347, 1, 1, "plus",
+     "plus"),
+    (0.37926558941610367, 0.7353665512235276, 3.8161500311139904, -1, 1,
+     "plus", "plus"),
+    (1.8146108713076123, 1.7981515577020424, 2.6805010895010173, 1, 1, "minus",
+     "minus"),
+    (0.9675157913553056, 0.5223024305406957, 3.820006927156838, -1, -1,
+     "minus", "minus"),
+    (0.2415570541104476, 0.49520779452996055, 2.061697240184546, 1, 1, "plus",
+     "plus"),
+    (0.34674467101433243, 1.7606836321486898, 3.151634326048687, -1, 1,
+     "minus", "plus"),
+    (0.5392045027304104, 1.53480630470804, 3.1941212712722926, 1, -1, "minus",
+     "minus"),
+    (1.820060289213928, 1.2406171288158958, 0.899823676345273, 1, -1, "plus",
+     "minus"),
+    (0.6653545868222437, 1.9149068126313882, 1.8618120053043083, 1, 1, "plus",
+     "plus"),
+    (0.49598408921307896, 0.9088846938863145, 3.869331291224391, 1, -1,
+     "minus", "minus"),
+    (1.8441870643693499, 1.5835168681960856, 4.393017752396124, -1, 1, "minus",
+     "plus"),
+    (1.312400868200348, 0.15904652823060877, 0.8113024297590435, 1, 1, "plus",
+     "plus"),
+    (0.4829863647498635, 2.8588766653527693, 3.5714723863584754, -1, -1,
+     "minus", "minus"),
+    (1.5823780667289975, 2.9292543851559736, 3.033438452736009, 1, -1, "minus",
+     "minus"),
+    (1.318965207590731, 2.877698695022695, 4.897805660385702, 1, 1, "plus",
+     "minus"),
+    (1.8734837030902542, 2.2144529120441536, 1.89857263770497, 1, 1, "minus",
+     "minus"),
+)
+PAIR_PRODUCTION_DRAWS = (
+    ((3.279350974283289, 1.436252989915768), 2.7285580980658657,
+     2.1043763596126737, 0.06754370706049682, 2.2640024914228674, 1, 1,
+     "minus"),
+    ((3.135749851608042, 1.7762007806204774), 0.45706282125981323,
+     2.004739127990902, 1.3730302772565406, 3.0901381650167603, -1, 1, "plus"),
+    ((4.324421586533704, 1.5075734576626416), 0.6791048541379161,
+     0.24916260020740089, 5.6272413645685155, 3.656655203637778, 1, 1,
+     "minus"),
+    ((3.3805527634330756, 1.4983586143968275), 2.5549308579805836,
+     2.1089927444219425, 0.17386544417553162, 0.9589182389814107, -1, -1,
+     "minus"),
+    ((3.9078542580782716, 2.526386949717113), 0.7205822025582473,
+     0.9278564227625831, 0.09014760652738885, 1.6897861034991724, -1, 1,
+     "minus"),
+    ((4.218663909191669, 1.3570042235658977), 2.842885349691696,
+     1.4248458567609066, 6.09742568648931, 1.455888577256228, -1, -1, "minus"),
+    ((4.180962399193128, 2.853063750356225), 2.2509724073737587,
+     2.3917994719564053, 0.6893240336094496, 4.1254314595152435, 1, 1,
+     "minus"),
+    ((3.991997212606067, 2.5284470030364297), 2.9041374276592204,
+     1.1702802397332488, 2.1981238644719734, 0.727139042817176, 1, -1, "plus"),
+    ((4.06180647231679, 2.0366993875484), 1.969273381088411, 2.435496570751664,
+     4.149155822935916, 1.5352697721715425, 1, 1, "minus"),
+    ((3.955398955137012, 1.9182883375668531), 1.3753921049851485,
+     2.377844056900563, 1.1173252317074527, 4.485801821193999, -1, 1, "plus"),
+    ((4.757798417741428, 2.567445939164635), 0.9060076988795628,
+     1.178897221377972, 3.38387488112099, 1.0072100657998497, -1, -1, "plus"),
+    ((4.955405339703301, 2.491466079339687), 2.601118934648528,
+     2.5618426054534793, 1.1208878044617114, 5.27262157124614, -1, -1,
+     "minus"),
+    ((3.5418996483661696, 1.2416558678114695), 1.5316689813594522,
+     1.189026189214463, 5.172579708930462, 3.1981081535671043, 1, 1, "plus"),
+    ((4.888160544805023, 3.22294287783041), 0.27095634310781835,
+     0.5230217465607271, 3.0086797722456935, 4.569032913020409, -1, -1,
+     "minus"),
+    ((3.4660174623431876, 1.2233707120435309), 1.7623212607264582,
+     1.1571564265801, 5.452695351686188, 0.08549552360076425, 1, 1, "minus"),
+    ((2.888142420843071, 1.5411278030297204), 2.5513715249155386,
+     0.6807640575340825, 2.7300016812780945, 5.805272411896735, 1, 1, "minus"),
+    ((4.656911207724763, 3.0246140521328053), 2.5646315002902327,
+     1.190344911439483, 4.9887669221428155, 5.411316846758991, 1, -1, "minus"),
+    ((3.4536442249170487, 1.3213665929222371), 2.287204295108769,
+     0.4917932376900853, 4.713028484878184, 1.5566593615186566, 1, -1, "plus"),
+    ((3.7520077554205966, 1.6781710076463523), 0.37436970396795943,
+     2.5126968594624066, 1.3553016893297818, 0.8958258440511573, 1, 1,
+     "minus"),
+    ((3.245070452195536, 1.7008713561999813), 1.2764696483006233,
+     2.003122494892145, 4.153701289872324, 1.9402577302793542, -1, -1, "plus"),
+)
+BHABHA_DRAWS = (
+    (2.193866475427746, 0.9685014877055207, 1.6283165108063575),
+    (2.347166800375458, 1.7629110085663269, 0.2849717074903145),
+    (1.308718875141026, 2.048139947343376, 5.334082321136357),
+    (2.981687035049762, 0.584175393661136, 3.838765306045843),
+    (2.026998887275687, 2.2403779106772403, 3.794812817083026),
+    (1.3935240715508648, 2.224215954225134, 1.828342981234432),
+    (1.7177923190123177, 1.3462764275886825, 1.4635271995658532),
+    (2.691357219584111, 0.9577319998968588, 1.132649725646199),
+    (2.116218394412112, 1.5661868950637836, 1.2464966725583175),
+    (2.685128738680995, 0.4358530715288386, 4.577803361601456),
+    (1.349908137329914, 2.1780668973641912, 5.171909460843855),
+    (1.5848185530527632, 1.4199789338087687, 2.9438208090891638),
+    (2.050518565169045, 1.5760295703350733, 4.201670545957882),
+    (2.874393910250586, 2.1281827884057187, 5.554224977253807),
+    (2.121566807935634, 0.6187337491392647, 1.958856770469987),
+    (2.080658797373842, 1.5889123773584979, 4.301077224451802),
+    (2.357268065647469, 1.807471042875153, 2.556425202033606),
+    (1.766943664942826, 0.4780441728230178, 1.2559207961516092),
+    (2.515592543107391, 2.417872075281283, 2.5605961027159108),
+    (1.5628892461016681, 2.142522758176451, 1.8956807800184288),
+)
+
+
 class TestCrossing:
 
     def test_table_validation(self):
@@ -192,32 +312,49 @@ class TestCrossing:
         b = pr.compton_amplitude(cfg).value
         assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
 
-    def test_compton_to_annihilation(self):
-        for _ in range(20):
-            cfg = random_annihilation()
-            a = pr.pair_annihilation_amplitude(cfg).value
-            b = pr.apply_crossing("compton", pr.COMPTON_TO_ANNIHILATION,
-                                  cfg).value
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    @examples(ANNIHILATION_DRAWS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.2, 2.0), st.floats(0.1, 3.0),
+           st.floats(0.0, 2 * math.pi), SPIN, SPIN, POL, POL)
+    def test_compton_to_annihilation(self, pmag, theta, phi, s_minus, s_plus,
+                                     pol_i, pol_f):
+        cfg = pr.annihilation_cm_config(pmag, theta, phi, s_minus=s_minus,
+                                        s_plus=s_plus, pol_i=pol_i,
+                                        pol_f=pol_f)
+        a = pr.pair_annihilation_amplitude(cfg).value
+        b = pr.apply_crossing("compton", pr.COMPTON_TO_ANNIHILATION,
+                              cfg).value
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_brems_to_pair_production(self):
-        for _ in range(20):
-            cfg = random_pair_production()
-            a = pr.pair_production_amplitude(cfg).value
-            b = pr.apply_crossing("bremsstrahlung",
-                                  pr.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
-                                  cfg).value
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    @examples(PAIR_PRODUCTION_DRAWS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(2.6, 5.0).flatmap(
+               lambda w: st.tuples(st.just(w), st.floats(1.2, w - 1.2))),
+           st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+           st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+           SPIN, SPIN, POL)
+    def test_brems_to_pair_production(self, energies, theta_p, theta_m,
+                                      phi_p, phi_m, s_plus, s_minus, pol_i):
+        """energies is (omega_i, E_plus) with E_plus in [m + 0.2,
+        omega_i - m - 0.2]."""
+        cfg = pr.pair_production_config(*energies, theta_p, theta_m, phi_p,
+                                        phi_m, s_plus=s_plus,
+                                        s_minus=s_minus, pol_i=pol_i)
+        a = pr.pair_production_amplitude(cfg).value
+        b = pr.apply_crossing("bremsstrahlung",
+                              pr.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
+                              cfg).value
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
-    def test_moller_to_bhabha(self):
-        for _ in range(20):
-            cfg = pr.bhabha_cm_config(float(rng.uniform(1.2, 3.0)),
-                                      float(rng.uniform(0.3, 2.8)),
-                                      float(rng.uniform(0, 2 * math.pi)))
-            a = pr.electron_positron_amplitude(cfg).value
-            b = pr.apply_crossing("moller", pr.MOLLER_TO_BHABHA,
-                                  cfg).value
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+    @examples(BHABHA_DRAWS)
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.2, 3.0), st.floats(0.3, 2.8),
+           st.floats(0.0, 2 * math.pi))
+    def test_moller_to_bhabha(self, E, theta, phi):
+        cfg = pr.bhabha_cm_config(E, theta, phi)
+        a = pr.electron_positron_amplitude(cfg).value
+        b = pr.apply_crossing("moller", pr.MOLLER_TO_BHABHA, cfg).value
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
     def test_mismatched_table_rejected(self):
         cfg = random_compton()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fqed import algebra, states
 from fqed.errors import DomainError
-from fqed.fourvec import FourVector, on_shell
+from fqed.fourvec import FourVector, minkowski_dot, on_shell
 
 rng = np.random.default_rng(7)
 
@@ -148,9 +148,32 @@ class TestPhotonStates:
             st = states.photon_state("plus", 2.0, axis)
             eps = states.polarization_vector(st)
             k = np.concatenate([[2.0], st.kvec])
-            from fqed.fourvec import minkowski_dot
             assert abs(minkowski_dot(eps, k)) <= 1e-12
             assert abs(minkowski_dot(eps, eps.conj()) + 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-6, 1e-7, 1e-9, 1e-12])
+    @pytest.mark.parametrize("south", [False, True])
+    def test_polarization_next_to_the_poles(self, t, south):
+        """An axis a small angle t off +-z gets a transverse frame: near
+        the pole, x-hat is not transverse (eps.k would be ~ t / sqrt2)."""
+        for phi in (0.0, 0.7, 2.5, -1.9):
+            n = np.array([math.sin(t) * math.cos(phi),
+                          math.sin(t) * math.sin(phi),
+                          -math.cos(t) if south else math.cos(t)])
+            e1, e2 = states.transverse_frame(n)
+            assert np.allclose(np.cross(e1, e2), n, rtol=0, atol=1e-15)
+            assert abs(e1 @ e2) <= 1e-15
+            k = np.concatenate([[1.0], n])
+            for eps in states.polarization_vectors(k):
+                assert abs(minkowski_dot(eps, k)) <= 1e-15
+                assert abs(minkowski_dot(eps, eps.conj()) + 1.0) <= 1e-15
+
+    def test_polarization_on_the_poles(self):
+        s2 = 1.0 / math.sqrt(2)
+        for kz, turn in ((1.0, 1j), (-1.0, -1j)):
+            eps = states.polarization_vectors(np.array([1.0, 0.0, 0.0, kz]))
+            want = np.array([[0, s2, turn * s2, 0], [0, s2, -turn * s2, 0]])
+            assert np.array_equal(eps, want)
 
     def test_longitudinal_has_no_polarization_vector(self):
         st = states.photon_state("longitudinal", 1.0)
