@@ -25,13 +25,18 @@ through the same code and returns Python scalars.
 
 Crossing
 --------
-A SubstitutionTable maps the external legs of a base process onto a
-crossed one. Sign-flipped photon momenta conjugate the polarization
-vector and enter the internal lines with their sign; external fermion
-spinors are always built at the physical positive-energy momentum, with
-the u/v character given by the table. apply_crossing evaluates the base
-topology on the substituted legs and must reproduce the direct
-evaluation of the target process.
+Every process is evaluated on one of three base topologies (Compton,
+bremsstrahlung, Moller) through a SubstitutionTable that maps the base
+legs onto the process's own: the identity for a base process, the
+crossing table for annihilation, pair production and Bhabha
+scattering, so each leg map is written once. A leg's sign flips its
+momentum on the internal lines. It is -1 exactly when crossing moves
+the leg to the other side of the reaction: a fermion that changes
+between u and v spinor, or a photon that changes between absorbed and
+emitted. Emitted photons enter with the conjugated polarization
+vector; external spinors are built at the physical positive-energy
+momentum, u or v as the table says. apply_crossing evaluates a base
+topology under any valid table.
 """
 
 from __future__ import annotations
@@ -83,15 +88,6 @@ _EMITTED_PHOTONS = {
     "moller": (),
     "bhabha": (),
 }
-# positron legs (backward / v spinors)
-_BACKWARD_FERMIONS = {
-    "compton": (),
-    "annihilation": ("p_plus",),
-    "bremsstrahlung": (),
-    "pair_production": ("p_plus",),
-    "moller": (),
-    "bhabha": ("p_i_plus", "p_f_plus"),
-}
 # (incoming, outgoing) legs for the conservation check
 _BALANCE = {
     "compton": (("p_i", "k_i"), ("p_f", "k_f")),
@@ -103,15 +99,12 @@ _BALANCE = {
 }
 # the external-Coulomb processes conserve energy only
 _ENERGY_ONLY = ("bremsstrahlung", "pair_production")
-# helicity axes of the amplitude arrays, in the order the direct
-# evaluation of each process produces them
+# helicity axes of the base topologies' amplitude arrays; a crossed
+# process has its base's axes renamed by its table (crossing engine)
 _AXES = {
     "compton": ("p_f", "p_i", "k_i", "k_f"),
-    "annihilation": ("p_plus", "p_minus", "k_i", "k_f"),
     "bremsstrahlung": ("p_f", "p_i", "k_f"),
-    "pair_production": ("p_plus", "p_minus", "k_i"),
     "moller": ("p_f2", "p_i2", "p_f1", "p_i1"),
-    "bhabha": ("p_i_plus", "p_f_plus", "p_f_minus", "p_i_minus"),
 }
 _G0_DIAG = np.array([1.0, 1.0, -1.0, -1.0])     # gamma^0 is diagonal
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -231,7 +224,7 @@ def _bar(u: np.ndarray) -> np.ndarray:
     return u.conj() * _G0_DIAG
 
 
-# -- core topologies (shared by direct evaluation and crossing) ------------
+# -- core topologies -----------------------------------------------------
 #
 # Each core returns every helicity amplitude of every point; the axes are
 # the points, then the spin or helicity slots of its arguments in order.
@@ -304,53 +297,163 @@ def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
     return -1j * e2 * (direct / t - exchange.transpose(0, 3, 2, 1, 4) / u)
 
 
-# -- direct amplitudes -----------------------------------------------------
+# -- crossing tables -------------------------------------------------------
+
+@dataclass(frozen=True)
+class CrossedLeg:
+    label: str                     # leg label in the target process
+    sign: int = +1                 # momentum sign on internal lines
+    backward: bool | None = None   # fermions: u (False) / v (True)
+
+
+@dataclass(frozen=True)
+class SubstitutionTable:
+    """Map from base-process leg labels to target-process legs."""
+
+    base: str
+    target: str
+    legs: dict[str, CrossedLeg]
+
+    def validate(self) -> None:
+        if self.base not in PROCESS_IDS or self.target not in PROCESS_IDS:
+            raise DomainError("substitution table references unknown process")
+        base_labels = set(_FERMION_LABELS[self.base]) | set(
+            _PHOTON_LABELS[self.base])
+        target_labels = set(_FERMION_LABELS[self.target]) | set(
+            _PHOTON_LABELS[self.target])
+        if set(self.legs) != base_labels:
+            raise DomainError(
+                f"table legs {sorted(self.legs)} do not cover base labels "
+                f"{sorted(base_labels)}")
+        base_legs = identity_table(self.base).legs
+        for base_lab, leg in self.legs.items():
+            if leg.label not in target_labels:
+                raise DomainError(f"unknown target label {leg.label}")
+            if abs(leg.sign) != 1:
+                raise DomainError(f"leg sign must be +-1, got {leg.sign}")
+            is_photon = base_lab in _PHOTON_LABELS[self.base]
+            if is_photon != (leg.label in _PHOTON_LABELS[self.target]):
+                raise DomainError(
+                    f"{base_lab} -> {leg.label} mixes photon/fermion legs")
+            if is_photon:
+                crossed = ((base_lab in _EMITTED_PHOTONS[self.base])
+                           != (leg.label in _EMITTED_PHOTONS[self.target]))
+            elif leg.backward is None:
+                raise DomainError(f"fermion leg {base_lab} needs u/v flag")
+            else:
+                crossed = leg.backward != base_legs[base_lab].backward
+            if crossed != (leg.sign < 0):
+                raise DomainError(
+                    f"{base_lab} -> {leg.label} has sign {leg.sign:+d}; a "
+                    f"leg takes -1 exactly when it changes u/v or "
+                    f"absorbed/emitted")
+
+
+COMPTON_TO_ANNIHILATION = SubstitutionTable(
+    base="compton", target="annihilation",
+    legs={
+        "k_f": CrossedLeg("k_f", +1),
+        "k_i": CrossedLeg("k_i", -1),
+        "p_f": CrossedLeg("p_plus", -1, backward=True),
+        "p_i": CrossedLeg("p_minus", +1, backward=False),
+    })
+
+BREMSSTRAHLUNG_TO_PAIR_PRODUCTION = SubstitutionTable(
+    base="bremsstrahlung", target="pair_production",
+    legs={
+        "k_f": CrossedLeg("k_i", -1),
+        "p_f": CrossedLeg("p_minus", +1, backward=False),
+        "p_i": CrossedLeg("p_plus", -1, backward=True),
+    })
+
+MOLLER_TO_BHABHA = SubstitutionTable(
+    base="moller", target="bhabha",
+    legs={
+        "p_i1": CrossedLeg("p_i_minus", +1, backward=False),
+        "p_f1": CrossedLeg("p_f_minus", +1, backward=False),
+        "p_i2": CrossedLeg("p_f_plus", -1, backward=True),
+        "p_f2": CrossedLeg("p_i_plus", -1, backward=True),
+    })
+
+_CROSSINGS = (COMPTON_TO_ANNIHILATION, BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
+              MOLLER_TO_BHABHA)
+
+
+def identity_table(process: str) -> SubstitutionTable:
+    # the positron (v spinor) legs are those the crossing tables make so
+    backward = {leg.label for t in _CROSSINGS if t.target == process
+                for leg in t.legs.values() if leg.backward}
+    legs = {lab: CrossedLeg(lab, +1, backward=lab in backward)
+            for lab in _FERMION_LABELS[process]}
+    legs.update((lab, CrossedLeg(lab, +1)) for lab in _PHOTON_LABELS[process])
+    return SubstitutionTable(process, process, legs)
+
+
+# the table each process is evaluated through: the identity on a base
+# topology, its crossing table otherwise; validated once, here
+_TABLES = {base: identity_table(base) for base in _AXES}
+_TABLES.update((t.target, t) for t in _CROSSINGS)
+_AXES.update((t.target, tuple(t.legs[lab].label for lab in _AXES[t.base]))
+             for t in _CROSSINGS)
+for _table in _TABLES.values():
+    _table.validate()
+
+
+# -- evaluation ------------------------------------------------------------
+
+def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
+              alpha: float, eps_abs=None) -> np.ndarray:
+    """Every helicity amplitude of the table's base topology on the
+    target legs mom (validated); axes (N, *_AXES[table.base]), each
+    renamed by the table. eps_abs replaces the absorbed photon's
+    polarization slots of the Compton topology."""
+    m = cfg.mass
+    e2 = 4.0 * math.pi * alpha
+
+    def fermion(base_lab):
+        cl = table.legs[base_lab]
+        p = mom[cl.label]
+        return _u(p, m, cl.backward), p if cl.sign > 0 else -p
+
+    def photon(base_lab, eps=None):
+        cl = table.legs[base_lab]
+        k = mom[cl.label]
+        if eps is None:
+            # crossing a leg to the other side of the reaction flips the
+            # conjugation, so the target's role decides: emitted legs
+            # enter conjugated
+            eps = polarization_vectors(
+                k, cl.label in _EMITTED_PHOTONS[cfg.process])
+        return eps, k if cl.sign > 0 else -k
+
+    if table.base == "compton":
+        u_f, _ = fermion("p_f")
+        u_i, p_in = fermion("p_i")
+        eps_a, k_abs = photon("k_i", eps_abs)
+        eps_em, k_em = photon("k_f")
+        return _compton_core(_bar(u_f), u_i, eps_a, eps_em, p_in, k_abs,
+                             k_em, m, e2)
+    if table.base == "bremsstrahlung":
+        u_f, p_out = fermion("p_f")
+        u_i, p_in = fermion("p_i")
+        eps, k = photon("k_f")
+        return _coulomb_core(_bar(u_f), u_i, eps, p_out, p_in, k, m, cfg.Z,
+                             e2 * math.sqrt(e2))
+    if table.base == "moller":
+        u_f2, q_f2 = fermion("p_f2")
+        u_f1, q_f1 = fermion("p_f1")
+        u_i2, _ = fermion("p_i2")
+        u_i1, q_i1 = fermion("p_i1")
+        return _four_fermion_core(_bar(u_f2), u_i2, _bar(u_f1), u_i1,
+                                  q_i1 - q_f1, q_i1 - q_f2, m, e2)
+    raise DomainError(f"{table.base} is not a base topology")
+
 
 def _direct(cfg: KinematicConfig, mom: dict, alpha: float,
             eps_abs=None) -> np.ndarray:
-    """Every helicity amplitude at the validated legs mom, from the
-    process's own legs; axes (N, *_AXES[process]). eps_abs replaces the
-    absorbed photon's polarization slots of the Compton topology."""
-    m = cfg.mass
-    e2 = 4.0 * math.pi * alpha
-    u = lambda lab, backward=False: _u(mom[lab], m, backward)
-    eps = lambda lab, conj: polarization_vectors(mom[lab], conj)
-    proc = cfg.process
-    if proc == "compton":
-        return _compton_core(
-            _bar(u("p_f")), u("p_i"),
-            eps("k_i", False) if eps_abs is None else eps_abs,
-            eps("k_f", True), mom["p_i"], mom["k_i"], mom["k_f"], m, e2)
-    if proc == "annihilation":
-        # vbar(p+)[ eps_f* 1/(p_- - k_i - m) eps_i*
-        #           + eps_i* 1/(p_- - k_f - m) eps_f* ]u(p_-)
-        return _compton_core(
-            _bar(u("p_plus", True)), u("p_minus"), eps("k_i", True),
-            eps("k_f", True), mom["p_minus"], -mom["k_i"], mom["k_f"], m,
-            e2)
-    if proc == "bremsstrahlung":
-        return _coulomb_core(
-            _bar(u("p_f")), u("p_i"), eps("k_f", True), mom["p_f"],
-            mom["p_i"], mom["k_f"], m, cfg.Z, e2 * math.sqrt(e2))
-    if proc == "pair_production":
-        # vbar(p+)[ eps_i 1/(p_+ - k_i - m) g0
-        #           + g0 1/(-p_- + k_i - m) eps_i ]u(p_-) / |q|^2
-        return _coulomb_core(
-            _bar(u("p_plus", True)), u("p_minus"), eps("k_i", False),
-            mom["p_plus"], -mom["p_minus"], -mom["k_i"], m, cfg.Z,
-            e2 * math.sqrt(e2))
-    if proc == "moller":
-        return _four_fermion_core(
-            _bar(u("p_f2")), u("p_i2"), _bar(u("p_f1")), u("p_i1"),
-            mom["p_i1"] - mom["p_f1"], mom["p_i1"] - mom["p_f2"], m, e2)
-    # scattering term vbar(pi+)G v(pf+) . ubar(pf-)G u(pi-) / (pi- - pf-)^2
-    # minus annihilation term ubar(pf-)G v(pf+) . vbar(pi+)G u(pi-)
-    #                                           / (pi- + pi+)^2
-    return _four_fermion_core(
-        _bar(u("p_i_plus", True)), u("p_f_plus", True),
-        _bar(u("p_f_minus")), u("p_i_minus"),
-        mom["p_i_minus"] - mom["p_f_minus"],
-        mom["p_i_minus"] + mom["p_i_plus"], m, e2)
+    """Every helicity amplitude of cfg's process at the validated legs
+    mom, through its table; axes (N, *_AXES[process])."""
+    return _evaluate(_TABLES[cfg.process], cfg, mom, alpha, eps_abs)
 
 
 def _slots(cfg: KinematicConfig) -> tuple:
@@ -390,84 +493,6 @@ bremsstrahlung_amplitude = pair_production_amplitude = amplitude
 electron_electron_amplitude = electron_positron_amplitude = amplitude
 
 
-# -- crossing engine -------------------------------------------------------
-
-@dataclass(frozen=True)
-class CrossedLeg:
-    label: str                     # leg label in the target process
-    sign: int = +1                 # momentum sign on internal lines
-    backward: bool | None = None   # fermions: u (False) / v (True)
-
-
-@dataclass(frozen=True)
-class SubstitutionTable:
-    """Map from base-process leg labels to target-process legs."""
-
-    base: str
-    target: str
-    legs: dict[str, CrossedLeg]
-
-    def validate(self) -> None:
-        if self.base not in PROCESS_IDS or self.target not in PROCESS_IDS:
-            raise DomainError("substitution table references unknown process")
-        base_labels = set(_FERMION_LABELS[self.base]) | set(
-            _PHOTON_LABELS[self.base])
-        target_labels = set(_FERMION_LABELS[self.target]) | set(
-            _PHOTON_LABELS[self.target])
-        if set(self.legs) != base_labels:
-            raise DomainError(
-                f"table legs {sorted(self.legs)} do not cover base labels "
-                f"{sorted(base_labels)}")
-        for base_lab, leg in self.legs.items():
-            if leg.label not in target_labels:
-                raise DomainError(f"unknown target label {leg.label}")
-            if abs(leg.sign) != 1:
-                raise DomainError(f"leg sign must be +-1, got {leg.sign}")
-            is_photon = base_lab in _PHOTON_LABELS[self.base]
-            if is_photon != (leg.label in _PHOTON_LABELS[self.target]):
-                raise DomainError(
-                    f"{base_lab} -> {leg.label} mixes photon/fermion legs")
-            if not is_photon and leg.backward is None:
-                raise DomainError(f"fermion leg {base_lab} needs u/v flag")
-
-
-COMPTON_TO_ANNIHILATION = SubstitutionTable(
-    base="compton", target="annihilation",
-    legs={
-        "k_f": CrossedLeg("k_f", +1),
-        "k_i": CrossedLeg("k_i", -1),
-        "p_f": CrossedLeg("p_plus", -1, backward=True),
-        "p_i": CrossedLeg("p_minus", +1, backward=False),
-    })
-
-BREMSSTRAHLUNG_TO_PAIR_PRODUCTION = SubstitutionTable(
-    base="bremsstrahlung", target="pair_production",
-    legs={
-        "k_f": CrossedLeg("k_i", -1),
-        "p_f": CrossedLeg("p_plus", +1, backward=True),
-        "p_i": CrossedLeg("p_minus", -1, backward=False),
-    })
-
-MOLLER_TO_BHABHA = SubstitutionTable(
-    base="moller", target="bhabha",
-    legs={
-        "p_i1": CrossedLeg("p_i_minus", +1, backward=False),
-        "p_f1": CrossedLeg("p_f_minus", +1, backward=False),
-        "p_i2": CrossedLeg("p_f_plus", -1, backward=True),
-        "p_f2": CrossedLeg("p_i_plus", -1, backward=True),
-    })
-
-
-def identity_table(process: str) -> SubstitutionTable:
-    legs = {}
-    for lab in _FERMION_LABELS[process]:
-        legs[lab] = CrossedLeg(lab, +1,
-                               backward=lab in _BACKWARD_FERMIONS[process])
-    for lab in _PHOTON_LABELS[process]:
-        legs[lab] = CrossedLeg(lab, +1)
-    return SubstitutionTable(process, process, legs)
-
-
 def apply_crossing(base: str, table: SubstitutionTable,
                    cfg: KinematicConfig,
                    alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
@@ -483,45 +508,7 @@ def apply_crossing(base: str, table: SubstitutionTable,
         raise DomainError(
             f"table target {table.target} != config process {cfg.process}")
     mom = cfg.validate()
-    m = cfg.mass
-    e2 = 4.0 * math.pi * alpha
-
-    def fermion(base_lab):
-        cl = table.legs[base_lab]
-        p = mom[cl.label]
-        return _u(p, m, cl.backward), p if cl.sign > 0 else -p
-
-    def photon(base_lab):
-        cl = table.legs[base_lab]
-        k = mom[cl.label]
-        # crossing a leg to the other side of the reaction flips the
-        # conjugation, so the target's role decides: emitted legs enter
-        # conjugated
-        conj = cl.label in _EMITTED_PHOTONS[cfg.process]
-        return polarization_vectors(k, conj), k if cl.sign > 0 else -k
-
-    if base == "compton":
-        u_f, _ = fermion("p_f")
-        u_i, p_in = fermion("p_i")
-        eps_abs, k_abs = photon("k_i")
-        eps_em, k_em = photon("k_f")
-        amps = _compton_core(_bar(u_f), u_i, eps_abs, eps_em,
-                             p_in, k_abs, k_em, m, e2)
-    elif base == "bremsstrahlung":
-        u_f, p_out = fermion("p_f")
-        u_i, p_in = fermion("p_i")
-        eps, k = photon("k_f")
-        amps = _coulomb_core(_bar(u_f), u_i, eps, p_out, p_in, k, m, cfg.Z,
-                             e2 * math.sqrt(e2))
-    elif base == "moller":
-        u_f2, q_f2 = fermion("p_f2")
-        u_f1, q_f1 = fermion("p_f1")
-        u_i2, _ = fermion("p_i2")
-        u_i1, q_i1 = fermion("p_i1")
-        amps = _four_fermion_core(_bar(u_f2), u_i2, _bar(u_f1), u_i1,
-                                  q_i1 - q_f1, q_i1 - q_f2, m, e2)
-    else:
-        raise DomainError(f"{base} is not a base topology")
+    amps = _evaluate(table, cfg, mom, alpha)
     # base helicity axes, renamed to target legs, in the target's order
     crossed = [table.legs[lab].label for lab in _AXES[base]]
     order = [crossed.index(lab) + 1 for lab in _AXES[cfg.process]]

@@ -30,6 +30,20 @@ def compton_invariant_m2(cfg, alpha):
                             + 2.0 * m2 * d + m2 * m2 * d * d)
 
 
+def annihilation_invariant_m2(cfg, alpha):
+    """Spin/polarization summed |M|^2 / 4 of e- e+ -> gamma gamma from
+    the closed form (Peskin & Schroeder 5.105), p the electron momentum:
+    2 e^4 [p.k2/p.k1 + p.k1/p.k2 + 2 m^2 s - m^4 s^2],
+    s = 1/p.k1 + 1/p.k2."""
+    e2 = 4.0 * math.pi * alpha
+    k1 = minkowski_dot(cfg.momenta["p_minus"], cfg.momenta["k_i"])
+    k2 = minkowski_dot(cfg.momenta["p_minus"], cfg.momenta["k_f"])
+    m2 = cfg.mass * cfg.mass
+    s = 1.0 / k1 + 1.0 / k2
+    return 2.0 * e2 * e2 * (k2 / k1 + k1 / k2 + 2.0 * m2 * s
+                            - m2 * m2 * s * s)
+
+
 def _tr(*ms):
     acc = ms[0]
     for m in ms[1:]:
@@ -91,6 +105,37 @@ def bhabha_trace_m2(cfg, alpha):
     return float(np.real(e2 * e2 / 4.0
                          * (tt / t ** 2 + ss / s ** 2
                             - 2.0 * np.real(ts) / (t * s))))
+
+
+def coulomb_trace_m2(cfg, alpha):
+    """Sum over both fermion spins and both photon helicities of |M|^2
+    in the static Coulomb field of a charge Z, for bremsstrahlung
+    e-(p_i) -> e-(p_f) gamma(k_f) and for pair production
+    gamma(k_i) -> e-(p_minus) e+(p_plus): Z^2 e^6 / |q|^4 times the
+    trace over the open electron line, with -g_{mu nu} in place of the
+    polarization sum (the photon Ward identity makes them equal)."""
+    e2 = 4.0 * math.pi * alpha
+    m = cfg.mass
+    mom = {lab: v.as_array() for lab, v in cfg.momenta.items()}
+    if cfg.process == "bremsstrahlung":
+        # ubar(p_f) [eps S(p_f + k) g0 + g0 S(p_i - k) eps] u(p_i)
+        p_out, p_in, k = mom["p_f"], mom["p_i"], mom["k_f"]
+        rho_in = slash(p_in) + m * I4
+        q1, q2, q = p_out + k, p_in - k, p_out + k - p_in
+    else:
+        # ubar(p-) [eps S(p- - k) g0 + g0 S(k - p+) eps] v(p+)
+        p_out, p_plus, k = mom["p_minus"], mom["p_plus"], mom["k_i"]
+        rho_in = slash(p_plus) - m * I4
+        q1, q2, q = p_out - k, k - p_plus, p_out + p_plus - k
+    prop = lambda p: (slash(p) + m * I4) / (minkowski_dot(p, p) - m * m)
+    g0 = GAMMA[0]
+    total = 0.0 + 0.0j
+    for mu in range(4):
+        vertex = GAMMA[mu] @ prop(q1) @ g0 + g0 @ prop(q2) @ GAMMA[mu]
+        total -= _METRIC[mu, mu] * _tr(slash(p_out) + m * I4, vertex, rho_in,
+                                       g0 @ vertex.conj().T @ g0)
+    q_sq = np.sum(q[1:] ** 2)
+    return float(np.real(cfg.Z ** 2 * e2 ** 3 / q_sq ** 2 * total))
 
 
 def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):

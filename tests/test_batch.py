@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,45 @@ def test_four_fermion_spin_sums_match_trace_oracles(process, E, theta, phi,
     cfg = boosted(build(E, theta, phi), eta, b_theta, b_phi)
     ref = oracle(cfg, ALPHA_DEFAULT)
     assert abs(pr.spin_summed_squared(cfg) - ref) <= 1e-9 * ref
+
+
+@settings(max_examples=25)
+@given(st.floats(0.05, 3.0), angle, azimuth, rapidity, angle, azimuth)
+def test_annihilation_spin_sum_matches_invariant_oracle(pmag, theta, phi, eta,
+                                                        b_theta, b_phi):
+    cfg = boosted(pr.annihilation_cm_config(pmag, theta, phi), eta, b_theta,
+                  b_phi)
+    oracle = oracles.annihilation_invariant_m2(cfg, ALPHA_DEFAULT)
+    assert abs(pr.spin_summed_squared(cfg) - oracle) <= 1e-9 * oracle
+
+
+# the external-Coulomb builders from six uniform draws, and the names of
+# their spin and helicity arguments
+COULOMB = {
+    "bremsstrahlung": (
+        lambda u, v, a, b, c, d, Z, hel: pr.bremsstrahlung_config(
+            1.2 + 4 * u, 0.05 + (0.05 + 4 * u) * v, 0.1 + 3 * a,
+            0.1 + 3 * b, 6.2 * c, 6.2 * d, Z=Z, **hel),
+        ("s_i", "s_f", "pol_f")),
+    "pair_production": (
+        lambda u, v, a, b, c, d, Z, hel: pr.pair_production_config(
+            2.3 + 4 * u, 1.05 + (0.2 + 4 * u) * v, 0.1 + 3 * a,
+            0.1 + 3 * b, 6.2 * c, 6.2 * d, Z=Z, **hel),
+        ("s_plus", "s_minus", "pol_i")),
+}
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(sorted(COULOMB)),
+       st.tuples(*[st.floats(0, 1)] * 6), st.floats(0.2, 3.0))
+def test_coulomb_spin_sums_match_trace_oracle(process, draws, Z):
+    build, names = COULOMB[process]
+    total = 0.0
+    for hel in itertools.product((1, -1), (1, -1), ("plus", "minus")):
+        cfg = build(*draws, Z, dict(zip(names, hel)))
+        total += abs(pr.amplitude(cfg).value) ** 2
+    ref = oracles.coulomb_trace_m2(cfg, ALPHA_DEFAULT)
+    assert abs(total - ref) <= 1e-9 * ref
 
 
 # one builder per process: its scalar arguments from two uniform draws

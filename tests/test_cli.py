@@ -200,6 +200,17 @@ class TestExitCodes:
             assert out == ""
             assert "domain error" in err and "memory" in err
 
+    def test_classical_photon_needs_momentum(self, capsys):
+        # the default --pz 0 would run a photon of zero four-momentum
+        for extra in ([], ["--pz", "0"], ["--pz", "-0.0"]):
+            for fmt in ("csv", "json"):
+                rc, out, err = run_capture(capsys, [
+                    "classical", "--particle", "photon", "--tau-max",
+                    "0.003", "--dt", "0.001", "--format", fmt] + extra)
+                assert rc == 2, (extra, fmt)
+                assert out == ""
+                assert "domain error" in err and "|k| > 0" in err
+
     def test_classical_photon_needs_two_components(self, capsys):
         for z in ("1,0,0,0", "1,0,0", "1"):
             rc, out, err = run_capture(capsys, [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -304,6 +305,28 @@ class TestCrossing:
         pr.MOLLER_TO_BHABHA.validate()
         with pytest.raises(DomainError):
             pr.SubstitutionTable("compton", "annihilation", {}).validate()
+
+    def test_sign_rule_rejects_the_old_pair_production_table(self):
+        # p_f crossed to the positron with no momentum flip and p_i to the
+        # electron with one: the spinors and the internal lines belong to
+        # opposite orientations of the fermion line
+        old = pr.SubstitutionTable("bremsstrahlung", "pair_production", {
+            "k_f": pr.CrossedLeg("k_i", -1),
+            "p_f": pr.CrossedLeg("p_plus", +1, backward=True),
+            "p_i": pr.CrossedLeg("p_minus", -1, backward=False)})
+        with pytest.raises(DomainError, match="sign"):
+            old.validate()
+
+    @pytest.mark.parametrize("table", [pr.COMPTON_TO_ANNIHILATION,
+                                       pr.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
+                                       pr.MOLLER_TO_BHABHA])
+    def test_sign_rule_rejects_any_flipped_leg(self, table):
+        for lab, leg in table.legs.items():
+            legs = dict(table.legs)
+            legs[lab] = dataclasses.replace(leg, sign=-leg.sign)
+            with pytest.raises(DomainError, match="sign"):
+                pr.SubstitutionTable(table.base, table.target,
+                                     legs).validate()
 
     def test_identity_tables_reproduce_direct(self):
         cfg = random_compton()
