@@ -283,7 +283,8 @@ def _cmd_classical(args):
             raise _UsageError("photon internal state needs 2 components")
         if args.pz == 0.0:
             raise DomainError("a photon needs |k| > 0: give a nonzero --pz")
-        p = FourVector(args.pz, 0.0, 0.0, args.pz)
+        # a photon along -z still has positive energy
+        p = FourVector(abs(args.pz), 0.0, 0.0, args.pz)
         state = PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
     # overflow ends the run as an abort, reported below
     with np.errstate(over="ignore", invalid="ignore"):

@@ -114,7 +114,10 @@ def electron_energy_factor(initial: str = "E_i",
                                           final: Fraction(-1, 2)})
 
 
-# -- printed final prefactors of the implemented processes -----------------
+# -- printed final prefactors of the base topologies ----------------------
+#
+# The crossed processes' ledgers are these with each leg's energy symbol
+# renamed through the crossing table (fqed.processes).
 
 def compton_prefactor() -> NormalizationLedger:
     """e^2/(V T^3) sqrt(m^2/(E_f E_i)) (2 omega_f 2 omega_i)^(-1/2)."""
@@ -134,31 +137,9 @@ def bremsstrahlung_prefactor() -> NormalizationLedger:
         **{"2": Fraction(-1, 2), "2pi": 1})
 
 
-def pair_annihilation_prefactor() -> NormalizationLedger:
-    out = compton_prefactor().exponents.copy()
-    out.pop("E_i"), out.pop("E_f")
-    out["E_plus"] = out["E_minus"] = Fraction(-1, 2)
-    return NormalizationLedger(out)
-
-
-def pair_production_prefactor() -> NormalizationLedger:
-    out = bremsstrahlung_prefactor().exponents.copy()
-    out.pop("E_i"), out.pop("E_f"), out.pop("omega_f")
-    out["E_plus"] = out["E_minus"] = Fraction(-1, 2)
-    out["omega_i"] = Fraction(-1, 2)
-    return NormalizationLedger(out)
-
-
 def moller_prefactor() -> NormalizationLedger:
     """e^2 m^2 (VT)^(-3/2) / sqrt(E_f2 E_i2 E_f1 E_i1)."""
     return NormalizationLedger.of(
         e=2, m=2, V=Fraction(-3, 2), T=Fraction(-3, 2),
         E_i1=Fraction(-1, 2), E_i2=Fraction(-1, 2),
         E_f1=Fraction(-1, 2), E_f2=Fraction(-1, 2))
-
-
-def bhabha_prefactor() -> NormalizationLedger:
-    return NormalizationLedger.of(
-        e=2, m=2, V=Fraction(-3, 2), T=Fraction(-3, 2),
-        E_i_plus=Fraction(-1, 2), E_f_plus=Fraction(-1, 2),
-        E_i_minus=Fraction(-1, 2), E_f_minus=Fraction(-1, 2))

@@ -25,17 +25,20 @@ through the same code and returns Python scalars.
 
 Crossing
 --------
-Every process is evaluated on one of three base topologies (Compton,
-bremsstrahlung, Moller) through a SubstitutionTable that maps the base
-legs onto the process's own: the identity for a base process, the
-crossing table for annihilation, pair production and Bhabha
-scattering, so each leg map is written once. A leg's sign flips its
-momentum on the internal lines. It is -1 exactly when crossing moves
-the leg to the other side of the reaction: a fermion that changes
-between u and v spinor, or a photon that changes between absorbed and
-emitted. Emitted photons enter with the conjugated polarization
+Each process declares its legs once, in _LEGS: label -> (particle,
+side), with particle e-, e+ or photon and side in or out. Every process
+is evaluated on one of three base topologies (Compton, bremsstrahlung,
+Moller) through a SubstitutionTable, a map from base leg labels to the
+process's own: the identity for a base process, the crossing table for
+annihilation, pair production and Bhabha scattering. The rest follows
+from the two processes' legs. A leg's momentum enters the internal
+lines with sign -1 exactly when the leg changes side. A fermion takes
+a v spinor exactly when its target leg is a positron, and it keeps its
+end of the fermion line (an incoming e- and an outgoing e+ are the
+spinor end). Emitted photons enter with the conjugated polarization
 vector; external spinors are built at the physical positive-energy
-momentum, u or v as the table says. apply_crossing evaluates a base
+momentum. The crossed ledger is the base ledger with each leg's energy
+symbol renamed through the table. apply_crossing evaluates a base
 topology under any valid table.
 """
 
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,43 +64,26 @@ PHOTON_POLE_THRESHOLD = 1e-10      # |q^2| below this raises, units m^2
 # conservation in units of m
 KINEMATIC_TOL = 1e-10
 
-PROCESS_IDS = ("compton", "annihilation", "bremsstrahlung",
-               "pair_production", "moller", "bhabha")
-
-_FERMION_LABELS = {
-    "compton": ("p_i", "p_f"),
-    "annihilation": ("p_minus", "p_plus"),
-    "bremsstrahlung": ("p_i", "p_f"),
-    "pair_production": ("p_minus", "p_plus"),
-    "moller": ("p_i1", "p_i2", "p_f1", "p_f2"),
-    "bhabha": ("p_i_minus", "p_f_minus", "p_i_plus", "p_f_plus"),
+# each process's external legs, label -> (particle, side); every other
+# per-leg fact (labels, conservation sides, emitted photons, positrons,
+# crossing signs and spinor kinds) is derived from this
+_LEGS = {
+    "compton": {"p_i": ("e-", "in"), "k_i": ("photon", "in"),
+                "p_f": ("e-", "out"), "k_f": ("photon", "out")},
+    "annihilation": {"p_minus": ("e-", "in"), "p_plus": ("e+", "in"),
+                     "k_i": ("photon", "out"), "k_f": ("photon", "out")},
+    "bremsstrahlung": {"p_i": ("e-", "in"), "p_f": ("e-", "out"),
+                       "k_f": ("photon", "out")},
+    "pair_production": {"k_i": ("photon", "in"), "p_minus": ("e-", "out"),
+                        "p_plus": ("e+", "out")},
+    "moller": {"p_i1": ("e-", "in"), "p_i2": ("e-", "in"),
+               "p_f1": ("e-", "out"), "p_f2": ("e-", "out")},
+    "bhabha": {"p_i_minus": ("e-", "in"), "p_i_plus": ("e+", "in"),
+               "p_f_minus": ("e-", "out"), "p_f_plus": ("e+", "out")},
 }
-_PHOTON_LABELS = {
-    "compton": ("k_i", "k_f"),
-    "annihilation": ("k_i", "k_f"),
-    "bremsstrahlung": ("k_f",),
-    "pair_production": ("k_i",),
-    "moller": (),
-    "bhabha": (),
-}
-# legs whose wave function enters conjugated (outgoing photons)
-_EMITTED_PHOTONS = {
-    "compton": ("k_f",),
-    "annihilation": ("k_i", "k_f"),
-    "bremsstrahlung": ("k_f",),
-    "pair_production": (),
-    "moller": (),
-    "bhabha": (),
-}
-# (incoming, outgoing) legs for the conservation check
-_BALANCE = {
-    "compton": (("p_i", "k_i"), ("p_f", "k_f")),
-    "annihilation": (("p_minus", "p_plus"), ("k_i", "k_f")),
-    "moller": (("p_i1", "p_i2"), ("p_f1", "p_f2")),
-    "bhabha": (("p_i_minus", "p_i_plus"), ("p_f_minus", "p_f_plus")),
-    "bremsstrahlung": (("p_i",), ("p_f", "k_f")),
-    "pair_production": (("k_i",), ("p_minus", "p_plus")),
-}
+PROCESS_IDS = tuple(_LEGS)
+# the legs at the spinor end of a fermion line (the other end is barred)
+_SPINOR_END = (("e-", "in"), ("e+", "out"))
 # the external-Coulomb processes conserve energy only
 _ENERGY_ONLY = ("bremsstrahlung", "pair_production")
 # helicity axes of the base topologies' amplitude arrays; a crossed
@@ -143,22 +130,22 @@ class KinematicConfig:
                    for v in self.momenta.values())
 
     def validate(self) -> dict[str, np.ndarray]:
-        """Check a finite Z, on-shell fermions with p0 > 0, lightlike
-        photons with |k| > 0 and conservation at every point at once;
-        returns every leg as an (N, 4) array (N = 1 for one point)."""
-        if self.process not in PROCESS_IDS:
-            raise DomainError(f"unknown process: {self.process}")
+        """Check exactly the process's legs, a finite Z, on-shell
+        fermions with p0 > 0, lightlike photons with |k| > 0 and
+        conservation at every point at once; returns every leg as an
+        (N, 4) array (N = 1 for one point)."""
+        mom = self._legs()
         if not np.isfinite(self.Z).all():
             raise DomainError(f"Z must be finite, got {self.Z!r}")
-        mom = self._legs()
         m2 = self.mass * self.mass
-        fermions = _FERMION_LABELS[self.process]
+        fermions = (_labels(self.process, "e-")
+                    + _labels(self.process, "e+"))
         p = np.stack([mom[lab] for lab in fermions])
         dev = minkowski_dot(p, p) - m2
         _reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
                 "off shell: p^2 - m^2", dev, fermions)
         _reject(~(p[..., 0] > 0), "needs p0 > 0, p0", p[..., 0], fermions)
-        photons = _PHOTON_LABELS[self.process]
+        photons = _labels(self.process, "photon")
         if photons:
             k = np.stack([mom[lab] for lab in photons])
             k2 = minkowski_dot(k, k)
@@ -178,6 +165,13 @@ class KinematicConfig:
         return self._point_or_batch(_residual(self.process, self._legs()))
 
     def _legs(self) -> dict[str, np.ndarray]:
+        if self.process not in _LEGS:
+            raise DomainError(f"unknown process: {self.process}")
+        expected = _LEGS[self.process]
+        if self.momenta.keys() != expected.keys():
+            raise DomainError(
+                f"{self.process} needs the legs {', '.join(expected)}; "
+                f"got {', '.join(self.momenta) or 'none'}")
         legs = [np.atleast_2d(np.asarray(_components(v), dtype=float))
                 for v in self.momenta.values()]
         return dict(zip(self.momenta, np.broadcast_arrays(*legs)))
@@ -186,9 +180,16 @@ class KinematicConfig:
         return FourVector.from_array(res[0]) if self._is_point() else res
 
 
+@lru_cache(maxsize=None)
+def _labels(process: str, particle=None, side=None) -> tuple:
+    """process's leg labels, of one particle or side if given."""
+    return tuple(lab for lab, (part, s) in _LEGS[process].items()
+                 if particle in (None, part) and side in (None, s))
+
+
 def _residual(process: str, mom: dict) -> np.ndarray:
-    inc, out = _BALANCE[process]
-    res = sum(mom[lab] for lab in inc) - sum(mom[lab] for lab in out)
+    res = (sum(mom[lab] for lab in _labels(process, side="in"))
+           - sum(mom[lab] for lab in _labels(process, side="out")))
     if process in _ENERGY_ONLY:
         res[:, 1:] = 0.0
     return res
@@ -199,17 +200,6 @@ class ReducedAmplitude:
     value: complex                  # (N,) complex array for N points
     ledger: _ledger.NormalizationLedger
     conservation: FourVector        # (N, 4) array for N points
-
-
-# built once: every amplitude of a process carries the same ledger
-_PREFACTORS = {
-    "compton": _ledger.compton_prefactor(),
-    "annihilation": _ledger.pair_annihilation_prefactor(),
-    "bremsstrahlung": _ledger.bremsstrahlung_prefactor(),
-    "pair_production": _ledger.pair_production_prefactor(),
-    "moller": _ledger.moller_prefactor(),
-    "bhabha": _ledger.bhabha_prefactor(),
-}
 
 
 # -- external legs ---------------------------------------------------------
@@ -300,103 +290,90 @@ def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
 # -- crossing tables -------------------------------------------------------
 
 @dataclass(frozen=True)
-class CrossedLeg:
-    label: str                     # leg label in the target process
-    sign: int = +1                 # momentum sign on internal lines
-    backward: bool | None = None   # fermions: u (False) / v (True)
-
-
-@dataclass(frozen=True)
 class SubstitutionTable:
-    """Map from base-process leg labels to target-process legs."""
+    """Map from base-process leg labels to target-process leg labels.
+
+    Everything else follows from the two processes' legs: a leg's
+    momentum enters the internal lines with sign -1 exactly when it
+    changes side, and a fermion takes a v spinor exactly when its target
+    leg is a positron.
+    """
 
     base: str
     target: str
-    legs: dict[str, CrossedLeg]
+    legs: dict[str, str]
 
     def validate(self) -> None:
-        if self.base not in PROCESS_IDS or self.target not in PROCESS_IDS:
+        if self.base not in _LEGS or self.target not in _LEGS:
             raise DomainError("substitution table references unknown process")
-        base_labels = set(_FERMION_LABELS[self.base]) | set(
-            _PHOTON_LABELS[self.base])
-        target_labels = set(_FERMION_LABELS[self.target]) | set(
-            _PHOTON_LABELS[self.target])
-        if set(self.legs) != base_labels:
+        base, target = _LEGS[self.base], _LEGS[self.target]
+        if (self.legs.keys() != base.keys()
+                or sorted(self.legs.values()) != sorted(target)):
             raise DomainError(
-                f"table legs {sorted(self.legs)} do not cover base labels "
-                f"{sorted(base_labels)}")
-        base_legs = identity_table(self.base).legs
-        for base_lab, leg in self.legs.items():
-            if leg.label not in target_labels:
-                raise DomainError(f"unknown target label {leg.label}")
-            if abs(leg.sign) != 1:
-                raise DomainError(f"leg sign must be +-1, got {leg.sign}")
-            is_photon = base_lab in _PHOTON_LABELS[self.base]
-            if is_photon != (leg.label in _PHOTON_LABELS[self.target]):
+                f"table {self.legs} does not map the {self.base} legs one "
+                f"to one onto the {self.target} legs {sorted(target)}")
+        for base_lab, lab in self.legs.items():
+            if (base[base_lab][0] == "photon") != (target[lab][0] == "photon"):
                 raise DomainError(
-                    f"{base_lab} -> {leg.label} mixes photon/fermion legs")
-            if is_photon:
-                crossed = ((base_lab in _EMITTED_PHOTONS[self.base])
-                           != (leg.label in _EMITTED_PHOTONS[self.target]))
-            elif leg.backward is None:
-                raise DomainError(f"fermion leg {base_lab} needs u/v flag")
-            else:
-                crossed = leg.backward != base_legs[base_lab].backward
-            if crossed != (leg.sign < 0):
+                    f"{base_lab} -> {lab} mixes photon/fermion legs")
+            if base[base_lab][0] != "photon" and (
+                    (base[base_lab] in _SPINOR_END)
+                    != (target[lab] in _SPINOR_END)):
                 raise DomainError(
-                    f"{base_lab} -> {leg.label} has sign {leg.sign:+d}; a "
-                    f"leg takes -1 exactly when it changes u/v or "
-                    f"absorbed/emitted")
+                    f"{base_lab} -> {lab} moves a fermion to the other end "
+                    f"of its line")
 
 
 COMPTON_TO_ANNIHILATION = SubstitutionTable(
-    base="compton", target="annihilation",
-    legs={
-        "k_f": CrossedLeg("k_f", +1),
-        "k_i": CrossedLeg("k_i", -1),
-        "p_f": CrossedLeg("p_plus", -1, backward=True),
-        "p_i": CrossedLeg("p_minus", +1, backward=False),
-    })
+    "compton", "annihilation",
+    {"k_f": "k_f", "k_i": "k_i", "p_f": "p_plus", "p_i": "p_minus"})
 
 BREMSSTRAHLUNG_TO_PAIR_PRODUCTION = SubstitutionTable(
-    base="bremsstrahlung", target="pair_production",
-    legs={
-        "k_f": CrossedLeg("k_i", -1),
-        "p_f": CrossedLeg("p_minus", +1, backward=False),
-        "p_i": CrossedLeg("p_plus", -1, backward=True),
-    })
+    "bremsstrahlung", "pair_production",
+    {"k_f": "k_i", "p_f": "p_minus", "p_i": "p_plus"})
 
 MOLLER_TO_BHABHA = SubstitutionTable(
-    base="moller", target="bhabha",
-    legs={
-        "p_i1": CrossedLeg("p_i_minus", +1, backward=False),
-        "p_f1": CrossedLeg("p_f_minus", +1, backward=False),
-        "p_i2": CrossedLeg("p_f_plus", -1, backward=True),
-        "p_f2": CrossedLeg("p_i_plus", -1, backward=True),
-    })
+    "moller", "bhabha",
+    {"p_i1": "p_i_minus", "p_f1": "p_f_minus", "p_i2": "p_f_plus",
+     "p_f2": "p_i_plus"})
 
 _CROSSINGS = (COMPTON_TO_ANNIHILATION, BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
               MOLLER_TO_BHABHA)
 
 
 def identity_table(process: str) -> SubstitutionTable:
-    # the positron (v spinor) legs are those the crossing tables make so
-    backward = {leg.label for t in _CROSSINGS if t.target == process
-                for leg in t.legs.values() if leg.backward}
-    legs = {lab: CrossedLeg(lab, +1, backward=lab in backward)
-            for lab in _FERMION_LABELS[process]}
-    legs.update((lab, CrossedLeg(lab, +1)) for lab in _PHOTON_LABELS[process])
-    return SubstitutionTable(process, process, legs)
+    return SubstitutionTable(process, process,
+                             {lab: lab for lab in _LEGS[process]})
 
 
 # the table each process is evaluated through: the identity on a base
 # topology, its crossing table otherwise; validated once, here
 _TABLES = {base: identity_table(base) for base in _AXES}
 _TABLES.update((t.target, t) for t in _CROSSINGS)
-_AXES.update((t.target, tuple(t.legs[lab].label for lab in _AXES[t.base]))
+_AXES.update((t.target, tuple(t.legs[lab] for lab in _AXES[t.base]))
              for t in _CROSSINGS)
 for _table in _TABLES.values():
     _table.validate()
+
+
+def _energy(label: str) -> str:
+    """The ledger symbol of a leg's energy: E_x for p_x, omega_x for k_x."""
+    return ("E" if label[0] == "p" else "omega") + label[1:]
+
+
+def _crossed_ledger(table: SubstitutionTable) -> _ledger.NormalizationLedger:
+    """The base topology's ledger with each leg's energy renamed through
+    the table."""
+    base = {"compton": _ledger.compton_prefactor,
+            "bremsstrahlung": _ledger.bremsstrahlung_prefactor,
+            "moller": _ledger.moller_prefactor}[table.base]()
+    rename = {_energy(b): _energy(t) for b, t in table.legs.items()}
+    return _ledger.NormalizationLedger(
+        {rename.get(sym, sym): v for sym, v in base.exponents.items()})
+
+
+# built once: every amplitude of a process carries the same ledger
+_LEDGERS = {process: _crossed_ledger(t) for process, t in _TABLES.items()}
 
 
 # -- evaluation ------------------------------------------------------------
@@ -409,22 +386,25 @@ def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
     polarization slots of the Compton topology."""
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
+    base, target = _LEGS[table.base], _LEGS[table.target]
+
+    def crossed(base_lab):
+        """The target leg's particle, side and momentum, and its momentum
+        on the internal lines: flipped where the leg changes side."""
+        lab = table.legs[base_lab]
+        (particle, side), p = target[lab], mom[lab]
+        return particle, side, p, p if side == base[base_lab][1] else -p
 
     def fermion(base_lab):
-        cl = table.legs[base_lab]
-        p = mom[cl.label]
-        return _u(p, m, cl.backward), p if cl.sign > 0 else -p
+        particle, _, p, q = crossed(base_lab)
+        return _u(p, m, particle == "e+"), q
 
     def photon(base_lab, eps=None):
-        cl = table.legs[base_lab]
-        k = mom[cl.label]
+        _, side, k, q = crossed(base_lab)
         if eps is None:
-            # crossing a leg to the other side of the reaction flips the
-            # conjugation, so the target's role decides: emitted legs
-            # enter conjugated
-            eps = polarization_vectors(
-                k, cl.label in _EMITTED_PHOTONS[cfg.process])
-        return eps, k if cl.sign > 0 else -k
+            # the target's side decides: emitted legs enter conjugated
+            eps = polarization_vectors(k, side == "out")
+        return eps, q
 
     if table.base == "compton":
         u_f, _ = fermion("p_f")
@@ -477,7 +457,7 @@ def _reduced(cfg: KinematicConfig, amps: np.ndarray,
     res = cfg._point_or_batch(_residual(cfg.process, mom))
     if cfg._is_point():
         value = complex(value[0])
-    return ReducedAmplitude(value, _PREFACTORS[cfg.process], res)
+    return ReducedAmplitude(value, _LEDGERS[cfg.process], res)
 
 
 def amplitude(cfg: KinematicConfig,
@@ -510,7 +490,7 @@ def apply_crossing(base: str, table: SubstitutionTable,
     mom = cfg.validate()
     amps = _evaluate(table, cfg, mom, alpha)
     # base helicity axes, renamed to target legs, in the target's order
-    crossed = [table.legs[lab].label for lab in _AXES[base]]
+    crossed = [table.legs[lab] for lab in _AXES[base]]
     order = [crossed.index(lab) + 1 for lab in _AXES[cfg.process]]
     return _reduced(cfg, amps.transpose(0, *order), mom)
 
@@ -524,7 +504,8 @@ def spin_summed_squared(cfg: KinematicConfig,
     All helicity amplitudes come from one batched evaluation; 2->2
     processes only. A float for one point, an (N,) array for N points.
     """
-    if cfg.process not in ("compton", "annihilation", "moller", "bhabha"):
+    sides = sorted(side for _, side in _LEGS.get(cfg.process, {}).values())
+    if sides != ["in", "in", "out", "out"]:
         raise DomainError(
             f"spin_summed_squared needs a 2->2 process, got {cfg.process}")
     amps = _direct(cfg, cfg.validate(), alpha)
@@ -632,8 +613,8 @@ def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
     _above("beam energy", E, mass)
     pmag = np.sqrt(E * E - mass * mass)
     nx, ny, nz = _direction(theta, phi)
-    labels = (("p_i1", "p_i2", "p_f1", "p_f2") if process == "moller"
-              else ("p_i_minus", "p_i_plus", "p_f_minus", "p_f_plus"))
+    # in along +z, in along -z, out along n, out along -n
+    labels = tuple(_LEGS[process])
     legs = dict(zip(labels, (
         (E, 0.0, 0.0, pmag),
         (E, 0.0, 0.0, -pmag),

@@ -673,6 +673,20 @@ class TestSubcommands:
         assert np.isclose(float(last[1]), 0.1)
         assert np.isclose(float(last[4]), 0.1)
 
+    def test_classical_photon_along_minus_z(self, capsys):
+        # a photon along -z, helicity state eta = (0, 1) moving along -z,
+        # has p0 = |pz| > 0: x0 grows while x3 falls
+        rc, out, _ = run_capture(capsys,
+                                 ["classical", "--particle", "photon",
+                                  "--z", "0,1", "--pz", "-1",
+                                  "--tau-max", "0.1", "--dt", "0.01",
+                                  "--format", "json"])
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["p0"] == 1.0 and rows[0]["p3"] == -1.0
+        assert rows[-1]["x0"] > rows[0]["x0"]
+        assert rows[-1]["x3"] < rows[0]["x3"]
+
     def test_classical_photon_default_components(self, capsys):
         # without --z the photon starts from the first two components of
         # the default --z, as an explicit --z with those two does

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fqed import ledger
+from fqed import ledger, processes
 
 
 def test_identity_and_composition():
@@ -30,18 +30,22 @@ def test_coupling_and_wave_norms():
 
 
 def test_crossed_prefactors_swap_energies_only():
-    """Crossing replaces the electron energies but leaves the V, T, e
-    and 2pi bookkeeping untouched."""
+    """Crossing renames the leg energies but leaves the V, T, e and 2pi
+    bookkeeping untouched."""
     c = ledger.compton_prefactor()
-    a = ledger.pair_annihilation_prefactor()
+    a = processes.amplitude(processes.annihilation_cm_config(0.7, 1.1)).ledger
     for sym in ("V", "T", "e", "2", "m", "omega_i", "omega_f"):
         assert c.exponent(sym) == a.exponent(sym)
-    assert a.exponent("E_plus") == Fraction(-1, 2)
-    assert c.exponent("E_plus") == 0
+    assert a.exponent("E_plus") == a.exponent("E_minus") == Fraction(-1, 2)
+    assert c.exponent("E_plus") == 0 and a.exponent("E_i") == 0
     b = ledger.bremsstrahlung_prefactor()
-    p = ledger.pair_production_prefactor()
+    p = processes.amplitude(
+        processes.pair_production_config(3.0, 1.5, 0.5, 0.5)).ledger
     for sym in ("V", "T", "e", "Z", "2pi"):
         assert b.exponent(sym) == p.exponent(sym)
+    assert p.exponent("E_plus") == p.exponent("E_minus") == Fraction(-1, 2)
+    assert p.exponent("omega_i") == Fraction(-1, 2)
+    assert p.exponent("omega_f") == 0
 
 
 def test_ingredient_composition_does_not_close():
@@ -74,9 +78,11 @@ def test_vertex_longitudinal_symbols():
 
 def test_moller_bhabha_prefactors():
     m = ledger.moller_prefactor()
-    b = ledger.bhabha_prefactor()
+    b = processes.amplitude(processes.bhabha_cm_config(1.5, 0.8)).ledger
     assert m.exponent("V") == b.exponent("V") == Fraction(-3, 2)
     assert m.exponent("e") == 2
+    for leg in ("i_minus", "f_minus", "i_plus", "f_plus"):
+        assert b.exponent(f"E_{leg}") == Fraction(-1, 2)
 
 
 def test_bad_vertex_label():

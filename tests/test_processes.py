@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -58,6 +59,18 @@ class TestKinematicConfig:
     def test_unknown_process(self):
         with pytest.raises(DomainError):
             pr.KinematicConfig("mott", {}, {}, {}).validate()
+        with pytest.raises(DomainError, match="unknown process"):
+            pr.KinematicConfig("mott", {}, {}, {}).conservation_residual()
+
+    @pytest.mark.parametrize("edit", [
+        lambda mom: {lab: v for lab, v in mom.items() if lab != "k_f"},
+        lambda mom: {**mom, "k_x": mom["k_f"]}], ids=["missing", "extra"])
+    def test_leg_set_must_match(self, edit):
+        cfg = pr.compton_lab_config(1.0, 0.5)
+        bad = dataclasses.replace(cfg, momenta=edit(cfg.momenta))
+        with pytest.raises(DomainError,
+                           match="compton needs the legs p_i, k_i, p_f, k_f"):
+            bad.validate()
 
     def test_non_finite_Z_rejected(self):
         for cfg in (pr.bremsstrahlung_config(2.0, 0.5, 0.3, 1.2, Z=math.nan),
@@ -306,27 +319,57 @@ class TestCrossing:
         with pytest.raises(DomainError):
             pr.SubstitutionTable("compton", "annihilation", {}).validate()
 
-    def test_sign_rule_rejects_the_old_pair_production_table(self):
-        # p_f crossed to the positron with no momentum flip and p_i to the
-        # electron with one: the spinors and the internal lines belong to
-        # opposite orientations of the fermion line
+    def test_old_pair_production_map_rejected(self):
+        # p_f crossed to the positron and p_i to the electron: both
+        # fermions would change ends of the fermion line
         old = pr.SubstitutionTable("bremsstrahlung", "pair_production", {
-            "k_f": pr.CrossedLeg("k_i", -1),
-            "p_f": pr.CrossedLeg("p_plus", +1, backward=True),
-            "p_i": pr.CrossedLeg("p_minus", -1, backward=False)})
-        with pytest.raises(DomainError, match="sign"):
+            "k_f": "k_i", "p_f": "p_plus", "p_i": "p_minus"})
+        with pytest.raises(DomainError, match="other end"):
             old.validate()
+
+    def test_two_legs_onto_one_rejected(self):
+        legs = {**pr.COMPTON_TO_ANNIHILATION.legs, "k_i": "k_f"}
+        with pytest.raises(DomainError, match="one to one"):
+            pr.SubstitutionTable("compton", "annihilation", legs).validate()
 
     @pytest.mark.parametrize("table", [pr.COMPTON_TO_ANNIHILATION,
                                        pr.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
                                        pr.MOLLER_TO_BHABHA])
-    def test_sign_rule_rejects_any_flipped_leg(self, table):
-        for lab, leg in table.legs.items():
-            legs = dict(table.legs)
-            legs[lab] = dataclasses.replace(leg, sign=-leg.sign)
-            with pytest.raises(DomainError, match="sign"):
-                pr.SubstitutionTable(table.base, table.target,
-                                     legs).validate()
+    def test_every_target_permutation_rejected_or_equal(self, table):
+        """Each map of the base legs onto a permutation of the target
+        legs is rejected, or evaluates to +-1 times the direct amplitude
+        at every point."""
+        draw = np.random.default_rng(23).uniform
+        n = 5
+        cfg, valid = {
+            "annihilation": lambda: (pr.annihilation_cm_config(
+                draw(0.2, 2.0, n), draw(0.1, 3.0, n), draw(0, 2 * math.pi, n),
+                s_minus=-1, pol_f="minus"), 2),
+            "pair_production": lambda: (pr.pair_production_config(
+                draw(3.0, 5.0, n), draw(1.2, 1.8, n), draw(0.1, 3.0, n),
+                draw(0.1, 3.0, n), draw(0, 2 * math.pi, n),
+                draw(0, 2 * math.pi, n), s_plus=-1), 1),
+            "bhabha": lambda: (pr.bhabha_cm_config(
+                draw(1.2, 3.0, n), draw(0.3, 2.8, n), draw(0, 2 * math.pi, n),
+                spins={"p_i_minus": 1, "p_i_plus": -1, "p_f_minus": 1,
+                       "p_f_plus": 1}), 4),
+        }[table.target]()
+        direct = pr.amplitude(cfg).value
+        assert np.all(np.abs(direct) > 1e-6)
+        accepted = 0
+        for targets in itertools.permutations(table.legs.values()):
+            t = pr.SubstitutionTable(table.base, table.target,
+                                     dict(zip(table.legs, targets)))
+            try:
+                t.validate()
+            except DomainError:
+                continue
+            accepted += 1
+            crossed = pr.apply_crossing(table.base, t, cfg).value
+            sign = 1.0 if abs(crossed[0] - direct[0]) < abs(direct[0]) else -1.0
+            assert np.all(np.abs(crossed - sign * direct)
+                          <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+        assert accepted == valid
 
     def test_identity_tables_reproduce_direct(self):
         cfg = random_compton()
