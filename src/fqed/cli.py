@@ -82,41 +82,55 @@ def _config(args) -> dict:
             and v is not None}
 
 
-def _column_cells(c: np.ndarray, csv: bool) -> list:
-    """The text of each cell of a column: str for CSV, JSON otherwise. A
-    float64 column of two or more rows whose cells all have the bytes of
-    the first (so -0.0 is not 0.0) is formatted once. The bytes are
-    compared only where the last cell equals the first, so that other
-    columns (and NaN ones) pay one float comparison: on a short table
-    the full test would cost more than it saves."""
+def _column_cells(c: np.ndarray, csv: bool) -> tuple[list, bool]:
+    """The text of each cell of a column (str for CSV, JSON otherwise),
+    and whether the column is constant: a float64 column of two or more
+    rows whose cells all have the bytes of the first (so -0.0 is not
+    0.0), formatted once. The bytes are compared only where the last
+    cell equals the first, so that other columns (and NaN ones) pay one
+    float comparison: on a short table the full test would cost more
+    than it saves."""
     v = c.tolist()
     if len(v) > 1 and v[-1] == v[0] and c.dtype == np.float64:
         bits = c.tobytes()
         if bits == bits[:8] * len(v):
-            return [str(v[0]) if csv else json.dumps(v[0])] * len(v)
+            return [str(v[0]) if csv else json.dumps(v[0])] * len(v), True
     if csv:
         # str of a Python float (from tolist) is its round-trip repr
-        return list(map(str, v))
+        return list(map(str, v)), False
     # repr of a finite float is its JSON, and a float column with a
     # finite sum holds only finite floats; json.dumps spells the rest
     finite = c.dtype.kind == "f" and math.isfinite(sum(v))
-    return list(map(repr if finite else json.dumps, v))
+    return list(map(repr if finite else json.dumps, v)), False
 
 
 def _write_table(args, table: dict):
     """Write a table given as one sequence per column name. Column by
-    column, a constant float column formatted once, and byte-identical
-    to joining each row's cells with commas and to `json.dumps` of
-    {"config", "rows": [a dict per row]}, indent=1."""
+    column, a constant float column formatted once (and written into the
+    JSON row template once), and byte-identical to joining each row's
+    cells with commas and to `json.dumps` of {"config", "rows": [a dict
+    per row]}, indent=1."""
     csv = args.format == "csv"
-    cells = [_column_cells(np.asarray(v), csv) for v in table.values()]
+    cells, const = zip(*[_column_cells(np.asarray(v), csv)
+                         for v in table.values()])
     if csv:
         text = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
     else:
-        row = "  {\n" + ",\n".join(
-            f"   {json.dumps(k).replace('%', '%%')}: %s" for k in table
-        ) + "\n  }"
-        rows = ",\n".join([row % r for r in zip(*cells)])
+        keys = [json.dumps(k).replace("%", "%%") for k in table]
+        if True in const:
+            # a constant column's text is written into the row template
+            # once; only the varying columns are substituted per row
+            row = ",\n".join(f"   {k}: " + (c[0].replace("%", "%%")
+                                             if same else "%s")
+                             for k, c, same in zip(keys, cells, const))
+            n = len(cells[0])
+            cells = [c for c, same in zip(cells, const) if not same]
+        else:
+            row = ",\n".join([f"   {k}: %s" for k in keys])
+        row = "  {\n" + row + "\n  }"
+        # where no column varies, every row is the template alone
+        rows = ",\n".join([row % r for r in zip(*cells)] if cells
+                          else [row % ()] * n)
         config = json.dumps(_config(args), indent=1).replace("\n", "\n ")
         text = ('{\n "config": ' + config + ',\n "rows": ['
                 + ("\n" + rows + "\n " if rows else "") + "]\n}\n")
@@ -146,12 +160,13 @@ def _grid(args, param_names) -> dict:
 
 def _check_mass_alpha(args) -> None:
     """A declared --mass must be finite and > 0, a declared --alpha
-    finite."""
+    finite and >= 0 (alpha = e^2 / 4 pi)."""
     opts = vars(args)
     if "mass" in opts and not (math.isfinite(args.mass) and args.mass > 0):
         raise DomainError(f"--mass must be finite and > 0, got {args.mass!r}")
-    if "alpha" in opts and not math.isfinite(args.alpha):
-        raise DomainError(f"--alpha must be finite, got {args.alpha!r}")
+    if "alpha" in opts and not 0 <= args.alpha < math.inf:
+        raise DomainError(f"--alpha must be finite and >= 0, "
+                          f"got {args.alpha!r}")
 
 
 def _escale(args) -> float:
@@ -274,7 +289,9 @@ def _cmd_classical(args):
         if len(z0) != 4:
             raise _UsageError("electron spinor needs 4 components")
         pz = args.pz
-        p = FourVector(math.sqrt(args.mass ** 2 + pz * pz), 0.0, 0.0, pz)
+        # mass * mass overflows to inf, a DomainError; mass ** 2 raises
+        p = FourVector(math.sqrt(args.mass * args.mass + pz * pz),
+                       0.0, 0.0, pz)
         state = ElectronState(FourVector(0, 0, 0, 0), p, z0)
     else:
         # without --z the photon takes the first two default components

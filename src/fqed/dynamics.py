@@ -10,12 +10,14 @@ separately):
 
 The photon is the two-component analogue with sigma^mu in place of
 gamma^mu and eta^dag in place of zbar. One right-hand side serves both
-(`_packed_rhs`), a few small real matmuls on y = (x, p, Re z, Im z):
-the symmetrised velocity operator V is stacked over the generator C in
-one real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r = (stacked
-@ u).reshape(8, 2d) a stage is v = r[:4] @ u and dz = kin @ r[4:]. Each
-stage writes its row of a (4, 8 + 2d) array k, and an RK4 step in a
-field is y + w @ k with w = dt (1, 2, 2, 1) / 6.
+(`_packed_rhs`), on the packed real state y = (x, p, Re z, Im z): the
+symmetrised velocity operator V is stacked over the generator C in one
+real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r =
+stacked.dot(u).reshape(8, 2d) a stage is v = r[:4].dot(u), dp =
+-e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]). Each
+is written by `ndarray.dot(..., out=)` straight into its slice of the
+stage's row of a (4, 8 + 2d) array k (dp then scaled in place), and an
+RK4 step in a field is y + w.dot(k) with w = dt (1, 2, 2, 1) / 6.
 
 Free motion (field = None) is a linear constant-coefficient system, so
 one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
@@ -57,7 +59,6 @@ _G0 = GAMMA[0]
 _G0G = np.stack([_G0 @ GAMMA[mu] for mu in range(4)])
 _S = SIGMA
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
-_NO_FORCE = np.zeros(4)
 
 
 # no trajectory can hold more bytes of samples than physical memory (or
@@ -141,20 +142,24 @@ def _unpacked(y, d: int):
 
 def _packed_rhs(ops, y, field, out):
     """dy/dtau of the packed state, written into the row out; the free
-    equations when field is None. A non-finite position raises
-    DomainError (FourVector guard)."""
+    equations when field is None. v, dp and dz go straight into their
+    slices of out. A non-finite position raises DomainError (FourVector
+    guard)."""
     stacked, em = ops
     u = y[8:]
-    r = (stacked @ u).reshape(8, len(u))
-    v = r[:4] @ u
+    r = stacked.dot(u).reshape(8, len(u))
+    v = r[:4].dot(u, out=out[:4])
     if field is None:
-        kin, dp = y[4:8], _NO_FORCE
+        kin = y[4:8]
+        out[4:8] = 0.0
     else:
         xv = FourVector(*y[:4].tolist())
         kin = y[4:8] - field.charge * np.asarray(field.A(xv), dtype=float)
         # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-        dp = (np.asarray(field.grad(xv), dtype=float) @ v) * em
-    return np.concatenate((v, dp, kin @ r[4:]), out=out)
+        np.asarray(field.grad(xv), dtype=float).dot(v, out=out[4:8])
+        out[4:8] *= em
+    kin.dot(r[4:], out=out[8:])
+    return out
 
 
 def electron_velocity(z: np.ndarray) -> np.ndarray:
@@ -282,7 +287,7 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
 def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
     with n + 1 rows; the rows after a non-finite state stay NaN. The
-    four stages fill the rows of k, combined as w @ k."""
+    four stages fill the rows of k, combined as w.dot(k)."""
     ops, y = _packed(mats, cliff, x, p, z, field)
     ys = np.full((n + 1, len(y)), np.nan)
     ys[0] = y
@@ -298,7 +303,7 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
         except DomainError:
             # a non-finite stage position reached the four-vector guard
             break
-        y = ys[i] = y + w @ k
+        y = ys[i] = y + w.dot(k)
         if not np.isfinite(y).all():
             break
     return _unpacked(ys, len(z))

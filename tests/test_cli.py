@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -100,6 +100,9 @@ class TestExitCodes:
                      ["compton", "--alpha", "nan"],
                      ["compton", "--mass", "inf"],
                      ["classical", "--mass", "0"],
+                     ["classical", "--mass", "1e300"],
+                     ["brems", "--alpha", "-1"],
+                     ["pairprod", "--alpha", "-1"],
                      ["energy-shift", "--spectrum", "/no/file",
                       "--alpha", "inf"]):
             rc, out, err = run_capture(capsys, argv)
@@ -582,6 +585,12 @@ class TestWriter:
     @settings(max_examples=300)
     @given(table=tables(), fmt=st.sampled_from(["csv", "json"]),
            label=cell_text)
+    # every column constant: each JSON row is the bare template, whose
+    # key needs its % escaped
+    @example(table={"%": [0.0, 0.0]}, fmt="json", label="")
+    # a constant -0.0 column in the template beside a varying one
+    @example(table={"a": [-0.0, -0.0], "b": [0.0, 1.0]}, fmt="json",
+             label="")
     def test_matches_row_formulas(self, table, fmt, label):
         args = argparse.Namespace(format=fmt, output="-", label=label,
                                   mass=1.0, sweep=None, func=None)

@@ -288,6 +288,33 @@ class TestIntegrate:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("kind", ["none", "sin", "wave"])
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_packed_rhs_fills_its_row(self, photon, kind):
+        """_packed_rhs writes every entry of its stage row, and nothing
+        outside it: the rows of a NaN stage array, against the complex
+        right-hand side."""
+        rng = np.random.default_rng(5)
+        cliff = SIGMA if photon else GAMMA
+        mats = SIGMA if photon else dyn._G0G
+        d = 2 if photon else 4
+        x, p = rng.normal(size=4), rng.normal(size=4)
+        z = rng.normal(size=d) + 1j * rng.normal(size=d)
+        f = {"none": None, "sin": self.SIN_FIELD, "wave": WAVE_FIELD}[kind]
+        ops, y = dyn._packed(mats, cliff, x, p, z, f)
+        zero = dyn.ExternalField(lambda x: np.zeros(4),
+                                 lambda x: np.zeros((4, 4)))
+        want = np.concatenate(oracles.field_rhs_complex(
+            cliff, f or zero, x, p, z))
+        for row in range(4):
+            k = np.full((4, len(y)), np.nan)
+            out = k[row]
+            assert dyn._packed_rhs(ops, y, f, out) is out
+            got = out[:8 + d] + 1j * np.append(np.zeros(8), out[8 + d:])
+            assert np.max(np.abs(got - want)) <= 1e-14 * (
+                1.0 + np.abs(p).sum()) * (z.conj() @ z).real
+            assert np.isnan(np.delete(k, row, axis=0)).all()
+
     @pytest.mark.parametrize("photon", [False, True])
     def test_constant_field_is_free_motion_at_kinetic_momentum(self,
                                                                photon):
