@@ -82,52 +82,49 @@ def _config(args) -> dict:
             and v is not None}
 
 
-def _column_cells(c: np.ndarray, csv: bool) -> tuple[list, bool]:
-    """The text of each cell of a column (str for CSV, JSON otherwise),
-    and whether the column is constant: a float64 column of two or more
-    rows whose cells all have the bytes of the first (so -0.0 is not
-    0.0), formatted once. The bytes are compared only where the last
-    cell equals the first, so that other columns (and NaN ones) pay one
-    float comparison: on a short table the full test would cost more
-    than it saves."""
+def _column_cells(c: np.ndarray, csv: bool) -> list:
+    """The text of each cell of a column: str for CSV, JSON otherwise. A
+    float64 column of two or more rows whose cells all have the bytes of
+    the first (so -0.0 is not 0.0) is formatted once. The bytes are
+    compared only where the last cell equals the first, so that other
+    columns (and NaN ones) pay one float comparison: on a short table
+    the full test would cost more than it saves."""
     v = c.tolist()
     if len(v) > 1 and v[-1] == v[0] and c.dtype == np.float64:
         bits = c.tobytes()
         if bits == bits[:8] * len(v):
-            return [str(v[0]) if csv else json.dumps(v[0])] * len(v), True
+            return [str(v[0]) if csv else json.dumps(v[0])] * len(v)
     if csv:
         # str of a Python float (from tolist) is its round-trip repr
-        return list(map(str, v)), False
+        return list(map(str, v))
     # repr of a finite float is its JSON, and a float column with a
     # finite sum holds only finite floats; json.dumps spells the rest
     finite = c.dtype.kind == "f" and math.isfinite(sum(v))
-    return list(map(repr if finite else json.dumps, v)), False
+    return list(map(repr if finite else json.dumps, v))
 
 
 def _write_table(args, table: dict):
     """Write a table given as one sequence per column name. Column by
-    column, a constant float column formatted once (and written into the
-    JSON row template once), and byte-identical to joining each row's
-    cells with commas and to `json.dumps` of {"config", "rows": [a dict
-    per row]}, indent=1."""
+    column, a constant float column formatted once, and byte-identical
+    to joining each row's cells with commas and to `json.dumps` of
+    {"config", "rows": [a dict per row]}, indent=1."""
     csv = args.format == "csv"
-    cells, const = zip(*[_column_cells(np.asarray(v), csv)
-                         for v in table.values()])
+    cells = [_column_cells(np.asarray(v), csv) for v in table.values()]
     if csv:
         text = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
     else:
-        keys = [json.dumps(k).replace("%", "%%") for k in table]
-        if True in const:
-            # a constant column's text is written into the row template
-            # once; only the varying columns are substituted per row
-            row = ",\n".join(f"   {k}: " + (c[0].replace("%", "%%")
-                                             if same else "%s")
-                             for k, c, same in zip(keys, cells, const))
-            n = len(cells[0])
-            cells = [c for c, same in zip(cells, const) if not same]
-        else:
-            row = ",\n".join([f"   {k}: %s" for k in keys])
-        row = "  {\n" + row + "\n  }"
+        # a column of two or more rows whose cells all have one text is
+        # written into the row template once (escaped for %, as a string
+        # cell may hold one); only the other columns are substituted
+        same = [len(c) > 1 and c[-1] == c[0] and c.count(c[0]) == len(c)
+                for c in cells]
+        row = "  {\n" + ",\n".join(
+            f"   {json.dumps(k).replace('%', '%%')}: "
+            + (c[0].replace("%", "%%") if s else "%s")
+            for k, c, s in zip(table, cells, same)
+        ) + "\n  }"
+        n = len(cells[0])
+        cells = [c for c, s in zip(cells, same) if not s]
         # where no column varies, every row is the template alone
         rows = ",\n".join([row % r for r in zip(*cells)] if cells
                           else [row % ()] * n)

@@ -560,9 +560,11 @@ def signed_zeros(draw, n):
 
 def column(n):
     """n cells of one column: of one kind drawn from `columns`, one value
-    repeated (which the writer formats once), or mixed signed zeros."""
-    constant = st.floats() | st.sampled_from([math.nan, math.inf,
-                                              -math.inf, -0.0])
+    repeated (which the JSON writer puts into its row template once), or
+    mixed signed zeros."""
+    constant = (st.floats() | st.sampled_from([math.nan, math.inf,
+                                               -math.inf, -0.0])
+                | cell_text | st.integers(-10 ** 6, 10 ** 6))
     return st.one_of(
         columns.flatmap(lambda cells: st.lists(cells, min_size=n,
                                                max_size=n)),
@@ -590,6 +592,9 @@ class TestWriter:
     @example(table={"%": [0.0, 0.0]}, fmt="json", label="")
     # a constant -0.0 column in the template beside a varying one
     @example(table={"a": [-0.0, -0.0], "b": [0.0, 1.0]}, fmt="json",
+             label="")
+    # a constant text column: its % is escaped in the template
+    @example(table={"a": ["%", "%"], "b": [0.0, 1.0]}, fmt="json",
              label="")
     def test_matches_row_formulas(self, table, fmt, label):
         args = argparse.Namespace(format=fmt, output="-", label=label,
