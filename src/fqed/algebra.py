@@ -46,6 +46,11 @@ I4 = np.eye(4, dtype=complex)
 I4.setflags(write=False)
 
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
+# the matrices with their index lowered, mats_mu: each slash contracts
+# the last axis of a FourVector or (..., 4) (possibly complex) array of
+# contravariant components with one of them
+_GAMMA_LOWERED, _SIGMA_LOWERED, _BIG_SIGMA_LOWERED = (
+    _METRIC_DIAG * mats for mats in (GAMMA, SIGMA, BIG_SIGMA))
 
 
 def _check_index(mu: int) -> int:
@@ -69,25 +74,19 @@ def big_sigma(mu: int) -> np.ndarray:
     return BIG_SIGMA[_check_index(mu)]
 
 
-def _lowered(p, mats) -> np.ndarray:
-    """mats^mu p_mu, contracting the last axis of a FourVector or (..., 4)
-    (possibly complex) array of contravariant components."""
-    return np.einsum("...m,mij->...ij", _components(p), _METRIC_DIAG * mats)
-
-
 def slash(p) -> np.ndarray:
     """gamma^mu p_mu = gamma^0 p^0 - gamma_vec . p_vec, shape (..., 4, 4)."""
-    return _lowered(p, GAMMA)
+    return np.einsum("...m,mij->...ij", _components(p), _GAMMA_LOWERED)
 
 
 def sigma_slash(p) -> np.ndarray:
     """sigma^mu p_mu on the photon/Pauli C^2 space."""
-    return _lowered(p, SIGMA)
+    return np.einsum("...m,mij->...ij", _components(p), _SIGMA_LOWERED)
 
 
 def big_sigma_slash(p) -> np.ndarray:
     """Sigma^mu p_mu on the photon internal C^2 (x) C^2 space."""
-    return _lowered(p, BIG_SIGMA)
+    return np.einsum("...m,mij->...ij", _components(p), _BIG_SIGMA_LOWERED)
 
 
 def trace_product(ms) -> complex:

@@ -166,6 +166,14 @@ def _check_mass_alpha(args) -> None:
                           f"got {args.alpha!r}")
 
 
+def _finite(table: dict) -> dict:
+    """table, checked: a non-finite (overflowed) cell is a NumericError."""
+    if not np.isfinite(list(table.values())).all():
+        bad = [k for k, v in table.items() if not np.isfinite(v).all()]
+        raise NumericError(f"not finite (overflow): {', '.join(bad)}")
+    return table
+
+
 def _escale(args) -> float:
     return ELECTRON_MASS_MEV if args.mev else 1.0
 
@@ -183,19 +191,19 @@ def _cmd_compton(args):
     w2 = processes.compton_omega_out(g["omega_in"], theta, args.mass)
     dsig = (w2 / g["omega_in"]) ** 2 * m2 / (
         64.0 * math.pi ** 2 * args.mass ** 2)
-    _write_table(args, {
+    _write_table(args, _finite({
         "theta_deg": g["theta"], "omega_in": g["omega_in"] * esc,
         "omega_out": w2 * esc, "M2_spin_avg": m2,
-        "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig})
+        "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig}))
 
 
 def _cmd_annihilate(args):
     g = _grid(args, ("theta", "pmag"))
     cfg = processes.annihilation_cm_config(g["pmag"], np.radians(g["theta"]),
                                            mass=args.mass)
-    _write_table(args, {
+    _write_table(args, _finite({
         "theta_deg": g["theta"], "pmag": g["pmag"] * _escale(args),
-        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)})
+        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}))
 
 
 def _coulomb_cmd(args, params, builder):
@@ -207,10 +215,10 @@ def _coulomb_cmd(args, params, builder):
                   *(np.radians(g[p]) for p in angles), Z=args.Z,
                   mass=args.mass)
     m = processes.amplitude(cfg, args.alpha).value
-    _write_table(args, {**{p: g[p] * esc for p in energies},
-                        **{p + "_deg": g[p] for p in angles},
-                        "re_M": m.real, "im_M": m.imag,
-                        "abs2_M": np.abs(m) ** 2})
+    _write_table(args, _finite({**{p: g[p] * esc for p in energies},
+                                **{p + "_deg": g[p] for p in angles},
+                                "re_M": m.real, "im_M": m.imag,
+                                "abs2_M": np.abs(m) ** 2}))
 
 
 def _cmd_brems(args):
@@ -226,9 +234,9 @@ def _cmd_pairprod(args):
 def _four_fermion_cmd(args, builder):
     g = _grid(args, ("energy", "theta"))
     cfg = builder(g["energy"], np.radians(g["theta"]), mass=args.mass)
-    _write_table(args, {
+    _write_table(args, _finite({
         "energy": g["energy"] * _escale(args), "theta_deg": g["theta"],
-        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)})
+        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}))
 
 
 def _cmd_moller(args):
@@ -250,7 +258,11 @@ def _cmd_vacuum_pol(args):
 
 def _cmd_self_energy(args):
     p2 = _grid(args, ("p2",))["p2"]
-    a, b = loops.self_energy_ab(p2 * args.mass ** 2, args.mass, args.alpha)
+    try:
+        m2 = args.mass ** 2
+    except OverflowError:
+        raise DomainError(f"--mass {args.mass!r}: m^2 overflows") from None
+    a, b = loops.self_energy_ab(p2 * m2, args.mass, args.alpha)
     c = args.alpha / (4.0 * math.pi)
     # p2 = 0 is the zero momentum, whose pslash vanishes: b reads 0
     zero = p2 == 0.0

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import GAMMA, SIGMA, _lowered, slash
+from .algebra import GAMMA, SIGMA, slash
 from .errors import DomainError
 from .fourvec import FourVector
 
@@ -264,7 +264,7 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
     S_i^dag mats^mu S_i with weights (1, 2, 2, 1).
     """
     eye = np.eye(len(z0))
-    g = -1j * _lowered(p, cliff)
+    g = -1j * np.einsum("m,mij->ij", p, _METRIC_DIAG[:, None, None] * cliff)
     s2 = eye + 0.5 * dt * g
     s3 = eye + 0.5 * dt * g @ s2
     s4 = eye + dt * g @ s3

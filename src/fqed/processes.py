@@ -17,11 +17,12 @@ Conventions
 Batches
 -------
 A KinematicConfig holds one point (FourVector legs) or N points ((N, 4)
-array legs). Evaluation validates the kinematics once per call, builds
-spinors and polarization vectors for every point and spin or helicity
-slot at once, and each topology core contracts them with einsum into
-every helicity amplitude of every point. One point is a batch of one
-through the same code and returns Python scalars.
+array legs). Evaluation validates all legs at once, then makes one
+stacked leg pass: one build of every spinor (a v spinor is the u spinor
+with its halves swapped) and one of every photon's polarization vectors.
+Each topology core contracts them with einsum into every helicity
+amplitude of every point. One point is a batch of one through the same
+code and returns Python scalars.
 
 Crossing
 --------
@@ -56,7 +57,8 @@ from .constants import ALPHA_DEFAULT
 from .errors import DomainError, PoleError
 from .fourvec import FourVector, _components, minkowski_dot
 from .propagators import PropagatorConfig, fermion_propagator
-from .states import HELICITIES, dirac_spinors, polarization_vectors, spin_slot
+from .states import (HELICITIES, _u_spinors, _V_ORDER, polarization_vectors,
+                     spin_slot)
 
 FERMION_POLE_THRESHOLD = 1e-6      # |q^2 - m^2| below this raises, units m^2
 PHOTON_POLE_THRESHOLD = 1e-10      # |q^2| below this raises, units m^2
@@ -82,6 +84,18 @@ _LEGS = {
                "p_f_minus": ("e-", "out"), "p_f_plus": ("e+", "out")},
 }
 PROCESS_IDS = tuple(_LEGS)
+
+
+@lru_cache(maxsize=None)
+def _labels(process: str, particle=None, side=None) -> tuple:
+    """process's leg labels, of one particle or side if given."""
+    return tuple(lab for lab, (part, s) in _LEGS[process].items()
+                 if particle in (None, part) and side in (None, s))
+
+
+# the order validate stacks legs in: the fermions, e- first, the photons
+_ORDER = {process: _labels(process, "e-") + _labels(process, "e+")
+          + _labels(process, "photon") for process in _LEGS}
 # the legs at the spinor end of a fermion line (the other end is barred)
 _SPINOR_END = (("e-", "in"), ("e+", "out"))
 # the external-Coulomb processes conserve energy only
@@ -126,7 +140,7 @@ class KinematicConfig:
     mass: float = 1.0
 
     def _is_point(self) -> bool:
-        return all(np.ndim(_components(v)) == 1
+        return all(isinstance(v, FourVector) or np.ndim(v) == 1
                    for v in self.momenta.values())
 
     def validate(self) -> dict[str, np.ndarray]:
@@ -134,26 +148,25 @@ class KinematicConfig:
         fermions with p0 > 0, lightlike photons with |k| > 0 and
         conservation at every point at once; returns every leg as an
         (N, 4) array (N = 1 for one point)."""
-        mom = self._legs()
+        legs = self._legs()
         if not np.isfinite(self.Z).all():
             raise DomainError(f"Z must be finite, got {self.Z!r}")
         m2 = self.mass * self.mass
-        fermions = (_labels(self.process, "e-")
-                    + _labels(self.process, "e+"))
-        p = np.stack([mom[lab] for lab in fermions])
-        dev = minkowski_dot(p, p) - m2
+        order = _ORDER[self.process]
+        nf = len(order) - len(_labels(self.process, "photon"))
+        square = minkowski_dot(legs, legs)      # fermions first
+        dev = square[:nf] - m2
         _reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
-                "off shell: p^2 - m^2", dev, fermions)
-        _reject(~(p[..., 0] > 0), "needs p0 > 0, p0", p[..., 0], fermions)
-        photons = _labels(self.process, "photon")
-        if photons:
-            k = np.stack([mom[lab] for lab in photons])
-            k2 = minkowski_dot(k, k)
-            _reject(~(np.abs(k2) <= KINEMATIC_TOL * m2),
-                    "not lightlike: k^2", k2, photons)
-            kmag = np.sqrt(np.sum(k[..., 1:] ** 2, axis=-1))
-            _reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, photons)
-        res = np.linalg.norm(_residual(self.process, mom), axis=-1)
+                "off shell: p^2 - m^2", dev, order)
+        p0 = legs[:nf, ..., 0]
+        _reject(~(p0 > 0), "needs p0 > 0, p0", p0, order)
+        _reject(~(np.abs(square[nf:]) <= KINEMATIC_TOL * m2),
+                "not lightlike: k^2", square[nf:], order[nf:])
+        kmag = np.sqrt(np.add.reduce(legs[nf:, ..., 1:] ** 2, -1))
+        _reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, order[nf:])
+        mom = dict(zip(order, legs))
+        res = _residual(self.process, mom)
+        res = np.sqrt(np.add.reduce(res * res, -1))
         what = "energy" if self.process in _ENERGY_ONLY else "4-momentum"
         _reject(~(res <= KINEMATIC_TOL * self.mass),
                 f"{what} not conserved, |residual|", res)
@@ -162,9 +175,12 @@ class KinematicConfig:
     def conservation_residual(self):
         """Incoming minus outgoing four-momentum (energy only for the
         external-Coulomb processes): a FourVector, or (N, 4) array."""
-        return self._point_or_batch(_residual(self.process, self._legs()))
+        mom = dict(zip(_ORDER.get(self.process, ()), self._legs()))
+        res = _residual(self.process, mom)
+        return FourVector.from_array(res[0]) if self._is_point() else res
 
-    def _legs(self) -> dict[str, np.ndarray]:
+    def _legs(self) -> np.ndarray:
+        """Every leg, in _ORDER, stacked into one (L, N, 4) array."""
         if self.process not in _LEGS:
             raise DomainError(f"unknown process: {self.process}")
         expected = _LEGS[self.process]
@@ -172,19 +188,11 @@ class KinematicConfig:
             raise DomainError(
                 f"{self.process} needs the legs {', '.join(expected)}; "
                 f"got {', '.join(self.momenta) or 'none'}")
-        legs = [np.atleast_2d(np.asarray(_components(v), dtype=float))
-                for v in self.momenta.values()]
-        return dict(zip(self.momenta, np.broadcast_arrays(*legs)))
-
-    def _point_or_batch(self, res: np.ndarray):
-        return FourVector.from_array(res[0]) if self._is_point() else res
-
-
-@lru_cache(maxsize=None)
-def _labels(process: str, particle=None, side=None) -> tuple:
-    """process's leg labels, of one particle or side if given."""
-    return tuple(lab for lab, (part, s) in _LEGS[process].items()
-                 if particle in (None, part) and side in (None, s))
+        legs = [np.atleast_2d(_components(self.momenta[lab]))
+                for lab in _ORDER[self.process]]
+        if any(leg.shape != legs[0].shape for leg in legs):
+            legs = np.broadcast_arrays(*legs)
+        return np.array(legs, dtype=float)
 
 
 def _residual(process: str, mom: dict) -> np.ndarray:
@@ -200,18 +208,6 @@ class ReducedAmplitude:
     value: complex                  # (N,) complex array for N points
     ledger: _ledger.NormalizationLedger
     conservation: FourVector        # (N, 4) array for N points
-
-
-# -- external legs ---------------------------------------------------------
-
-def _u(p: np.ndarray, mass: float, backward: bool = False) -> np.ndarray:
-    """Relativistically normalized spinors (u-bar u = +-2m), (N, 2, 4)."""
-    return (np.sqrt(2.0 * p[:, 0])[:, None, None]
-            * dirac_spinors(p, mass, backward))
-
-
-def _bar(u: np.ndarray) -> np.ndarray:
-    return u.conj() * _G0_DIAG
 
 
 # -- core topologies -----------------------------------------------------
@@ -378,54 +374,52 @@ _LEDGERS = {process: _crossed_ledger(t) for process, t in _TABLES.items()}
 
 # -- evaluation ------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _leg_pass(base: str, target: str, legs: tuple) -> tuple:
+    """Under a table (legs: base -> target label pairs): the target labels
+    in the base's axis order, fermions first; the fermion count; the legs'
+    signs on the internal lines; the v spinor rows; the emitted photons."""
+    table = dict(legs)
+    kinds = [(_LEGS[base][b], _LEGS[target][table[b]]) for b in _AXES[base]]
+    nf = sum(b[0] != "photon" for b, _ in kinds)
+    sign = np.array([1.0 if b[1] == t[1] else -1.0 for b, t in kinds])
+    emitted = np.array([t[1] == "out" for _, t in kinds[nf:]])
+    return (tuple(table[b] for b in _AXES[base]), nf, sign[:, None, None],
+            [i for i, (_, t) in enumerate(kinds) if t[0] == "e+"],
+            emitted[:, None, None, None])
+
+
 def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
               alpha: float, eps_abs=None) -> np.ndarray:
     """Every helicity amplitude of the table's base topology on the
-    target legs mom (validated); axes (N, *_AXES[table.base]), each
-    renamed by the table. eps_abs replaces the absorbed photon's
-    polarization slots of the Compton topology."""
+    target legs mom (validated), in one stacked pass over the legs; axes
+    (N, *_AXES[table.base]), each renamed by the table. eps_abs replaces
+    the absorbed photon's polarization slots of the Compton topology."""
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
-    base, target = _LEGS[table.base], _LEGS[table.target]
-
-    def crossed(base_lab):
-        """The target leg's particle, side and momentum, and its momentum
-        on the internal lines: flipped where the leg changes side."""
-        lab = table.legs[base_lab]
-        (particle, side), p = target[lab], mom[lab]
-        return particle, side, p, p if side == base[base_lab][1] else -p
-
-    def fermion(base_lab):
-        particle, _, p, q = crossed(base_lab)
-        return _u(p, m, particle == "e+"), q
-
-    def photon(base_lab, eps=None):
-        _, side, k, q = crossed(base_lab)
-        if eps is None:
-            # the target's side decides: emitted legs enter conjugated
-            eps = polarization_vectors(k, side == "out")
-        return eps, q
-
+    labels, nf, sign, positrons, emitted = _leg_pass(
+        table.base, table.target, tuple(table.legs.items()))
+    p = np.array([mom[lab] for lab in labels])
+    q = p * sign                    # the momenta on the internal lines
+    # every spinor (u-bar u = +-2m); the barred leg leads each pair
+    u = np.sqrt(2.0 * p[:nf, ..., 0])[..., None, None] * _u_spinors(p[:nf], m)
+    if positrons:
+        u[positrons] = u[positrons][..., _V_ORDER]
+    bar, u = u[::2].conj() * _G0_DIAG, u[1::2]
+    if nf < len(p):
+        # the target's side decides: emitted legs enter conjugated
+        eps = polarization_vectors(p[nf:])
+        np.conjugate(eps, out=eps, where=emitted)
     if table.base == "compton":
-        u_f, _ = fermion("p_f")
-        u_i, p_in = fermion("p_i")
-        eps_a, k_abs = photon("k_i", eps_abs)
-        eps_em, k_em = photon("k_f")
-        return _compton_core(_bar(u_f), u_i, eps_a, eps_em, p_in, k_abs,
-                             k_em, m, e2)
+        return _compton_core(bar[0], u[0],
+                             eps[0] if eps_abs is None else eps_abs, eps[1],
+                             q[1], q[2], q[3], m, e2)
     if table.base == "bremsstrahlung":
-        u_f, p_out = fermion("p_f")
-        u_i, p_in = fermion("p_i")
-        eps, k = photon("k_f")
-        return _coulomb_core(_bar(u_f), u_i, eps, p_out, p_in, k, m, cfg.Z,
-                             e2 * math.sqrt(e2))
+        return _coulomb_core(bar[0], u[0], eps[0], q[0], q[1], q[2], m,
+                             cfg.Z, e2 * math.sqrt(e2))
     if table.base == "moller":
-        u_f2, q_f2 = fermion("p_f2")
-        u_f1, q_f1 = fermion("p_f1")
-        u_i2, _ = fermion("p_i2")
-        u_i1, q_i1 = fermion("p_i1")
-        return _four_fermion_core(_bar(u_f2), u_i2, _bar(u_f1), u_i1,
-                                  q_i1 - q_f1, q_i1 - q_f2, m, e2)
+        return _four_fermion_core(bar[0], u[0], bar[1], u[1], q[3] - q[2],
+                                  q[3] - q[0], m, e2)
     raise DomainError(f"{table.base} is not a base topology")
 
 
@@ -453,10 +447,9 @@ def _slots(cfg: KinematicConfig) -> tuple:
 def _reduced(cfg: KinematicConfig, amps: np.ndarray,
              mom: dict) -> ReducedAmplitude:
     """The amplitude at cfg's helicities, with its ledger."""
-    value = amps[_slots(cfg)]
-    res = cfg._point_or_batch(_residual(cfg.process, mom))
+    value, res = amps[_slots(cfg)], _residual(cfg.process, mom)
     if cfg._is_point():
-        value = complex(value[0])
+        value, res = complex(value[0]), FourVector.from_array(res[0])
     return ReducedAmplitude(value, _LEDGERS[cfg.process], res)
 
 

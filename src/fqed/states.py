@@ -37,6 +37,7 @@ from .fourvec import FourVector, check_on_shell
 PHOTON_KINDS = ("plus", "minus", "longitudinal", "vacuum")
 # polarization-vector slots: positive helicity first
 HELICITIES = ("plus", "minus")
+_V_ORDER = [2, 3, 0, 1]     # v(p, s) is u(p, s) with its halves swapped
 
 
 def spin_slot(s) -> int:
@@ -80,17 +81,22 @@ def dirac_spinors(p, mass: float = 1.0,
     E = p[..., 0]
     if not (E > 0).all():
         raise DomainError(f"p0 must be positive, got {E[~(E > 0)][0]}")
-    x, y, z = p[..., 1], p[..., 2], p[..., 3]
+    u = _u_spinors(p, mass)
+    return u[..., _V_ORDER] if backward else u
+
+
+def _u_spinors(p: np.ndarray, mass: float) -> np.ndarray:
+    """dirac_spinors' u spinors without its checks: p on shell, p0 > 0."""
+    E, x, y, z = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
     norm = np.sqrt((E + mass) / (2.0 * E))
     f = norm / (E + mass)
     out = np.zeros(p.shape[:-1] + (2, 4), dtype=complex)
-    chi, lower = (2, 0) if backward else (0, 2)
-    out[..., 0, chi] = out[..., 1, chi + 1] = norm
-    # (sigma.p) chi_s / (E + m) in the other half
-    out[..., 0, lower] = z * f
-    out[..., 0, lower + 1] = (x + 1j * y) * f
-    out[..., 1, lower] = (x - 1j * y) * f
-    out[..., 1, lower + 1] = -z * f
+    out[..., 0, 0] = out[..., 1, 1] = norm
+    # (sigma.p) chi_s / (E + m) in the lower half
+    out[..., 0, 2] = z * f
+    out[..., 0, 3] = (x + 1j * y) * f
+    out[..., 1, 2] = (x - 1j * y) * f
+    out[..., 1, 3] = -z * f
     return out
 
 
@@ -194,31 +200,31 @@ def transverse_frame(axis) -> tuple[np.ndarray, np.ndarray]:
     # x^2 + y^2 underflows (off the axis by less than 1.5e-154, which is
     # then how far x-hat is from transverse); e1_z = 0
     rho2 = y * y + x * x
-    polar = rho2 < np.finfo(float).tiny
+    polar = rho2 < 2.2250738585072014e-308      # the smallest normal double
     norm = np.where(polar, 1.0, np.sqrt(rho2))
-    e1x = np.where(polar, 1.0, -y / norm)
-    e1y = np.where(polar, 0.0, x / norm)
-    e1 = np.stack([e1x, e1y, np.zeros_like(x)], axis=-1)
-    e2 = np.stack([-z * e1y, z * e1x, x * e1y - y * e1x], axis=-1)
+    e1, e2 = np.zeros((2,) + axis.shape)
+    e1[..., 0] = e1x = np.where(polar, 1.0, -y / norm)
+    e1[..., 1] = e1y = np.where(polar, 0.0, x / norm)
+    e2[..., 0], e2[..., 1], e2[..., 2] = -z * e1y, z * e1x, x * e1y - y * e1x
     return e1, e2
 
 
-def polarization_vectors(k, conjugate: bool = False) -> np.ndarray:
+def polarization_vectors(k) -> np.ndarray:
     """Circular polarization four-vectors of photons with momenta k.
 
     k is a (..., 4) array with |k| > 0; returns (..., 2, 4), slot s the
     helicity HELICITIES[s] along the direction of k (the vectors of
-    polarization_vector). conjugate gives eps* for emitted photons.
+    polarization_vector); emitted photons take their conjugates.
     """
     k = np.asarray(k, dtype=float)
-    kmag = np.linalg.norm(k[..., 1:], axis=-1, keepdims=True)
-    if not np.all(kmag > 0):
+    kmag = np.sqrt(np.add.reduce(k[..., 1:] ** 2, -1, keepdims=True))
+    if not (kmag > 0).all():
         raise DomainError("photon leg requires |k| > 0")
     e1, e2 = transverse_frame(k[..., 1:] / kmag)
     eps = np.zeros(e1.shape[:-1] + (2, 4), dtype=complex)
     eps[..., 0, 1:] = (e1 + 1j * e2) / math.sqrt(2)
     eps[..., 1, 1:] = eps[..., 0, 1:].conj()        # e1, e2 are real
-    return eps.conj() if conjugate else eps
+    return eps
 
 
 def polarization_vector(state: PhotonSpinor) -> np.ndarray:

@@ -101,6 +101,7 @@ class TestExitCodes:
                      ["compton", "--mass", "inf"],
                      ["classical", "--mass", "0"],
                      ["classical", "--mass", "1e300"],
+                     ["self-energy", "--mass", "1e300"],
                      ["brems", "--alpha", "-1"],
                      ["pairprod", "--alpha", "-1"],
                      ["energy-shift", "--spectrum", "/no/file",
@@ -156,6 +157,18 @@ class TestExitCodes:
         assert rc == 2
         assert out == ""
         assert "Z must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compton", "--alpha", "1e300"], ["annihilate", "--alpha", "1e300"],
+        ["moller", "--alpha", "1e300"], ["bhabha", "--alpha", "1e300"],
+        ["brems", "--Z", "1e300"], ["pairprod", "--Z", "1e300"],
+        ["compton", "--alpha", "1e300", "--sweep", "theta:1:179:5",
+         "--format", "json"]])
+    def test_overflowed_result_exits_3(self, capsys, argv):
+        rc, out, err = run_capture(capsys, argv)
+        assert rc == 3
+        assert out == ""
+        assert "numeric error" in err and "not finite" in err
 
     def test_vacuum_pol_needs_point_or_sweep(self, capsys):
         rc, _, _ = run_capture(capsys, ["vacuum-pol"])

@@ -11,7 +11,7 @@ import oracles
 from fqed import processes as pr
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import DomainError, PoleError
-from fqed.fourvec import FourVector
+from fqed.fourvec import FourVector, check_on_shell
 
 rng = np.random.default_rng(19)
 
@@ -84,6 +84,96 @@ class TestKinematicConfig:
         cfg.validate()
         res = cfg.conservation_residual()
         assert abs(res.t) <= 1e-12
+
+    # the evaluation builds spinors without check_on_shell, so validate's
+    # bound, KINEMATIC_TOL m^2, must never be looser than check_on_shell's
+    @example(1e-3, 1.0, 1e-9, 0.5e-10)
+    @example(1e3, 0.3, math.pi - 1e-9, -0.5e-10)
+    @example(1.0, 2.0, 0.0, 0.0)
+    @settings(max_examples=200)
+    @given(st.floats(1e-3, 1e3), st.floats(0.05, 5.0),
+           st.floats(0.0, math.pi), st.floats(-2e-10, 2e-10))
+    def test_accepted_fermions_pass_check_on_shell(self, mass, omega, theta,
+                                                   eps):
+        cfg = pr.compton_lab_config(omega * mass, theta, mass=mass)
+        p_f = cfg.momenta["p_f"]
+        cfg = dataclasses.replace(cfg, momenta={
+            **cfg.momenta, "p_f": dataclasses.replace(p_f,
+                                                      t=p_f.t * (1 + eps))})
+        try:
+            legs = cfg.validate()
+        except DomainError:
+            return
+        for lab in ("p_i", "p_f"):
+            check_on_shell(legs[lab], mass)
+            assert (legs[lab][:, 0] > 0).all()
+
+    @settings(max_examples=50)
+    @given(st.floats(0.05, 5.0), st.floats(0.0, math.pi),
+           st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+    def test_fermions_are_checked_before_photons(self, omega, theta, dp, dk):
+        cfg = pr.compton_lab_config(omega, theta)
+        p_f, k_f = cfg.momenta["p_f"], cfg.momenta["k_f"]
+        bad = dataclasses.replace(cfg, momenta={
+            **cfg.momenta, "p_f": dataclasses.replace(p_f, t=p_f.t + dp),
+            "k_f": dataclasses.replace(k_f, t=k_f.t + dk)})
+        with pytest.raises(DomainError, match="^p_f off shell"):
+            bad.validate()
+
+
+# one point given as FourVectors, as 1-D arrays, or mixed with 1-D or
+# (1, 4) array legs: leg i of the point v becomes form(i, v)
+LEG_FORMS = {
+    "fourvectors": lambda i, v: v,
+    "arrays": lambda i, v: v.as_array(),
+    "mixed-1d": lambda i, v: v if i == 0 else v.as_array(),
+    "mixed-2d": lambda i, v: v if i == 0 else v.as_array()[None],
+}
+
+
+class TestLegForms:
+
+    @pytest.mark.parametrize("form", LEG_FORMS)
+    @pytest.mark.parametrize("cfg", [
+        pr.compton_lab_config(1.3, 0.7, 0.2),
+        pr.annihilation_cm_config(0.6, 1.1, 0.4),
+        pr.moller_cm_config(1.8, 0.9, 0.3)], ids=["compton", "annihilation",
+                                                  "moller"])
+    def test_point_types(self, cfg, form):
+        conv = dataclasses.replace(cfg, momenta={
+            lab: LEG_FORMS[form](i, v)
+            for i, (lab, v) in enumerate(cfg.momenta.items())})
+        value = pr.amplitude(conv).value
+        m2 = pr.spin_summed_squared(conv)
+        res = conv.conservation_residual()
+        want = (pr.amplitude(cfg).value, pr.spin_summed_squared(cfg),
+                cfg.conservation_residual())
+        if form == "mixed-2d":
+            # a (1, 4) leg makes a batch of one
+            assert isinstance(value, np.ndarray) and value.shape == (1,)
+            assert isinstance(m2, np.ndarray) and m2.shape == (1,)
+            assert isinstance(res, np.ndarray) and res.shape == (1, 4)
+            value, m2 = complex(value[0]), float(m2[0])
+            res = FourVector.from_array(res[0])
+        assert type(value) is complex and value == want[0]
+        assert type(m2) is float and m2 == want[1]
+        assert isinstance(res, FourVector) and res == want[2]
+
+    def test_batch_legs_of_different_shapes_broadcast(self):
+        theta = np.linspace(0.2, 2.9, 7)
+        cfg = pr.compton_lab_config(1.3, theta)
+        # p_i and k_i are the same at every point: one FourVector and one
+        # (1, 4) row broadcast against the (7, 4) legs
+        mixed = dataclasses.replace(cfg, momenta={
+            **cfg.momenta, "p_i": FourVector.from_array(cfg.momenta["p_i"][0]),
+            "k_i": cfg.momenta["k_i"][:1]})
+        assert not mixed._is_point()
+        assert np.array_equal(pr.amplitude(mixed).value,
+                              pr.amplitude(cfg).value)
+        assert np.array_equal(pr.spin_summed_squared(mixed),
+                              pr.spin_summed_squared(cfg))
+        assert np.array_equal(mixed.conservation_residual(),
+                              cfg.conservation_residual())
 
 
 class TestComptonFamily:

@@ -61,6 +61,23 @@ class TestElectronSpinors:
                 assert abs(algebra.dirac_adjoint(u.components)
                            @ v.components) <= 1e-12
 
+    # axes on and next to the poles, where x^2 + y^2 underflows
+    @example(1.0, [(1e-160, 0.0, 1.0), (0.0, -1e-170, -3.0)])
+    @example(1e-3, [(0.0, 0.0, 2.0), (1e-9, 1e-9, -0.5)])
+    @example(1e3, [(0.0, 0.0, 0.0)])
+    @settings(max_examples=200)
+    @given(st.floats(1e-3, 1e3),
+           st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 3), min_size=1,
+                    max_size=5))
+    def test_v_is_u_with_halves_swapped(self, mass, p3s):
+        # the amplitude layer builds v spinors by this exact placement
+        p3 = mass * np.array(p3s)
+        p = np.column_stack([np.sqrt(mass * mass + np.sum(p3 * p3, axis=1)),
+                             p3])
+        u = states.dirac_spinors(p, mass)
+        v = states.dirac_spinors(p, mass, True)
+        assert v.tobytes() == u[..., [2, 3, 0, 1]].tobytes()
+
     def test_off_shell_rejected(self):
         with pytest.raises(DomainError):
             states.electron_spinor(FourVector(2.0, 0.0, 0.0, 0.0), +1)
