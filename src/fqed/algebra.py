@@ -53,27 +53,6 @@ _GAMMA_LOWERED, _SIGMA_LOWERED, _BIG_SIGMA_LOWERED = (
     _METRIC_DIAG * mats for mats in (GAMMA, SIGMA, BIG_SIGMA))
 
 
-def _check_index(mu: int) -> int:
-    if mu not in (0, 1, 2, 3):
-        raise DomainError(f"Lorentz index out of range: {mu}")
-    return mu
-
-
-def gamma(mu: int) -> np.ndarray:
-    """Dirac matrix gamma^mu, Dirac-Pauli representation."""
-    return GAMMA[_check_index(mu)]
-
-
-def sigma(mu: int) -> np.ndarray:
-    """Pauli four-tuple sigma^mu = (1, sigma_vec)."""
-    return SIGMA[_check_index(mu)]
-
-
-def big_sigma(mu: int) -> np.ndarray:
-    """Kronecker-sum generator on the photon internal space."""
-    return BIG_SIGMA[_check_index(mu)]
-
-
 def slash(p) -> np.ndarray:
     """gamma^mu p_mu = gamma^0 p^0 - gamma_vec . p_vec, shape (..., 4, 4)."""
     return np.einsum("...m,mij->...ij", _components(p), _GAMMA_LOWERED)
@@ -108,8 +87,3 @@ def dirac_adjoint(spinor: np.ndarray) -> np.ndarray:
     """bar(psi) = psi^dagger gamma^0 as a row vector."""
     return spinor.conj() @ GAMMA[0]
 
-
-def bilinear_current(bar_out: np.ndarray, u_in: np.ndarray) -> np.ndarray:
-    """Contravariant current c^mu = bar(u_out) gamma^mu u_in."""
-    return np.array([bar_out @ GAMMA[mu] @ u_in for mu in range(4)],
-                    dtype=complex)

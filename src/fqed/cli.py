@@ -252,8 +252,8 @@ def _cmd_vacuum_pol(args):
         raise _UsageError("vacuum-pol needs --k2 and/or --sweep")
     k2 = _grid(args, ("k2",))["k2"]
     val = loops.vacuum_polarization_finite(k2, args.mass, args.alpha)
-    _write_table(args, {"k2": k2, "re_pi_bar": val.real,
-                        "im_pi_bar": val.imag})
+    _write_table(args, _finite({"k2": k2, "re_pi_bar": val.real,
+                                "im_pi_bar": val.imag}))
 
 
 def _cmd_self_energy(args):
@@ -267,10 +267,11 @@ def _cmd_self_energy(args):
     # p2 = 0 is the zero momentum, whose pslash vanishes: b reads 0
     zero = p2 == 0.0
     b[zero] = 0.0
-    _write_table(args, {"p2": p2, "re_a": a.real, "im_a": a.imag,
-                        "re_b": b.real, "im_b": b.imag,
-                        "pole_a": np.full(len(p2), 4.0 * args.mass * c),
-                        "pole_b": np.where(zero, 0.0, -c)})
+    _write_table(args, _finite({"p2": p2, "re_a": a.real, "im_a": a.imag,
+                                "re_b": b.real, "im_b": b.imag,
+                                "pole_a": np.full(len(p2),
+                                                  4.0 * args.mass * c),
+                                "pole_b": np.where(zero, 0.0, -c)}))
 
 
 def _cmd_energy_shift(args):

@@ -94,13 +94,6 @@ def minkowski_dot(a, b):
             - av[..., 2] * bv[..., 2] - av[..., 3] * bv[..., 3])
 
 
-def on_shell(mass: float, p3) -> FourVector:
-    """Four-momentum (E, p3) with E = +sqrt(|p3|^2 + m^2)."""
-    p3 = np.asarray(p3, dtype=float)
-    E = math.sqrt(float(p3 @ p3) + mass * mass)
-    return FourVector.from_spatial(E, p3)
-
-
 def check_on_shell(p, mass: float) -> None:
     """Raise DomainError unless p (a FourVector or (..., 4) array) is on
     the mass shell at every point."""

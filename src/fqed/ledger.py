@@ -3,8 +3,10 @@
 Amplitudes are reported "reduced": the space-time box factors V and T,
 the photon-energy factors, the 2pi's of the overall delta function and
 the electron-energy square roots are never given numbers. They live
-here as rational exponents so that composition identities can be
-checked exactly.
+here as rational exponents: the printed prefactors of the three base
+topologies (Compton, bremsstrahlung, Moller), from which
+fqed.processes derives each crossed process's ledger by renaming its
+leg energies.
 
 Symbols used throughout: "V", "T", "2pi", "2", "e" (electron charge),
 "Z", "omega_i", "omega_f", "m", "E_i", "E_f" and the per-leg electron
@@ -62,56 +64,6 @@ class NormalizationLedger:
         if not self.exponents:
             return "1"
         return " * ".join(f"{k}^{v}" for k, v in sorted(self.exponents.items()))
-
-
-# -- elementary ingredients ------------------------------------------------
-
-def coupling() -> NormalizationLedger:
-    """e(lambda) = -e (VT)^(3/4); the sign is not tracked here."""
-    return NormalizationLedger.of(e=1, V=Fraction(3, 4), T=Fraction(3, 4))
-
-
-def vertex_transverse(which: str) -> NormalizationLedger:
-    """q factor sqrt(T/omega) for a real transverse photon ('i' or 'f')."""
-    if which not in ("i", "f"):
-        raise ValueError(which)
-    return NormalizationLedger.of(
-        T=Fraction(1, 2), **{f"omega_{which}": Fraction(-1, 2)})
-
-
-def vertex_longitudinal() -> NormalizationLedger:
-    """q factor sqrt(2 pi T / omega) for a longitudinal photon."""
-    return NormalizationLedger.of(**{"2pi": Fraction(1, 2)},
-                                  T=Fraction(1, 2),
-                                  omega_long=Fraction(-1, 2))
-
-
-def vacuum_line() -> NormalizationLedger:
-    """Constant propagator between emission and absorption points: 1/(VT)."""
-    return NormalizationLedger.of(V=-1, T=-1)
-
-
-def fermion_line_norm() -> NormalizationLedger:
-    """(VT)^(-1/4) normalization of the internal fermion kernel."""
-    return NormalizationLedger.of(V=Fraction(-1, 4), T=Fraction(-1, 4))
-
-
-def electron_wave_norm() -> NormalizationLedger:
-    """1/sqrt(VT) of one external electron wave function."""
-    return NormalizationLedger.of(V=Fraction(-1, 2), T=Fraction(-1, 2))
-
-
-def photon_wave_norm() -> NormalizationLedger:
-    """1/sqrt(2VT) of one external transverse photon wave function."""
-    return NormalizationLedger.of(**{"2": Fraction(-1, 2)},
-                                  V=Fraction(-1, 2), T=Fraction(-1, 2))
-
-
-def electron_energy_factor(initial: str = "E_i",
-                           final: str = "E_f") -> NormalizationLedger:
-    """sqrt(m^2 / (E_final E_initial)) attached to an electron line pair."""
-    return NormalizationLedger.of(m=1, **{initial: Fraction(-1, 2),
-                                          final: Fraction(-1, 2)})
 
 
 # -- printed final prefactors of the base topologies ----------------------

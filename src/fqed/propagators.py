@@ -8,8 +8,7 @@ transverse photon kernel keeps the two-term form
 which recombines to 1/(omega^2 - k^2) off shell. The zero-energy
 longitudinal kernel is the static Coulomb form 1/|k|^2 (the delta(omega)
 integral is done analytically; the Coulomb form is the one the
-Bremsstrahlung matrix element actually uses). The vacuum line is the
-constant 1 with a 1/(VT) ledger entry.
+Bremsstrahlung matrix element actually uses).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ledger as _ledger
 from .algebra import I4, slash
 from .errors import DomainError, PoleError, SingularityError
 from .fourvec import minkowski_dot
@@ -53,8 +51,8 @@ def transverse_photon_kernel(omega: float, kmag: float,
     if kmag < 0:
         raise DomainError(f"|k| must be >= 0, got {kmag}")
     if omega == 0.0 and kmag == 0.0:
-        raise DomainError("omega = |k| = 0 is the vacuum line; "
-                          "use vacuum_propagator")
+        raise DomainError("omega = |k| = 0 is the vacuum line, "
+                          "which has no kernel")
     eps = cfg.epsilon * cfg.mass * cfg.mass
     scale = max(abs(omega), kmag)
     if abs(abs(omega) - kmag) <= 1e-12 * scale:
@@ -73,10 +71,3 @@ def longitudinal_photon_kernel(kmag: float, cfg: PropagatorConfig) -> complex:
         raise DomainError(f"|k| must be > 0, got {kmag}")
     return complex(1.0 / (kmag * kmag))
 
-
-def vacuum_propagator() -> tuple[_ledger.NormalizationLedger, float]:
-    """Constant line between emission and absorption points.
-
-    Numeric factor 1; the 1/(VT) normalization goes to the ledger.
-    """
-    return _ledger.vacuum_line(), 1.0

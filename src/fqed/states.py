@@ -111,19 +111,6 @@ def electron_spinor(p: FourVector, s, mass: float = 1.0,
     return DiracSpinor(comp, p, 1 - 2 * slot, backward)
 
 
-def helicity_spinor(p: FourVector, helicity, mass: float = 1.0,
-                    backward: bool = False) -> DiracSpinor:
-    """Spinor with chi rotated so the spin axis is along p-hat."""
-    slot = spin_slot(helicity)
-    spinors = dirac_spinors(p.as_array(), mass, backward)
-    n = p.spatial()
-    kn = np.linalg.norm(n)
-    # the spinor is linear in chi: the rotated chi is column slot of U
-    comp = (spinors[slot] if kn == 0.0
-            else _su2_to_axis(n / kn)[:, slot] @ spinors)
-    return DiracSpinor(comp, p, 1 - 2 * slot, backward)
-
-
 def _su2_to_axis(axis: np.ndarray) -> np.ndarray:
     """SU(2) element rotating z-hat into the given unit axis.
 

@@ -17,18 +17,6 @@ def test_clifford_algebra():
             assert np.max(np.abs(anti - target)) <= 1e-14
 
 
-def test_gamma_examples():
-    assert np.allclose(algebra.gamma(0) @ algebra.gamma(0), np.eye(4))
-    assert np.allclose(algebra.gamma(1) @ algebra.gamma(1), -np.eye(4))
-
-
-def test_gamma_index_range():
-    with pytest.raises(DomainError):
-        algebra.gamma(4)
-    with pytest.raises(DomainError):
-        algebra.sigma(-1)
-
-
 def test_slash_square_identity():
     for _ in range(20):
         p = FourVector(*rng.normal(size=4))
@@ -42,10 +30,6 @@ def test_sigma_slash_determinant():
         p = FourVector(*rng.normal(size=4))
         assert np.isclose(np.linalg.det(algebra.sigma_slash(p)),
                           p.norm2(), atol=1e-12)
-
-
-def test_big_sigma_zero_component():
-    assert np.allclose(algebra.big_sigma(0), 2.0 * np.eye(4))
 
 
 def test_trace_cyclicity():
@@ -76,14 +60,6 @@ def test_odd_trace_vanishes():
     tr = algebra.trace_product([algebra.slash(p), algebra.slash(q),
                                 algebra.slash(r)])
     assert abs(tr) <= 1e-12
-
-
-def test_bilinear_current_is_vector():
-    u = rng.normal(size=4) + 1j * rng.normal(size=4)
-    bar = algebra.dirac_adjoint(u)
-    c = algebra.bilinear_current(bar, u)
-    # zbar gamma^mu z is real for any z
-    assert np.max(np.abs(c.imag)) <= 1e-12
 
 
 def test_minkowski_dot_conventions():

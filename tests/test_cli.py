@@ -163,7 +163,9 @@ class TestExitCodes:
         ["moller", "--alpha", "1e300"], ["bhabha", "--alpha", "1e300"],
         ["brems", "--Z", "1e300"], ["pairprod", "--Z", "1e300"],
         ["compton", "--alpha", "1e300", "--sweep", "theta:1:179:5",
-         "--format", "json"]])
+         "--format", "json"],
+        ["self-energy", "--p2", "1e300"], ["self-energy", "--p2", "1.3e154"],
+        ["vacuum-pol", "--k2", "1e300", "--alpha", "1e308"]])
     def test_overflowed_result_exits_3(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 3

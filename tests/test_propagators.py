@@ -57,10 +57,3 @@ def test_longitudinal_kernel():
     assert np.isclose(prop.longitudinal_photon_kernel(2.0, CFG), 0.25)
     with pytest.raises(DomainError):
         prop.longitudinal_photon_kernel(0.0, CFG)
-
-
-def test_vacuum_propagator_ledger():
-    ledger, value = prop.vacuum_propagator()
-    assert value == 1.0
-    assert ledger.exponent("V") == -1
-    assert ledger.exponent("T") == -1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fqed import algebra, states
 from fqed.errors import DomainError
-from fqed.fourvec import FourVector, minkowski_dot, on_shell
+from fqed.fourvec import FourVector, minkowski_dot
 
 rng = np.random.default_rng(7)
 
@@ -86,12 +86,6 @@ class TestElectronSpinors:
         p = FourVector(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             states.electron_spinor(p, 2)
-
-    def test_helicity_spinor_along_z(self):
-        p = on_shell(1.0, [0.0, 0.0, 0.7])
-        h = states.helicity_spinor(p, +1)
-        e = states.electron_spinor(p, +1)
-        assert np.allclose(h.components, e.components)
 
 
 class TestPhotonStates:
