@@ -17,10 +17,7 @@ import sys
 
 import numpy as np
 
-from . import loops, processes
 from .constants import ALPHA_DEFAULT, ELECTRON_MASS_MEV
-from .dynamics import (ElectronState, PhotonClassicalState, integrate,
-                       trajectory_columns)
 from .errors import (DomainError, FqedError, NumericError, PoleError,
                      SingularityError)
 from .fourvec import FourVector, minkowski_dot
@@ -181,8 +178,11 @@ def _escale(args) -> float:
 # -- subcommand evaluators -------------------------------------------------
 #
 # Every table subcommand evaluates its whole grid in one batched call.
+# Each evaluator imports the layers it calls when it runs, so a command
+# loads only its own, and calls them through their module attributes.
 
 def _cmd_compton(args):
+    from . import processes
     esc = _escale(args)
     g = _grid(args, ("theta", "omega_in"))
     theta = np.radians(g["theta"])
@@ -198,6 +198,7 @@ def _cmd_compton(args):
 
 
 def _cmd_annihilate(args):
+    from . import processes
     g = _grid(args, ("theta", "pmag"))
     cfg = processes.annihilation_cm_config(g["pmag"], np.radians(g["theta"]),
                                            mass=args.mass)
@@ -208,6 +209,7 @@ def _cmd_annihilate(args):
 
 def _coulomb_cmd(args, params, builder):
     """brems and pairprod: two energies, two angles, one helicity."""
+    from . import processes
     esc = _escale(args)
     g = _grid(args, params)
     energies, angles = params[:2], params[2:]
@@ -222,16 +224,19 @@ def _coulomb_cmd(args, params, builder):
 
 
 def _cmd_brems(args):
+    from . import processes
     _coulomb_cmd(args, ("e_in", "omega", "theta_e", "theta_k"),
                  processes.bremsstrahlung_config)
 
 
 def _cmd_pairprod(args):
+    from . import processes
     _coulomb_cmd(args, ("omega_in", "e_plus", "theta_p", "theta_m"),
                  processes.pair_production_config)
 
 
 def _four_fermion_cmd(args, builder):
+    from . import processes
     g = _grid(args, ("energy", "theta"))
     cfg = builder(g["energy"], np.radians(g["theta"]), mass=args.mass)
     _write_table(args, _finite({
@@ -240,14 +245,17 @@ def _four_fermion_cmd(args, builder):
 
 
 def _cmd_moller(args):
+    from . import processes
     _four_fermion_cmd(args, processes.moller_cm_config)
 
 
 def _cmd_bhabha(args):
+    from . import processes
     _four_fermion_cmd(args, processes.bhabha_cm_config)
 
 
 def _cmd_vacuum_pol(args):
+    from . import loops
     if args.k2 is None and not args.sweep:
         raise _UsageError("vacuum-pol needs --k2 and/or --sweep")
     k2 = _grid(args, ("k2",))["k2"]
@@ -257,6 +265,7 @@ def _cmd_vacuum_pol(args):
 
 
 def _cmd_self_energy(args):
+    from . import loops
     p2 = _grid(args, ("p2",))["p2"]
     try:
         m2 = args.mass ** 2
@@ -275,18 +284,21 @@ def _cmd_self_energy(args):
 
 
 def _cmd_energy_shift(args):
+    from . import loops
     spec = loops.load_spectrum(args.spectrum, args.k_max)
     esc = _escale(args)
     levels = [args.level] if args.level else sorted(spec.levels)
     shifts = [loops.energy_shift(spec, lab, alpha=args.alpha)
               for lab in levels]
-    _write_table(args, {"level": levels,
-                        "energy": [spec.levels[lab] * esc for lab in levels],
-                        "re_shift": [v.real * esc for v in shifts],
-                        "im_shift": [v.imag * esc for v in shifts]})
+    # the level labels are text, which `_finite` does not take
+    _write_table(args, {"level": levels, **_finite({
+        "energy": [spec.levels[lab] * esc for lab in levels],
+        "re_shift": [v.real * esc for v in shifts],
+        "im_shift": [v.imag * esc for v in shifts]})})
 
 
 def _cmd_classical(args):
+    from . import dynamics
     if args.stride < 1:
         raise _UsageError(f"--stride must be >= 1, got {args.stride}")
     try:
@@ -302,7 +314,7 @@ def _cmd_classical(args):
         # mass * mass overflows to inf, a DomainError; mass ** 2 raises
         p = FourVector(math.sqrt(args.mass * args.mass + pz * pz),
                        0.0, 0.0, pz)
-        state = ElectronState(FourVector(0, 0, 0, 0), p, z0)
+        state = dynamics.ElectronState(FourVector(0, 0, 0, 0), p, z0)
     else:
         # without --z the photon takes the first two default components
         eta = z0 if "z" in getattr(args, "_given", ()) else z0[:2]
@@ -312,12 +324,11 @@ def _cmd_classical(args):
             raise DomainError("a photon needs |k| > 0: give a nonzero --pz")
         # a photon along -z still has positive energy
         p = FourVector(abs(args.pz), 0.0, 0.0, args.pz)
-        state = PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
+        state = dynamics.PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
     # overflow ends the run as an abort, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate(state, None, (0.0, args.tau_max), args.dt)
-    _write_table(args, {k: v[::args.stride]
-                        for k, v in trajectory_columns(traj).items()})
+    traj = dynamics.integrate(state, None, (0.0, args.tau_max), args.dt)
+    _write_table(args, {k: v[::args.stride] for k, v
+                        in dynamics.trajectory_columns(traj).items()})
     if traj.aborted:
         # the rows up to the last finite state are written first
         raise NumericError(f"trajectory aborted after tau = "
@@ -336,7 +347,7 @@ def _cmd_selftest(args):
         checks.append((name, ok))
         print(f"{'PASS' if ok else 'FAIL'} {name}")
 
-    from . import algebra, states
+    from . import algebra, loops, processes, states
     rng = np.random.default_rng(7)
 
     def clifford():
@@ -492,8 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser `run` uses: built once per process, on first use.
     Parsing keeps no state in it (each call fills a new namespace), and
-    its defaults hold only `_cmd_*` functions, which look library
-    functions up when called, so wrappers installed later see them."""
+    its defaults hold only `_cmd_*` functions. Those import their layer
+    when called and look each library function up on its module then
+    (`dynamics.integrate`, never a name bound at import), so a layer a
+    command does not use is never loaded, and a wrapper installed on a
+    module attribute later (as a tracer does) is the one called."""
     return build_parser()
 
 
@@ -505,7 +519,10 @@ def run(argv=None) -> int:
         return USAGE_EXIT
     try:
         _check_mass_alpha(args)
-        rc = args.func(args)
+        # an overflow surfaces as the evaluator's own error (a table's
+        # `_finite` check, a trajectory's abort), not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rc = args.func(args)
         return 0 if rc is None else rc
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

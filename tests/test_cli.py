@@ -166,11 +166,27 @@ class TestExitCodes:
          "--format", "json"],
         ["self-energy", "--p2", "1e300"], ["self-energy", "--p2", "1.3e154"],
         ["vacuum-pol", "--k2", "1e300", "--alpha", "1e308"]])
+    # the overflow reaches stderr as the one `numeric error` line, never
+    # as numpy RuntimeWarnings first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_result_exits_3(self, capsys, argv):
         rc, out, err = run_capture(capsys, argv)
         assert rc == 3
         assert out == ""
         assert "numeric error" in err and "not finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_energy_shift_exits_3(self, capsys, tmp_path):
+        spec = tmp_path / "levels.txt"
+        spec.write_text("[levels]\nd 1.0\nb 0.7\n[current d b]\n"
+                        "0.0 0.0 0.2 0.0 0.0\n5.0 0.0 0.2 0.0 0.0\n")
+        rc, out, err = run_capture(capsys, [
+            "energy-shift", "--spectrum", str(spec), "--k-max", "5",
+            "--alpha", "1e308"])
+        assert rc == 3
+        assert out == ""
+        assert err == ("numeric error: not finite (overflow): re_shift, "
+                       "im_shift\n")
 
     def test_vacuum_pol_needs_point_or_sweep(self, capsys):
         rc, _, _ = run_capture(capsys, ["vacuum-pol"])

@@ -1,5 +1,7 @@
-"""scipy.integrate is imported on the first callable-current quadrature,
-not with fqed: each check runs in a fresh interpreter."""
+"""Layers load when first used, not with fqed: scipy.integrate on the
+first callable-current quadrature, and each fqed layer when a command
+(or an attribute of the package) needs it. Each check runs in a fresh
+interpreter."""
 
 import os
 import pathlib
@@ -85,3 +87,76 @@ print(tracer.count("loops.quad"), tracer.counts["integrand_evals"],
     quads, evals, restored = out.split()
     assert int(quads) > 0 and int(evals) > 0
     assert restored == "True"
+
+
+# the names `fqed` re-exports, by the submodule that defines them
+_EXPORTS = {
+    "algebra": ("GAMMA", "SIGMA", "BIG_SIGMA", "slash", "trace_product"),
+    "constants": ("ALPHA_DEFAULT", "ELECTRON_MASS_MEV"),
+    "errors": ("DegenerateLevelError", "DomainError", "FqedError",
+               "NumericError", "PoleError", "SingularityError"),
+    "fourvec": ("FourVector", "minkowski_dot"),
+    "ledger": ("NormalizationLedger",),
+    "processes": ("KinematicConfig", "ReducedAmplitude",
+                  "SubstitutionTable", "amplitude", "apply_crossing",
+                  "spin_summed_squared"),
+    "states": ("DiracSpinor", "PhotonSpinor", "electron_spinor",
+               "photon_state", "polarization_vector"),
+}
+
+
+def loaded_after(argv) -> set:
+    """The fqed layers a fresh interpreter holds after `fqed.cli.run`."""
+    out = run_python(f"""
+import contextlib, io, sys
+import fqed.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fqed.cli.run({argv!r}) == 0
+print(" ".join(m[5:] for m in sys.modules if m.startswith("fqed.")))
+""")
+    return set(out.split())
+
+
+def test_classical_loads_no_tree_or_loop_layer():
+    loaded = loaded_after(["classical", "--tau-max", "0.01", "--dt", "0.001"])
+    assert "dynamics" in loaded
+    assert not loaded & {"processes", "states", "ledger", "propagators",
+                         "loops"}
+
+
+def test_vacuum_pol_loads_no_tree_or_dynamics_layer():
+    loaded = loaded_after(["vacuum-pol", "--k2", "0.5"])
+    assert "loops" in loaded
+    assert not loaded & {"processes", "states", "dynamics"}
+
+
+def test_compton_loads_no_loop_or_dynamics_layer():
+    loaded = loaded_after(["compton"])
+    assert "processes" in loaded
+    assert not loaded & {"loops", "dynamics"}
+
+
+def test_package_names_resolve_on_first_use():
+    out = run_python(f"""
+import importlib, sys
+import fqed
+lazy = ("processes", "states", "ledger", "propagators", "loops", "dynamics")
+print(any(f"fqed.{{m}}" in sys.modules for m in lazy))
+for mod in ("propagators", "ledger", "states", "processes"):
+    assert getattr(fqed, mod) is sys.modules[f"fqed.{{mod}}"], mod
+exports = {_EXPORTS!r}
+assert sorted(fqed.__all__) == sorted(n for v in exports.values() for n in v)
+assert set(fqed.__all__) <= set(dir(fqed))
+for mod, names in exports.items():
+    sub = importlib.import_module(f"fqed.{{mod}}")
+    for name in names:
+        assert getattr(fqed, name) is getattr(sub, name), name
+star = {{}}
+exec("from fqed import *", star)
+assert all(star[n] is getattr(fqed, n) for n in fqed.__all__)
+try:
+    fqed.no_such_name
+except AttributeError:
+    print("ok")
+""")
+    assert out.split() == ["False", "ok"]
