@@ -316,6 +316,8 @@ def _cmd_classical(args):
                        0.0, 0.0, pz)
         state = dynamics.ElectronState(FourVector(0, 0, 0, 0), p, z0)
     else:
+        if "mass" in getattr(args, "_given", ()):
+            raise _UsageError("--mass is not read by a photon run")
         # without --z the photon takes the first two default components
         eta = z0 if "z" in getattr(args, "_given", ()) else z0[:2]
         if len(eta) != 2:

@@ -10,14 +10,17 @@ separately):
 
 The photon is the two-component analogue with sigma^mu in place of
 gamma^mu and eta^dag in place of zbar. One right-hand side serves both
-(`_packed_rhs`), on the packed real state y = (x, p, Re z, Im z): the
+(`_stage`), on the packed real state y = (x, p, Re z, Im z): the
 symmetrised velocity operator V is stacked over the generator C in one
 real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r =
-stacked.dot(u).reshape(8, 2d) a stage is v = r[:4].dot(u), dp =
--e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]). Each
-is written by `ndarray.dot(..., out=)` straight into its slice of the
-stage's row of a (4, 8 + 2d) array k (dp then scaled in place), and an
-RK4 step in a field is y + w.dot(k) with w = dt (1, 2, 2, 1) / 6.
+stacked.dot(u) viewed as (8, 2d) a stage is v = r[:4].dot(u), dp =
+-e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]).
+Each is written by `ndarray.dot(..., out=)` into a view built once per
+run: r into one (8 * 2d,) buffer, and v, dp and dz into the slices of
+the stage's row of a (4, 8 + 2d) array k (dp then scaled in place). The
+stage inputs are the rows of a second (4, 8 + 2d) array, row 0 the
+state y itself and row s > 0 filled in place with y + h_s k[s - 1], so
+an RK4 step in a field is y += w.dot(k), w = dt (1, 2, 2, 1) / 6.
 
 Free motion (field = None) is a linear constant-coefficient system, so
 one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
@@ -114,11 +117,13 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _packed(mats, cliff, x, p, z, field):
     """The packed state y = (x, p, Re z, Im z) of a run, and its operators
-    (stacked, em): stacked is the real (8 * 2d, 2d) stack of V over C
-    such that, with u = (Re z, Im z) and r = (stacked @ u).reshape(8, 2d),
-    r[:4] @ u is v^mu = z^dag mats^mu z and kin @ r[4:] is dz = -i
-    cliff^mu kin_mu z; em is -e * metric (None without a field). Refuses
-    a field unless A(x) has shape (4,) and grad(x) shape (4, 4)."""
+    (stacked, em, r): stacked is the real (8 * 2d, 2d) stack of V over C
+    such that, with u = (Re z, Im z) and r = stacked.dot(u) viewed as
+    (8, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and kin.dot(r[4:]) is
+    dz = -i cliff^mu kin_mu z; em is -e * metric (None without a field);
+    r is the (8 * 2d,) buffer each stage fills, with its [:4] and [4:]
+    row views. Refuses a field unless A(x) has shape (4,) and grad(x)
+    shape (4, 4)."""
     em = None
     if field is not None:
         xv = FourVector.from_array(x)
@@ -131,7 +136,9 @@ def _packed(mats, cliff, x, p, z, field):
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
     stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c))
-    return ((stacked.reshape(8 * n, n), em),
+    r = np.empty(8 * n)
+    rows = r.reshape(8, n)
+    return ((stacked.reshape(8 * n, n), em, (r, rows[:4], rows[4:])),
             np.concatenate((x, p, z.real, z.imag)))
 
 
@@ -140,25 +147,39 @@ def _unpacked(y, d: int):
     return y[..., :4], y[..., 4:8], y[..., 8:8 + d] + 1j * y[..., 8 + d:]
 
 
-def _packed_rhs(ops, y, field, out):
-    """dy/dtau of the packed state, written into the row out; the free
-    equations when field is None. v, dp and dz go straight into their
-    slices of out. A non-finite position raises DomainError (FourVector
-    guard)."""
-    stacked, em = ops
-    u = y[8:]
-    r = stacked.dot(u).reshape(8, len(u))
-    v = r[:4].dot(u, out=out[:4])
+def _split(row):
+    """The (x, p, u) views of a packed state row, or the (v, dp, dz)
+    views of a derivative row."""
+    return row[:4], row[4:8], row[8:]
+
+
+def _stage(ops, field, state, deriv):
+    """dy/dtau of the packed state views (x, p, u), written into the
+    derivative views (v, dp, dz); the free equations when field is None.
+    stacked.dot(u) fills the run's product buffer r, whose rows r[:4] and
+    r[4:] give v = r[:4].dot(u) and dz = kin.dot(r[4:]). A non-finite
+    position raises DomainError (FourVector guard)."""
+    stacked, em, (r, rv, rc) = ops
+    x, p, u = state
+    v, dp, dz = deriv
+    stacked.dot(u, out=r)
+    rv.dot(u, out=v)
     if field is None:
-        kin = y[4:8]
-        out[4:8] = 0.0
+        kin = p
+        dp.fill(0.0)
     else:
-        xv = FourVector(*y[:4].tolist())
-        kin = y[4:8] - field.charge * np.asarray(field.A(xv), dtype=float)
+        xv = FourVector(*x.tolist())
+        kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
         # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-        np.asarray(field.grad(xv), dtype=float).dot(v, out=out[4:8])
-        out[4:8] *= em
-    kin.dot(r[4:], out=out[8:])
+        np.asarray(field.grad(xv), dtype=float).dot(v, out=dp)
+        dp *= em
+    kin.dot(rc, out=dz)
+
+
+def _packed_rhs(ops, y, field, out):
+    """dy/dtau of the packed state y, written into the row out (the
+    stage core on the views of both rows)."""
+    _stage(ops, field, _split(y), _split(out))
     return out
 
 
@@ -286,24 +307,36 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
 
 def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
-    with n + 1 rows; the rows after a non-finite state stay NaN. The
-    four stages fill the rows of k, combined as w.dot(k)."""
-    ops, y = _packed(mats, cliff, x, p, z, field)
-    ys = np.full((n + 1, len(y)), np.nan)
-    ys[0] = y
-    k = np.empty((4, len(y)))
+    with n + 1 rows; the rows after a non-finite state stay NaN.
+
+    The views a stage reads and writes are built once per run: stage s
+    reads the (x, p, u) views of row s of stage_in, whose row 0 is the
+    state y, and writes the (v, dp, dz) views of row s of k. Row s > 0
+    of stage_in is filled in place with y + h_s k[s - 1], h = dt (1/2,
+    1/2, 1), and a step is y += w.dot(k) with w = dt (1, 2, 2, 1) / 6."""
+    ops, y0 = _packed(mats, cliff, x, p, z, field)
+    ys = np.full((n + 1, len(y0)), np.nan)
+    ys[0] = y0
+    stage_in = np.empty((4, len(y0)))
+    stage_in[0] = y0
+    y = stage_in[0]
+    k = np.empty_like(stage_in)
     w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-    half = 0.5 * dt
+    first = _split(y), _split(k[0])
+    later = [(k[s - 1], h, stage_in[s], _split(stage_in[s]), _split(k[s]))
+             for s, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt))]
     for i in range(1, n + 1):
         try:
-            _packed_rhs(ops, y, field, k[0])
-            _packed_rhs(ops, y + half * k[0], field, k[1])
-            _packed_rhs(ops, y + half * k[1], field, k[2])
-            _packed_rhs(ops, y + dt * k[2], field, k[3])
+            _stage(ops, field, *first)
+            for k_prev, h, row, state, deriv in later:
+                np.multiply(k_prev, h, out=row)
+                row += y
+                _stage(ops, field, state, deriv)
         except DomainError:
             # a non-finite stage position reached the four-vector guard
             break
-        y = ys[i] = y + w.dot(k)
+        y += w.dot(k)
+        ys[i] = y
         if not np.isfinite(y).all():
             break
     return _unpacked(ys, len(z))
@@ -316,8 +349,11 @@ def integrate(state0, field: ExternalField | None = None,
 
     Works for ElectronState and PhotonClassicalState. The run stops at
     the first sample where x, p or z is non-finite, returning the
-    samples before it with aborted set. A step count whose samples
-    would not fit in memory is a DomainError, raised before allocating.
+    samples before it with aborted set. The step count is the largest
+    that does not pass t1 by more than a relative 1e-9, so the last
+    sample is at or before t1; a span shorter than one step, or a step
+    count whose samples would not fit in memory, is a DomainError,
+    raised before allocating.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")
@@ -340,7 +376,8 @@ def integrate(state0, field: ExternalField | None = None,
     if (steps + 1.0) * 8 * (11 + 2 * len(z)) > _MAX_RECORD_BYTES:
         raise DomainError(f"{steps:.3g} steps: the samples would not fit "
                           f"in memory ({_MAX_RECORD_BYTES} bytes)")
-    n = int(round(steps))
+    # (t1 - t0) / dt may fall short of a whole count by rounding
+    n = math.floor(steps * (1.0 + 1e-9))
     if n < 1:
         raise DomainError("span shorter than one step")
 

@@ -254,6 +254,24 @@ class TestExitCodes:
             assert out == ""
             assert "2 components" in err
 
+    def test_classical_photon_refuses_mass(self, capsys):
+        # a photon run never reads --mass, so a given one is refused
+        for mass in ("5", "2", "1"):
+            rc, out, err = run_capture(capsys, [
+                "classical", "--particle", "photon", "--pz", "1",
+                "--mass", mass, "--tau-max", "0.003", "--dt", "0.001"])
+            assert rc == 64, mass
+            assert out == ""
+            assert "usage error" in err and "--mass" in err
+
+    def test_classical_ends_at_or_before_tau_max(self, capsys):
+        for tau_max, last in (("0.0015", 0.001), ("0.0025", 0.002)):
+            rc, out, _ = run_capture(capsys, [
+                "classical", "--tau-max", tau_max, "--dt", "0.001"])
+            assert rc == 0
+            lines = out.strip().split("\n")
+            assert float(lines[-1].split(",")[0]) == last, tau_max
+
     def test_classical_abort_writes_rows_then_fails(self, capsys):
         # the first RK4 stage sum overflows, so the run stops after the
         # initial sample

@@ -259,6 +259,38 @@ class TestIntegrate:
         for got, want in ((traj.x, xs), (traj.p, ps), (traj.spinor, zs)):
             assert np.max(np.abs(got - want)) <= 1e-13
 
+    @pytest.mark.parametrize("charge", [1.0, -1.3])
+    @pytest.mark.parametrize("kind", ["sin", "wave"])
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_field_run_is_rk4_of_packed_rhs(self, photon, kind, charge):
+        """integrate in a field equals, bit for bit, RK4 built stage by
+        stage from _packed_rhs on new arrays: y + dt/2 k0, y + dt/2 k1,
+        y + dt k2, then y + w.dot(k)."""
+        st = self.photon_state() if photon else self.free_state()
+        field = dataclasses.replace(
+            self.SIN_FIELD if kind == "sin" else WAVE_FIELD, charge=charge)
+        n, dt = 400, 1e-3
+        traj = dyn.integrate(st, field, (0.0, n * dt), dt)
+        z = st.eta if photon else st.z
+        ops, y = dyn._packed(SIGMA if photon else dyn._G0G,
+                             SIGMA if photon else GAMMA, st.x.as_array(),
+                             st.p.as_array(), z, field)
+        w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+        ys = [y]
+        for _ in range(n):
+            k = np.empty((4, len(y)))
+            dyn._packed_rhs(ops, y, field, k[0])
+            dyn._packed_rhs(ops, y + 0.5 * dt * k[0], field, k[1])
+            dyn._packed_rhs(ops, y + 0.5 * dt * k[1], field, k[2])
+            dyn._packed_rhs(ops, y + dt * k[2], field, k[3])
+            y = y + w.dot(k)
+            ys.append(y)
+        xs, ps, zs = dyn._unpacked(np.array(ys), len(z))
+        assert not traj.aborted and len(traj.tau) == n + 1
+        assert np.max(np.abs(traj.p - traj.p[0])) > 0.0
+        for got, want in ((traj.x, xs), (traj.p, ps), (traj.spinor, zs)):
+            assert np.array_equal(got, want)
+
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), photon=st.booleans(),
            kind=st.sampled_from(["none", "sin", "wave"]),
@@ -397,6 +429,18 @@ class TestIntegrate:
             with pytest.raises(DomainError, match="memory"):
                 dyn.integrate(st, None, span, dt)
 
+    @pytest.mark.parametrize("field", [None, WAVE_FIELD])
+    def test_last_sample_at_or_before_span_end(self, field):
+        """The step count is the largest whose last sample does not pass
+        the span's end: 1.5 and 2.5 steps give 1 and 2 steps, and a span
+        shorter than one step is refused."""
+        for span, rows in ((0.0015, 2), (0.0025, 3), (0.003, 4)):
+            traj = dyn.integrate(self.free_state(), field, (0.0, span), 1e-3)
+            assert len(traj.tau) == rows, span
+            assert traj.tau[-1] <= span
+        for span in (0.0006, 0.0004):
+            with pytest.raises(DomainError, match="shorter than one step"):
+                dyn.integrate(self.free_state(), field, (0.0, span), 1e-3)
 
     def test_position_overflow_aborts_after_last_finite_sample(self):
         # |z|^2 = 1e307 at rest: x0 grows by about 3e306 a step and
