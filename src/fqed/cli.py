@@ -10,9 +10,11 @@ trajectory), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -55,6 +57,8 @@ def _parse_sweep(spec: str):
         count = int(parts[3])
     except ValueError:
         raise _UsageError(f"bad sweep numbers in: {spec}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(f"sweep endpoints must be finite: {spec}")
     if count < 1:
         raise _UsageError("sweep count must be >= 1")
     scale = parts[4] if len(parts) == 5 else "linear"
@@ -80,12 +84,13 @@ def _config(args) -> dict:
 
 
 def _column_cells(c: np.ndarray, csv: bool) -> list:
-    """The text of each cell of a column: str for CSV, JSON otherwise. A
-    float64 column of two or more rows whose cells all have the bytes of
-    the first (so -0.0 is not 0.0) is formatted once. The bytes are
-    compared only where the last cell equals the first, so that other
-    columns (and NaN ones) pay one float comparison: on a short table
-    the full test would cost more than it saves."""
+    """The text of each cell of a column (of one block of rows): str for
+    CSV, JSON otherwise. A float64 column of two or more rows whose cells
+    all have the bytes of the first (so -0.0 is not 0.0) is formatted
+    once. The bytes are compared only where the last cell equals the
+    first, so that other columns (and NaN ones) pay one float
+    comparison: on a short table the full test would cost more than it
+    saves."""
     v = c.tolist()
     if len(v) > 1 and v[-1] == v[0] and c.dtype == np.float64:
         bits = c.tobytes()
@@ -100,39 +105,63 @@ def _column_cells(c: np.ndarray, csv: bool) -> list:
     return list(map(repr if finite else json.dumps, v))
 
 
-def _write_table(args, table: dict):
-    """Write a table given as one sequence per column name. Column by
-    column, a constant float column formatted once, and byte-identical
-    to joining each row's cells with commas and to `json.dumps` of
-    {"config", "rows": [a dict per row]}, indent=1."""
-    csv = args.format == "csv"
-    cells = [_column_cells(np.asarray(v), csv) for v in table.values()]
+# rows per block of table text: the writer holds the cells and the text
+# of one block, never those of the whole table
+_BLOCK_ROWS = 1024
+
+
+def _rows_text(names, cols, csv: bool) -> str:
+    """The text of the rows of one block of columns: each row's cells
+    joined by commas and ended by a newline, or each row's JSON object
+    (indent=1, one level into "rows") joined by ",\n"."""
+    cells = [_column_cells(c, csv) for c in cols]
     if csv:
-        text = "\n".join([",".join(table), *map(",".join, zip(*cells))]) + "\n"
+        return "\n".join([*map(",".join, zip(*cells)), ""])
+    # a column of two or more rows whose cells all have one text is
+    # written into the row template once (escaped for %, as a string
+    # cell may hold one); only the other columns are substituted
+    same = [len(c) > 1 and c[-1] == c[0] and c.count(c[0]) == len(c)
+            for c in cells]
+    row = "  {\n" + ",\n".join(
+        f"   {json.dumps(k).replace('%', '%%')}: "
+        + (c[0].replace("%", "%%") if s else "%s")
+        for k, c, s in zip(names, cells, same)
+    ) + "\n  }"
+    n = len(cells[0])
+    cells = [c for c, s in zip(cells, same) if not s]
+    # where no column varies, every row is the template alone
+    return ",\n".join([row % r for r in zip(*cells)] if cells
+                      else [row % ()] * n)
+
+
+def _write_table(args, table: dict):
+    """Write a table given as one sequence per column name, streamed in
+    blocks of _BLOCK_ROWS rows: the CSV header or the JSON head goes out
+    with the first block and the JSON close with the last, and a table
+    of one block is one write. Within a block the cells are formatted
+    column by column (a column constant over the block once), and the
+    bytes are those of joining each row's cells with commas, or of
+    `json.dumps` of {"config", "rows": [a dict per row]}, indent=1."""
+    csv = args.format == "csv"
+    cols = [np.asarray(v) for v in table.values()]
+    n = len(cols[0])
+    if csv:
+        head, between, tail = ",".join(table) + "\n", "", ""
     else:
-        # a column of two or more rows whose cells all have one text is
-        # written into the row template once (escaped for %, as a string
-        # cell may hold one); only the other columns are substituted
-        same = [len(c) > 1 and c[-1] == c[0] and c.count(c[0]) == len(c)
-                for c in cells]
-        row = "  {\n" + ",\n".join(
-            f"   {json.dumps(k).replace('%', '%%')}: "
-            + (c[0].replace("%", "%%") if s else "%s")
-            for k, c, s in zip(table, cells, same)
-        ) + "\n  }"
-        n = len(cells[0])
-        cells = [c for c, s in zip(cells, same) if not s]
-        # where no column varies, every row is the template alone
-        rows = ",\n".join([row % r for r in zip(*cells)] if cells
-                          else [row % ()] * n)
         config = json.dumps(_config(args), indent=1).replace("\n", "\n ")
-        text = ('{\n "config": ' + config + ',\n "rows": ['
-                + ("\n" + rows + "\n " if rows else "") + "]\n}\n")
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        head = '{\n "config": ' + config + ',\n "rows": ['
+        head, between, tail = ((head + "\n", ",\n", "\n ]\n}\n") if n
+                               else (head, "", "]\n}\n"))
+    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+          else open(args.output, "w", encoding="utf-8")) as fh:
+        # an empty table is one empty block
+        for start in range(0, max(n, 1), _BLOCK_ROWS):
+            stop = start + _BLOCK_ROWS
+            block = (cols if n <= _BLOCK_ROWS
+                     else [c[start:stop] for c in cols])
+            text = ((head if start == 0 else between)
+                    + _rows_text(table, block, csv))
+            fh.write(text + tail if stop >= n else text)
 
 
 def _grid(args, param_names) -> dict:
@@ -536,6 +565,16 @@ def run(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
     except OSError as exc:
+        if (isinstance(exc, BrokenPipeError)
+                and getattr(args, "output", "-") == "-"):
+            # the reader closed stdout early, having read what it wanted:
+            # point stdout at os.devnull, so that the interpreter's final
+            # flush of what is still buffered fails on nothing (the recipe
+            # in Python's `signal` docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 0
         print(f"i/o error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

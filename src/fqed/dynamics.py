@@ -102,11 +102,25 @@ class ExternalField:
     charge: float = 1.0         # coupling e multiplying the potential
 
 
+# rows of z per block in `_velocity`, whose (rows, 4, 1, d) complex
+# product then stays a few hundred kB however long the trajectory
+_VELOCITY_ROWS = 1024
+
+
 def _velocity(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Re z^dag mats^mu z over the last axis of z, which may carry leading
-    batch axes: the four-velocity for mats = _G0G or _S."""
-    zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
-    return np.real(zm @ z[..., None])[..., 0]
+    batch axes: the four-velocity for mats = _G0G or _S. The rows are
+    taken in blocks of _VELOCITY_ROWS into one (..., 4) result; each row
+    goes through the same two matmuls as in one pass over all rows, so
+    the bits do not depend on the block."""
+    rows = z.reshape(-1, z.shape[-1])
+    out = np.empty((len(rows), 4))
+    for start in range(0, len(rows), _VELOCITY_ROWS):
+        stop = start + _VELOCITY_ROWS
+        zb = rows[start:stop]
+        zm = (zb.conj()[:, None, None, :] @ mats)[:, :, 0, :]
+        out[start:stop] = np.real(zm @ zb[..., None])[..., 0]
+    return out.reshape(z.shape[:-1] + (4,))
 
 
 def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -372,7 +386,10 @@ def integrate(state0, field: ExternalField | None = None,
     z = np.asarray(z, dtype=complex)
 
     steps = (t1 - t0) / dt
-    # a sample is tau, x, p, z, zbar_z and H: 11 floats and the spinor
+    # a sample is tau, x, p, z, zbar_z and H: 11 floats and the spinor.
+    # The run holds its samples and a few rows of float temporaries per
+    # sample (velocities are taken in row blocks), and the CLI writes
+    # the table in row blocks, so the samples are what must fit
     if (steps + 1.0) * 8 * (11 + 2 * len(z)) > _MAX_RECORD_BYTES:
         raise DomainError(f"{steps:.3g} steps: the samples would not fit "
                           f"in memory ({_MAX_RECORD_BYTES} bytes)")

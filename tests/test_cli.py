@@ -3,6 +3,13 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
 from fqed.dynamics import (ElectronState, PhotonClassicalState, integrate,
                            trajectory_columns)
+from fqed.errors import DomainError
 from fqed.fourvec import FourVector
 
 
@@ -48,6 +56,15 @@ class TestSweepParsing:
                      "k2:-10:5:4:log"):
             with pytest.raises(cli._UsageError):
                 cli._parse_sweep(spec)
+
+    @pytest.mark.parametrize("spec", ["theta:1:inf:1", "theta:inf:inf:1",
+                                      "theta:nan:5:3", "theta:1:-inf:3:log"])
+    def test_non_finite_endpoints(self, capsys, spec):
+        with pytest.raises(DomainError):
+            cli._parse_sweep(spec)
+        rc, out, err = run_capture(capsys, ["compton", "--sweep", spec])
+        assert (rc, out) == (2, "")
+        assert err == f"domain error: sweep endpoints must be finite: {spec}\n"
 
 
 class TestExitCodes:
@@ -629,9 +646,42 @@ def tables(draw):
     return {name: draw(column(n)) for name in names}
 
 
+@st.composite
+def blocked_tables(draw):
+    """(table, rows per block) for the writer at 1 to 3 rows a block: a
+    `tables()` table, with at times a float column "nf" whose NaN and
+    +-inf cells all fall in one block (whose cells `json.dumps` spells)
+    while the other blocks are finite (whose cells `repr` spells)."""
+    block = draw(st.sampled_from([1, 2, 3]))
+    table = draw(tables())
+    n = len(next(iter(table.values())))
+    if n and draw(st.booleans()):
+        col = draw(st.lists(st.floats(allow_nan=False,
+                                      allow_infinity=False),
+                            min_size=n, max_size=n))
+        first = draw(st.integers(0, (n - 1) // block)) * block
+        for i in range(first, min(first + block, n)):
+            if draw(st.booleans()):
+                col[i] = draw(st.sampled_from([math.nan, math.inf,
+                                               -math.inf]))
+        table["nf"] = col
+    return table, block
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def write(self, s):
+        self.calls += 1
+        return super().write(s)
+
+
 class TestWriter:
-    """`_write_table` formats column by column; its bytes must be those
-    of the whole-row formulas in `oracles.table_text`."""
+    """`_write_table` formats column by column within each block of
+    rows; its bytes must be those of the whole-row formulas in
+    `oracles.table_text`."""
 
     @settings(max_examples=300)
     @given(table=tables(), fmt=st.sampled_from(["csv", "json"]),
@@ -666,6 +716,86 @@ class TestWriter:
             cli._write_table(args, part)
             want = oracles.table_text(cli._config(args), fmt, part)
             assert target.read_bytes() == want.encode("utf-8")
+
+
+    @settings(max_examples=300)
+    @given(case=blocked_tables(), fmt=st.sampled_from(["csv", "json"]),
+           to_file=st.booleans())
+    # a constant column across block boundaries, beside a varying one
+    @example(case=({"a": [1.5] * 5, "b": [0.0, 1.0, 2.0, 3.0, 4.0]}, 2),
+             fmt="json", to_file=False)
+    # 0.0 and -0.0 each constant within a block, not across blocks
+    @example(case=({"z": [0.0, 0.0, -0.0, -0.0, 0.0]}, 2), fmt="json",
+             to_file=False)
+    @example(case=({"z": [0.0, 0.0, -0.0, -0.0, 0.0]}, 2), fmt="csv",
+             to_file=True)
+    # NaN and -inf in the middle block only
+    @example(case=({"x": [0.5, 1.5, math.nan, -math.inf, 2.5]}, 2),
+             fmt="json", to_file=False)
+    @example(case=({"a": []}, 1), fmt="json", to_file=True)
+    @example(case=({"a": []}, 1), fmt="csv", to_file=False)
+    def test_blocks_match_row_formulas(self, case, fmt, to_file):
+        """Streamed in blocks of 1 to 3 rows, to stdout or to -o FILE,
+        the bytes are those of the whole-row formulas, and a table goes
+        out in one write per block (one for an empty table)."""
+        table, block = case
+        n = len(next(iter(table.values())))
+        sink = _CountedWrites()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_BLOCK_ROWS", block), \
+                contextlib.redirect_stdout(sink):
+            target = os.path.join(tmp, "table") if to_file else "-"
+            args = argparse.Namespace(format=fmt, output=target, mass=1.0)
+            cli._write_table(args, table)
+            got = (pathlib.Path(target).read_bytes().decode("utf-8")
+                   if to_file else sink.getvalue())
+        assert got == oracles.table_text(cli._config(args), fmt, table)
+        if not to_file:
+            assert sink.calls == max(1, -(-n // block))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [
+        cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+        2 * cli._BLOCK_ROWS + 1])
+    def test_classical_across_blocks(self, capsys, rows, fmt):
+        tau_max = (rows - 1) / 1000
+        argv = ["classical", "--tau-max", repr(tau_max), "--dt", "0.001",
+                "--format", fmt]
+        rc, out, err = run_capture(capsys, argv)
+        assert (rc, err) == (0, "")
+        z0 = np.array([0.7071067811865476, 0, 0.7071067811865476, 0],
+                      dtype=complex)
+        state = ElectronState(FourVector(0, 0, 0, 0),
+                              FourVector(1.0, 0.0, 0.0, 0.0), z0)
+        table = trajectory_columns(integrate(state, None, (0.0, tau_max),
+                                             0.001))
+        assert len(table["tau"]) == rows
+        config = cli._config(cli._parser().parse_args(argv))
+        assert out == oracles.table_text(config, fmt, table)
+
+    def test_classical_memory_is_samples_plus_a_block(self, tmp_path):
+        """A trajectory's table is written holding its samples and one
+        block of text, not the cells of every row: the traced peak of a
+        20001-row run stays below twice its samples' bytes."""
+        target = str(tmp_path / "traj.csv")
+        # the layers and the parser are loaded before tracing starts
+        assert cli.run(["classical", "--tau-max", "0.01", "-o", target]) == 0
+        tracemalloc.start()
+        try:
+            rc = cli.run(["classical", "--tau-max", "20", "-o", target])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        z0 = np.array([0.7071067811865476, 0, 0.7071067811865476, 0],
+                      dtype=complex)
+        traj = integrate(ElectronState(FourVector(0, 0, 0, 0),
+                                       FourVector(1.0, 0.0, 0.0, 0.0), z0),
+                         None, (0.0, 20.0), 0.001)
+        samples = sum(a.nbytes for a in (traj.tau, traj.x, traj.p,
+                                         traj.spinor, traj.zbar_z, traj.H))
+        assert len(traj.tau) == 20001
+        assert peak < 2 * samples, (peak, samples)
 
 
 class TestSubcommands:
@@ -771,3 +901,105 @@ class TestSubcommands:
         assert rc == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 6
+
+
+# the values of every numeric option in the exit-code property: zero,
+# signs, extremes, non-finite and ordinary numbers
+NUMBERS = ["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "-0.0",
+           "0.5", "1", "2", "30"]
+# the values of the options that take no number
+WORDS = {"--format": ["csv", "json"], "--particle": ["electron", "photon"],
+         "--z": ["0.6,0,0,0.8j", "0.6,0.8j", "1e308,0,0,0", "nan,0,0,0",
+                 "1,2,3", "a"],
+         "--stride": ["1", "3", "0", "-1", "1.5"],
+         "--level": ["d", "b", "c"]}
+
+
+@st.composite
+def command_lines(draw, spectrum):
+    """argv of one subcommand with some of its declared options (not -o,
+    which would take the rows away from stdout), each `--opt=value` with
+    a value from NUMBERS or WORDS; a sweep runs over one of the
+    subcommand's own parameters. A classical run always gets --tau-max
+    and --dt from NUMBERS: at most 60 steps, or a count refused before
+    stepping."""
+    number = st.sampled_from(NUMBERS)
+    sub = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [sub]
+    if sub == "energy-shift":
+        argv.append(f"--spectrum={spectrum}")
+    if sub == "classical":
+        argv += [f"--tau-max={draw(number)}", f"--dt={draw(number)}"]
+    params = sorted(o[2:] for o in OPTIONS[sub] - TREE - {"--Z"})
+    for opt in sorted(OPTIONS[sub] - {"-o", "--output", "--spectrum",
+                                      "--tau-max", "--dt"}):
+        if not draw(st.booleans()):
+            continue
+        if opt == "--mev":
+            argv.append(opt)
+        elif opt == "--sweep":
+            ends = ":".join(draw(number) for _ in range(2))
+            argv.append(f"--sweep={draw(st.sampled_from(params))}:{ends}:"
+                        f"{draw(st.sampled_from(['0', '1', '3']))}"
+                        f"{draw(st.sampled_from(['', ':log']))}")
+        else:
+            value = draw(st.sampled_from(WORDS.get(opt, NUMBERS)))
+            argv.append(f"{opt}={value}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def two_levels(tmp_path_factory):
+    return spectrum_file(tmp_path_factory.mktemp("spectrum"))
+
+
+class TestExitCodeProperty:
+    """Any command line of declared options exits 0, 2, 3 or 64; a
+    nonzero exit writes one stderr line and no rows, except the rows a
+    classical run writes before its abort (exit 3). Rows are streamed,
+    so this holds only while every check runs before the first write."""
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_exit_codes(self, two_levels, data):
+        argv = data.draw(command_lines(two_levels))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.run(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 2, 3, 64), (argv, rc, err)
+        if rc:
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            if argv[0] == "classical" and rc == 3:
+                assert out, argv
+            else:
+                assert out == "", (argv, rc, err)
+
+
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+class TestClosedPipe:
+    """A reader that takes the first line of a 40001-row run and closes
+    the pipe: the next block's write meets a broken pipe."""
+
+    @pytest.mark.parametrize("output, rc, err", [
+        ("-", 0, b""),
+        ("/dev/stdout", 2, b"i/o error: [Errno 32] Broken pipe\n")])
+    def test_reader_closes_early(self, output, rc, err):
+        """On stdout fqed exits 0 with nothing on stderr, as it did when
+        it wrote the whole table at once; on -o FILE it is an i/o
+        error, exit 2."""
+        if not os.path.exists(output) and output != "-":
+            pytest.skip(f"no {output} on this platform")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"),
+                                             env.get("PYTHONPATH", "")])
+        argv = [sys.executable, "-c", "from fqed.cli import main; main()",
+                "classical", "--tau-max", "40", "-o", output]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert (proc.wait(timeout=300), proc.stderr.read()) == (rc, err)
+        assert first.startswith(b"tau,x0,")

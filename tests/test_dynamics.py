@@ -95,6 +95,21 @@ class TestDerivatives:
         v = dyn.photon_velocity(np.array([1.0, 0.0], dtype=complex))
         assert abs(minkowski_dot(v, v)) <= 1e-14
 
+    @pytest.mark.parametrize("rows", [
+        dyn._VELOCITY_ROWS - 1, dyn._VELOCITY_ROWS, dyn._VELOCITY_ROWS + 1,
+        2 * dyn._VELOCITY_ROWS + 1])
+    def test_velocity_blocks_equal_one_pass(self, rows):
+        """Taken in row blocks, the velocity has the bits of the same two
+        matmuls over all rows at once."""
+        rng = np.random.default_rng(rows)
+        for mats in (dyn._G0G, dyn._S):
+            d = mats.shape[-1]
+            z = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
+            zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
+            one_pass = np.real(zm @ z[..., None])[..., 0]
+            assert np.array_equal(dyn._velocity(mats, z), one_pass)
+            assert np.array_equal(dyn._velocity(mats, z[0]), one_pass[0])
+
     def test_field_accelerates(self):
         field = dyn.ExternalField(
             A=lambda x: np.array([0.0, 0.1 * x.t, 0.0, 0.0]),
