@@ -317,8 +317,7 @@ def _cmd_energy_shift(args):
     spec = loops.load_spectrum(args.spectrum, args.k_max)
     esc = _escale(args)
     levels = [args.level] if args.level else sorted(spec.levels)
-    shifts = [loops.energy_shift(spec, lab, alpha=args.alpha)
-              for lab in levels]
+    shifts = loops.energy_shifts(spec, levels, alpha=args.alpha)
     # the level labels are text, which `_finite` does not take
     _write_table(args, {"level": levels, **_finite({
         "energy": [spec.levels[lab] * esc for lab in levels],

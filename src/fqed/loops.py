@@ -73,7 +73,12 @@ polynomial plus P(a) log|(a - x0)/(a - x1)| for the principal value
 with pole a. Callable currents are integrated by scipy's quad with
 fixed tolerances: absolute 1e-12, relative 1e-10, at most 200
 subintervals; an error estimate above ten times either tolerance (of
-the value, for the relative one) raises NumericError.
+the value, for the relative one) raises NumericError. A missing current
+adds an exact 0.0. The two levels of a stored tabulated pair share its
+PV integrals, swapped (they read only Re J.J^*, which conjugation
+keeps), and its current at |E|, conjugated; each forms its own shell
+term, as SIMD complex products round Im J.J^* and Im J^*.J to opposite
+signs. A pair stored in both orders is two entries.
 """
 
 from __future__ import annotations
@@ -444,14 +449,9 @@ def _contract(u: np.ndarray, v: np.ndarray):
 
 
 def _table(spec: SpectrumInput, row: str, col: str):
-    """A pair's current as a table (k nodes, J (4, n)), conjugated for a
-    reversed pair and zero for a missing one; None when it is callable."""
-    entry, conj = spec._entry(row, col)
-    if entry is None:
-        return np.zeros(1), np.zeros((4, 1), dtype=complex)
-    if callable(entry):
-        return None
-    ks, J = entry
+    """A stored tabulated pair's current as (k nodes, J (4, n)),
+    conjugated for a reversed pair."""
+    (ks, J), conj = spec._entry(row, col)
     J = np.asarray(J, dtype=complex)
     return np.asarray(ks, dtype=float), J.conj() if conj else J
 
@@ -558,65 +558,86 @@ def principal_value_integral(f, pole: float, a: float, b: float) -> complex:
 
 def energy_shift(spec: SpectrumInput, d: str,
                  alpha: float = ALPHA_DEFAULT) -> complex:
-    """Complex second-order shift Delta E_d of the level d.
+    """Complex second-order shift Delta E_d: energy_shifts of level d."""
+    return energy_shifts(spec, [d], alpha)[0]
+
+
+def energy_shifts(spec: SpectrumInput, levels,
+                  alpha: float = ALPHA_DEFAULT) -> list[complex]:
+    """Complex second-order shifts Delta E_d of the levels d, in order.
 
     Real part: static current-current term plus the principal-value
     (level-shift) term; imaginary part: the delta-shell emission and
     absorption terms, collapsed analytically. Energies and momenta in
-    units of the electron mass. Terms whose currents are all tabulated
-    are integrated exactly; terms with a callable current by quadrature
-    (module docstring).
+    units of the electron mass. Tabulated currents are integrated
+    exactly and callable ones by quadrature; a missing current adds an
+    exact 0.0. The two levels of a stored tabulated pair share work
+    (module docstring), and each shift is bit for bit energy_shift's.
     """
-    if d not in spec.levels:
-        raise DomainError(f"unknown level: {d}")
     e2 = 4.0 * math.pi * alpha
-    E_d = spec.levels[d]
-    t_dd = _table(spec, d, d)
     pref = e2 / math.pi
-    total = 0.0 + 0.0j
-    for b, E_b in spec.levels.items():
-        # static term: the 1/k^2 cancels the measure
-        t_bb = _table(spec, b, b)
-        if t_dd is None or t_bb is None:
-            J_dd, J_bb = spec.current(d, d), spec.current(b, b)
-            static = _quad(lambda k: _contract(J_dd(k), J_bb(k)).real,
-                           0.0, spec.k_max)
-        else:
-            static = _static_integral(spec.k_max, t_dd, t_bb)
-        total += pref * static
-        if b == d:
-            continue
-        if not spec.has_current(d, b):
-            continue
-        E = E_d - E_b
-        if E == 0.0:
-            raise DegenerateLevelError(
-                f"levels {d} and {b} are degenerate with nonzero current")
-        if abs(E) >= spec.k_max:
-            raise DomainError(
-                f"k_max = {spec.k_max} does not cover the {d}-{b} "
-                f"transition at |E| = {abs(E)}")
-        J_db = spec.current(d, b)
-        contr = lambda k, _J=J_db: _contract(_J(k), _J(k))
-        # delta-shell terms: i pi/2k [delta(E-k) - delta(E+k)], the
-        # k^2 dk measure collapses onto k = |E|; emission for E > 0,
-        # absorption (opposite sign) for E < 0
-        shell = 0.5j * math.pi * abs(E) * complex(contr(abs(E)))
-        if E < 0.0:
-            shell = -shell
-        total += pref * shell
-        # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
-        # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
-        t_db = _table(spec, d, b)
-        if t_db is None:
-            half = lambda k, _c=contr: 0.5 * k * complex(_c(k))
-            term = -(principal_value_integral(half, -E, 0.0, spec.k_max)
-                     + principal_value_integral(half, E, 0.0, spec.k_max))
-        else:
-            term = -complex(np.sum(_pv_integrals(spec.k_max, t_db,
-                                                 (-E, E))))
-        total += pref * term
-    return total
+    # stored tabulated pair -> (level, its PV integrals, J at |E|)
+    shared = {}
+    shifts = []
+    for d in levels:
+        if d not in spec.levels:
+            raise DomainError(f"unknown level: {d}")
+        total = 0.0 + 0.0j
+        for b, E_b in spec.levels.items():
+            # static term: the 1/k^2 cancels the measure; a missing
+            # current adds 0.0, what it integrates to
+            e_dd, e_bb = spec.currents.get((d, d)), spec.currents.get((b, b))
+            if callable(e_dd) or callable(e_bb):
+                J_dd, J_bb = spec.current(d, d), spec.current(b, b)
+                static = _quad(lambda k: _contract(J_dd(k), J_bb(k)).real,
+                               0.0, spec.k_max)
+            elif e_dd is None or e_bb is None:
+                static = 0.0
+            else:
+                static = _static_integral(spec.k_max, _table(spec, d, d),
+                                          _table(spec, b, b))
+            total += pref * static
+            if b == d or not spec.has_current(d, b):
+                continue
+            E = spec.levels[d] - E_b
+            if E == 0.0:
+                raise DegenerateLevelError(
+                    f"levels {d} and {b} are degenerate with nonzero current")
+            if abs(E) >= spec.k_max:
+                raise DomainError(
+                    f"k_max = {spec.k_max} does not cover the {d}-{b} "
+                    f"transition at |E| = {abs(E)}")
+            entry, conj = spec._entry(d, b)
+            if callable(entry):
+                J_db = spec.current(d, b)
+                J_E, pv = J_db(abs(E)), None
+            else:
+                key = (b, d) if conj else (d, b)
+                if key not in shared:
+                    pv = _pv_integrals(spec.k_max, _table(spec, d, b), (-E, E))
+                    shared[key] = d, pv, spec.current(d, b)(abs(E))
+                owner, pv, J_E = shared[key]
+                if owner != d:
+                    pv, J_E = pv[::-1], np.conj(J_E)
+            # delta-shell terms: i pi/2k [delta(E-k) - delta(E+k)], the
+            # k^2 dk measure collapses onto k = |E|; emission for E > 0,
+            # absorption (opposite sign) for E < 0
+            shell = 0.5j * math.pi * abs(E) * complex(_contract(J_E, J_E))
+            if E < 0.0:
+                shell = -shell
+            total += pref * shell
+            # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
+            # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
+            if pv is None:
+                half = lambda k, _J=J_db: 0.5 * k * complex(
+                    _contract(_J(k), _J(k)))
+                term = -(principal_value_integral(half, -E, 0.0, spec.k_max)
+                         + principal_value_integral(half, E, 0.0, spec.k_max))
+            else:
+                term = -complex(np.sum(pv))
+            total += pref * term
+        shifts.append(total)
+    return shifts
 
 
 # -- spectrum text format --------------------------------------------------
@@ -626,7 +647,7 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
 
     A `[levels]` section lists `label energy` lines; each
     `[current d b]` section lists `k J0 Jx Jy Jz` sample rows that are
-    interpolated linearly.
+    interpolated linearly. A pair's section may appear once per order.
     """
     levels: dict[str, float] = {}
     currents: dict[tuple[str, str], object] = {}
@@ -661,6 +682,8 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
             elif head[0] == "current" and len(head) == 3:
                 section = "current"
                 key = (head[1], head[2])
+                if key in currents:
+                    raise DomainError(f"repeated current section {key}")
             else:
                 raise DomainError(f"bad section header: {line}")
             continue

@@ -824,6 +824,28 @@ class TestSubcommands:
         im = float(d_row.split(",")[3])
         assert im < 0.0
 
+    def test_repeated_current_section(self, capsys, tmp_path):
+        """A second section of one ordered pair is refused, naming the
+        pair; one section per order is accepted, and each level reads
+        the section of its own order."""
+        head = "[levels]\nd 1.0\nb 0.7\n"
+        section = ("[current {} {}]\n0.0 0.0 {} 0.0 0.0\n"
+                   "5.0 0.0 0.2 0.05 0.0\n").format
+        spec = tmp_path / "levels.txt"
+        argv = ["energy-shift", "--spectrum", str(spec), "--k-max", "5"]
+
+        def rows(text):
+            spec.write_text(head + text)
+            rc, out, err = run_capture(capsys, argv)
+            return rc, out.splitlines()[1:], err
+
+        assert rows(section("d", "b", 0.1) + section("d", "b", 0.3)) == (
+            2, [], "domain error: repeated current section ('d', 'b')\n")
+        rc, both, _ = rows(section("d", "b", 0.1) + section("b", "d", 0.3))
+        assert rc == 0
+        assert both[1] == rows(section("d", "b", 0.1))[1][1]
+        assert both[0] == rows(section("b", "d", 0.3))[1][0]
+
     def test_brems_and_pairprod_rows(self, capsys):
         rc, out, _ = run_capture(capsys, ["brems"])
         assert rc == 0

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqed import loops
+from fqed import cli, loops
 from fqed.constants import ALPHA_DEFAULT
-from fqed.errors import SingularityError
+from fqed.errors import DomainError, SingularityError
 
 DPS = 50
 # split points that resolve log singularities sitting at or next to an
@@ -252,31 +252,41 @@ def quad_shift(spec, d):
     return loops.energy_shift(_callables(spec), d)
 
 
+def _draw_table(draw, last):
+    """A current on a random number of nodes in [0, last], real or
+    complex."""
+    value = st.floats(-0.3, 0.3)
+    n = draw(st.integers(1, 6))
+    ks = np.sort(np.concatenate([[0.0], draw(st.lists(
+        st.floats(0.05, last), min_size=n, max_size=n, unique=True))]))
+    re = np.array(draw(st.lists(value, min_size=4 * len(ks),
+                                max_size=4 * len(ks)))).reshape(4, -1)
+    im = 0.0
+    if draw(st.booleans()):
+        im = np.array(draw(st.lists(value, min_size=4 * len(ks),
+                                    max_size=4 * len(ks)))).reshape(4, -1)
+    return ks, re + 1j * im
+
+
 @st.composite
 def tabulated_spectra(draw):
-    """Two or three levels, currents on a random number of nodes, real
-    or complex, with k_max beyond the last node or inside the table."""
+    """Two or three levels, with k_max beyond the last node or inside
+    the table. Each diagonal current is present or missing; each
+    transition pair is stored as (d, b), as (b, d) or in both orders,
+    with a table of its own per order."""
     n_levels = draw(st.integers(2, 3))
     energies = [1.0, 0.62, 0.25][:n_levels]
     labels = [f"L{i}" for i in range(n_levels)]
     last = draw(st.floats(1.5, 4.0))
     k_max = draw(st.sampled_from([last + 1.0, 0.5 * (1.0 + last)]))
-    value = st.floats(-0.3, 0.3)
     currents = {}
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i:]]
-    for pair in pairs:
-        if pair[0] == pair[1] and not draw(st.booleans()):
-            continue
-        n = draw(st.integers(1, 6))
-        ks = np.sort(np.concatenate([[0.0], draw(st.lists(
-            st.floats(0.05, last), min_size=n, max_size=n, unique=True))]))
-        re = np.array(draw(st.lists(value, min_size=4 * len(ks),
-                                    max_size=4 * len(ks)))).reshape(4, -1)
-        im = 0.0
+    for i, a in enumerate(labels):
         if draw(st.booleans()):
-            im = np.array(draw(st.lists(value, min_size=4 * len(ks),
-                                        max_size=4 * len(ks)))).reshape(4, -1)
-        currents[pair] = (ks, re + 1j * im)
+            currents[(a, a)] = _draw_table(draw, last)
+        for b in labels[i + 1:]:
+            for key in draw(st.sampled_from([[(a, b)], [(b, a)],
+                                             [(a, b), (b, a)]])):
+                currents[key] = _draw_table(draw, last)
     return loops.SpectrumInput(dict(zip(labels, energies)), currents, k_max)
 
 
@@ -352,3 +362,71 @@ class TestTabulatedShift:
         for lab in levels:
             assert abs(loops.energy_shift(fwd, lab)
                        - loops.energy_shift(rev, lab)) <= 1e-15
+
+
+def _hex(shifts):
+    return [(v.real.hex(), v.imag.hex()) for v in shifts]
+
+
+class TestOnePass:
+    """energy_shifts computes all levels in one pass and shares work
+    between the two levels of a stored pair; every value must still be
+    bit for bit the one of a call for that level alone."""
+
+    @settings(max_examples=60)
+    @given(tabulated_spectra())
+    def test_equals_per_level_bit_for_bit(self, spec):
+        levels = sorted(spec.levels)
+        together = _hex(loops.energy_shifts(spec, levels))
+        assert together == _hex([loops.energy_shift(spec, d)
+                                 for d in levels])
+        # a missing diagonal current adds exactly what a zero table does
+        zero = (np.zeros(1), np.zeros((4, 1), dtype=complex))
+        explicit = loops.SpectrumInput(
+            spec.levels, {(d, d): zero for d in levels} | spec.currents,
+            spec.k_max)
+        assert _hex(loops.energy_shifts(explicit, levels)) == together
+
+    @pytest.mark.parametrize("levels, currents, k_max, extra", [
+        # a label that is not a level, sorted before a failing one
+        ({"a": 1.0, "b": 0.7, "c": 0.2}, [("a", "b"), ("b", "c")], 0.4,
+         "0"),
+        # degenerate b and c: b fails first, naming b before c
+        ({"a": 1.0, "b": 0.7, "c": 0.7}, [("a", "b"), ("c", "b")], 5.0,
+         None),
+        # k_max below the a-c transition: a fails first
+        ({"a": 2.0, "b": 1.0, "c": 0.2}, [("a", "b"), ("b", "c"),
+                                          ("c", "a")], 1.5, None),
+    ], ids=["unknown-level", "degenerate", "k-max"])
+    def test_error_parity(self, capsys, tmp_path, levels, currents, k_max,
+                          extra):
+        """The all-level call fails as the first failing level does when
+        the levels are evaluated one by one in sorted order, and the
+        command exits 2 with no rows."""
+        ks = np.array([0.0, 5.0])
+        J = np.array([[0.0, 0.0], [0.2, 0.1], [0.0, 0.05], [0.0, 0.0]])
+        spec = loops.SpectrumInput(levels, {key: (ks, J) for key in currents},
+                                   k_max)
+        order = sorted([*levels] + ([extra] if extra else []))
+        first = None
+        for d in order:
+            try:
+                loops.energy_shift(spec, d)
+            except DomainError as exc:
+                first = exc
+                break
+        assert first is not None
+        with pytest.raises(DomainError) as info:
+            loops.energy_shifts(spec, order)
+        assert type(info.value) is type(first)
+        assert str(info.value) == str(first)
+        path = tmp_path / "levels.txt"
+        path.write_text("[levels]\n" + "".join(
+            f"{lab} {E!r}\n" for lab, E in levels.items()) + "".join(
+            f"[current {a} {b}]\n0.0 0.0 0.2 0.0 0.0\n5.0 0.0 0.1 0.05 0.0\n"
+            for a, b in currents))
+        argv = ["energy-shift", "--spectrum", str(path), "--k-max", str(k_max)]
+        assert cli.run(argv + (["--level", extra] if extra else [])) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"domain error: {first}\n"
