@@ -193,9 +193,10 @@ def _check_mass_alpha(args) -> None:
 
 
 def _finite(table: dict) -> dict:
-    """table, checked: a non-finite (overflowed) cell is a NumericError."""
-    if not np.isfinite(list(table.values())).all():
-        bad = [k for k, v in table.items() if not np.isfinite(v).all()]
+    """table, checked column by column: a non-finite (overflowed) cell
+    is a NumericError naming its columns."""
+    bad = [k for k, v in table.items() if not np.isfinite(v).all()]
+    if bad:
         raise NumericError(f"not finite (overflow): {', '.join(bad)}")
     return table
 
@@ -355,10 +356,11 @@ def _cmd_classical(args):
         # a photon along -z still has positive energy
         p = FourVector(abs(args.pz), 0.0, 0.0, args.pz)
         state = dynamics.PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
-    # overflow ends the run as an abort, reported below
+    # an overflow of x, p or z ends the run as an abort, reported below;
+    # one of zbar_z or H alone is refused by `_finite` before any row
     traj = dynamics.integrate(state, None, (0.0, args.tau_max), args.dt)
-    _write_table(args, {k: v[::args.stride] for k, v
-                        in dynamics.trajectory_columns(traj).items()})
+    _write_table(args, _finite({k: v[::args.stride] for k, v
+                                in dynamics.trajectory_columns(traj).items()}))
     if traj.aborted:
         # the rows up to the last finite state are written first
         raise NumericError(f"trajectory aborted after tau = "

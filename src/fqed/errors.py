@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the batched raiser."""
+
+import numpy as np
 
 
 class FqedError(Exception):
@@ -27,3 +29,13 @@ class NumericError(FqedError, RuntimeError):
 
 class DegenerateLevelError(DomainError):
     """Two spectrum levels coincide but are connected by a nonzero current."""
+
+
+def reject(bad: np.ndarray, what: str, values: np.ndarray, legs=(),
+           error=DomainError) -> None:
+    """Raise error at the first point where bad holds; with legs, the
+    first axis of bad runs over those leg labels."""
+    if bad.any():
+        first = tuple(np.argwhere(bad)[0])
+        where = f"{legs[first[0]]} " if legs else ""
+        raise error(f"{where}{what} = {values[first]:.3e}")

@@ -647,7 +647,8 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
 
     A `[levels]` section lists `label energy` lines; each
     `[current d b]` section lists `k J0 Jx Jy Jz` sample rows that are
-    interpolated linearly. A pair's section may appear once per order.
+    interpolated linearly. A label may appear once in `[levels]`, and a
+    pair's section once per order.
     """
     levels: dict[str, float] = {}
     currents: dict[tuple[str, str], object] = {}
@@ -691,6 +692,8 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
             parts = line.split()
             if len(parts) != 2:
                 raise DomainError(f"bad level line: {line}")
+            if parts[0] in levels:
+                raise DomainError(f"repeated level {parts[0]!r}")
             levels[parts[0]] = numbers(parts[1:], line)[0]
         elif section == "current":
             vals = numbers(line.split(), line)

@@ -54,14 +54,12 @@ import numpy as np
 from . import ledger as _ledger
 from .algebra import GAMMA, slash
 from .constants import ALPHA_DEFAULT
-from .errors import DomainError, PoleError
+from .errors import DomainError, reject
 from .fourvec import FourVector, _components, minkowski_dot
-from .propagators import PropagatorConfig, fermion_propagator
+from .propagators import coulomb_line, fermion_line, photon_line
 from .states import (HELICITIES, _u_spinors, _V_ORDER, polarization_vectors,
                      spin_slot)
 
-FERMION_POLE_THRESHOLD = 1e-6      # |q^2 - m^2| below this raises, units m^2
-PHOTON_POLE_THRESHOLD = 1e-10      # |q^2| below this raises, units m^2
 # validate's tolerance: on shell and lightlike in units of m^2,
 # conservation in units of m
 KINEMATIC_TOL = 1e-10
@@ -111,16 +109,6 @@ _G0_DIAG = np.array([1.0, 1.0, -1.0, -1.0])     # gamma^0 is diagonal
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _reject(bad: np.ndarray, what: str, values: np.ndarray, legs=(),
-            error=DomainError) -> None:
-    """Raise at the first point where bad holds; with legs, the first
-    axis of bad runs over those leg labels."""
-    if bad.any():
-        first = tuple(np.argwhere(bad)[0])
-        where = f"{legs[first[0]]} " if legs else ""
-        raise error(f"{where}{what} = {values[first]:.3e}")
-
-
 @dataclass(frozen=True)
 class KinematicConfig:
     """External kinematics of one process evaluation, or of N at once.
@@ -156,20 +144,20 @@ class KinematicConfig:
         nf = len(order) - len(_labels(self.process, "photon"))
         square = minkowski_dot(legs, legs)      # fermions first
         dev = square[:nf] - m2
-        _reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
-                "off shell: p^2 - m^2", dev, order)
+        reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
+               "off shell: p^2 - m^2", dev, order)
         p0 = legs[:nf, ..., 0]
-        _reject(~(p0 > 0), "needs p0 > 0, p0", p0, order)
-        _reject(~(np.abs(square[nf:]) <= KINEMATIC_TOL * m2),
-                "not lightlike: k^2", square[nf:], order[nf:])
+        reject(~(p0 > 0), "needs p0 > 0, p0", p0, order)
+        reject(~(np.abs(square[nf:]) <= KINEMATIC_TOL * m2),
+               "not lightlike: k^2", square[nf:], order[nf:])
         kmag = np.sqrt(np.add.reduce(legs[nf:, ..., 1:] ** 2, -1))
-        _reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, order[nf:])
+        reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, order[nf:])
         mom = dict(zip(order, legs))
         res = _residual(self.process, mom)
         res = np.sqrt(np.add.reduce(res * res, -1))
         what = "energy" if self.process in _ENERGY_ONLY else "4-momentum"
-        _reject(~(res <= KINEMATIC_TOL * self.mass),
-                f"{what} not conserved, |residual|", res)
+        reject(~(res <= KINEMATIC_TOL * self.mass),
+               f"{what} not conserved, |residual|", res)
         return mom
 
     def conservation_residual(self):
@@ -215,23 +203,12 @@ class ReducedAmplitude:
 # Each core returns every helicity amplitude of every point; the axes are
 # the points, then the spin or helicity slots of its arguments in order.
 
-def _kernels(q1, q2, mass: float) -> np.ndarray:
-    """Internal fermion lines 1/(slash(q) - m) at both momenta, with the
-    near-pole guard; shape (2, N, 4, 4)."""
-    q = np.stack([q1, q2])
-    dev = minkowski_dot(q, q) - mass * mass
-    _reject(np.abs(dev) < FERMION_POLE_THRESHOLD * mass * mass,
-            "intermediate fermion too close to mass shell: q^2 - m^2", dev,
-            error=PoleError)
-    return fermion_propagator(q, PropagatorConfig(mass, epsilon=0.0))
-
-
 def _compton_core(bar_out, u_in, eps_abs, eps_em, p_in, k_abs, k_em,
                   mass: float, e2: float) -> np.ndarray:
     """bar_out [ eps_em 1/(p+k_abs-m) eps_abs
                  + eps_abs 1/(p-k_em-m) eps_em ] u_in * (-i e^2),
     axes (N, out, in, abs, em)."""
-    s1, s2 = _kernels(p_in + k_abs, p_in - k_em, mass)
+    s1, s2 = fermion_line(np.stack([p_in + k_abs, p_in - k_em]), mass)
     a, e = slash(eps_abs), slash(eps_em)
     bar_e = np.einsum("noi,neij->noej", bar_out, e)
     bar_a = np.einsum("noi,naij->noaj", bar_out, a)
@@ -250,11 +227,8 @@ def _coulomb_core(bar_out, u_in, eps, p_out, p_in, k, mass: float,
                              + g0 1/(p_in-k-m) eps ] u_in * (-i),
     with q = spatial part of (k + p_out - p_in); axes (N, out, in, photon).
     """
-    qvec = (k + p_out - p_in)[:, 1:]
-    q2 = np.sum(qvec * qvec, axis=1)
-    _reject(q2 < PHOTON_POLE_THRESHOLD * mass * mass, "Coulomb pole: |q|^2",
-            q2, error=PoleError)
-    s1, s2 = _kernels(p_out + k, p_in - k, mass)
+    q2 = coulomb_line((k + p_out - p_in)[:, 1:], mass)
+    s1, s2 = fermion_line(np.stack([p_out + k, p_in - k]), mass)
     e = slash(eps)
     bar_e = np.einsum("noi,ncij->nocj", bar_out, e)
     e_u = np.einsum("ncij,nmj->nmci", e, u_in)
@@ -268,10 +242,7 @@ def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
     """[ (bar_1 G u_1).(bar_2 G u_2)/q_d^2
          - (bar_2 G u_1).(bar_1 G u_2)/q_e^2 ] * (-i e^2),
     G = gamma^mu, Minkowski-contracted currents."""
-    q = np.stack([q_direct, q_exchange])
-    q2 = minkowski_dot(q, q)
-    _reject(np.abs(q2) < PHOTON_POLE_THRESHOLD * mass * mass,
-            "photon line at q^2", q2, error=PoleError)
+    q2 = photon_line(np.stack([q_direct, q_exchange]), mass)
     t, u = q2[:, :, None, None, None, None]
     # direct and exchange through the same contraction, so that relabeling
     # the two outgoing fermions swaps the two terms exactly
@@ -533,7 +504,7 @@ def compton_value_with_polarization(cfg: KinematicConfig, eps_in,
 def _above(name: str, value, low: float) -> None:
     """Reject inputs at or below low, naming the first one."""
     value = np.asarray(value, dtype=float)
-    _reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
+    reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
 
 
 def _direction(theta, phi):

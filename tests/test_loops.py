@@ -298,6 +298,8 @@ class TestSpectrumFormat:
                                  "0 0 0 0 0\n")
         with pytest.raises(DomainError):
             loops.parse_spectrum("stray 1.0\n")
+        with pytest.raises(DomainError, match="repeated level 'd'"):
+            loops.parse_spectrum("[levels]\nd 1.0\nb 0.7\nd 2.0\n")
         for text in ("[levels]\nd abc\n",
                      "[levels]\nd 1.0\nb 0.7\n[current d b]\n0 0 x 0 0\n"):
             with pytest.raises(DomainError, match="bad number"):
