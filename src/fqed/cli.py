@@ -193,12 +193,14 @@ def _check_mass_alpha(args) -> None:
 
 
 def _finite(table: dict) -> dict:
-    """table, checked column by column: a non-finite (overflowed) cell
-    is a NumericError naming its columns."""
-    bad = [k for k, v in table.items() if not np.isfinite(v).all()]
+    """table's columns as arrays, the float and complex ones checked: a
+    non-finite (overflowed) cell is a NumericError naming its columns."""
+    cols = {k: np.asarray(v) for k, v in table.items()}
+    bad = [k for k, c in cols.items()
+           if c.dtype.kind in "fc" and not np.isfinite(c).all()]
     if bad:
         raise NumericError(f"not finite (overflow): {', '.join(bad)}")
-    return table
+    return cols
 
 
 def _escale(args) -> float:
@@ -207,9 +209,11 @@ def _escale(args) -> float:
 
 # -- subcommand evaluators -------------------------------------------------
 #
-# Every table subcommand evaluates its whole grid in one batched call.
-# Each evaluator imports the layers it calls when it runs, so a command
-# loads only its own, and calls them through their module attributes.
+# Every table subcommand evaluates its whole grid in one batched call
+# and returns its table, one column per name; `run` checks and writes
+# it. Each evaluator imports the layers it calls when it runs, so a
+# command loads only its own, and calls them through their module
+# attributes.
 
 def _cmd_compton(args):
     from . import processes
@@ -221,10 +225,9 @@ def _cmd_compton(args):
     w2 = processes.compton_omega_out(g["omega_in"], theta, args.mass)
     dsig = (w2 / g["omega_in"]) ** 2 * m2 / (
         64.0 * math.pi ** 2 * args.mass ** 2)
-    _write_table(args, _finite({
-        "theta_deg": g["theta"], "omega_in": g["omega_in"] * esc,
-        "omega_out": w2 * esc, "M2_spin_avg": m2,
-        "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig}))
+    return {"theta_deg": g["theta"], "omega_in": g["omega_in"] * esc,
+            "omega_out": w2 * esc, "M2_spin_avg": m2,
+            "dsigma_dOmega": dsig / esc ** 2 if args.mev else dsig}
 
 
 def _cmd_annihilate(args):
@@ -232,9 +235,8 @@ def _cmd_annihilate(args):
     g = _grid(args, ("theta", "pmag"))
     cfg = processes.annihilation_cm_config(g["pmag"], np.radians(g["theta"]),
                                            mass=args.mass)
-    _write_table(args, _finite({
-        "theta_deg": g["theta"], "pmag": g["pmag"] * _escale(args),
-        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}))
+    return {"theta_deg": g["theta"], "pmag": g["pmag"] * _escale(args),
+            "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}
 
 
 def _coulomb_cmd(args, params, builder):
@@ -243,45 +245,22 @@ def _coulomb_cmd(args, params, builder):
     esc = _escale(args)
     g = _grid(args, params)
     energies, angles = params[:2], params[2:]
-    cfg = builder(*(g[p] for p in energies),
-                  *(np.radians(g[p]) for p in angles), Z=args.Z,
-                  mass=args.mass)
+    cfg = getattr(processes, builder)(
+        *(g[p] for p in energies), *(np.radians(g[p]) for p in angles),
+        Z=args.Z, mass=args.mass)
     m = processes.amplitude(cfg, args.alpha).value
-    _write_table(args, _finite({**{p: g[p] * esc for p in energies},
-                                **{p + "_deg": g[p] for p in angles},
-                                "re_M": m.real, "im_M": m.imag,
-                                "abs2_M": np.abs(m) ** 2}))
-
-
-def _cmd_brems(args):
-    from . import processes
-    _coulomb_cmd(args, ("e_in", "omega", "theta_e", "theta_k"),
-                 processes.bremsstrahlung_config)
-
-
-def _cmd_pairprod(args):
-    from . import processes
-    _coulomb_cmd(args, ("omega_in", "e_plus", "theta_p", "theta_m"),
-                 processes.pair_production_config)
+    return {**{p: g[p] * esc for p in energies},
+            **{p + "_deg": g[p] for p in angles},
+            "re_M": m.real, "im_M": m.imag, "abs2_M": np.abs(m) ** 2}
 
 
 def _four_fermion_cmd(args, builder):
     from . import processes
     g = _grid(args, ("energy", "theta"))
-    cfg = builder(g["energy"], np.radians(g["theta"]), mass=args.mass)
-    _write_table(args, _finite({
-        "energy": g["energy"] * _escale(args), "theta_deg": g["theta"],
-        "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}))
-
-
-def _cmd_moller(args):
-    from . import processes
-    _four_fermion_cmd(args, processes.moller_cm_config)
-
-
-def _cmd_bhabha(args):
-    from . import processes
-    _four_fermion_cmd(args, processes.bhabha_cm_config)
+    cfg = getattr(processes, builder)(g["energy"], np.radians(g["theta"]),
+                                      mass=args.mass)
+    return {"energy": g["energy"] * _escale(args), "theta_deg": g["theta"],
+            "M2_spin_avg": processes.spin_summed_squared(cfg, args.alpha)}
 
 
 def _cmd_vacuum_pol(args):
@@ -290,8 +269,7 @@ def _cmd_vacuum_pol(args):
         raise _UsageError("vacuum-pol needs --k2 and/or --sweep")
     k2 = _grid(args, ("k2",))["k2"]
     val = loops.vacuum_polarization_finite(k2, args.mass, args.alpha)
-    _write_table(args, _finite({"k2": k2, "re_pi_bar": val.real,
-                                "im_pi_bar": val.imag}))
+    return {"k2": k2, "re_pi_bar": val.real, "im_pi_bar": val.imag}
 
 
 def _cmd_self_energy(args):
@@ -302,15 +280,13 @@ def _cmd_self_energy(args):
     except OverflowError:
         raise DomainError(f"--mass {args.mass!r}: m^2 overflows") from None
     a, b = loops.self_energy_ab(p2 * m2, args.mass, args.alpha)
-    c = args.alpha / (4.0 * math.pi)
+    pole_a, pole_b = loops.self_energy_pole(args.mass, args.alpha)
     # p2 = 0 is the zero momentum, whose pslash vanishes: b reads 0
     zero = p2 == 0.0
     b[zero] = 0.0
-    _write_table(args, _finite({"p2": p2, "re_a": a.real, "im_a": a.imag,
-                                "re_b": b.real, "im_b": b.imag,
-                                "pole_a": np.full(len(p2),
-                                                  4.0 * args.mass * c),
-                                "pole_b": np.where(zero, 0.0, -c)}))
+    return {"p2": p2, "re_a": a.real, "im_a": a.imag, "re_b": b.real,
+            "im_b": b.imag, "pole_a": np.full(len(p2), pole_a),
+            "pole_b": np.where(zero, 0.0, pole_b)}
 
 
 def _cmd_energy_shift(args):
@@ -319,11 +295,10 @@ def _cmd_energy_shift(args):
     esc = _escale(args)
     levels = [args.level] if args.level else sorted(spec.levels)
     shifts = loops.energy_shifts(spec, levels, alpha=args.alpha)
-    # the level labels are text, which `_finite` does not take
-    _write_table(args, {"level": levels, **_finite({
-        "energy": [spec.levels[lab] * esc for lab in levels],
-        "re_shift": [v.real * esc for v in shifts],
-        "im_shift": [v.imag * esc for v in shifts]})})
+    return {"level": levels,
+            "energy": [spec.levels[lab] * esc for lab in levels],
+            "re_shift": [v.real * esc for v in shifts],
+            "im_shift": [v.imag * esc for v in shifts]}
 
 
 def _cmd_classical(args):
@@ -356,16 +331,13 @@ def _cmd_classical(args):
         # a photon along -z still has positive energy
         p = FourVector(abs(args.pz), 0.0, 0.0, args.pz)
         state = dynamics.PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
-    # an overflow of x, p or z ends the run as an abort, reported below;
+    # an overflow of x, p or z aborts the run, reported after its rows;
     # one of zbar_z or H alone is refused by `_finite` before any row
     traj = dynamics.integrate(state, None, (0.0, args.tau_max), args.dt)
-    _write_table(args, _finite({k: v[::args.stride] for k, v
-                                in dynamics.trajectory_columns(traj).items()}))
-    if traj.aborted:
-        # the rows up to the last finite state are written first
-        raise NumericError(f"trajectory aborted after tau = "
-                           f"{float(traj.tau[-1])!r}: the state became "
-                           f"non-finite")
+    reason = (f"trajectory aborted after tau = {float(traj.tau[-1])!r}: "
+              f"the state became non-finite" if traj.aborted else None)
+    return {k: v[::args.stride] for k, v
+            in dynamics.trajectory_columns(traj).items()}, reason
 
 
 def _cmd_selftest(args):
@@ -483,22 +455,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pmag", type=float, default=0.5)
     sp.add_argument("--theta", type=float, default=60.0)
 
-    sp = command("brems", _cmd_brems, _TREE)
+    sp = command("brems", functools.partial(
+        _coulomb_cmd, params=("e_in", "omega", "theta_e", "theta_k"),
+        builder="bremsstrahlung_config"), _TREE)
     sp.add_argument("--e-in", dest="e_in", type=float, default=2.0)
     sp.add_argument("--omega", type=float, default=0.5)
     sp.add_argument("--theta-e", dest="theta_e", type=float, default=20.0)
     sp.add_argument("--theta-k", dest="theta_k", type=float, default=45.0)
     sp.add_argument("--Z", type=float, default=1.0)
 
-    sp = command("pairprod", _cmd_pairprod, _TREE)
+    sp = command("pairprod", functools.partial(
+        _coulomb_cmd, params=("omega_in", "e_plus", "theta_p", "theta_m"),
+        builder="pair_production_config"), _TREE)
     sp.add_argument("--omega-in", dest="omega_in", type=float, default=3.0)
     sp.add_argument("--e-plus", dest="e_plus", type=float, default=1.5)
     sp.add_argument("--theta-p", dest="theta_p", type=float, default=30.0)
     sp.add_argument("--theta-m", dest="theta_m", type=float, default=30.0)
     sp.add_argument("--Z", type=float, default=1.0)
 
-    for name, func in (("moller", _cmd_moller), ("bhabha", _cmd_bhabha)):
-        sp = command(name, func, _TREE)
+    for name in ("moller", "bhabha"):
+        sp = command(name, functools.partial(
+            _four_fermion_cmd, builder=f"{name}_cm_config"), _TREE)
         sp.add_argument("--energy", type=float, default=2.0)
         sp.add_argument("--theta", type=float, default=60.0)
 
@@ -535,11 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The parser `run` uses: built once per process, on first use.
     Parsing keeps no state in it (each call fills a new namespace), and
-    its defaults hold only `_cmd_*` functions. Those import their layer
-    when called and look each library function up on its module then
-    (`dynamics.integrate`, never a name bound at import), so a layer a
-    command does not use is never loaded, and a wrapper installed on a
-    module attribute later (as a tracer does) is the one called."""
+    its defaults hold only evaluators, the tree ones bound by
+    `functools.partial` to the *name* of their config builder. Those
+    import their layer when called and look each library function up on
+    its module then (`processes.moller_cm_config`, never a name bound at
+    import), so a layer a command does not use is never loaded, and a
+    wrapper installed on a module attribute later (as a tracer does) is
+    the one called."""
     return build_parser()
 
 
@@ -551,11 +530,19 @@ def run(argv=None) -> int:
         return USAGE_EXIT
     try:
         _check_mass_alpha(args)
-        # an overflow surfaces as the evaluator's own error (a table's
-        # `_finite` check, a trajectory's abort), not as numpy warnings
+        # an overflow surfaces as the table's `_finite` check or a
+        # trajectory's abort, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rc = args.func(args)
-        return 0 if rc is None else rc
+            if args.subcommand == "selftest":
+                return args.func(args)
+            table = args.func(args)
+        # `classical` returns its rows with the reason its run aborted,
+        # which is raised once they are written
+        table, abort = table if isinstance(table, tuple) else (table, None)
+        _write_table(args, _finite(table))
+        if abort:
+            raise NumericError(abort)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

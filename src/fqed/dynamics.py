@@ -315,8 +315,8 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
         zs[done:done + k] = zs[:k] @ m.T
         m = m @ m
         done += k
-    xs = np.cumsum(np.vstack([x0, _velocity(q, zs[:-1])]), axis=0)
-    return xs, zs
+    xs = np.vstack([x0, _velocity(q, zs[:-1])])
+    return np.cumsum(xs, axis=0, out=xs), zs
 
 
 def _field_steps(mats, cliff, x, p, z, n, dt, field):

@@ -322,18 +322,27 @@ def self_energy_ab(p2, mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     return _complex(re_a, im_a, scalar), _complex(re_b, im_b, scalar)
 
 
+def self_energy_pole(mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
+    """The self energy's 1/eps pole as (a, b), pole = a 1 + b pslash:
+    (alpha/4 pi)(4m, -1) at every p. This is the d = 4 - 2 eps form,
+    which a derivation of the self energy is to revisit (ROADMAP)."""
+    c = alpha / (4.0 * math.pi)
+    return 4.0 * mass * c, -c
+
+
 def self_energy(p: FourVector, mass: float = 1.0,
                 alpha: float = ALPHA_DEFAULT) -> LaurentValue:
     """Self-energy matrix Omega(p) as a Laurent series of 4x4 matrices.
 
-    Pole part (alpha/4 pi)(1/eps)[4m - pslash]; finite part
-    a 1 + b pslash from self_energy_ab. Exactly on shell the point is
-    rejected.
+    Pole part (1/eps)[a_pole + b_pole pslash] from self_energy_pole;
+    finite part a 1 + b pslash from self_energy_ab. Exactly on shell
+    the point is rejected.
     """
     a, b = self_energy_ab(float(p.norm2()), mass, alpha)
+    pole_a, pole_b = self_energy_pole(mass, alpha)
     psl = slash(p)
-    pole = (alpha / (4.0 * math.pi)) * (4.0 * mass * I4 - psl)
-    return LaurentValue(pole.astype(complex), a * I4 + b * psl)
+    return LaurentValue((pole_a * I4 + pole_b * psl).astype(complex),
+                        a * I4 + b * psl)
 
 
 def self_energy_near_shell(p: FourVector, mass: float = 1.0,
@@ -368,10 +377,9 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
     delta = (m * m - p2) / (m * m)
     logd = cmath.log(complex(delta))
     psl = slash(p).astype(complex)
-    c = alpha / (4.0 * math.pi)
-    pole = c * (4.0 * m * I4 - psl)
-    finite = -c * logd * (psl - m * I4)
-    return LaurentValue(pole, finite)
+    pole_a, pole_b = self_energy_pole(m, alpha)
+    return LaurentValue(pole_a * I4 + pole_b * psl,
+                        pole_b * logd * (psl - m * I4))
 
 
 # -- complex energy shifts -------------------------------------------------

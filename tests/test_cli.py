@@ -21,7 +21,7 @@ from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
 from fqed.dynamics import (ElectronState, PhotonClassicalState, integrate,
                            trajectory_columns)
-from fqed.errors import DomainError
+from fqed.errors import DomainError, NumericError
 from fqed.fourvec import FourVector
 
 
@@ -309,18 +309,31 @@ class TestExitCodes:
     def test_classical_abort_writes_rows_then_fails(self, capsys):
         # the first step overflows, so the run stops after the initial
         # sample, whose cells are finite
+        out = {}
         for fmt in ("csv", "json"):
-            rc, out, err = run_capture(capsys, [
+            rc, out[fmt], err = run_capture(capsys, [
                 "classical", "--z", "1e150,0,0,0", "--tau-max", "3e10",
                 "--dt", "1e10", "--format", fmt])
             assert rc == 3
-            assert "aborted" in err
-            if fmt == "csv":
-                lines = out.strip().split("\n")
-                assert lines[0].startswith("tau,")
-                assert len(lines) == 2
-            else:
-                assert '"rows"' in out
+            assert err == ("numeric error: trajectory aborted after tau = "
+                           "0.0: the state became non-finite\n")
+        lines = out["csv"].strip().split("\n")
+        assert lines[0].startswith("tau,")
+        assert len(lines) == 2
+        row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+        assert json.loads(out["json"])["rows"] == [row]
+
+    def test_finite_checks_numeric_columns_only(self):
+        table = {"level": ["d", "b"], "energy": [1.0, 0.7],
+                 "shift": np.array([1e-3 + 2e-4j, -1e-3j]),
+                 "im_shift": [2e-4, -1e-3]}
+        checked = cli._finite(table)
+        assert list(checked) == list(table)
+        assert checked["level"].tolist() == ["d", "b"]
+        table["im_shift"] = [2e-4, math.inf]
+        with pytest.raises(NumericError) as exc:
+            cli._finite(table)
+        assert str(exc.value) == "not finite (overflow): im_shift"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("z, bad", [("1e154,0,1e154,0", "H"),
