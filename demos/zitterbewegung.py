@@ -28,7 +28,7 @@ def main():
     print(f"zbar z drift: "
           f"{np.max(np.abs(traj.zbar_z - traj.zbar_z[0])):.3e}")
 
-    v3 = traj.velocity(3)
+    v3 = dyn.velocity(traj.spinor)[:, 3]
     print(f"\nz-velocity range: [{v3.min():+.4f}, {v3.max():+.4f}]")
     w = dyn.zitterbewegung_frequency(traj, component=3)
     print(f"dominant frequency: {w:.6f} rad per unit tau  (expected 2m)")

@@ -22,8 +22,7 @@ _LAZY = {
     **dict.fromkeys(("KinematicConfig", "ReducedAmplitude",
                      "SubstitutionTable", "amplitude", "apply_crossing",
                      "spin_summed_squared"), "processes"),
-    **dict.fromkeys(("DiracSpinor", "PhotonSpinor", "electron_spinor",
-                     "photon_state", "polarization_vector"), "states"),
+    **dict.fromkeys(("PhotonSpinor", "photon_state"), "states"),
     **{m: m for m in ("ledger", "processes", "propagators", "states")},
 }
 
@@ -35,8 +34,7 @@ __all__ = [
     "FourVector", "minkowski_dot", "NormalizationLedger",
     "KinematicConfig", "ReducedAmplitude", "SubstitutionTable",
     "amplitude", "apply_crossing", "spin_summed_squared",
-    "DiracSpinor", "PhotonSpinor", "electron_spinor", "photon_state",
-    "polarization_vector",
+    "PhotonSpinor", "photon_state",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .constants import ALPHA_DEFAULT, ELECTRON_MASS_MEV
+from .constants import ALPHA_DEFAULT, ELECTRON_MASS_MEV, MAX_RECORD_BYTES
 from .errors import (DomainError, FqedError, NumericError, PoleError,
                      SingularityError)
 from .fourvec import FourVector, minkowski_dot
@@ -47,7 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sweep(spec: str):
-    """name:start:stop:count[:log] -> (name, values array)."""
+    """name:start:stop:count[:log] -> (name, values array); a grid that
+    would not fit in memory is a DomainError, raised before allocating."""
     parts = spec.split(":")
     if len(parts) not in (4, 5):
         raise _UsageError(f"bad sweep spec: {spec}")
@@ -66,12 +67,16 @@ def _parse_sweep(spec: str):
         raise _UsageError(f"sweep scale must be linear|log, got {scale}")
     if count == 1:
         return name, np.array([start])
+    if scale == "log":
+        if start == 0.0 or stop == 0.0:
+            raise _UsageError("log sweep endpoints must be nonzero")
+        if (start > 0) != (stop > 0):
+            raise _UsageError("log sweep endpoints must have the same sign")
+    if 8 * count > MAX_RECORD_BYTES:
+        raise DomainError(f"sweep count {count} would not fit in memory "
+                          f"({MAX_RECORD_BYTES} bytes)")
     if scale == "linear":
         return name, np.linspace(start, stop, count)
-    if start == 0.0 or stop == 0.0:
-        raise _UsageError("log sweep endpoints must be nonzero")
-    if (start > 0) != (stop > 0):
-        raise _UsageError("log sweep endpoints must have the same sign")
     sign = 1.0 if start > 0 else -1.0
     return name, sign * np.geomspace(abs(start), abs(stop), count)
 

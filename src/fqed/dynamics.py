@@ -9,8 +9,10 @@ separately):
     dp^mu/dtau = -e zbar gamma^nu z  dA_nu/dx_mu
 
 The photon is the two-component analogue with sigma^mu in place of
-gamma^mu and eta^dag in place of zbar. One right-hand side serves both
-(`_stage`), on the packed real state y = (x, p, Re z, Im z): the
+gamma^mu and eta^dag in place of zbar. One law serves both: `velocity`
+reads dx/dtau off either spinor by its length, and `derivative` is the
+one right-hand side of either state. It and `integrate` run one stage
+core (`_stage`) on the packed real state y = (x, p, Re z, Im z): the
 symmetrised velocity operator V is stacked over the generator C in one
 real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r =
 stacked.dot(u) viewed as (8, 2d) a stage is v = r[:4].dot(u), dp =
@@ -47,12 +49,12 @@ smooth external-field callable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import GAMMA, SIGMA, slash
+from .constants import MAX_RECORD_BYTES
 from .errors import DomainError
 from .fourvec import FourVector
 
@@ -64,25 +66,12 @@ _S = SIGMA
 _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-# no trajectory can hold more bytes of samples than physical memory (or
-# numpy's largest array, where the platform does not report memory)
-try:
-    _MAX_RECORD_BYTES = (os.sysconf("SC_PHYS_PAGES")
-                         * os.sysconf("SC_PAGE_SIZE"))
-except (AttributeError, ValueError, OSError):
-    _MAX_RECORD_BYTES = int(np.iinfo(np.intp).max)
-
-
 @dataclass(frozen=True)
 class ElectronState:
     x: FourVector
     p: FourVector
     z: np.ndarray               # 4 complex
     tau: float = 0.0
-
-    @property
-    def zbar_z(self) -> float:
-        return float(_internal_norm(GAMMA, self.z))
 
 
 @dataclass(frozen=True)
@@ -190,37 +179,37 @@ def _stage(ops, field, state, deriv):
     kin.dot(rc, out=dz)
 
 
-def _packed_rhs(ops, y, field, out):
-    """dy/dtau of the packed state y, written into the row out (the
-    stage core on the views of both rows)."""
+def velocity(spinor) -> np.ndarray:
+    """Four-velocity Re z^dag M^mu z over the spinor's last axis (it may
+    have batch axes): M = gamma^0 gamma^mu for an electron's 4-spinor,
+    sigma^mu for a photon's 2-spinor; any other length is a DomainError."""
+    spinor = np.asarray(spinor)
+    mats = {(4,): _G0G, (2,): _S}.get(spinor.shape[-1:])
+    if mats is None:
+        raise DomainError(f"a spinor has 4 (electron) or 2 (photon) "
+                          f"components, got shape {spinor.shape}")
+    return _velocity(mats, spinor)
+
+
+def _particle(state):
+    """(velocity matrices, Clifford matrices, complex spinor) of an
+    ElectronState or PhotonClassicalState."""
+    if isinstance(state, ElectronState):
+        return _G0G, GAMMA, np.asarray(state.z, dtype=complex)
+    if isinstance(state, PhotonClassicalState):
+        return _S, SIGMA, np.asarray(state.eta, dtype=complex)
+    raise DomainError("state must be an electron or photon state")
+
+
+def derivative(state, field: ExternalField | None = None):
+    """(dx, dp, dz) right-hand sides of an ElectronState (z) or
+    PhotonClassicalState (eta); the free equations when field is None."""
+    mats, cliff, z = _particle(state)
+    ops, y = _packed(mats, cliff, state.x.as_array(), state.p.as_array(),
+                     z, field)
+    out = np.empty_like(y)
     _stage(ops, field, _split(y), _split(out))
-    return out
-
-
-def electron_velocity(z: np.ndarray) -> np.ndarray:
-    """zbar gamma^mu z, real four-velocity of the internal motion."""
-    return _velocity(_G0G, z)
-
-
-def photon_velocity(eta: np.ndarray) -> np.ndarray:
-    """eta^dag sigma^mu eta, the photon's (lightlike) four-velocity."""
-    return _velocity(_S, eta)
-
-
-def electron_derivative(state: ElectronState,
-                        field: ExternalField | None = None):
-    """(dx, dp, dz) right-hand sides; free equations when field is None."""
-    ops, y = _packed(_G0G, GAMMA, state.x.as_array(), state.p.as_array(),
-                     state.z, field)
-    return _unpacked(_packed_rhs(ops, y, field, np.empty_like(y)), 4)
-
-
-def photon_derivative(state: PhotonClassicalState,
-                      field: ExternalField | None = None):
-    """(dx, dp, deta) right-hand sides; free equations when field is None."""
-    ops, y = _packed(_S, SIGMA, state.x.as_array(), state.p.as_array(),
-                     state.eta, field)
-    return _unpacked(_packed_rhs(ops, y, field, np.empty_like(y)), 2)
+    return _unpacked(out, len(z))
 
 
 def exact_free_electron(z0: np.ndarray, p: FourVector, tau: float
@@ -283,10 +272,6 @@ class Trajectory:
     zbar_z: np.ndarray          # internal norm log
     H: np.ndarray               # zbar gamma^mu z p_mu log
     aborted: bool = False
-
-    def velocity(self, mu: int) -> np.ndarray:
-        mats = _G0G if self.spinor.shape[1] == 4 else _S
-        return _velocity(mats, self.spinor)[:, mu]
 
 
 def _free_steps(mats, cliff, x0, p, z0, n, dt):
@@ -375,24 +360,18 @@ def integrate(state0, field: ExternalField | None = None,
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise DomainError("bad tau span")
 
-    if isinstance(state0, ElectronState):
-        mats, cliff, z = _G0G, GAMMA, state0.z
-    elif isinstance(state0, PhotonClassicalState):
-        mats, cliff, z = _S, SIGMA, state0.eta
-    else:
-        raise DomainError("state0 must be an electron or photon state")
+    mats, cliff, z = _particle(state0)
     x = state0.x.as_array()
     p = state0.p.as_array()
-    z = np.asarray(z, dtype=complex)
 
     steps = (t1 - t0) / dt
     # a sample is tau, x, p, z, zbar_z and H: 11 floats and the spinor.
     # The run holds its samples and a few rows of float temporaries per
     # sample (velocities are taken in row blocks), and the CLI writes
     # the table in row blocks, so the samples are what must fit
-    if (steps + 1.0) * 8 * (11 + 2 * len(z)) > _MAX_RECORD_BYTES:
+    if (steps + 1.0) * 8 * (11 + 2 * len(z)) > MAX_RECORD_BYTES:
         raise DomainError(f"{steps:.3g} steps: the samples would not fit "
-                          f"in memory ({_MAX_RECORD_BYTES} bytes)")
+                          f"in memory ({MAX_RECORD_BYTES} bytes)")
     # (t1 - t0) / dt may fall short of a whole count by rounding
     n = math.floor(steps * (1.0 + 1e-9))
     if n < 1:
@@ -417,7 +396,7 @@ def zitterbewegung_frequency(traj: Trajectory, component: int = 3) -> float:
 
     FFT with zero padding and parabolic peak interpolation.
     """
-    v = traj.velocity(component)
+    v = velocity(traj.spinor)[:, component]
     v = v - v.mean()
     n = len(v)
     if n < 16:

@@ -34,31 +34,11 @@ class NormalizationLedger:
         object.__setattr__(self, "exponents", _norm(self.exponents))
 
     @classmethod
-    def identity(cls) -> "NormalizationLedger":
-        return cls({})
-
-    @classmethod
     def of(cls, **exponents) -> "NormalizationLedger":
         return cls({k: Fraction(v) for k, v in exponents.items()})
 
-    def __mul__(self, other: "NormalizationLedger") -> "NormalizationLedger":
-        out = dict(self.exponents)
-        for k, v in other.exponents.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return NormalizationLedger(out)
-
-    def inverse(self) -> "NormalizationLedger":
-        return NormalizationLedger({k: -v for k, v in self.exponents.items()})
-
-    def __pow__(self, n: int) -> "NormalizationLedger":
-        return NormalizationLedger(
-            {k: v * n for k, v in self.exponents.items()})
-
     def exponent(self, symbol: str) -> Fraction:
         return self.exponents.get(symbol, Fraction(0))
-
-    def is_identity(self) -> bool:
-        return not self.exponents
 
     def __str__(self):
         if not self.exponents:

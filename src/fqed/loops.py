@@ -393,7 +393,7 @@ class SpectrumInput:
     arrays (k_samples, J (4, n)) interpolated linearly (constant beyond
     the end samples). Missing pairs are zero. k_max bounds all
     photon-momentum integrals. Energies, k_max and the samples of
-    tabulated currents must be finite.
+    tabulated currents must be finite, with k_samples strictly increasing.
     """
 
     levels: dict[str, float]
@@ -410,10 +410,18 @@ class SpectrumInput:
             raise DomainError(f"k_max must be finite and positive, got "
                               f"{self.k_max!r}")
         for key, entry in self.currents.items():
-            if not callable(entry) and not all(
-                    np.isfinite(np.asarray(a, dtype=complex)).all()
-                    for a in entry):
+            if callable(entry):
+                continue
+            if not all(np.isfinite(np.asarray(a, dtype=complex)).all()
+                       for a in entry):
                 raise DomainError(f"current {key} has a non-finite sample")
+            ks, shape = np.asarray(entry[0], dtype=float), np.shape(entry[1])
+            if ks.ndim != 1 or not ks.size or (np.diff(ks) <= 0.0).any():
+                raise DomainError(f"current {key} needs a strictly "
+                                  f"increasing 1-d array of k samples")
+            if shape != (4, len(ks)):
+                raise DomainError(f"current {key} needs J of shape "
+                                  f"(4, {len(ks)}), got {shape}")
 
     def _entry(self, row: str, col: str):
         """The stored current of a pair, and whether it is stored for
@@ -686,9 +694,9 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
             flush()
             rows, key = [], None
             head = line.strip("[]").split()
-            if head[0] == "levels":
+            if head[:1] == ["levels"]:
                 section = "levels"
-            elif head[0] == "current" and len(head) == 3:
+            elif head[:1] == ["current"] and len(head) == 3:
                 section = "current"
                 key = (head[1], head[2])
                 if key in currents:

@@ -18,8 +18,8 @@ Photon internal states live in C^2 (x) C^2. Along the propagation axis:
 Arbitrary axes are reached by the spin-1/2 (x) spin-1/2 rotation
 U (x) U with U in SU(2).
 
-dirac_spinors and polarization_vectors serve the batched amplitude layer:
-both slots of every point of a (..., 4) momentum array at once.
+dirac_spinors and polarization_vectors are the one builder of each: both
+slots of every point of a (..., 4) momentum array at once.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ def spin_slot(s) -> int:
     if s in (+1, -1) or abs(abs(float(s)) - 0.5) < 1e-12:
         return 0 if s > 0 else 1
     raise DomainError(f"spin label must be +-1/2, got {s}")
-
-
-@dataclass(frozen=True)
-class DiracSpinor:
-    components: np.ndarray          # 4 complex
-    momentum: FourVector
-    spin: int                       # +1 for s=+1/2, -1 for s=-1/2
-    backward: bool                  # False: u spinor, True: v spinor
 
 
 @dataclass(frozen=True)
@@ -98,17 +90,6 @@ def _u_spinors(p: np.ndarray, mass: float) -> np.ndarray:
     out[..., 1, 2] = (x - 1j * y) * f
     out[..., 1, 3] = -z * f
     return out
-
-
-def electron_spinor(p: FourVector, s, mass: float = 1.0,
-                    backward: bool = False) -> DiracSpinor:
-    """Normalized u (forward) or v (backward) spinor at on-shell p.
-
-    p0 > 0 always; the time direction is carried by the backward flag.
-    """
-    slot = spin_slot(s)
-    comp = dirac_spinors(p.as_array(), mass, backward)[slot]
-    return DiracSpinor(comp, p, 1 - 2 * slot, backward)
 
 
 def _su2_to_axis(axis: np.ndarray) -> np.ndarray:
@@ -200,8 +181,9 @@ def polarization_vectors(k) -> np.ndarray:
     """Circular polarization four-vectors of photons with momenta k.
 
     k is a (..., 4) array with |k| > 0; returns (..., 2, 4), slot s the
-    helicity HELICITIES[s] along the direction of k (the vectors of
-    polarization_vector); emitted photons take their conjugates.
+    helicity HELICITIES[s] along k-hat: eps = (0, e1 +- i e2)/sqrt2 with
+    (e1, e2, k-hat) right-handed, so eps.k = 0 and eps.eps* = -1; emitted
+    photons take their conjugates.
     """
     k = np.asarray(k, dtype=float)
     kmag = np.sqrt(np.add.reduce(k[..., 1:] ** 2, -1, keepdims=True))
@@ -212,20 +194,6 @@ def polarization_vectors(k) -> np.ndarray:
     eps[..., 0, 1:] = (e1 + 1j * e2) / math.sqrt(2)
     eps[..., 1, 1:] = eps[..., 0, 1:].conj()        # e1, e2 are real
     return eps
-
-
-def polarization_vector(state: PhotonSpinor) -> np.ndarray:
-    """Circular polarization four-vector for a transverse state.
-
-    eps_+- = (0, e1 +- i e2)/sqrt2 with (e1, e2, axis) right-handed, so
-    eps.k = 0 and eps.eps* = -1. Longitudinal/vacuum states couple
-    through Sigma^0 instead and are rejected here.
-    """
-    if state.kind not in HELICITIES:
-        raise DomainError(
-            f"{state.kind} state has no transverse polarization vector")
-    k = np.concatenate([[1.0], state.axis])
-    return polarization_vectors(k)[HELICITIES.index(state.kind)]
 
 
 def rotate_photon(state: PhotonSpinor, U: np.ndarray,

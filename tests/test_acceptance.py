@@ -16,8 +16,8 @@ from fqed import loops, processes
 from fqed.algebra import GAMMA, I4, slash
 from fqed.constants import ALPHA_DEFAULT
 from fqed.fourvec import FourVector
-from fqed.states import (PHOTON_KINDS, electron_spinor, photon_state,
-                         wave_equation_residual)
+from fqed.states import (PHOTON_KINDS, dirac_spinors, photon_state,
+                         spin_slot, wave_equation_residual)
 
 rng = np.random.default_rng(2026)
 
@@ -70,7 +70,7 @@ def test_criterion_5_self_energy_near_shell():
     fit_ok = abs(coef[2] - target) <= 0.01 * abs(target)
 
     p = FourVector(math.sqrt(1.0 + 0.16), 0.4, 0.0, 0.0)
-    u = electron_spinor(p, +1).components
+    u = dirac_spinors(p.as_array())[spin_slot(+1)]
     ub = u.conj() @ GAMMA[0]
     pole = loops.self_energy_near_shell(
         FourVector(math.sqrt(1.0 - 1e-4), 0.0, 0.0, 0.0)).pole
@@ -167,9 +167,9 @@ def test_criterion_9_wave_equations():
     for _ in range(1000):
         p3 = rng.normal(scale=1.5, size=3)
         p = FourVector.from_spatial(math.sqrt(1.0 + p3 @ p3), p3)
-        u = electron_spinor(p, int(rng.choice([1, -1]))).components
-        v = electron_spinor(p, int(rng.choice([1, -1])),
-                            backward=True).components
+        u = dirac_spinors(p.as_array())[spin_slot(rng.choice([1, -1]))]
+        v = dirac_spinors(p.as_array(), 1.0,
+                          True)[spin_slot(rng.choice([1, -1]))]
         ok = ok and np.linalg.norm((slash(p) - I4) @ u) <= 1e-12
         ok = ok and np.linalg.norm((slash(p) + I4) @ v) <= 1e-12
     for _ in range(100):

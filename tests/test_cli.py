@@ -66,6 +66,18 @@ class TestSweepParsing:
         assert (rc, out) == (2, "")
         assert err == f"domain error: sweep endpoints must be finite: {spec}\n"
 
+    @pytest.mark.parametrize("spec", [
+        "theta:0:1:100000000000000000000000000000",
+        "theta:1:2:9223372036854775807:log"])
+    def test_count_beyond_memory(self, capsys, spec):
+        """A grid that cannot fit in memory is refused before allocating."""
+        with pytest.raises(DomainError):
+            cli._parse_sweep(spec)
+        rc, out, err = run_capture(capsys, ["compton", "--sweep", spec])
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"domain error: sweep count "
+                              f"{spec.split(':')[3]} would not fit in memory")
+
 
 class TestExitCodes:
 
@@ -160,8 +172,11 @@ class TestExitCodes:
         b"[levels]\n2p 1.0\n1s 0.625\n[current 2p 1s]\n"
         b"0 0 nan 0 0\n4 0 0.1 0 0\n",
         b"[levels]\nd 1.0\nb 0.7\nd 2.0\n",
+        b"[levels]\nd 1.0\nb 0.7\n[current d b]\n0 0 0.2 0 0\n"
+        b"0 0 0.3 0 0\n4 0 0.2 0 0\n",
+        b"[levels]\nd 1.0\n[]\n",
     ], ids=["bad-level", "bad-current", "not-utf8", "nan-current",
-            "repeated-level"])
+            "repeated-level", "repeated-k", "empty-header"])
     def test_bad_spectrum_file(self, capsys, tmp_path, text):
         spec = tmp_path / "levels.txt"
         spec.write_bytes(text)
@@ -970,6 +985,8 @@ class TestSubcommands:
 
 # the values of every numeric option in the exit-code property: zero,
 # signs, extremes, non-finite and ordinary numbers
+# a sweep count whose grid cannot fit in memory
+BIG = "100000000000000000000000000000"
 NUMBERS = ["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "-0.0",
            "0.5", "1", "2", "30"]
 # the values of the options that take no number
@@ -1005,7 +1022,7 @@ def command_lines(draw, spectrum):
         elif opt == "--sweep":
             ends = ":".join(draw(number) for _ in range(2))
             argv.append(f"--sweep={draw(st.sampled_from(params))}:{ends}:"
-                        f"{draw(st.sampled_from(['0', '1', '3']))}"
+                        f"{draw(st.sampled_from(['0', '1', '3', BIG]))}"
                         f"{draw(st.sampled_from(['', ':log']))}")
         else:
             value = draw(st.sampled_from(WORDS.get(opt, NUMBERS)))

@@ -66,7 +66,7 @@ class TestDerivatives:
 
     def test_rest_frame_electron(self):
         st = rest_state()
-        dx, dp, dz = dyn.electron_derivative(st)
+        dx, dp, dz = dyn.derivative(st)
         assert np.allclose(dz, -1j * st.z)
         assert np.isclose(dx[0], 1.0)
         assert np.allclose(dp, 0.0)
@@ -77,7 +77,7 @@ class TestDerivatives:
                                FourVector(math.sqrt(1.0 + 0.89),
                                           0.3, -0.8, 0.4),
                                rng.normal(size=4) + 1j * rng.normal(size=4))
-        _, _, dz = dyn.electron_derivative(st)
+        _, _, dz = dyn.derivative(st)
         from fqed.algebra import dirac_adjoint
         dzbar = dirac_adjoint(dz) @ st.z + dirac_adjoint(st.z) @ dz
         assert abs(dzbar) <= 1e-12
@@ -86,14 +86,26 @@ class TestDerivatives:
         st = dyn.PhotonClassicalState(FourVector(0, 0, 0, 0),
                                       FourVector(2.0, 0, 0, 2.0),
                                       np.array([1.0, 0.0], dtype=complex))
-        dx, dp, deta = dyn.photon_derivative(st)
+        dx, dp, deta = dyn.derivative(st)
         assert np.allclose(deta, 0.0)
         assert np.allclose(dx, [1.0, 0.0, 0.0, 1.0])
         assert np.allclose(dp, 0.0)
 
     def test_photon_velocity_is_null(self):
-        v = dyn.photon_velocity(np.array([1.0, 0.0], dtype=complex))
+        v = dyn.velocity(np.array([1.0, 0.0], dtype=complex))
         assert abs(minkowski_dot(v, v)) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(), (3,), (5, 1), (2, 3)])
+    def test_velocity_refuses_other_lengths(self, shape):
+        """velocity reads electron or photon off the spinor's last axis:
+        4 or 2 components, and nothing else."""
+        with pytest.raises(DomainError, match="4 .electron. or 2"):
+            dyn.velocity(np.ones(shape, dtype=complex))
+
+    def test_derivative_refuses_other_states(self):
+        for run in (dyn.derivative, dyn.integrate):
+            with pytest.raises(DomainError, match="electron or photon"):
+                run(object())
 
     @pytest.mark.parametrize("rows", [
         dyn._VELOCITY_ROWS - 1, dyn._VELOCITY_ROWS, dyn._VELOCITY_ROWS + 1,
@@ -117,13 +129,13 @@ class TestDerivatives:
                                      [0.0, 0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 0.0]]))
-        _, dp, _ = dyn.electron_derivative(rest_state(), field)
+        _, dp, _ = dyn.derivative(rest_state(), field)
         # dp_mu = -e v^nu dA_nu/dx_mu; only dA_1/dx_0 = 0.1 is nonzero,
         # and v^1 = 0 at rest, so the rest state feels no force yet
         assert np.allclose(dp, 0.0)
         st = rest_state(z=(1.0, 0.0, 0.3, 0.2))
-        v = dyn.electron_velocity(st.z)
-        _, dp, _ = dyn.electron_derivative(st, field)
+        v = dyn.velocity(st.z)
+        _, dp, _ = dyn.derivative(st, field)
         assert np.isclose(dp[0], -0.1 * v[1])
         # a spatial gradient, dA_0/dx_3 = 0.1: raising the index flips
         # the sign, dp^3 = +e v^0 dA_0/dx_3
@@ -131,7 +143,7 @@ class TestDerivatives:
         slope[3, 0] = 0.1
         field = dyn.ExternalField(A=lambda x: np.zeros(4),
                                   grad=lambda x: slope)
-        _, dp, _ = dyn.electron_derivative(st, field)
+        _, dp, _ = dyn.derivative(st, field)
         assert np.allclose(dp, [0.0, 0.0, 0.0, 0.1 * v[0]])
 
 
@@ -182,7 +194,7 @@ class TestExactSolution:
         vel = (xp - xs) / h
         for i, t in enumerate(taus):
             z = dyn.exact_free_electron(z0, p, float(t))
-            assert np.allclose(vel[i], dyn.electron_velocity(z), atol=1e-5)
+            assert np.allclose(vel[i], dyn.velocity(z), atol=1e-5)
 
     def test_spacelike_momentum_rejected(self):
         with pytest.raises(DomainError):
@@ -279,25 +291,33 @@ class TestIntegrate:
     @pytest.mark.parametrize("photon", [False, True])
     def test_field_run_is_rk4_of_packed_rhs(self, photon, kind, charge):
         """integrate in a field equals, bit for bit, RK4 built stage by
-        stage from _packed_rhs on new arrays: y + dt/2 k0, y + dt/2 k1,
-        y + dt k2, then y + w.dot(k)."""
+        stage from `derivative` of the packed state y on new arrays:
+        y + dt/2 k0, y + dt/2 k1, y + dt k2, then y + w.dot(k)."""
         st = self.photon_state() if photon else self.free_state()
         field = dataclasses.replace(
             self.SIN_FIELD if kind == "sin" else WAVE_FIELD, charge=charge)
         n, dt = 400, 1e-3
         traj = dyn.integrate(st, field, (0.0, n * dt), dt)
         z = st.eta if photon else st.z
-        ops, y = dyn._packed(SIGMA if photon else dyn._G0G,
-                             SIGMA if photon else GAMMA, st.x.as_array(),
-                             st.p.as_array(), z, field)
+        build = dyn.PhotonClassicalState if photon else dyn.ElectronState
+
+        def rhs(y):
+            x, p, u = dyn._unpacked(y, len(z))
+            dx, dp, dz = dyn.derivative(build(FourVector.from_array(x),
+                                              FourVector.from_array(p), u),
+                                        field)
+            return np.concatenate((dx, dp, dz.real, dz.imag))
+
+        y = np.concatenate((st.x.as_array(), st.p.as_array(), z.real,
+                            z.imag))
         w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
         ys = [y]
         for _ in range(n):
             k = np.empty((4, len(y)))
-            dyn._packed_rhs(ops, y, field, k[0])
-            dyn._packed_rhs(ops, y + 0.5 * dt * k[0], field, k[1])
-            dyn._packed_rhs(ops, y + 0.5 * dt * k[1], field, k[2])
-            dyn._packed_rhs(ops, y + dt * k[2], field, k[3])
+            k[0] = rhs(y)
+            k[1] = rhs(y + 0.5 * dt * k[0])
+            k[2] = rhs(y + 0.5 * dt * k[1])
+            k[3] = rhs(y + dt * k[2])
             y = y + w.dot(k)
             ys.append(y)
         xs, ps, zs = dyn._unpacked(np.array(ys), len(z))
@@ -312,9 +332,9 @@ class TestIntegrate:
            charge=st.sampled_from([1.0, 0.8, -1.3]))
     def test_derivatives_match_complex_rhs(self, seed, photon, kind,
                                            charge):
-        """electron_derivative and photon_derivative against the complex
-        right-hand side of the oracle loop, at random states; no field is
-        a field of zero potential."""
+        """derivative of an electron and of a photon state against the
+        complex right-hand side of the oracle loop, at random states; no
+        field is a field of zero potential."""
         rng = np.random.default_rng(seed)
         d = 2 if photon else 4
         x, p = rng.normal(size=4), rng.normal(size=4)
@@ -323,12 +343,9 @@ class TestIntegrate:
                                  lambda x: np.zeros((4, 4)))
         f = (None if kind == "none" else dataclasses.replace(
             self.SIN_FIELD if kind == "sin" else WAVE_FIELD, charge=charge))
-        if photon:
-            got = dyn.photon_derivative(dyn.PhotonClassicalState(
-                FourVector.from_array(x), FourVector.from_array(p), z), f)
-        else:
-            got = dyn.electron_derivative(dyn.ElectronState(
-                FourVector.from_array(x), FourVector.from_array(p), z), f)
+        build = dyn.PhotonClassicalState if photon else dyn.ElectronState
+        got = dyn.derivative(build(FourVector.from_array(x),
+                                   FourVector.from_array(p), z), f)
         want = oracles.field_rhs_complex(SIGMA if photon else GAMMA,
                                          f or zero, x, p, z)
         scale = (1.0 + np.abs(p).sum()) * (z.conj() @ z).real
@@ -338,9 +355,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("kind", ["none", "sin", "wave"])
     @pytest.mark.parametrize("photon", [False, True])
     def test_packed_rhs_fills_its_row(self, photon, kind):
-        """_packed_rhs writes every entry of its stage row, and nothing
-        outside it: the rows of a NaN stage array, against the complex
-        right-hand side."""
+        """The stage core (the packed right-hand side) writes every entry
+        of its stage row, and nothing outside it: the rows of a NaN stage
+        array, against the complex right-hand side."""
         rng = np.random.default_rng(5)
         cliff = SIGMA if photon else GAMMA
         mats = SIGMA if photon else dyn._G0G
@@ -356,7 +373,7 @@ class TestIntegrate:
         for row in range(4):
             k = np.full((4, len(y)), np.nan)
             out = k[row]
-            assert dyn._packed_rhs(ops, y, f, out) is out
+            dyn._stage(ops, f, dyn._split(y), dyn._split(out))
             got = out[:8 + d] + 1j * np.append(np.zeros(8), out[8 + d:])
             assert np.max(np.abs(got - want)) <= 1e-14 * (
                 1.0 + np.abs(p).sum()) * (z.conj() @ z).real
@@ -400,10 +417,9 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="shape"):
             dyn.integrate(self.free_state(), field, (0.0, 1.0), 0.1)
         assert len(calls) == 1
-        with pytest.raises(DomainError, match="shape"):
-            dyn.electron_derivative(self.free_state(), field)
-        with pytest.raises(DomainError, match="shape"):
-            dyn.photon_derivative(self.photon_state(), field)
+        for state in (self.free_state(), self.photon_state()):
+            with pytest.raises(DomainError, match="shape"):
+                dyn.derivative(state, field)
 
     def test_field_shape_checked_once(self):
         calls = []

@@ -100,8 +100,7 @@ _EXPORTS = {
     "processes": ("KinematicConfig", "ReducedAmplitude",
                   "SubstitutionTable", "amplitude", "apply_crossing",
                   "spin_summed_squared"),
-    "states": ("DiracSpinor", "PhotonSpinor", "electron_spinor",
-               "photon_state", "polarization_vector"),
+    "states": ("PhotonSpinor", "photon_state"),
 }
 
 

@@ -7,14 +7,6 @@ from fqed import ledger, processes
 H = Fraction(-1, 2)
 
 
-def test_identity_and_composition():
-    a = ledger.NormalizationLedger.of(V=1, T=Fraction(1, 2))
-    b = a.inverse()
-    assert (a * b).is_identity()
-    assert (a ** 2).exponent("V") == 2
-    assert (a * ledger.NormalizationLedger.identity()) == a
-
-
 def test_zero_exponents_pruned():
     a = ledger.NormalizationLedger.of(V=0, e=2)
     assert "V" not in a.exponents

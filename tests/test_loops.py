@@ -122,9 +122,9 @@ class TestSelfEnergy:
         assert np.max(np.abs(lv.pole - target)) <= 1e-15
 
     def test_on_shell_pole_projection(self):
-        from fqed.states import electron_spinor
+        from fqed.states import dirac_spinors, spin_slot
         p = FourVector(math.sqrt(1.0 + 0.09), 0.3, 0.0, 0.0)
-        u = electron_spinor(p, +1).components
+        u = dirac_spinors(p.as_array())[spin_slot(+1)]
         ub = u.conj() @ GAMMA[0]
         pole = (ALPHA_DEFAULT / (4.0 * math.pi)) * (4.0 * I4 - slash(p))
         proj = (ub @ pole @ u) / (ub @ u)
@@ -315,6 +315,19 @@ class TestSpectrumFormat:
                        {"k_max": math.nan}, {"k_max": math.inf}):
             with pytest.raises(DomainError):
                 loops.SpectrumInput({"d": 1.0, "b": 0.7}, **kwargs)
+
+    @pytest.mark.parametrize("ks, J", [
+        ([5.0, 2.5, 0.0], np.full((4, 3), 0.2)),
+        ([0.0, 2.5, 2.5, 5.0], np.full((4, 4), 0.2)),
+        ([0.0, 2.5, 5.0], np.full((3, 4), 0.2)),
+    ], ids=["reversed", "repeated", "J-shape"])
+    def test_bad_nodes(self, ks, J):
+        """A tabulated current needs strictly increasing nodes and J of
+        shape (4, n): reversed nodes gave another shift without an error,
+        and of a repeated node the sort's tie order picked the value."""
+        with pytest.raises(DomainError, match=r"current \('d', 'b'\)"):
+            loops.SpectrumInput({"d": 1.0, "b": 0.4},
+                                {("d", "b"): (np.array(ks), J)}, 5.0)
 
 
 class TestLaurentValue:

@@ -20,32 +20,31 @@ def random_on_shell(mass=1.0, scale=1.0):
 class TestElectronSpinors:
 
     def test_rest_frame_u(self):
-        p = FourVector(1.0, 0.0, 0.0, 0.0)
-        u = states.electron_spinor(p, +1).components
+        u = states.dirac_spinors([1.0, 0.0, 0.0, 0.0])[states.spin_slot(+1)]
         assert np.allclose(u, [1, 0, 0, 0])
 
     def test_unit_norm(self):
-        for _ in range(30):
-            p = random_on_shell()
-            for s in (+1, -1):
-                for backward in (False, True):
-                    st = states.electron_spinor(p, s, backward=backward)
-                    assert abs(np.vdot(st.components, st.components)
-                               - 1.0) <= 1e-12
+        p = np.array([random_on_shell().as_array() for _ in range(30)])
+        for backward in (False, True):
+            sp = states.dirac_spinors(p, 1.0, backward)
+            norms = np.einsum("nsi,nsi->ns", sp.conj(), sp)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
     def test_ubar_u(self):
         p = random_on_shell()
-        u = states.electron_spinor(p, +1).components
+        up = states.spin_slot(+1)
+        u = states.dirac_spinors(p.as_array())[up]
         assert np.isclose(algebra.dirac_adjoint(u) @ u, 1.0 / p.t, atol=1e-12)
-        v = states.electron_spinor(p, +1, backward=True).components
+        v = states.dirac_spinors(p.as_array(), 1.0, True)[up]
         assert np.isclose(algebra.dirac_adjoint(v) @ v, -1.0 / p.t,
                           atol=1e-12)
 
     def test_dirac_equation_residual(self):
         for _ in range(200):
             p = random_on_shell(scale=2.0)
-            u = states.electron_spinor(p, +1).components
-            v = states.electron_spinor(p, -1, backward=True).components
+            u = states.dirac_spinors(p.as_array())[states.spin_slot(+1)]
+            v = states.dirac_spinors(p.as_array(), 1.0,
+                                     True)[states.spin_slot(-1)]
             ru = (algebra.slash(p) - np.eye(4)) @ u
             rv = (algebra.slash(p) + np.eye(4)) @ v
             assert np.linalg.norm(ru) <= 1e-12
@@ -53,13 +52,12 @@ class TestElectronSpinors:
 
     def test_uv_orthogonality(self):
         # ubar(p, s) v(p, s') = 0 at equal momentum
-        p = random_on_shell()
+        p = random_on_shell().as_array()
         for s in (+1, -1):
             for sp in (+1, -1):
-                u = states.electron_spinor(p, s)
-                v = states.electron_spinor(p, sp, backward=True)
-                assert abs(algebra.dirac_adjoint(u.components)
-                           @ v.components) <= 1e-12
+                u = states.dirac_spinors(p)[states.spin_slot(s)]
+                v = states.dirac_spinors(p, 1.0, True)[states.spin_slot(sp)]
+                assert abs(algebra.dirac_adjoint(u) @ v) <= 1e-12
 
     # axes on and next to the poles, where x^2 + y^2 underflows
     @example(1.0, [(1e-160, 0.0, 1.0), (0.0, -1e-170, -3.0)])
@@ -80,12 +78,11 @@ class TestElectronSpinors:
 
     def test_off_shell_rejected(self):
         with pytest.raises(DomainError):
-            states.electron_spinor(FourVector(2.0, 0.0, 0.0, 0.0), +1)
+            states.dirac_spinors([2.0, 0.0, 0.0, 0.0])
 
     def test_bad_spin_rejected(self):
-        p = FourVector(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
-            states.electron_spinor(p, 2)
+            states.spin_slot(2)
 
 
 class TestPhotonStates:
@@ -148,7 +145,9 @@ class TestPhotonStates:
             states.photon_state("scalar", 1.0)
 
     def test_polarization_vector_z_axis(self):
-        eps = states.polarization_vector(states.photon_state("plus", 1.0))
+        st = states.photon_state("plus", 1.0)
+        k = np.concatenate([[st.omega], st.kvec])
+        eps = states.polarization_vectors(k)[states.HELICITIES.index(st.kind)]
         s2 = 1.0 / math.sqrt(2)
         assert np.allclose(eps, [0, s2, 1j * s2, 0])
 
@@ -157,8 +156,9 @@ class TestPhotonStates:
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             st = states.photon_state("plus", 2.0, axis)
-            eps = states.polarization_vector(st)
             k = np.concatenate([[2.0], st.kvec])
+            eps = states.polarization_vectors(k)[
+                states.HELICITIES.index(st.kind)]
             assert abs(minkowski_dot(eps, k)) <= 1e-12
             assert abs(minkowski_dot(eps, eps.conj()) + 1.0) <= 1e-12
 
@@ -185,11 +185,6 @@ class TestPhotonStates:
             eps = states.polarization_vectors(np.array([1.0, 0.0, 0.0, kz]))
             want = np.array([[0, s2, turn * s2, 0], [0, s2, -turn * s2, 0]])
             assert np.array_equal(eps, want)
-
-    def test_longitudinal_has_no_polarization_vector(self):
-        st = states.photon_state("longitudinal", 1.0)
-        with pytest.raises(DomainError):
-            states.polarization_vector(st)
 
     def test_rotation_consistency(self):
         # rotating the z-axis state must land on the direct construction
