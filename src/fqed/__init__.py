@@ -20,8 +20,8 @@ from .fourvec import FourVector, minkowski_dot
 _LAZY = {
     "NormalizationLedger": "ledger",
     **dict.fromkeys(("KinematicConfig", "ReducedAmplitude",
-                     "SubstitutionTable", "amplitude", "apply_crossing",
-                     "spin_summed_squared"), "processes"),
+                     "SubstitutionTable", "amplitude", "spin_summed_squared"),
+                    "processes"),
     **dict.fromkeys(("PhotonSpinor", "photon_state"), "states"),
     **{m: m for m in ("ledger", "processes", "propagators", "states")},
 }
@@ -33,7 +33,7 @@ __all__ = [
     "PoleError", "SingularityError",
     "FourVector", "minkowski_dot", "NormalizationLedger",
     "KinematicConfig", "ReducedAmplitude", "SubstitutionTable",
-    "amplitude", "apply_crossing", "spin_summed_squared",
+    "amplitude", "spin_summed_squared",
     "PhotonSpinor", "photon_state",
 ]
 

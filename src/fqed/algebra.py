@@ -81,9 +81,3 @@ def trace_product(ms) -> complex:
     for m in ms[1:]:
         acc = acc @ m
     return complex(np.trace(acc))
-
-
-def dirac_adjoint(spinor: np.ndarray) -> np.ndarray:
-    """bar(psi) = psi^dagger gamma^0 as a row vector."""
-    return spinor.conj() @ GAMMA[0]
-

@@ -212,18 +212,6 @@ def derivative(state, field: ExternalField | None = None):
     return _unpacked(out, len(z))
 
 
-def exact_free_electron(z0: np.ndarray, p: FourVector, tau: float
-                        ) -> np.ndarray:
-    """z(tau) = exp(-i slash(p) tau) z0 for constant p with p^2 > 0."""
-    w2 = float(p.norm2())
-    if w2 <= 0:
-        raise DomainError(f"free solution needs p^2 > 0, got {w2}")
-    w = math.sqrt(w2)
-    s = slash(p)
-    z0 = np.asarray(z0, dtype=complex)
-    return math.cos(w * tau) * z0 - 1j * math.sin(w * tau) / w * (s @ z0)
-
-
 def exact_free_trajectory(z0: np.ndarray, p: FourVector, x0: FourVector,
                           taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (z(tau), x(tau)) arrays on the given tau samples.
@@ -379,14 +367,21 @@ def integrate(state0, field: ExternalField | None = None,
 
     if field is None:
         xs, zs = _free_steps(mats, cliff, x, p, z, n, dt)
-        ps = np.tile(p, (n + 1, 1))
+        # the constant momentum, one read-only row per sample
+        ps = np.broadcast_to(p, (n + 1, 4))
     else:
         xs, ps, zs = _field_steps(mats, cliff, x, p, z, n, dt, field)
     finite = (np.isfinite(xs).all(axis=1) & np.isfinite(ps).all(axis=1)
               & np.isfinite(zs).all(axis=1))
     end = n + 1 if finite.all() else int(np.argmin(finite))
     xs, ps, zs = xs[:end], ps[:end], zs[:end]
-    hs = np.einsum("nm,nm->n", _velocity(mats, zs), ps * _METRIC_DIAG)
+    # H = v^mu p_mu in the row blocks of _velocity, each row through the
+    # same products as in one pass
+    hs = np.empty(end)
+    for start in range(0, end, _VELOCITY_ROWS):
+        rows = slice(start, start + _VELOCITY_ROWS)
+        hs[rows] = np.einsum("nm,nm->n", _velocity(mats, zs[rows]),
+                             ps[rows] * _METRIC_DIAG)
     return Trajectory(t0 + dt * np.arange(end), xs, ps, zs,
                       _internal_norm(cliff, zs), hs, end <= n)
 

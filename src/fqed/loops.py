@@ -94,7 +94,7 @@ from .algebra import I4, slash
 from .constants import ALPHA_DEFAULT
 from .errors import (DegenerateLevelError, DomainError, NumericError,
                      SingularityError)
-from .fourvec import METRIC, FourVector
+from .fourvec import FourVector
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -117,19 +117,6 @@ class LaurentValue:
 
     pole: object
     finite: object
-
-    def __add__(self, other: "LaurentValue") -> "LaurentValue":
-        return LaurentValue(self.pole + other.pole,
-                            self.finite + other.finite)
-
-    def __sub__(self, other: "LaurentValue") -> "LaurentValue":
-        return LaurentValue(self.pole - other.pole,
-                            self.finite - other.finite)
-
-    def __mul__(self, c) -> "LaurentValue":
-        return LaurentValue(self.pole * c, self.finite * c)
-
-    __rmul__ = __mul__
 
 
 def __getattr__(name):
@@ -249,30 +236,6 @@ def vacuum_polarization(k2, mass: float = 1.0,
     return LaurentValue(base.pole,
                         base.finite + vacuum_polarization_finite(
                             k2, mass, alpha))
-
-
-def vacuum_polarization_tensor(k: FourVector, mass: float = 1.0,
-                               alpha: float = ALPHA_DEFAULT) -> np.ndarray:
-    """Transverse tensor (g^{mu nu} k^2 - k^mu k^nu) Pi_bar(k^2)."""
-    karr = k.as_array()
-    k2 = float(k.norm2())
-    pi = vacuum_polarization_finite(k2, mass, alpha)
-    return (METRIC * k2 - np.outer(karr, karr)) * pi
-
-
-def positronium_vacuum_check(mass: float = 1.0,
-                             alpha: float = ALPHA_DEFAULT) -> complex:
-    """Vacuum-polarization insertion of the zero-momentum vacuum line.
-
-    The pair-source line carries k = 0, so the transverse tensor
-    vanishes identically and the whole insertion gives zero: pairs can
-    form and annihilate in vacuum with no net contribution.
-    """
-    tensor = vacuum_polarization_tensor(FourVector(0.0, 0.0, 0.0, 0.0),
-                                        mass, alpha)
-    # contract the two Sigma^0 vertices: the (0,0) component, plus the
-    # full trace as a second zero witness
-    return complex(tensor[0, 0] + np.einsum("mn,mn->", METRIC, tensor))
 
 
 # -- electron self-energy --------------------------------------------------

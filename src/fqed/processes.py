@@ -11,8 +11,7 @@ Conventions
   Compton-class values carry e^2, the external-Coulomb processes carry
   Z e^3 together with the static 1/|q|^2 kernel.
 * Photon vertices use transverse polarization four-vectors (the
-  eps-slash form of the final matrix elements); the raw Sigma-bilinears
-  remain available in fqed.states as diagnostics.
+  eps-slash form of the final matrix elements).
 
 Batches
 -------
@@ -39,8 +38,7 @@ end of the fermion line (an incoming e- and an outgoing e+ are the
 spinor end). Emitted photons enter with the conjugated polarization
 vector; external spinors are built at the physical positive-energy
 momentum. The crossed ledger is the base ledger with each leg's energy
-symbol renamed through the table. apply_crossing evaluates a base
-topology under any valid table.
+symbol renamed through the table.
 """
 
 from __future__ import annotations
@@ -308,14 +306,10 @@ _CROSSINGS = (COMPTON_TO_ANNIHILATION, BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
               MOLLER_TO_BHABHA)
 
 
-def identity_table(process: str) -> SubstitutionTable:
-    return SubstitutionTable(process, process,
-                             {lab: lab for lab in _LEGS[process]})
-
-
 # the table each process is evaluated through: the identity on a base
 # topology, its crossing table otherwise; validated once, here
-_TABLES = {base: identity_table(base) for base in _AXES}
+_TABLES = {b: SubstitutionTable(b, b, {lab: lab for lab in _LEGS[b]})
+           for b in _AXES}
 _TABLES.update((t.target, t) for t in _CROSSINGS)
 _AXES.update((t.target, tuple(t.legs[lab] for lab in _AXES[t.base]))
              for t in _CROSSINGS)
@@ -361,11 +355,10 @@ def _leg_pass(base: str, target: str, legs: tuple) -> tuple:
 
 
 def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
-              alpha: float, eps_abs=None) -> np.ndarray:
+              alpha: float) -> np.ndarray:
     """Every helicity amplitude of the table's base topology on the
     target legs mom (validated), in one stacked pass over the legs; axes
-    (N, *_AXES[table.base]), each renamed by the table. eps_abs replaces
-    the absorbed photon's polarization slots of the Compton topology."""
+    (N, *_AXES[table.base]), each renamed by the table."""
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
     labels, nf, sign, positrons, emitted = _leg_pass(
@@ -382,9 +375,8 @@ def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
         eps = polarization_vectors(p[nf:])
         np.conjugate(eps, out=eps, where=emitted)
     if table.base == "compton":
-        return _compton_core(bar[0], u[0],
-                             eps[0] if eps_abs is None else eps_abs, eps[1],
-                             q[1], q[2], q[3], m, e2)
+        return _compton_core(bar[0], u[0], eps[0], eps[1], q[1], q[2], q[3],
+                             m, e2)
     if table.base == "bremsstrahlung":
         return _coulomb_core(bar[0], u[0], eps[0], q[0], q[1], q[2], m,
                              cfg.Z, e2 * math.sqrt(e2))
@@ -392,13 +384,6 @@ def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
         return _four_fermion_core(bar[0], u[0], bar[1], u[1], q[3] - q[2],
                                   q[3] - q[0], m, e2)
     raise DomainError(f"{table.base} is not a base topology")
-
-
-def _direct(cfg: KinematicConfig, mom: dict, alpha: float,
-            eps_abs=None) -> np.ndarray:
-    """Every helicity amplitude of cfg's process at the validated legs
-    mom, through its table; axes (N, *_AXES[process])."""
-    return _evaluate(_TABLES[cfg.process], cfg, mom, alpha, eps_abs)
 
 
 def _slots(cfg: KinematicConfig) -> tuple:
@@ -415,48 +400,22 @@ def _slots(cfg: KinematicConfig) -> tuple:
     return (slice(None), *idx)
 
 
-def _reduced(cfg: KinematicConfig, amps: np.ndarray,
-             mom: dict) -> ReducedAmplitude:
-    """The amplitude at cfg's helicities, with its ledger."""
+def amplitude(cfg: KinematicConfig,
+              alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
+    """The reduced amplitude at cfg's spins and polarizations, with its
+    ledger."""
+    mom = cfg.validate()
+    amps = _evaluate(_TABLES[cfg.process], cfg, mom, alpha)
     value, res = amps[_slots(cfg)], _residual(cfg.process, mom)
     if cfg._is_point():
         value, res = complex(value[0]), FourVector.from_array(res[0])
     return ReducedAmplitude(value, _LEDGERS[cfg.process], res)
 
 
-def amplitude(cfg: KinematicConfig,
-              alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
-    """The reduced amplitude at cfg's spins and polarizations."""
-    mom = cfg.validate()
-    return _reduced(cfg, _direct(cfg, mom, alpha), mom)
-
-
 # the per-process names of the direct evaluation
 compton_amplitude = pair_annihilation_amplitude = amplitude
 bremsstrahlung_amplitude = pair_production_amplitude = amplitude
 electron_electron_amplitude = electron_positron_amplitude = amplitude
-
-
-def apply_crossing(base: str, table: SubstitutionTable,
-                   cfg: KinematicConfig,
-                   alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
-    """Evaluate the base topology under the table's substitutions.
-
-    cfg describes the *target* process; the result equals the direct
-    evaluation of that process.
-    """
-    table.validate()
-    if table.base != base:
-        raise DomainError(f"table base {table.base} != requested {base}")
-    if table.target != cfg.process:
-        raise DomainError(
-            f"table target {table.target} != config process {cfg.process}")
-    mom = cfg.validate()
-    amps = _evaluate(table, cfg, mom, alpha)
-    # base helicity axes, renamed to target legs, in the target's order
-    crossed = [table.legs[lab] for lab in _AXES[base]]
-    order = [crossed.index(lab) + 1 for lab in _AXES[cfg.process]]
-    return _reduced(cfg, amps.transpose(0, *order), mom)
 
 
 # -- spin and polarization sums --------------------------------------------
@@ -472,28 +431,10 @@ def spin_summed_squared(cfg: KinematicConfig,
     if sides != ["in", "in", "out", "out"]:
         raise DomainError(
             f"spin_summed_squared needs a 2->2 process, got {cfg.process}")
-    amps = _direct(cfg, cfg.validate(), alpha)
+    amps = _evaluate(_TABLES[cfg.process], cfg, cfg.validate(), alpha)
     amps = amps.reshape(len(amps), -1)
     total = np.sum(amps.real ** 2 + amps.imag ** 2, axis=1) / 4.0
     return float(total[0]) if cfg._is_point() else total
-
-
-# -- Ward-identity hook ----------------------------------------------------
-
-def compton_value_with_polarization(cfg: KinematicConfig, eps_in,
-                                    alpha: float = ALPHA_DEFAULT):
-    """Compton value with an explicit absorbed-photon polarization.
-
-    Substituting eps_in = k_i must annihilate the two-diagram sum.
-    eps_in is a length-4 array, or (N, 4) for N points.
-    """
-    if cfg.process != "compton":
-        raise DomainError(f"expected a compton config, got {cfg.process}")
-    eps = np.asarray(eps_in, dtype=complex).reshape(-1, 1, 4)
-    slots = list(_slots(cfg))
-    slots[1 + _AXES["compton"].index("k_i")] = 0
-    value = _direct(cfg, cfg.validate(), alpha, eps_abs=eps)[tuple(slots)]
-    return complex(value[0]) if cfg._is_point() else value
 
 
 # -- kinematics builders ---------------------------------------------------
@@ -505,6 +446,13 @@ def _above(name: str, value, low: float) -> None:
     """Reject inputs at or below low, naming the first one."""
     value = np.asarray(value, dtype=float)
     reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
+
+
+def _finite(**angles) -> None:
+    """Reject non-finite angles, naming the first one."""
+    for name, value in angles.items():
+        value = np.asarray(value, dtype=float)
+        reject(~np.isfinite(value), f"{name} must be finite: {name}", value)
 
 
 def _direction(theta, phi):
@@ -538,6 +486,7 @@ def compton_lab_config(omega_in, theta, phi=0.0,
                        mass: float = 1.0) -> KinematicConfig:
     """Electron at rest, photon along +z, scattering at (theta, phi)."""
     _above("omega_in", omega_in, 0.0)
+    _finite(theta=theta, phi=phi)
     w2 = compton_omega_out(omega_in, theta, mass)
     nx, ny, nz = _direction(theta, phi)
     # p_f = p_i + k_i - k_f, with the energy put on shell
@@ -558,6 +507,7 @@ def annihilation_cm_config(pmag, theta, phi=0.0,
                            mass: float = 1.0) -> KinematicConfig:
     """e- e+ back to back along z; photons back to back at (theta, phi)."""
     _above("|p|", pmag, 0.0)
+    _finite(theta=theta, phi=phi)
     E = np.sqrt(pmag * pmag + mass * mass)
     nx, ny, nz = _direction(theta, phi)
     return _config(
@@ -575,6 +525,7 @@ def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
                      process: str = "moller") -> KinematicConfig:
     """Symmetric CM collision at beam energy E per particle."""
     _above("beam energy", E, mass)
+    _finite(theta=theta, phi=phi)
     pmag = np.sqrt(E * E - mass * mass)
     nx, ny, nz = _direction(theta, phi)
     # in along +z, in along -z, out along n, out along -n
@@ -604,6 +555,7 @@ def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
     _above("omega_f", omega_f, 0.0)
     E_f = E_i - omega_f
     _above("final electron energy", E_f, mass)
+    _finite(theta_e=theta_e, theta_k=theta_k, phi_e=phi_e, phi_k=phi_k)
     pf = np.sqrt(E_f * E_f - mass * mass)
     ex, ey, ez = _direction(theta_e, phi_e)
     kx, ky, kz = _direction(theta_k, phi_k)
@@ -625,6 +577,7 @@ def pair_production_config(omega_i, E_plus, theta_p, theta_m,
     E_minus = omega_i - E_plus
     _above("E_plus", E_plus, mass)
     _above("E_minus", E_minus, mass)
+    _finite(theta_p=theta_p, theta_m=theta_m, phi_p=phi_p, phi_m=phi_m)
     pp = np.sqrt(E_plus * E_plus - mass * mass)
     pm = np.sqrt(E_minus * E_minus - mass * mass)
     px, py, pz = _direction(theta_p, phi_p)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import BIG_SIGMA, SIGMA
+from .algebra import SIGMA
 from .errors import DomainError
 from .fourvec import FourVector, check_on_shell
 
@@ -150,13 +150,6 @@ def wave_equation_residual(state: PhotonSpinor) -> float:
     return float(np.linalg.norm(op @ state.components))
 
 
-def photon_current(state: PhotonSpinor) -> FourVector:
-    """Real bilinear a^dag Sigma^mu a (velocity-type current)."""
-    a = state.components
-    vals = [float(np.real(a.conj() @ BIG_SIGMA[mu] @ a)) for mu in range(4)]
-    return FourVector(*vals)
-
-
 def transverse_frame(axis) -> tuple[np.ndarray, np.ndarray]:
     """Right-handed (e1, e2) with e1 x e2 = axis, chosen deterministically.
 
@@ -194,22 +187,3 @@ def polarization_vectors(k) -> np.ndarray:
     eps[..., 0, 1:] = (e1 + 1j * e2) / math.sqrt(2)
     eps[..., 1, 1:] = eps[..., 0, 1:].conj()        # e1, e2 are real
     return eps
-
-
-def rotate_photon(state: PhotonSpinor, U: np.ndarray,
-                  new_axis: np.ndarray) -> PhotonSpinor:
-    """Apply the spin-1/2 (x) spin-1/2 rotation U (x) U to a state."""
-    comp = np.kron(U, U) @ state.components
-    R = _su2_vector_rotation(U)
-    return PhotonSpinor(comp, state.omega, R @ state.kvec, state.kind,
-                        np.asarray(new_axis, dtype=float))
-
-
-def _su2_vector_rotation(U: np.ndarray) -> np.ndarray:
-    """SO(3) matrix induced by U: R_ij sigma_j = U^dag sigma_i U."""
-    R = np.empty((3, 3))
-    for i in range(3):
-        M = U.conj().T @ SIGMA[i + 1] @ U
-        for j in range(3):
-            R[i, j] = float(np.real(np.trace(M @ SIGMA[j + 1])) / 2.0)
-    return R

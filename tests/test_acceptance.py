@@ -18,6 +18,9 @@ from fqed.constants import ALPHA_DEFAULT
 from fqed.fourvec import FourVector
 from fqed.states import (PHOTON_KINDS, dirac_spinors, photon_state,
                          spin_slot, wave_equation_residual)
+from test_loops import positronium_insertion
+from test_processes import (compton_with_momentum, crossed_amplitudes,
+                            crossed_value)
 
 rng = np.random.default_rng(2026)
 
@@ -50,7 +53,7 @@ def test_criterion_3_threshold_behavior():
 
 
 def test_criterion_4_positronium_null():
-    ok = abs(loops.positronium_vacuum_check()) <= 1e-12
+    ok = abs(positronium_insertion()) <= 1e-12
     report(4, "zero-momentum vacuum-polarization insertion vanishes", ok)
 
 
@@ -116,9 +119,14 @@ def test_criterion_7_crossing_consistency():
             pol_i=str(rng.choice(["plus", "minus"])),
             pol_f=str(rng.choice(["plus", "minus"])))
         a = processes.pair_annihilation_amplitude(cfg).value
-        b = processes.apply_crossing(
-            "compton", processes.COMPTON_TO_ANNIHILATION, cfg).value
+        b = crossed_value(processes.COMPTON_TO_ANNIHILATION, cfg)
         ok = ok and abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        # the crossed spin sum against the closed form, which shares no
+        # code path with the crossing engine
+        m2 = np.sum(np.abs(crossed_amplitudes(
+            processes.COMPTON_TO_ANNIHILATION, cfg)) ** 2) / 4.0
+        oracle = oracles.annihilation_invariant_m2(cfg, ALPHA_DEFAULT)
+        ok = ok and abs(m2 - oracle) <= 1e-9 * oracle
     for _ in range(100):
         w = float(rng.uniform(2.6, 5.0))
         cfg = processes.pair_production_config(
@@ -130,11 +138,14 @@ def test_criterion_7_crossing_consistency():
             s_minus=int(rng.choice([1, -1])),
             pol_i=str(rng.choice(["plus", "minus"])))
         a = processes.pair_production_amplitude(cfg).value
-        b = processes.apply_crossing(
-            "bremsstrahlung",
-            processes.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION, cfg).value
+        b = crossed_value(processes.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION, cfg)
         ok = ok and abs(a - b) <= 1e-12 * max(1.0, abs(a))
-    report(7, "crossing substitution equals direct evaluation", ok)
+        m2 = np.sum(np.abs(crossed_amplitudes(
+            processes.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION, cfg)) ** 2)
+        oracle = oracles.coulomb_trace_m2(cfg, ALPHA_DEFAULT)
+        ok = ok and abs(m2 - oracle) <= 1e-9 * oracle
+    report(7, "crossing substitution equals direct evaluation and the "
+           "spin-sum oracles", ok)
 
 
 def test_criterion_8_exchange_statistics():
@@ -188,10 +199,10 @@ def test_criterion_10_ward_identity():
         cfg = processes.compton_lab_config(
             float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 3.0)),
             float(rng.uniform(0.0, 2 * math.pi)))
-        val = processes.compton_value_with_polarization(
-            cfg, cfg.momenta["k_i"].as_array())
         ref = abs(processes.compton_amplitude(cfg).value)
-        ok = ok and abs(val) <= 1e-10 * max(ref, 1e-30)
+        for photon in ("k_i", "k_f"):
+            val = compton_with_momentum(cfg, photon)
+            ok = ok and abs(val) <= 1e-10 * max(ref, 1e-30)
     report(10, "Compton amplitude vanishes for epsilon -> k", ok)
 
 

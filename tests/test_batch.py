@@ -133,20 +133,6 @@ def test_batch_of_n_equals_n_batches_of_one(process, uv):
 
 
 @settings(max_examples=10)
-@given(st.sampled_from([("compton", pr.COMPTON_TO_ANNIHILATION),
-                        ("bremsstrahlung",
-                         pr.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION),
-                        ("moller", pr.MOLLER_TO_BHABHA)]), draws)
-def test_crossing_on_a_batch(base_table, uv):
-    base, table = base_table
-    cfg = BATCHED[table.target](*np.array(uv).T)
-    crossed = pr.apply_crossing(base, table, cfg).value
-    direct = pr.amplitude(cfg).value
-    assert np.all(np.abs(crossed - direct)
-                  <= 1e-12 * np.maximum(1.0, np.abs(direct)))
-
-
-@settings(max_examples=10)
 @given(st.sampled_from(["moller", "bhabha"]), st.integers(2, 9),
        st.floats(10.0, 170.0), st.sampled_from(["csv", "json"]))
 def test_grid_with_a_pole_exits_3_and_writes_nothing(sub, count, stop, fmt):

@@ -117,6 +117,21 @@ class TestExitCodes:
         assert run_capture(capsys, ["self-energy", "--sweep",
                                     "p2:0.1:0.9:3"])[0] == 0
 
+    @pytest.mark.parametrize("sub, option", [
+        ("compton", "theta"), ("annihilate", "theta"), ("moller", "theta"),
+        ("bhabha", "theta"), ("brems", "theta_e"), ("brems", "theta_k"),
+        ("pairprod", "theta_p"), ("pairprod", "theta_m")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_named(self, capsys, sub, option, value):
+        """A non-finite angle exits 2 naming the option it came from, not
+        a leg built from it."""
+        rc, out, err = run_capture(
+            capsys, [sub, f"--{option.replace('_', '-')}={value}"])
+        assert rc == 2
+        assert out == ""
+        assert f"{option} must be finite" in err
+        assert err.count("\n") == 1
+
     def test_domain_error(self, capsys):
         rc, _, err = run_capture(capsys, ["pairprod", "--omega-in", "1.0"])
         assert rc == 2

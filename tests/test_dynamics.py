@@ -78,8 +78,8 @@ class TestDerivatives:
                                           0.3, -0.8, 0.4),
                                rng.normal(size=4) + 1j * rng.normal(size=4))
         _, _, dz = dyn.derivative(st)
-        from fqed.algebra import dirac_adjoint
-        dzbar = dirac_adjoint(dz) @ st.z + dirac_adjoint(st.z) @ dz
+        from fqed.algebra import GAMMA
+        dzbar = dz.conj() @ GAMMA[0] @ st.z + st.z.conj() @ GAMMA[0] @ dz
         assert abs(dzbar) <= 1e-12
 
     def test_helicity_aligned_photon_stationary(self):
@@ -122,6 +122,39 @@ class TestDerivatives:
             assert np.array_equal(dyn._velocity(mats, z), one_pass)
             assert np.array_equal(dyn._velocity(mats, z[0]), one_pass[0])
 
+    @pytest.mark.parametrize("rows", [
+        dyn._VELOCITY_ROWS - 1, dyn._VELOCITY_ROWS, dyn._VELOCITY_ROWS + 1,
+        2 * dyn._VELOCITY_ROWS + 1])
+    def test_H_blocks_equal_one_pass(self, rows):
+        """integrate forms H in row blocks; each row keeps the bits of
+        one pass over all rows, and a free run's p rows are its p."""
+        origin = FourVector(0, 0, 0, 0)
+        electron = dyn.ElectronState(
+            origin, FourVector(math.sqrt(1.0 + 0.29), 0.3, -0.2, 0.4),
+            np.array([0.6, 0.2j, 0.7, -0.3]))
+        photon = dyn.PhotonClassicalState(
+            origin, FourVector(1.0, 0.0, 0.6, 0.8), np.array([0.8, 0.6j]))
+        potential = np.array([0.05, -0.02, 0.01, 0.03])
+        field = dyn.ExternalField(lambda x: potential,
+                                  lambda x: np.zeros((4, 4)))
+        for state, mats in ((electron, dyn._G0G), (photon, dyn._S)):
+            for f in (None, field):
+                traj = dyn.integrate(state, f, (0.0, 0.01 * (rows - 1)), 0.01)
+                assert len(traj.H) == rows
+                z = traj.spinor
+                zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
+                # contiguous, as _velocity returns it: einsum's reduction
+                # order depends on the operands' strides
+                v = np.real(zm @ z[..., None])[..., 0].copy()
+                if f is None:
+                    ps = np.tile(state.p.as_array(), (rows, 1))
+                    assert np.array_equal(traj.p, ps)
+                    assert traj.p.tobytes() == ps.tobytes()
+                else:
+                    ps = np.array(traj.p)
+                assert np.array_equal(
+                    traj.H, np.einsum("nm,nm->n", v, ps * dyn._METRIC_DIAG))
+
     def test_field_accelerates(self):
         field = dyn.ExternalField(
             A=lambda x: np.array([0.0, 0.1 * x.t, 0.0, 0.0]),
@@ -147,17 +180,24 @@ class TestDerivatives:
         assert np.allclose(dp, [0.0, 0.0, 0.0, 0.1 * v[0]])
 
 
+def exact_z(z0, p, tau):
+    """The closed-form spinor z(tau) = exp(-i slash(p) tau) z0 that
+    exact_free_trajectory samples."""
+    return dyn.exact_free_trajectory(z0, p, FourVector(0, 0, 0, 0),
+                                     [tau])[0][0]
+
+
 class TestExactSolution:
 
     def test_tau_zero_identity(self):
         z0 = np.array([0.3, 0.1j, 0.0, 0.5], dtype=complex)
         p = FourVector(1.2, 0.2, 0.3, 0.6)
-        assert np.allclose(dyn.exact_free_electron(z0, p, 0.0), z0)
+        assert np.allclose(exact_z(z0, p, 0.0), z0)
 
     def test_rest_frame_phases(self):
         p = FourVector(1.0, 0.0, 0.0, 0.0)
         z0 = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
-        z = dyn.exact_free_electron(z0, p, 0.7)
+        z = exact_z(z0, p, 0.7)
         assert np.isclose(z[0], np.exp(-1j * 0.7))
         assert np.isclose(z[2], np.exp(+1j * 0.7))
 
@@ -168,14 +208,13 @@ class TestExactSolution:
         z0 = np.array([0.2, -0.4j, 0.8, 0.1], dtype=complex)
         tau = 1.37
         direct = expm(-1j * slash(p) * tau) @ z0
-        assert np.allclose(dyn.exact_free_electron(z0, p, tau), direct,
-                           atol=1e-12)
+        assert np.allclose(exact_z(z0, p, tau), direct, atol=1e-12)
 
     def test_zbar_z_preserved_not_dagger_norm(self):
         from fqed.algebra import GAMMA
         p = FourVector(math.sqrt(1.0 + 1.0), 1.0, 0.0, 0.0)
         z0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        z = dyn.exact_free_electron(z0, p, 2.0)
+        z = exact_z(z0, p, 2.0)
         zb0 = z0.conj() @ GAMMA[0] @ z0
         zb = z.conj() @ GAMMA[0] @ z
         assert abs(zb - zb0) <= 1e-12
@@ -192,13 +231,12 @@ class TestExactSolution:
         _, xp = dyn.exact_free_trajectory(z0, p, FourVector(0, 0, 0, 0),
                                           taus + h)
         vel = (xp - xs) / h
-        for i, t in enumerate(taus):
-            z = dyn.exact_free_electron(z0, p, float(t))
-            assert np.allclose(vel[i], dyn.velocity(z), atol=1e-5)
+        for i in range(len(taus)):
+            assert np.allclose(vel[i], dyn.velocity(zs[i]), atol=1e-5)
 
     def test_spacelike_momentum_rejected(self):
         with pytest.raises(DomainError):
-            dyn.exact_free_electron(np.ones(4), FourVector(0, 1, 0, 0), 1.0)
+            exact_z(np.ones(4), FourVector(0, 1, 0, 0), 1.0)
 
 
 class TestIntegrate:

@@ -98,8 +98,7 @@ _EXPORTS = {
     "fourvec": ("FourVector", "minkowski_dot"),
     "ledger": ("NormalizationLedger",),
     "processes": ("KinematicConfig", "ReducedAmplitude",
-                  "SubstitutionTable", "amplitude", "apply_crossing",
-                  "spin_summed_squared"),
+                  "SubstitutionTable", "amplitude", "spin_summed_squared"),
     "states": ("PhotonSpinor", "photon_state"),
 }
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fqed import algebra, states
+from fqed.algebra import BIG_SIGMA, GAMMA, SIGMA
 from fqed.errors import DomainError
 from fqed.fourvec import FourVector, minkowski_dot
 
@@ -34,10 +35,9 @@ class TestElectronSpinors:
         p = random_on_shell()
         up = states.spin_slot(+1)
         u = states.dirac_spinors(p.as_array())[up]
-        assert np.isclose(algebra.dirac_adjoint(u) @ u, 1.0 / p.t, atol=1e-12)
+        assert np.isclose(u.conj() @ GAMMA[0] @ u, 1.0 / p.t, atol=1e-12)
         v = states.dirac_spinors(p.as_array(), 1.0, True)[up]
-        assert np.isclose(algebra.dirac_adjoint(v) @ v, -1.0 / p.t,
-                          atol=1e-12)
+        assert np.isclose(v.conj() @ GAMMA[0] @ v, -1.0 / p.t, atol=1e-12)
 
     def test_dirac_equation_residual(self):
         for _ in range(200):
@@ -57,7 +57,7 @@ class TestElectronSpinors:
             for sp in (+1, -1):
                 u = states.dirac_spinors(p)[states.spin_slot(s)]
                 v = states.dirac_spinors(p, 1.0, True)[states.spin_slot(sp)]
-                assert abs(algebra.dirac_adjoint(u) @ v) <= 1e-12
+                assert abs(u.conj() @ GAMMA[0] @ v) <= 1e-12
 
     # axes on and next to the poles, where x^2 + y^2 underflows
     @example(1.0, [(1e-160, 0.0, 1.0), (0.0, -1e-170, -3.0)])
@@ -121,12 +121,15 @@ class TestPhotonStates:
         assert states.wave_equation_residual(st) <= 1e-12
 
     def test_currents_along_z(self):
-        plus = states.photon_current(states.photon_state("plus", 1.0))
-        minus = states.photon_current(states.photon_state("minus", 1.0))
-        assert np.allclose(plus.as_array(), [2, 0, 0, 2], atol=1e-12)
-        assert np.allclose(minus.as_array(), [2, 0, 0, -2], atol=1e-12)
-        lng = states.photon_current(states.photon_state("longitudinal", 1.0))
-        assert np.allclose(lng.as_array(), [2, 0, 0, 0], atol=1e-12)
+        def current(kind):
+            """The velocity-type current a^dag Sigma^mu a of a state."""
+            a = states.photon_state(kind, 1.0).components
+            return np.real(np.einsum("i,mij,j->m", a.conj(), BIG_SIGMA, a))
+
+        assert np.allclose(current("plus"), [2, 0, 0, 2], atol=1e-12)
+        assert np.allclose(current("minus"), [2, 0, 0, -2], atol=1e-12)
+        assert np.allclose(current("longitudinal"), [2, 0, 0, 0],
+                           atol=1e-12)
 
     def test_dispersion_bookkeeping(self):
         st = states.photon_state("plus", 1.3)
@@ -186,20 +189,14 @@ class TestPhotonStates:
             want = np.array([[0, s2, turn * s2, 0], [0, s2, -turn * s2, 0]])
             assert np.array_equal(eps, want)
 
-    def test_rotation_consistency(self):
-        # rotating the z-axis state must land on the direct construction
-        axis = np.array([0.6, 0.0, 0.8])
-        U = states._su2_to_axis(axis)
-        base = states.photon_state("plus", 1.0)
-        rotated = states.rotate_photon(base, U, axis)
-        direct = states.photon_state("plus", 1.0, axis)
-        phase = rotated.components @ direct.components.conj()
-        assert abs(abs(phase) - 1.0) <= 1e-12
-        assert np.allclose(rotated.components, phase * direct.components)
-
     def test_su2_vector_rotation_is_orthogonal(self):
+        """_su2_to_axis induces an SO(3) rotation that takes z-hat onto
+        the axis: R_ij = tr(U^dag sigma_i U sigma_j) / 2."""
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        R = states._su2_vector_rotation(states._su2_to_axis(axis))
+        U = states._su2_to_axis(axis)
+        R = np.real(np.einsum("ab,ibc,cd,jda->ij", U.conj().T, SIGMA[1:], U,
+                              SIGMA[1:])) / 2.0
+        assert np.allclose(np.linalg.det(R), 1.0, atol=1e-12)
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
         assert np.allclose(R @ np.array([0.0, 0.0, 1.0]), axis, atol=1e-12)
