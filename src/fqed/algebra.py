@@ -49,18 +49,13 @@ _METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
 # the matrices with their index lowered, mats_mu: each slash contracts
 # the last axis of a FourVector or (..., 4) (possibly complex) array of
 # contravariant components with one of them
-_GAMMA_LOWERED, _SIGMA_LOWERED, _BIG_SIGMA_LOWERED = (
-    _METRIC_DIAG * mats for mats in (GAMMA, SIGMA, BIG_SIGMA))
+_GAMMA_LOWERED, _BIG_SIGMA_LOWERED = (
+    _METRIC_DIAG * mats for mats in (GAMMA, BIG_SIGMA))
 
 
 def slash(p) -> np.ndarray:
     """gamma^mu p_mu = gamma^0 p^0 - gamma_vec . p_vec, shape (..., 4, 4)."""
     return np.einsum("...m,mij->...ij", _components(p), _GAMMA_LOWERED)
-
-
-def sigma_slash(p) -> np.ndarray:
-    """sigma^mu p_mu on the photon/Pauli C^2 space."""
-    return np.einsum("...m,mij->...ij", _components(p), _SIGMA_LOWERED)
 
 
 def big_sigma_slash(p) -> np.ndarray:

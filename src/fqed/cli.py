@@ -41,7 +41,26 @@ class _Given(argparse.Action):
         namespace._given = getattr(namespace, "_given", set()) | {self.dest}
 
 
+class _FloatWords:
+    """Matches the words float() parses, in place of a compiled regex."""
+
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word that argparse takes for a negative number is a value, not
+        # an option; its own pattern takes -12 and -1.5 but not -1e-05,
+        # -5. or -inf, so every word that float() parses is taken
+        self._negative_number_matcher = _FloatWords
+
     def error(self, message):
         raise _UsageError(message)
 

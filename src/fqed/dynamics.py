@@ -96,14 +96,14 @@ class ExternalField:
 _VELOCITY_ROWS = 1024
 
 
-def _velocity(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _velocity(mats: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     """Re z^dag mats^mu z over the last axis of z, which may carry leading
     batch axes: the four-velocity for mats = _G0G or _S. The rows are
-    taken in blocks of _VELOCITY_ROWS into one (..., 4) result; each row
-    goes through the same two matmuls as in one pass over all rows, so
-    the bits do not depend on the block."""
+    taken in blocks of _VELOCITY_ROWS into one (..., 4) result, or into
+    out (n rows of z); each row goes through the same two matmuls as in
+    one pass over all rows, so the bits do not depend on the block."""
     rows = z.reshape(-1, z.shape[-1])
-    out = np.empty((len(rows), 4))
+    out = np.empty((len(rows), 4)) if out is None else out
     for start in range(0, len(rows), _VELOCITY_ROWS):
         stop = start + _VELOCITY_ROWS
         zb = rows[start:stop]
@@ -288,7 +288,9 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
         zs[done:done + k] = zs[:k] @ m.T
         m = m @ m
         done += k
-    xs = np.vstack([x0, _velocity(q, zs[:-1])])
+    xs = np.empty((n + 1, 4))
+    xs[0] = x0
+    _velocity(q, zs[:-1], out=xs[1:])
     return np.cumsum(xs, axis=0, out=xs), zs
 
 
@@ -375,15 +377,16 @@ def integrate(state0, field: ExternalField | None = None,
               & np.isfinite(zs).all(axis=1))
     end = n + 1 if finite.all() else int(np.argmin(finite))
     xs, ps, zs = xs[:end], ps[:end], zs[:end]
-    # H = v^mu p_mu in the row blocks of _velocity, each row through the
-    # same products as in one pass
-    hs = np.empty(end)
+    # H = v^mu p_mu and zbar_z in the row blocks of _velocity, each row
+    # through the same products as in one pass
+    hs, norms = np.empty(end), np.empty(end)
     for start in range(0, end, _VELOCITY_ROWS):
         rows = slice(start, start + _VELOCITY_ROWS)
         hs[rows] = np.einsum("nm,nm->n", _velocity(mats, zs[rows]),
                              ps[rows] * _METRIC_DIAG)
-    return Trajectory(t0 + dt * np.arange(end), xs, ps, zs,
-                      _internal_norm(cliff, zs), hs, end <= n)
+        norms[rows] = _internal_norm(cliff, zs[rows])
+    return Trajectory(t0 + dt * np.arange(end), xs, ps, zs, norms, hs,
+                      end <= n)
 
 
 def zitterbewegung_frequency(traj: Trajectory, component: int = 3) -> float:

@@ -443,8 +443,10 @@ def spin_summed_squared(cfg: KinematicConfig,
 # a one-point config with FourVector legs, arrays an N-point config.
 
 def _above(name: str, value, low: float) -> None:
-    """Reject inputs at or below low, naming the first one."""
+    """Reject non-finite inputs and inputs at or below low, naming the
+    first one."""
     value = np.asarray(value, dtype=float)
+    reject(~np.isfinite(value), f"{name} must be finite: {name}", value)
     reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
 
 

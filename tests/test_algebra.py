@@ -25,11 +25,12 @@ def test_slash_square_identity():
 
 
 def test_sigma_slash_determinant():
-    # det(sigma . p) = p^2 for the 2x2 Pauli contraction
+    # det(sigma^mu p_mu) = p^2 for the 2x2 Pauli contraction
     for _ in range(10):
         p = FourVector(*rng.normal(size=4))
-        assert np.isclose(np.linalg.det(algebra.sigma_slash(p)),
-                          p.norm2(), atol=1e-12)
+        p_lower = p.as_array() * np.array([1.0, -1.0, -1.0, -1.0])
+        sigma_p = np.einsum("m,mij->ij", p_lower, algebra.SIGMA)
+        assert np.isclose(np.linalg.det(sigma_p), p.norm2(), atol=1e-12)
 
 
 def test_trace_cyclicity():

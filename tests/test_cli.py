@@ -5,10 +5,9 @@ import json
 import math
 import os
 import pathlib
-import subprocess
-import sys
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cli_cases
 import oracles
 from fqed import cli, loops
 from fqed.constants import ELECTRON_MASS_MEV
@@ -29,6 +29,46 @@ def run_capture(capsys, argv):
     rc = cli.run(argv)
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.run(argv), with any warning
+    raised as an error: a run must report through its exit code and its
+    one stderr line alone."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.run(list(argv))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def table_test(group, each=False):
+    """The test that runs one group of the cases of tests/cli_cases.py in
+    process, each in an empty directory of its own: with each, one test
+    item per case (its id the case's key, or argv0, argv1, ... where the
+    cases have none), else one item for the whole group."""
+    cases = {c.argv: c for c in cli_cases.CASES if c.group == group}
+    assert cases, group
+
+    def run(argv, directory, monkeypatch):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        cli_cases.check(cases[argv], directory, run_in_process)
+
+    if each:
+        keys = [c.key for c in cases.values()]
+
+        @pytest.mark.parametrize("argv", list(cases),
+                                 ids=keys if all(keys) else None)
+        def test(self, argv, tmp_path, monkeypatch):
+            run(argv, tmp_path, monkeypatch)
+    else:
+        def test(self, tmp_path, monkeypatch):
+            for i, argv in enumerate(cases):
+                run(argv, tmp_path / str(i), monkeypatch)
+    test.group = group
+    return test
 
 
 class TestSweepParsing:
@@ -80,191 +120,43 @@ class TestSweepParsing:
 
 
 class TestExitCodes:
+    """Exit codes, rows and stderr lines: each test runs its group of the
+    cases of tests/cli_cases.py."""
 
-    def test_success(self, capsys):
-        rc, out, _ = run_capture(capsys, ["compton"])
-        assert rc == 0
-        assert out.startswith("theta_deg,")
-
-    def test_usage_error(self, capsys):
-        rc, _, err = run_capture(capsys, ["not-a-command"])
-        assert rc == 64
-        rc, _, _ = run_capture(capsys, [])
-        assert rc == 64
-        rc, _, _ = run_capture(capsys, ["compton", "--sweep", "bogus:0:1:2"])
-        assert rc == 64
-        for stride in ("0", "-1"):
-            rc, out, err = run_capture(capsys, [
-                "classical", "--tau-max", "0.01", "--dt", "0.001",
-                "--stride", stride])
-            assert rc == 64, stride
-            assert out == ""
-            assert "stride" in err
-
-    def test_sweep_only_where_honoured(self, capsys, tmp_path):
-        """Subcommands that evaluate no grid do not take --sweep."""
-        spec = tmp_path / "levels.txt"
-        spec.write_text("[levels]\n2p 1.0\n1s 0.625\n")
-        for argv in (["classical", "--tau-max", "0.01"],
-                     ["energy-shift", "--spectrum", str(spec)],
-                     ["selftest"]):
-            rc, out, err = run_capture(capsys, argv + ["--sweep",
-                                                       "pz:0:1:3"])
-            assert rc == 64, argv
-            assert out == ""
-            assert "--sweep" in err
-            assert run_capture(capsys, argv)[0] == 0, argv
-        assert run_capture(capsys, ["self-energy", "--sweep",
-                                    "p2:0.1:0.9:3"])[0] == 0
-
-    @pytest.mark.parametrize("sub, option", [
-        ("compton", "theta"), ("annihilate", "theta"), ("moller", "theta"),
-        ("bhabha", "theta"), ("brems", "theta_e"), ("brems", "theta_k"),
-        ("pairprod", "theta_p"), ("pairprod", "theta_m")])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_angle_named(self, capsys, sub, option, value):
-        """A non-finite angle exits 2 naming the option it came from, not
-        a leg built from it."""
-        rc, out, err = run_capture(
-            capsys, [sub, f"--{option.replace('_', '-')}={value}"])
-        assert rc == 2
-        assert out == ""
-        assert f"{option} must be finite" in err
-        assert err.count("\n") == 1
-
-    def test_domain_error(self, capsys):
-        rc, _, err = run_capture(capsys, ["pairprod", "--omega-in", "1.0"])
-        assert rc == 2
-        assert "domain error" in err
-
-    def test_bad_mass_or_alpha(self, capsys):
-        for argv in (["vacuum-pol", "--k2", "1", "--mass", "0"],
-                     ["vacuum-pol", "--k2", "1", "--mass", "-1"],
-                     ["self-energy", "--mass", "nan"],
-                     ["compton", "--alpha", "nan"],
-                     ["compton", "--mass", "inf"],
-                     ["classical", "--mass", "0"],
-                     ["classical", "--mass", "1e300"],
-                     ["self-energy", "--mass", "1e300"],
-                     ["brems", "--alpha", "-1"],
-                     ["pairprod", "--alpha", "-1"],
-                     ["energy-shift", "--spectrum", "/no/file",
-                      "--alpha", "inf"]):
-            rc, out, err = run_capture(capsys, argv)
-            assert rc == 2, argv
-            assert out == ""
-            assert "domain error" in err
-
-    def test_numeric_error(self, capsys):
-        rc, _, err = run_capture(capsys, ["moller", "--theta", "1e-9"])
-        assert rc == 3
-        assert "numeric error" in err
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("argv, message", [
-        (["compton", "--omega-in", "1e-7"],
-         "intermediate fermion too close to mass shell: q^2 - m^2 = "
-         "2.000e-07"),
-        (["moller", "--theta", "1e-9"], "photon line at q^2 = -9.139e-22"),
-        (["brems", "--omega", "1e-9", "--theta-e", "0", "--theta-k", "0"],
-         "Coulomb pole: |q|^2 = 2.393e-20"),
-    ], ids=["fermion", "photon", "coulomb"])
-    def test_pole_guard(self, capsys, argv, message, fmt):
-        """Each internal line refuses a point at its pole: exit 3, no
-        rows, one stderr line naming the line and the first bad value."""
-        rc, out, err = run_capture(capsys, argv + ["--format", fmt])
-        assert (rc, out, err) == (3, "", f"numeric error: {message}\n")
-
-    def test_missing_spectrum_file(self, capsys):
-        rc, _, _ = run_capture(capsys,
-                               ["energy-shift", "--spectrum", "/no/file"])
-        assert rc == 2
-
-    @pytest.mark.parametrize("text", [
-        b"[levels]\n2p abc\n1s 0.625\n",
-        b"[levels]\n2p 1.0\n1s 0.625\n[current 2p 1s]\n0 0 x 0 0\n",
-        "[levels]\n2p 1.0\n1s 0.625 # \u00e9\n".encode("latin-1"),
-        b"[levels]\n2p 1.0\n1s 0.625\n[current 2p 1s]\n"
-        b"0 0 nan 0 0\n4 0 0.1 0 0\n",
-        b"[levels]\nd 1.0\nb 0.7\nd 2.0\n",
-        b"[levels]\nd 1.0\nb 0.7\n[current d b]\n0 0 0.2 0 0\n"
-        b"0 0 0.3 0 0\n4 0 0.2 0 0\n",
-        b"[levels]\nd 1.0\n[]\n",
-    ], ids=["bad-level", "bad-current", "not-utf8", "nan-current",
-            "repeated-level", "repeated-k", "empty-header"])
-    def test_bad_spectrum_file(self, capsys, tmp_path, text):
-        spec = tmp_path / "levels.txt"
-        spec.write_bytes(text)
-        rc, out, err = run_capture(capsys, ["energy-shift", "--spectrum",
-                                            str(spec), "--k-max", "4"])
-        assert rc == 2
-        assert out == ""
-        assert "domain error" in err
-
-    @pytest.mark.parametrize("k_max", ["nan", "inf", "-inf", "0"])
-    def test_bad_k_max(self, capsys, tmp_path, k_max):
-        spec = tmp_path / "levels.txt"
-        spec.write_text("[levels]\n2p 1.0\n1s 0.625\n")
-        rc, out, err = run_capture(capsys, ["energy-shift", "--spectrum",
-                                            str(spec), "--k-max=" + k_max])
-        assert rc == 2
-        assert out == ""
-        assert "k_max" in err
-
-    @pytest.mark.parametrize("argv", [["brems", "--Z", "nan"],
-                                      ["pairprod", "--Z", "nan"],
-                                      ["pairprod", "--Z", "inf"],
-                                      ["brems", "--sweep", "omega:0.1:0.5:3",
-                                       "--Z=-inf"]])
-    def test_non_finite_Z(self, capsys, argv):
-        rc, out, err = run_capture(capsys, argv)
-        assert rc == 2
-        assert out == ""
-        assert "Z must be finite" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["compton", "--alpha", "1e300"], ["annihilate", "--alpha", "1e300"],
-        ["moller", "--alpha", "1e300"], ["bhabha", "--alpha", "1e300"],
-        ["brems", "--Z", "1e300"], ["pairprod", "--Z", "1e300"],
-        ["compton", "--alpha", "1e300", "--sweep", "theta:1:179:5",
-         "--format", "json"],
-        ["self-energy", "--p2", "1e300"], ["self-energy", "--p2", "1.3e154"],
-        ["vacuum-pol", "--k2", "1e300", "--alpha", "1e308"]])
-    # the overflow reaches stderr as the one `numeric error` line, never
-    # as numpy RuntimeWarnings first
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowed_result_exits_3(self, capsys, argv):
-        rc, out, err = run_capture(capsys, argv)
-        assert rc == 3
-        assert out == ""
-        assert "numeric error" in err and "not finite" in err
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowed_energy_shift_exits_3(self, capsys, tmp_path):
-        spec = tmp_path / "levels.txt"
-        spec.write_text("[levels]\nd 1.0\nb 0.7\n[current d b]\n"
-                        "0.0 0.0 0.2 0.0 0.0\n5.0 0.0 0.2 0.0 0.0\n")
-        rc, out, err = run_capture(capsys, [
-            "energy-shift", "--spectrum", str(spec), "--k-max", "5",
-            "--alpha", "1e308"])
-        assert rc == 3
-        assert out == ""
-        assert err == ("numeric error: not finite (overflow): re_shift, "
-                       "im_shift\n")
-
-    def test_vacuum_pol_needs_point_or_sweep(self, capsys):
-        rc, _, _ = run_capture(capsys, ["vacuum-pol"])
-        assert rc == 64
-
-    def test_loop_bad_points(self, capsys):
-        for argv, code in ((["vacuum-pol", "--k2", "nan"], 2),
-                           (["vacuum-pol", "--k2", "inf"], 2),
-                           (["self-energy", "--p2", "1.0"], 3),
-                           (["self-energy", "--sweep", "p2:0:2:3"], 3)):
-            rc, out, err = run_capture(capsys, argv)
-            assert rc == code, argv
-            assert out == ""
-            assert err
+    test_success = table_test("success")
+    test_usage_error = table_test("usage_error")
+    test_sweep_only_where_honoured = table_test("sweep_only_where_honoured")
+    test_non_finite_angle_named = table_test("non_finite_angle_named",
+                                             each=True)
+    test_domain_error = table_test("domain_error")
+    test_bad_mass_or_alpha = table_test("bad_mass_or_alpha")
+    test_numeric_error = table_test("numeric_error")
+    test_pole_guard = table_test("pole_guard", each=True)
+    test_missing_spectrum_file = table_test("missing_spectrum_file")
+    test_bad_spectrum_file = table_test("bad_spectrum_file", each=True)
+    test_bad_k_max = table_test("bad_k_max", each=True)
+    test_non_finite_Z = table_test("non_finite_Z", each=True)
+    test_overflowed_result_exits_3 = table_test("overflowed_result_exits_3",
+                                                each=True)
+    test_overflowed_energy_shift_exits_3 = table_test(
+        "overflowed_energy_shift_exits_3")
+    test_vacuum_pol_needs_point_or_sweep = table_test(
+        "vacuum_pol_needs_point_or_sweep")
+    test_loop_bad_points = table_test("loop_bad_points")
+    test_classical_non_finite_input = table_test("classical_non_finite_input")
+    test_classical_step_count_bound = table_test("classical_step_count_bound")
+    test_classical_photon_needs_momentum = table_test(
+        "classical_photon_needs_momentum")
+    test_classical_photon_needs_two_components = table_test(
+        "classical_photon_needs_two_components")
+    test_classical_photon_refuses_mass = table_test(
+        "classical_photon_refuses_mass")
+    test_classical_ends_at_or_before_tau_max = table_test(
+        "classical_ends_at_or_before_tau_max")
+    test_classical_abort_writes_rows_then_fails = table_test(
+        "classical_abort_writes_rows_then_fails")
+    test_classical_writes_no_non_finite_cell = table_test(
+        "classical_writes_no_non_finite_cell", each=True)
 
     def test_self_energy_zero_momentum_row(self, capsys):
         rc, out, _ = run_capture(capsys, ["self-energy", "--p2", "0.0"])
@@ -273,85 +165,6 @@ class TestExitCodes:
         vals = dict(zip(header.split(","), map(float, row.split(","))))
         assert vals["re_b"] == vals["im_b"] == vals["pole_b"] == 0.0
         assert vals["pole_a"] > 0.0
-
-    def test_classical_non_finite_input(self, capsys):
-        for extra in (["--z", "nan,0,0,0"], ["--z", "1,0,0,inf"],
-                      ["--pz", "nan"], ["--dt", "nan"],
-                      ["--particle", "photon", "--z", "nan,1"]):
-            rc, out, err = run_capture(capsys, ["classical", "--tau-max",
-                                                "0.003", "--dt", "0.001"]
-                                       + extra)
-            assert rc == 2, extra
-            assert out == ""
-            assert "domain error" in err
-
-    def test_classical_step_count_bound(self, capsys):
-        # step counts whose samples cannot be allocated (1e300, an
-        # overflowing span / dt, 1e13) are refused before any allocation
-        for extra in (["--tau-max", "1", "--dt", "1e-300"],
-                      ["--tau-max", "1e10", "--dt", "5e-324"],
-                      ["--tau-max", "1e10", "--dt", "1e-3"],
-                      ["--particle", "photon", "--pz", "1",
-                       "--tau-max", "1", "--dt", "1e-300"]):
-            rc, out, err = run_capture(capsys, ["classical"] + extra)
-            assert rc == 2, extra
-            assert out == ""
-            assert "domain error" in err and "memory" in err
-
-    def test_classical_photon_needs_momentum(self, capsys):
-        # the default --pz 0 would run a photon of zero four-momentum
-        for extra in ([], ["--pz", "0"], ["--pz", "-0.0"]):
-            for fmt in ("csv", "json"):
-                rc, out, err = run_capture(capsys, [
-                    "classical", "--particle", "photon", "--tau-max",
-                    "0.003", "--dt", "0.001", "--format", fmt] + extra)
-                assert rc == 2, (extra, fmt)
-                assert out == ""
-                assert "domain error" in err and "|k| > 0" in err
-
-    def test_classical_photon_needs_two_components(self, capsys):
-        for z in ("1,0,0,0", "1,0,0", "1"):
-            rc, out, err = run_capture(capsys, [
-                "classical", "--particle", "photon", "--z", z, "--pz", "1",
-                "--tau-max", "0.003", "--dt", "0.001"])
-            assert rc == 64, z
-            assert out == ""
-            assert "2 components" in err
-
-    def test_classical_photon_refuses_mass(self, capsys):
-        # a photon run never reads --mass, so a given one is refused
-        for mass in ("5", "2", "1"):
-            rc, out, err = run_capture(capsys, [
-                "classical", "--particle", "photon", "--pz", "1",
-                "--mass", mass, "--tau-max", "0.003", "--dt", "0.001"])
-            assert rc == 64, mass
-            assert out == ""
-            assert "usage error" in err and "--mass" in err
-
-    def test_classical_ends_at_or_before_tau_max(self, capsys):
-        for tau_max, last in (("0.0015", 0.001), ("0.0025", 0.002)):
-            rc, out, _ = run_capture(capsys, [
-                "classical", "--tau-max", tau_max, "--dt", "0.001"])
-            assert rc == 0
-            lines = out.strip().split("\n")
-            assert float(lines[-1].split(",")[0]) == last, tau_max
-
-    def test_classical_abort_writes_rows_then_fails(self, capsys):
-        # the first step overflows, so the run stops after the initial
-        # sample, whose cells are finite
-        out = {}
-        for fmt in ("csv", "json"):
-            rc, out[fmt], err = run_capture(capsys, [
-                "classical", "--z", "1e150,0,0,0", "--tau-max", "3e10",
-                "--dt", "1e10", "--format", fmt])
-            assert rc == 3
-            assert err == ("numeric error: trajectory aborted after tau = "
-                           "0.0: the state became non-finite\n")
-        lines = out["csv"].strip().split("\n")
-        assert lines[0].startswith("tau,")
-        assert len(lines) == 2
-        row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
-        assert json.loads(out["json"])["rows"] == [row]
 
     def test_finite_checks_numeric_columns_only(self):
         table = {"level": ["d", "b"], "energy": [1.0, 0.7],
@@ -364,19 +177,6 @@ class TestExitCodes:
         with pytest.raises(NumericError) as exc:
             cli._finite(table)
         assert str(exc.value) == "not finite (overflow): im_shift"
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("z, bad", [("1e154,0,1e154,0", "H"),
-                                        ("1e308,0,0,0", "zbar_z, H")],
-                             ids=["nan-H", "inf-initial-sample"])
-    def test_classical_writes_no_non_finite_cell(self, capsys, z, bad, fmt):
-        """A trajectory whose zbar_z or H overflows exits 3 before its
-        first row, whether or not the run aborts."""
-        rc, out, err = run_capture(capsys, [
-            "classical", "--z", z, "--tau-max", "0.003", "--dt", "0.001",
-            "--format", fmt])
-        assert (rc, out, err) == (
-            3, "", f"numeric error: not finite (overflow): {bad}\n")
 
 
 # every option each subcommand declares
@@ -415,6 +215,12 @@ def spectrum_file(tmp_path):
     return str(spec)
 
 
+def subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def base_argv(sub, tmp_path):
     """A short, valid run of each subcommand."""
     return {"vacuum-pol": ["vacuum-pol", "--k2", "0.5"],
@@ -428,10 +234,8 @@ class TestOptions:
     """Each subcommand declares the options it reads, and no other."""
 
     def test_declared_option_sets(self):
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
         declared = {name: {o for a in sp._actions for o in a.option_strings}
-                    - {"-h", "--help"} for name, sp in sub.choices.items()}
+                    - {"-h", "--help"} for name, sp in subparsers().items()}
         assert declared == OPTIONS
 
     @pytest.mark.parametrize("sub, extra", [
@@ -530,12 +334,8 @@ class TestTables:
         assert len(lines) == 1 + 5 + 1
         assert float(lines[-1].split(",")[0]) == 0.5
 
-    def test_default_is_not_an_extra_point(self, capsys):
-        rc, out, _ = run_capture(capsys, ["compton", "--sweep",
-                                          "theta:10:20:2"])
-        assert rc == 0
-        rows = out.strip().split("\n")[1:]
-        assert [float(r.split(",")[0]) for r in rows] == [10.0, 20.0]
+    test_default_is_not_an_extra_point = table_test(
+        "default_is_not_an_extra_point")
 
     def test_deterministic_output(self, capsys):
         argv = ["moller", "--sweep", "theta:20:160:8"]
@@ -919,26 +719,11 @@ class TestSubcommands:
         assert both[1] == rows(section("d", "b", 0.1))[1][1]
         assert both[0] == rows(section("b", "d", 0.3))[1][0]
 
-    def test_brems_and_pairprod_rows(self, capsys):
-        rc, out, _ = run_capture(capsys, ["brems"])
-        assert rc == 0
-        assert "abs2_M" in out.split("\n")[0]
-        rc, out, _ = run_capture(capsys, ["pairprod"])
-        assert rc == 0
+    test_brems_and_pairprod_rows = table_test("brems_and_pairprod_rows")
 
-    def test_annihilate_row(self, capsys):
-        rc, out, _ = run_capture(capsys, ["annihilate"])
-        assert rc == 0
-        assert out.startswith("theta_deg,pmag,")
+    test_annihilate_row = table_test("annihilate_row")
 
-    def test_classical_short_run(self, capsys):
-        rc, out, _ = run_capture(capsys,
-                                 ["classical", "--tau-max", "0.1",
-                                  "--dt", "0.01"])
-        assert rc == 0
-        lines = out.strip().split("\n")
-        assert lines[0].startswith("tau,x0")
-        assert len(lines) == 12
+    test_classical_short_run = table_test("classical_short_run")
 
     def test_classical_stride_and_json(self, capsys):
         rc, out, _ = run_capture(capsys,
@@ -991,11 +776,7 @@ class TestSubcommands:
         assert float(row["re_z0"]) == 0.7071067811865476
         assert float(row["re_z1"]) == 0.0 and "re_z2" not in row
 
-    def test_selftest_passes(self, capsys):
-        rc, out, _ = run_capture(capsys, ["selftest"])
-        assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") == 6
+    test_selftest_passes = table_test("selftest_passes")
 
 
 # the values of every numeric option in the exit-code property: zero,
@@ -1072,30 +853,55 @@ class TestExitCodeProperty:
                 assert argv[0] == "classical" and "aborted" in err, argv
 
 
-ROOT = pathlib.Path(__file__).parent.parent
-
-
 class TestClosedPipe:
     """A reader that takes the first line of a 40001-row run and closes
     the pipe: the next block's write meets a broken pipe."""
 
-    @pytest.mark.parametrize("output, rc, err", [
-        ("-", 0, b""),
-        ("/dev/stdout", 2, b"i/o error: [Errno 32] Broken pipe\n")])
+    @pytest.mark.parametrize("output, rc, err", cli_cases.CLOSED_PIPE)
     def test_reader_closes_early(self, output, rc, err):
-        """On stdout fqed exits 0 with nothing on stderr, as it did when
-        it wrote the whole table at once; on -o FILE it is an i/o
-        error, exit 2."""
-        if not os.path.exists(output) and output != "-":
-            pytest.skip(f"no {output} on this platform")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"),
-                                             env.get("PYTHONPATH", "")])
-        argv = [sys.executable, "-c", "from fqed.cli import main; main()",
-                "classical", "--tau-max", "40", "-o", output]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, env=env) as proc:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            assert (proc.wait(timeout=300), proc.stderr.read()) == (rc, err)
-        assert first.startswith(b"tau,x0,")
+        cli_cases.check_closed_pipe(cli_cases.PYTHON_MAIN, output, rc, err)
+
+
+def float_options():
+    """(subcommand, option) for every float-valued option."""
+    return sorted((name, a.option_strings[-1])
+                  for name, sp in subparsers().items()
+                  for a in sp._actions if a.type is float)
+
+
+class TestContract:
+    """The cases of tests/cli_cases.py that no older test carries, each
+    group run in process; and the table itself."""
+
+    test_json_tables = table_test("json_tables", each=True)
+    test_csv_rows_equal_json_rows = table_test("csv_rows_equal_json_rows",
+                                               each=True)
+    test_energy_shift_levels = table_test("energy_shift_levels")
+    test_sweep_bounds = table_test("sweep_bounds", each=True)
+    test_negative_number_values = table_test("negative_number_values",
+                                             each=True)
+    test_non_finite_energy_named = table_test("non_finite_energy_named",
+                                              each=True)
+
+    def test_every_case_runs_in_process(self):
+        """Each group of cases is run by exactly one test of this module,
+        and no two cases share a command line."""
+        bound = [f.group for cls in (TestExitCodes, TestTables,
+                                     TestSubcommands, TestContract)
+                 for f in vars(cls).values() if hasattr(f, "group")]
+        assert sorted(bound) == sorted({c.group for c in cli_cases.CASES})
+        assert len({c.argv for c in cli_cases.CASES}) == len(cli_cases.CASES)
+
+    @settings(max_examples=300)
+    @given(option=st.sampled_from(float_options()),
+           x=st.floats(max_value=0.0))
+    def test_separate_and_joined_values_agree(self, two_levels, option, x):
+        """`--opt VALUE` and `--opt=VALUE` parse alike for every float
+        option and every negative or zero VALUE as repr writes it: -1e-05
+        is a value, not an option."""
+        sub, opt = option
+        argv = [sub, *{"vacuum-pol": ["--k2", "0.5"],
+                       "energy-shift": ["--spectrum", two_levels],
+                       "classical": cli_cases.SHORT.split()}.get(sub, [])]
+        assert (run_in_process(argv + [opt, repr(x)])
+                == run_in_process(argv + [f"{opt}={x!r}"]))

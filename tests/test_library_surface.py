@@ -22,11 +22,9 @@ EXCEPTIONS = {
                    "its pole and the benchmark oracle",
     "self_energy_near_shell": "kept for the self-energy item, with "
                               "self_energy",
-    "derivative": "the classical equations' one right-hand side, which the "
-                  "dynamics docstring documents; integrate runs its stage "
-                  "core directly, so only tests call it: next census",
-    "sigma_slash": "the photon's slash, named only in a perfbench/check.py "
-                   "docstring: next census",
+    "derivative": "the classical equations' one right-hand side, the "
+                  "documented API of the dynamics docstring; integrate "
+                  "runs its stage core directly",
 }
 
 
