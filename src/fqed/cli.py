@@ -41,13 +41,16 @@ class _Given(argparse.Action):
         namespace._given = getattr(namespace, "_given", set()) | {self.dest}
 
 
-class _FloatWords:
-    """Matches the words float() parses, in place of a compiled regex."""
+class _NumberWords:
+    """Matches, in place of a compiled regex, the words whose every
+    comma-separated item complex() parses: a number, or a list of them
+    as --z takes (complex() parses every word that float() parses)."""
 
     @staticmethod
     def match(word: str) -> bool:
         try:
-            float(word)
+            for item in word.split(","):
+                complex(item)
         except ValueError:
             return False
         return True
@@ -58,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # a word that argparse takes for a negative number is a value, not
         # an option; its own pattern takes -12 and -1.5 but not -1e-05,
-        # -5. or -inf, so every word that float() parses is taken
-        self._negative_number_matcher = _FloatWords
+        # -5., -inf or -1,0,0,0, so every number or list of them is taken
+        self._negative_number_matcher = _NumberWords
 
     def error(self, message):
         raise _UsageError(message)

@@ -19,10 +19,14 @@ stacked.dot(u) viewed as (8, 2d) a stage is v = r[:4].dot(u), dp =
 -e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]).
 Each is written by `ndarray.dot(..., out=)` into a view built once per
 run: r into one (8 * 2d,) buffer, and v, dp and dz into the slices of
-the stage's row of a (4, 8 + 2d) array k (dp then scaled in place). The
-stage inputs are the rows of a second (4, 8 + 2d) array, row 0 the
-state y itself and row s > 0 filled in place with y + h_s k[s - 1], so
-an RK4 step in a field is y += w.dot(k), w = dt (1, 2, 2, 1) / 6.
+the stage's row of a (4, 8 + 2d) array k (dp then scaled in place);
+kin = p - e A is formed in a run buffer, with e a 0-d array. The stage
+inputs are the rows of a second (4, 8 + 2d) array, row 0 the state y
+itself and row s > 0 filled in place with y + h_s k[s - 1], so an RK4
+step in a field is y += w.dot(k), w = dt (1, 2, 2, 1) / 6. Each stage
+is a function bound once per run to its views. The field's A(x) and
+grad(x) get the stage position x as a new (4,) float64 array, after a
+test that it is finite.
 
 Free motion (field = None) is a linear constant-coefficient system, so
 one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
@@ -86,8 +90,8 @@ class PhotonClassicalState:
 class ExternalField:
     """Smooth vector potential A(x) with gradient dA[mu][nu] = dA_nu/dx_mu."""
 
-    A: object                   # FourVector -> length-4 array
-    grad: object                # FourVector -> (4, 4) array
+    A: object                   # (4,) float64 array x -> (4,) array
+    grad: object                # (4,) float64 array x -> (4, 4) array
     charge: float = 1.0         # coupling e multiplying the potential
 
 
@@ -120,28 +124,31 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _packed(mats, cliff, x, p, z, field):
     """The packed state y = (x, p, Re z, Im z) of a run, and its operators
-    (stacked, em, r): stacked is the real (8 * 2d, 2d) stack of V over C
-    such that, with u = (Re z, Im z) and r = stacked.dot(u) viewed as
-    (8, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and kin.dot(r[4:]) is
-    dz = -i cliff^mu kin_mu z; em is -e * metric (None without a field);
-    r is the (8 * 2d,) buffer each stage fills, with its [:4] and [4:]
-    row views. Refuses a field unless A(x) has shape (4,) and grad(x)
-    shape (4, 4)."""
-    em = None
+    (stacked, em, charge, r, kin): stacked is the real (8 * 2d, 2d) stack
+    of V over C such that, with u = (Re z, Im z) and r = stacked.dot(u)
+    viewed as (8, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and
+    kin.dot(r[4:]) is dz = -i cliff^mu kin_mu z; em is -e * metric and
+    charge e as a 0-d array (both None without a field); r is the
+    (8 * 2d,) buffer each stage fills, with its [:4] and [4:] row views;
+    kin holds the (4,) buffers of e A and of p - e A. Refuses a field
+    unless A(x) has shape (4,) and grad(x) shape (4, 4)."""
+    em = charge = None
     if field is not None:
-        xv = FourVector.from_array(x)
-        shapes = np.shape(field.A(xv)), np.shape(field.grad(xv))
+        xa = x.copy()
+        shapes = np.shape(field.A(xa)), np.shape(field.grad(xa))
         if shapes != ((4,), (4, 4)):
             raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
                               f"(4, 4), got {shapes[0]}, {shapes[1]}")
         em = -field.charge * _METRIC_DIAG
+        charge = np.array(field.charge, dtype=float)
     m = np.stack([-1j * _METRIC_DIAG[:, None, None] * cliff, mats])
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
     stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c))
     r = np.empty(8 * n)
     rows = r.reshape(8, n)
-    return ((stacked.reshape(8 * n, n), em, (r, rows[:4], rows[4:])),
+    return ((stacked.reshape(8 * n, n), em, charge, (r, rows[:4], rows[4:]),
+             np.empty((2, 4))),
             np.concatenate((x, p, z.real, z.imag)))
 
 
@@ -157,26 +164,42 @@ def _split(row):
 
 
 def _stage(ops, field, state, deriv):
-    """dy/dtau of the packed state views (x, p, u), written into the
-    derivative views (v, dp, dz); the free equations when field is None.
+    """The stage core: a function of no arguments that writes dy/dtau of
+    the packed state views (x, p, u) into the derivative views (v, dp,
+    dz), bound to them once; the free equations when field is None.
     stacked.dot(u) fills the run's product buffer r, whose rows r[:4] and
-    r[4:] give v = r[:4].dot(u) and dz = kin.dot(r[4:]). A non-finite
-    position raises DomainError (FourVector guard)."""
-    stacked, em, (r, rv, rc) = ops
+    r[4:] give v = r[:4].dot(u) and dz = kin.dot(r[4:]). In a field, a
+    non-finite position raises DomainError before the field is called;
+    A and grad get the position as a new (4,) float64 array."""
+    stacked, em, charge, (r, rv, rc), (ea, kin) = ops
     x, p, u = state
     v, dp, dz = deriv
-    stacked.dot(u, out=r)
-    rv.dot(u, out=v)
+
     if field is None:
-        kin = p
-        dp.fill(0.0)
-    else:
-        xv = FourVector(*x.tolist())
-        kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
-        # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric
-        np.asarray(field.grad(xv), dtype=float).dot(v, out=dp)
-        dp *= em
-    kin.dot(rc, out=dz)
+        def stage():
+            stacked.dot(u, out=r)
+            rv.dot(u, out=v)
+            dp.fill(0.0)
+            p.dot(rc, out=dz)
+        return stage
+
+    potential, gradient = field.A, field.grad
+
+    def stage():
+        t, x1, x2, x3 = x.tolist()
+        # c - c is 0.0 for a finite c and NaN otherwise, and cannot overflow
+        if (t - t) + (x1 - x1) + (x2 - x2) + (x3 - x3) != 0.0:
+            raise DomainError(f"non-finite position: {[t, x1, x2, x3]}")
+        stacked.dot(u, out=r)
+        rv.dot(u, out=v)
+        xa = x.copy()
+        np.subtract(p, np.multiply(charge, potential(xa), out=ea), out=kin)
+        # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric;
+        # a closure cannot rebind dp, so no dp *= em
+        np.asarray(gradient(xa), dtype=float).dot(v, out=dp)
+        np.multiply(dp, em, out=dp)
+        kin.dot(rc, out=dz)
+    return stage
 
 
 def velocity(spinor) -> np.ndarray:
@@ -208,7 +231,7 @@ def derivative(state, field: ExternalField | None = None):
     ops, y = _packed(mats, cliff, state.x.as_array(), state.p.as_array(),
                      z, field)
     out = np.empty_like(y)
-    _stage(ops, field, _split(y), _split(out))
+    _stage(ops, field, _split(y), _split(out))()
     return _unpacked(out, len(z))
 
 
@@ -298,11 +321,14 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
     with n + 1 rows; the rows after a non-finite state stay NaN.
 
-    The views a stage reads and writes are built once per run: stage s
-    reads the (x, p, u) views of row s of stage_in, whose row 0 is the
-    state y, and writes the (v, dp, dz) views of row s of k. Row s > 0
-    of stage_in is filled in place with y + h_s k[s - 1], h = dt (1/2,
-    1/2, 1), and a step is y += w.dot(k) with w = dt (1, 2, 2, 1) / 6."""
+    The four stages are bound once per run: stage s reads the (x, p, u)
+    views of row s of stage_in, whose row 0 is the state y, and writes the
+    (v, dp, dz) views of row s of k. Row s > 0 of stage_in is filled in
+    place with y + h_s k[s - 1], h = dt (1/2, 1/2, 1), and a step is
+    y += w.dot(k) with w = dt (1, 2, 2, 1) / 6. A non-finite state needs
+    no test of its own: a non-finite x stops the next step at its first
+    stage, and a non-finite p or u makes the velocity, and so the
+    position of a later stage of that step, non-finite."""
     ops, y0 = _packed(mats, cliff, x, p, z, field)
     ys = np.full((n + 1, len(y0)), np.nan)
     ys[0] = y0
@@ -311,23 +337,22 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
     y = stage_in[0]
     k = np.empty_like(stage_in)
     w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-    first = _split(y), _split(k[0])
-    later = [(k[s - 1], h, stage_in[s], _split(stage_in[s]), _split(k[s]))
+    first = _stage(ops, field, _split(y), _split(k[0]))
+    later = [(k[s - 1], np.array(h), stage_in[s],
+              _stage(ops, field, _split(stage_in[s]), _split(k[s])))
              for s, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt))]
     for i in range(1, n + 1):
         try:
-            _stage(ops, field, *first)
-            for k_prev, h, row, state, deriv in later:
+            first()
+            for k_prev, h, row, stage in later:
                 np.multiply(k_prev, h, out=row)
                 row += y
-                _stage(ops, field, state, deriv)
+                stage()
         except DomainError:
-            # a non-finite stage position reached the four-vector guard
+            # a stage position is non-finite
             break
         y += w.dot(k)
         ys[i] = y
-        if not np.isfinite(y).all():
-            break
     return _unpacked(ys, len(z))
 
 

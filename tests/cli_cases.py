@@ -354,6 +354,19 @@ for value in ("-inf", "-nan"):
                        (["classical", "--pz", value, *SHORT.split()], "pz")):
         case("negative_number_values", argv, 2,
              err=Line("domain error: ", f"{name} must be finite"))
+# a --z list whose first component is negative is a value too; a word
+# with an item that is no number is still an option, and an undeclared
+# one exits 64
+for z, rest in (("-1,0,0,0", "--tau-max 0.002"),
+                ("-0.6,0.8j", "--particle photon --pz 0.5 --tau-max 0.002"),
+                ("-0.6,-0.8j", "--particle photon --pz 1 --tau-max 0.002")):
+    case("negative_number_values", f"classical --z {z} {rest}", 0,
+         Csv(3, TRAJECTORY, same=[f"classical --z={z} {rest}"]))
+for argv, message in (("classical --z -x,0", "expected one argument"),
+                      ("classical --bogus", "unrecognized arguments: --bogus"),
+                      ("classical --bogus -1,0", "unrecognized arguments")):
+    case("negative_number_values", argv, 64,
+         err=Line("usage error: ", message))
 
 # a non-finite energy is named, not met later as a leg off its shell
 for argv, name in (("compton --omega-in inf", "omega_in"),

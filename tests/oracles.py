@@ -13,7 +13,7 @@ import numpy as np
 
 from fqed.algebra import GAMMA, I4, SIGMA, slash
 from fqed.errors import DomainError
-from fqed.fourvec import FourVector, minkowski_dot
+from fqed.fourvec import minkowski_dot
 
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -206,7 +206,7 @@ def field_rhs_complex(cliff, field, x, p, z):
     for the photon), dp^mu = -e v^nu dA_nu/dx^mu with the index raised,
     dz = -i cliff^mu (p - e A)_mu z."""
     mats = cliff[0] @ cliff if len(z) == 4 else cliff
-    xv = FourVector.from_array(x)
+    xv = np.asarray(x, dtype=float)
     kin = p - field.charge * np.asarray(field.A(xv), dtype=float)
     gen = -1j * sum(_METRIC[mu, mu] * kin[mu] * cliff[mu] for mu in range(4))
     v = np.real(np.einsum("i,mij,j->m", z.conj(), mats, z))

@@ -22,9 +22,8 @@ import oracles
 _WAVE_K = np.array([0.3, 0.5, -0.4, 0.7])
 _WAVE_A = np.array([0.02, 0.05, -0.03, 0.04])
 WAVE_FIELD = dyn.ExternalField(
-    A=lambda x: _WAVE_A * math.sin(_WAVE_K @ x.as_array()),
-    grad=lambda x: np.outer(_WAVE_K, _WAVE_A) * math.cos(
-        _WAVE_K @ x.as_array()))
+    A=lambda x: _WAVE_A * math.sin(_WAVE_K @ x),
+    grad=lambda x: np.outer(_WAVE_K, _WAVE_A) * math.cos(_WAVE_K @ x))
 
 
 def rest_state(z=(1.0, 0.0, 0.0, 0.0), mass=1.0):
@@ -64,6 +63,45 @@ def rk4_free_reference(state, n, dt):
         xs.append(x)
         zs.append(z)
     return np.array(xs), np.array(zs)
+
+
+def packed_rk4_reference(state, field, n, dt):
+    """n RK4 steps in a field built stage by stage from `derivative` of
+    the packed state y on new arrays, as in
+    TestIntegrate.test_field_run_is_rk4_of_packed_rhs. Returns the
+    (n + 1, 8 + 2d) states, NaN after the first non-finite one and from
+    the first step with a non-finite stage position or momentum (which
+    FourVector refuses), and the stage positions in the order reached."""
+    z = state.eta if isinstance(state, dyn.PhotonClassicalState) else state.z
+    build = type(state)
+
+    def rhs(y):
+        x, p, u = dyn._unpacked(y, len(z))
+        dx, dp, dz = dyn.derivative(build(FourVector.from_array(x),
+                                          FourVector.from_array(p), u),
+                                    field)
+        return np.concatenate((dx, dp, dz.real, dz.imag))
+
+    y = np.concatenate((state.x.as_array(), state.p.as_array(), z.real,
+                        z.imag))
+    w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
+    ys = np.full((n + 1, len(y)), np.nan)
+    ys[0] = y
+    positions = []
+    for i in range(1, n + 1):
+        k = np.empty((4, len(y)))
+        try:
+            for s, h in enumerate((0.0, 0.5 * dt, 0.5 * dt, dt)):
+                stage_y = y if s == 0 else y + h * k[s - 1]
+                positions.append(stage_y[:4])
+                k[s] = rhs(stage_y)
+        except DomainError:
+            break
+        y = y + w.dot(k)
+        ys[i] = y
+        if not np.isfinite(y).all():
+            break
+    return ys, positions
 
 
 class TestDerivatives:
@@ -165,7 +203,7 @@ class TestDerivatives:
 
     def test_field_accelerates(self):
         field = dyn.ExternalField(
-            A=lambda x: np.array([0.0, 0.1 * x.t, 0.0, 0.0]),
+            A=lambda x: np.array([0.0, 0.1 * x[0], 0.0, 0.0]),
             grad=lambda x: np.array([[0.0, 0.1, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 0.0],
@@ -296,11 +334,11 @@ class TestIntegrate:
         assert abs(w - 2.0) <= 0.01 * 2.0
 
     SIN_FIELD = dyn.ExternalField(
-        A=lambda x: np.array([0.05 * math.sin(x.z), 0.0, 0.0, 0.0]),
+        A=lambda x: np.array([0.05 * math.sin(x[3]), 0.0, 0.0, 0.0]),
         grad=lambda x: np.array([[0.0, 0.0, 0.0, 0.0],
                                  [0.0, 0.0, 0.0, 0.0],
                                  [0.0, 0.0, 0.0, 0.0],
-                                 [0.05 * math.cos(x.z), 0.0, 0.0, 0.0]]))
+                                 [0.05 * math.cos(x[3]), 0.0, 0.0, 0.0]]))
 
     def test_field_run_conserves_internal_norm(self):
         traj = dyn.integrate(self.free_state(), self.SIN_FIELD, (0.0, 5.0),
@@ -419,7 +457,7 @@ class TestIntegrate:
         for row in range(4):
             k = np.full((4, len(y)), np.nan)
             out = k[row]
-            dyn._stage(ops, f, dyn._split(y), dyn._split(out))
+            dyn._stage(ops, f, dyn._split(y), dyn._split(out))()
             got = out[:8 + d] + 1j * np.append(np.zeros(8), out[8 + d:])
             assert np.max(np.abs(got - want)) <= 1e-14 * (
                 1.0 + np.abs(p).sum()) * (z.conj() @ z).real
@@ -478,6 +516,93 @@ class TestIntegrate:
         dyn.integrate(self.free_state(), field, (0.0, 1.0), 0.1)
         # one check at the start, then four stages for each of 10 steps
         assert len(calls) == 1 + 4 * 10
+
+    @staticmethod
+    def recording(field):
+        """field, with every position that A and grad get appended to
+        the returned lists."""
+        seen_a, seen_grad = [], []
+
+        def potential(x):
+            seen_a.append(x)
+            return field.A(x)
+
+        def gradient(x):
+            seen_grad.append(x)
+            return field.grad(x)
+
+        return (dataclasses.replace(field, A=potential, grad=gradient),
+                seen_a, seen_grad)
+
+    @pytest.mark.parametrize("kind", ["sin", "wave"])
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_field_gets_stage_positions_as_arrays(self, photon, kind):
+        """A and grad each get every stage position, in stage order after
+        the one shape check at x0, as a new float64 (4,) ndarray whose
+        values are those of the stage-by-stage loop."""
+        st = self.photon_state() if photon else self.free_state()
+        field = self.SIN_FIELD if kind == "sin" else WAVE_FIELD
+        n, dt = 50, 1e-3
+        recorded, seen_a, seen_grad = self.recording(field)
+        traj = dyn.integrate(st, recorded, (0.0, n * dt), dt)
+        ys, positions = packed_rk4_reference(st, field, n, dt)
+        assert not traj.aborted and np.array_equal(traj.x, ys[:, :4])
+        want = [st.x.as_array()] + positions
+        assert len(positions) == 4 * n
+        for seen in (seen_a, seen_grad):
+            assert len(seen) == len(want)
+            for got, x in zip(seen, want):
+                assert type(got) is np.ndarray
+                assert got.dtype == np.float64 and got.shape == (4,)
+                # read after the run: no array is a view it overwrote
+                assert np.array_equal(got, x)
+
+    @pytest.mark.parametrize("kind", ["momentum", "position"])
+    def test_overflowing_field_run_never_passes_non_finite_position(
+            self, kind):
+        """A field run whose state overflows (p and z under a steep
+        gradient, or x at a huge internal norm) is aborted and ends at its
+        first non-finite sample, with the rows of the stage-by-stage loop
+        before it; A and grad never get a non-finite position."""
+        if kind == "momentum":
+            st, dt = rest_state(z=(0.6, 0.0, 0.0, 0.8j)), 0.1
+            field = dyn.ExternalField(lambda x: np.zeros(4),
+                                      lambda x: np.full((4, 4), 100.0))
+        else:
+            st, dt = rest_state(z=(math.sqrt(1e307), 0.0, 0.0, 0.0)), 0.3
+            field = dyn.ExternalField(lambda x: np.array([0.1, 0, 0, 0]),
+                                      lambda x: np.zeros((4, 4)))
+        recorded, seen_a, seen_grad = self.recording(field)
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = dyn.integrate(st, recorded, (0.0, 100 * dt), dt)
+            ys, _ = packed_rk4_reference(st, field, 100, dt)
+        first_bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))[0]
+        assert first_bad > 1
+        assert traj.aborted and len(traj.tau) == first_bad
+        xs, ps, zs = dyn._unpacked(ys[:first_bad], len(st.z))
+        for got, want in ((traj.x, xs), (traj.p, ps), (traj.spinor, zs)):
+            assert np.array_equal(got, want)
+        assert seen_a and seen_grad
+        assert all(np.isfinite(x).all() for x in seen_a + seen_grad)
+
+    def test_field_run_builds_no_four_vector(self, monkeypatch):
+        """A 100-step field run builds no FourVector once its state is
+        built, and calls A and grad once each for the shape check and
+        once each per stage."""
+        st = self.free_state()
+        recorded, seen_a, seen_grad = self.recording(self.SIN_FIELD)
+        built = []
+        check = FourVector.__post_init__
+
+        def counting(v):
+            built.append(v)
+            check(v)
+
+        monkeypatch.setattr(FourVector, "__post_init__", counting)
+        traj = dyn.integrate(st, recorded, (0.0, 0.1), 1e-3)
+        assert len(traj.tau) == 101 and not traj.aborted
+        assert built == []
+        assert len(seen_a) == len(seen_grad) == 1 + 4 * 100
 
     def test_nan_field_aborts(self):
         field = dyn.ExternalField(
