@@ -382,11 +382,13 @@ def _cmd_selftest(args):
     rng = np.random.default_rng(7)
 
     def clifford():
+        # every anticommutator {g^m, g^n} = 2 eta^mn from one product
         g = algebra.GAMMA
+        gg = np.einsum("mij,njk->mnik", g, g)
         metric = np.diag([1.0, -1.0, -1.0, -1.0])
-        return all(np.allclose(g[m] @ g[n] + g[n] @ g[m],
-                               2 * metric[m, n] * np.eye(4), atol=1e-14)
-                   for m in range(4) for n in range(4))
+        return np.allclose(gg + gg.transpose(1, 0, 2, 3),
+                           2 * metric[:, :, None, None] * np.eye(4),
+                           atol=1e-14)
 
     def dirac_residual():
         p3 = rng.normal(size=(50, 3))
@@ -532,6 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("selftest", _cmd_selftest, ())
 
+    # each subcommand's parser by name, for `_parse`
+    ap.commands = sub.choices
     return ap
 
 
@@ -549,9 +553,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as `_parser().parse_args` parses it, with less work
+    where argv[0] names a subcommand: its words after that name go
+    straight to the subcommand's parser, the one the top-level parser's
+    subparsers action would hand them to, into a namespace that already
+    holds the subcommand's name (as that action sets it first). So the
+    options, defaults, help and messages are the subcommand parser's in
+    either path. Any other argv (empty, an unknown word, -h) goes to the
+    top-level parser."""
+    ap = _parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+
+
 def run(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -228,8 +228,14 @@ def derivative(state, field: ExternalField | None = None):
     """(dx, dp, dz) right-hand sides of an ElectronState (z) or
     PhotonClassicalState (eta); the free equations when field is None."""
     mats, cliff, z = _particle(state)
-    ops, y = _packed(mats, cliff, state.x.as_array(), state.p.as_array(),
-                     z, field)
+    x = state.x.as_array()
+    if field is not None:
+        # A and grad are called once each: `_packed`'s shape check and
+        # the stage read the same values
+        xa = x.copy()
+        a, g = field.A(xa), field.grad(xa)
+        field = ExternalField(lambda _: a, lambda _: g, field.charge)
+    ops, y = _packed(mats, cliff, x, state.p.as_array(), z, field)
     out = np.empty_like(y)
     _stage(ops, field, _split(y), _split(out))()
     return _unpacked(out, len(z))

@@ -141,21 +141,29 @@ class KinematicConfig:
         order = _ORDER[self.process]
         nf = len(order) - len(_labels(self.process, "photon"))
         square = minkowski_dot(legs, legs)      # fermions first
-        dev = square[:nf] - m2
-        reject(~(np.abs(dev) <= KINEMATIC_TOL * m2),
-               "off shell: p^2 - m^2", dev, order)
+        dev, k2 = square[:nf] - m2, square[nf:]
         p0 = legs[:nf, ..., 0]
-        reject(~(p0 > 0), "needs p0 > 0, p0", p0, order)
-        reject(~(np.abs(square[nf:]) <= KINEMATIC_TOL * m2),
-               "not lightlike: k^2", square[nf:], order[nf:])
         kmag = np.sqrt(np.add.reduce(legs[nf:, ..., 1:] ** 2, -1))
-        reject(~(kmag > 0), "needs |k| > 0, |k|", kmag, order[nf:])
         mom = dict(zip(order, legs))
         res = _residual(self.process, mom)
         res = np.sqrt(np.add.reduce(res * res, -1))
         what = "energy" if self.process in _ENERGY_ONLY else "4-momentum"
-        reject(~(res <= KINEMATIC_TOL * self.mass),
-               f"{what} not conserved, |residual|", res)
+        # each check once, in the order they are reported: where it
+        # holds, its message, its values and the legs they run over
+        checks = (
+            (np.abs(dev) <= KINEMATIC_TOL * m2, "off shell: p^2 - m^2", dev,
+             order),
+            (p0 > 0, "needs p0 > 0, p0", p0, order),
+            (np.abs(k2) <= KINEMATIC_TOL * m2, "not lightlike: k^2", k2,
+             order[nf:]),
+            (kmag > 0, "needs |k| > 0, |k|", kmag, order[nf:]),
+            (res <= KINEMATIC_TOL * self.mass,
+             f"{what} not conserved, |residual|", res, ()))
+        # one test of every point of every check; the first failure is
+        # found, and named, only when one fails
+        if not np.concatenate([ok for ok, *_ in checks], axis=None).all():
+            for ok, message, values, labels in checks:
+                reject(~ok, message, values, labels)
         return mom
 
     def conservation_residual(self):
@@ -450,11 +458,25 @@ def _above(name: str, value, low: float) -> None:
     reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
 
 
-def _finite(**angles) -> None:
-    """Reject non-finite angles, naming the first one."""
-    for name, value in angles.items():
-        value = np.asarray(value, dtype=float)
-        reject(~np.isfinite(value), f"{name} must be finite: {name}", value)
+def _guard(*inputs, **angles) -> None:
+    """Reject the first bad one of a builder's inputs at its first bad
+    point: inputs are (name, value, low), each to be finite and above
+    low, in the order they are checked; the angles follow, by name, each
+    only to be finite. The inputs, broadcast together, are tested in one
+    pass; only when that fails, or cannot take them, is `_above` run on
+    each in turn, which then refuses or passes them as it alone would."""
+    inputs += tuple((name, v, -math.inf) for name, v in angles.items())
+    try:
+        values = [v for _, v, _ in inputs]
+        a = np.empty(np.broadcast(*values).shape + (len(values),))
+        for i, v in enumerate(values):
+            a[..., i] = v
+        if (np.isfinite(a) & (a > [low for _, _, low in inputs])).all():
+            return
+    except (TypeError, ValueError):
+        pass
+    for name, value, low in inputs:
+        _above(name, value, low)
 
 
 def _direction(theta, phi):
@@ -487,8 +509,7 @@ def compton_lab_config(omega_in, theta, phi=0.0,
                        pol_i: str = "plus", pol_f: str = "plus",
                        mass: float = 1.0) -> KinematicConfig:
     """Electron at rest, photon along +z, scattering at (theta, phi)."""
-    _above("omega_in", omega_in, 0.0)
-    _finite(theta=theta, phi=phi)
+    _guard(("omega_in", omega_in, 0.0), theta=theta, phi=phi)
     w2 = compton_omega_out(omega_in, theta, mass)
     nx, ny, nz = _direction(theta, phi)
     # p_f = p_i + k_i - k_f, with the energy put on shell
@@ -508,8 +529,7 @@ def annihilation_cm_config(pmag, theta, phi=0.0,
                            pol_i: str = "plus", pol_f: str = "plus",
                            mass: float = 1.0) -> KinematicConfig:
     """e- e+ back to back along z; photons back to back at (theta, phi)."""
-    _above("|p|", pmag, 0.0)
-    _finite(theta=theta, phi=phi)
+    _guard(("|p|", pmag, 0.0), theta=theta, phi=phi)
     E = np.sqrt(pmag * pmag + mass * mass)
     nx, ny, nz = _direction(theta, phi)
     return _config(
@@ -526,8 +546,7 @@ def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
                      mass: float = 1.0,
                      process: str = "moller") -> KinematicConfig:
     """Symmetric CM collision at beam energy E per particle."""
-    _above("beam energy", E, mass)
-    _finite(theta=theta, phi=phi)
+    _guard(("beam energy", E, mass), theta=theta, phi=phi)
     pmag = np.sqrt(E * E - mass * mass)
     nx, ny, nz = _direction(theta, phi)
     # in along +z, in along -z, out along n, out along -n
@@ -553,11 +572,12 @@ def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
                           pol_f: str = "plus", Z: float = 1.0,
                           mass: float = 1.0) -> KinematicConfig:
     """Electron E_i along z radiates omega_f; energy conservation only."""
-    _above("incident energy", E_i, mass)
-    _above("omega_f", omega_f, 0.0)
-    E_f = E_i - omega_f
-    _above("final electron energy", E_f, mass)
-    _finite(theta_e=theta_e, theta_k=theta_k, phi_e=phi_e, phi_k=phi_k)
+    # an E_f that overflows or is inf - inf has an input refused first
+    with np.errstate(over="ignore", invalid="ignore"):
+        E_f = E_i - omega_f
+    _guard(("incident energy", E_i, mass), ("omega_f", omega_f, 0.0),
+           ("final electron energy", E_f, mass), theta_e=theta_e,
+           theta_k=theta_k, phi_e=phi_e, phi_k=phi_k)
     pf = np.sqrt(E_f * E_f - mass * mass)
     ex, ey, ez = _direction(theta_e, phi_e)
     kx, ky, kz = _direction(theta_k, phi_k)
@@ -575,11 +595,12 @@ def pair_production_config(omega_i, E_plus, theta_p, theta_m,
                            pol_i: str = "plus", Z: float = 1.0,
                            mass: float = 1.0) -> KinematicConfig:
     """Photon omega_i along z converts; E_minus fixed by energy balance."""
-    _above("photon energy", omega_i, 2.0 * mass)
-    E_minus = omega_i - E_plus
-    _above("E_plus", E_plus, mass)
-    _above("E_minus", E_minus, mass)
-    _finite(theta_p=theta_p, theta_m=theta_m, phi_p=phi_p, phi_m=phi_m)
+    # an E_minus that overflows or is inf - inf has an input refused first
+    with np.errstate(over="ignore", invalid="ignore"):
+        E_minus = omega_i - E_plus
+    _guard(("photon energy", omega_i, 2.0 * mass), ("E_plus", E_plus, mass),
+           ("E_minus", E_minus, mass), theta_p=theta_p, theta_m=theta_m,
+           phi_p=phi_p, phi_m=phi_m)
     pp = np.sqrt(E_plus * E_plus - mass * mass)
     pm = np.sqrt(E_minus * E_minus - mass * mass)
     px, py, pz = _direction(theta_p, phi_p)

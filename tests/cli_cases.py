@@ -382,6 +382,28 @@ for argv, name in (("compton --omega-in inf", "omega_in"),
          err=f"domain error: {name} must be finite: {name} = "
              f"{float(argv.split()[-1]):.3e}\n")
 
+# inputs that fail at different points of a sweep: the input checked
+# first is named, at its first bad point, whatever the later ones hold
+for argv, message in (
+        ("compton --sweep omega_in:-1:1:3 --omega-in -1 --theta nan",
+         "omega_in must exceed 0: omega_in = -1.000e+00"),
+        ("annihilate --sweep pmag:1:0:3 --pmag 1 --theta inf",
+         "|p| must exceed 0: |p| = 0.000e+00"),
+        ("moller --sweep energy:2:0.5:3 --energy 2 --theta nan",
+         "beam energy must exceed 1: beam energy = 5.000e-01"),
+        ("bhabha --sweep theta:10:20:2 --theta 10 --energy 0.5",
+         "beam energy must exceed 1: beam energy = 5.000e-01"),
+        ("brems --sweep omega:0.5:1.5:3 --omega 0.5 --theta-e nan",
+         "final electron energy must exceed 1: final electron energy = "
+         "1.000e+00"),
+        ("brems --sweep e_in:2:0.5:2 --e-in 2 --omega 1.2",
+         "incident energy must exceed 1: incident energy = 5.000e-01"),
+        ("pairprod --sweep e_plus:0.5:2.5:3 --e-plus 0.5 --theta-m inf",
+         "E_plus must exceed 1: E_plus = 5.000e-01"),
+        ("pairprod --sweep omega_in:3:2:2 --omega-in 3 --theta-p nan",
+         "photon energy must exceed 2: photon energy = 2.000e+00")):
+    case("first_failing_input", argv, 2, err=f"domain error: {message}\n")
+
 
 # -- running a case -----------------------------------------------------------
 

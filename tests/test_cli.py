@@ -673,6 +673,21 @@ class TestWriter:
 
 class TestSubcommands:
 
+    @pytest.mark.parametrize("entry", [(0, 0, 0), (1, 0, 3), (3, 2, 0)])
+    def test_selftest_fails_on_perturbed_gamma(self, capsys, monkeypatch,
+                                               entry):
+        """One entry of one gamma matrix off by 1e-12: the Clifford check
+        fails, and selftest exits 1 after its six lines."""
+        from fqed import algebra
+        gamma = algebra.GAMMA.copy()
+        gamma[entry] += 1e-12
+        monkeypatch.setattr(algebra, "GAMMA", gamma)
+        rc, out, err = run_capture(capsys, ["selftest"])
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == "FAIL clifford-algebra"
+        assert len(lines) == 6
+
     def test_self_energy_row(self, capsys):
         rc, out, _ = run_capture(capsys, ["self-energy", "--p2", "0.5"])
         assert rc == 0
@@ -853,6 +868,72 @@ class TestExitCodeProperty:
                 assert argv[0] == "classical" and "aborted" in err, argv
 
 
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: ("args", the repr of the namespace's
+    attributes in order, `_given` among them; a repr, as nan != nan),
+    ("usage", message) for a usage error, or ("exit", code, stdout,
+    stderr) where the parser exits, as -h does."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "args", repr(list(vars(parse(list(argv))).items()))
+        except cli._UsageError as exc:
+            return "usage", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+# command lines beyond the cases: help, top-level words, and what
+# argparse does with a bare `--`, an abbreviation, a missing or refused
+# value and a repeated option
+PARSE_EXTRA = [[], ["-h"], ["--help"], ["-h", "compton"], ["--bogus"],
+               ["nope", "--theta", "3"], ["Compton"], ["--", "compton"],
+               ["compton", "--", "--theta", "3"], ["compton", "--"],
+               ["compton", "--the", "30"], ["compton", "--theta"],
+               ["compton", "--format", "xml"], ["compton", "compton"],
+               ["compton", "--theta", "1", "--theta=2"], ["energy-shift"],
+               ["classical", "--stride", "1.5"], ["selftest", "-h", "x"],
+               ["vacuum-pol", "--k2", "-1", "--help"],
+               ["classical", "--z", "-1,0", "--z", "-x"]] + [
+    [sub, flag] for sub in OPTIONS for flag in ("-h", "--help")]
+# words a drawn command line may gain, anywhere after its subcommand
+PARSE_WORDS = ["--", "-h", "--bogus", "-1", "x", "--the", "--theta", "-o",
+               "--format", "--z", "-1,0", "--sweep", "--mev=1", ""]
+
+
+class TestParse:
+    """`cli._parse` parses as the top-level parser does: the same
+    namespace, `_given` included, the same usage message, or the same
+    exit and help text."""
+
+    def test_cases_and_help_parse_alike(self):
+        argvs = [c.argv for c in cli_cases.CASES] + [
+            cli_cases._argv(same) for c in cli_cases.CASES
+            if isinstance(c.out, cli_cases.Csv) for same in c.out.same]
+        for argv in argvs + PARSE_EXTRA:
+            want = parse_outcome(cli._parser().parse_args, argv)
+            assert parse_outcome(cli._parse, argv) == want, argv
+            if argv and argv[-1] in ("-h", "--help"):
+                assert want[:2] == ("exit", 0) and want[2], argv
+
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_drawn_lines_parse_alike(self, two_levels, data):
+        """A drawn command line, with some of its `--opt=value` words
+        split in two and some words of PARSE_WORDS put in."""
+        argv = []
+        for word in data.draw(command_lines(two_levels)):
+            if "=" in word and data.draw(st.booleans()):
+                argv += word.split("=", 1)
+            else:
+                argv.append(word)
+        for word in data.draw(st.lists(st.sampled_from(PARSE_WORDS),
+                                       max_size=3)):
+            argv.insert(data.draw(st.integers(1, len(argv))), word)
+        assert (parse_outcome(cli._parse, argv)
+                == parse_outcome(cli._parser().parse_args, argv)), argv
+
+
 class TestClosedPipe:
     """A reader that takes the first line of a 40001-row run and closes
     the pipe: the next block's write meets a broken pipe."""
@@ -882,6 +963,7 @@ class TestContract:
                                              each=True)
     test_non_finite_energy_named = table_test("non_finite_energy_named",
                                               each=True)
+    test_first_failing_input = table_test("first_failing_input", each=True)
 
     def test_every_case_runs_in_process(self):
         """Each group of cases is run by exactly one test of this module,

@@ -517,6 +517,26 @@ class TestIntegrate:
         # one check at the start, then four stages for each of 10 steps
         assert len(calls) == 1 + 4 * 10
 
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_derivative_calls_field_once(self, photon):
+        """One derivative calls A and grad once each, both with the one
+        copy of the state's position, and gives the right-hand side of
+        the field's values there."""
+        st = self.photon_state() if photon else self.free_state()
+        st = dataclasses.replace(st, x=FourVector(0.2, 0.0, 0.1, 0.7))
+        recorded, seen_a, seen_grad = self.recording(WAVE_FIELD)
+        got = dyn.derivative(st, recorded)
+        assert len(seen_a) == len(seen_grad) == 1
+        assert seen_a[0] is seen_grad[0]
+        assert np.array_equal(seen_a[0], st.x.as_array())
+        z = st.eta if photon else st.z
+        p = st.p.as_array()
+        want = oracles.field_rhs_complex(SIGMA if photon else GAMMA,
+                                         WAVE_FIELD, st.x.as_array(), p, z)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * (
+                1.0 + np.abs(p).sum()) * (z.conj() @ z).real
+
     @staticmethod
     def recording(field):
         """field, with every position that A and grad get appended to

@@ -631,3 +631,83 @@ class TestGuards:
             pr.bremsstrahlung_config(2.0, 0.5, 0.3, 1.2))
         assert brems.ledger.exponent("e") == 3
         assert brems.ledger.exponent("Z") == 1
+
+
+# inputs where two entries fail, the one checked later at an earlier
+# point: the first failing entry in the builder's order is named, at its
+# first bad point (a non-finite value before one at or below the bound)
+FIRST_FAILING_INPUT = [
+    (pr.compton_lab_config, ([1.0, 1.0, -1.0], [0.1, math.nan, 0.2]), {},
+     "omega_in must exceed 0: omega_in = -1.000e+00"),
+    (pr.compton_lab_config, ([-1.0, 1.0, math.inf], 0.1), {},
+     "omega_in must be finite: omega_in = inf"),
+    (pr.annihilation_cm_config, ([0.5, 0.5, 0.0], [math.nan, 0.1, 0.1]), {},
+     "|p| must exceed 0: |p| = 0.000e+00"),
+    (pr.moller_cm_config, ([2.0, 0.5, 2.0], [math.inf, 0.1, 0.1]), {},
+     "beam energy must exceed 1: beam energy = 5.000e-01"),
+    (pr.moller_cm_config, ([3.0, 1.5], 0.1), {"mass": 2.0},
+     "beam energy must exceed 2: beam energy = 1.500e+00"),
+    (pr.bhabha_cm_config, (2.0, [0.1, math.nan], [math.inf, 0.0]), {},
+     "theta must be finite: theta = nan"),
+    (pr.bremsstrahlung_config,
+     (2.0, [0.5, 1.5, 0.5], [math.nan, 0.1, 0.1], 0.1), {},
+     "final electron energy must exceed 1: final electron energy = "
+     "5.000e-01"),
+    (pr.bremsstrahlung_config,
+     ([2.0, 2.0, 0.5], [0.5, -1.0, 0.5], 0.1, 0.1), {},
+     "incident energy must exceed 1: incident energy = 5.000e-01"),
+    (pr.bremsstrahlung_config, (2.0, 0.5, 0.1, [0.1, math.nan]),
+     {"phi_e": [math.inf, 0.0]}, "theta_k must be finite: theta_k = nan"),
+    (pr.pair_production_config, (3.0, [1.5, 2.5, 0.5], 0.1, 0.1), {},
+     "E_plus must exceed 1: E_plus = 5.000e-01"),
+    (pr.pair_production_config, ([3.0, 1.9], [1.5, 0.5], 0.1, 0.1), {},
+     "photon energy must exceed 2: photon energy = 1.900e+00"),
+    (pr.pair_production_config,
+     (3.0, 1.5, [0.1, 0.1, math.nan], [0.1, math.inf, 0.1]),
+     {"phi_m": math.nan}, "theta_p must be finite: theta_p = nan"),
+]
+
+
+@pytest.mark.parametrize("build, args, kwargs, message", FIRST_FAILING_INPUT)
+def test_first_failing_input_named(build, args, kwargs, message):
+    with pytest.raises(DomainError) as exc:
+        build(*(np.array(a) for a in args),
+              **{k: np.array(v) for k, v in kwargs.items()})
+    assert str(exc.value) == message
+
+
+def edited_compton(edits):
+    """A three-point Compton config with the (leg, point) -> (t, x, y, z)
+    edits made to its legs."""
+    cfg = pr.compton_lab_config(np.array([0.5, 1.0, 1.5]),
+                                np.array([0.3, 0.6, 0.9]))
+    mom = {lab: v.copy() for lab, v in cfg.momenta.items()}
+    for (lab, point), leg in edits.items():
+        mom[lab][point] = leg
+    return dataclasses.replace(cfg, momenta=mom)
+
+
+# legs that fail two checks of validate at different points, the check
+# reported first at the later point: the first failing check is named,
+# at its first bad leg and point
+FIRST_FAILING_CHECK = [
+    ({("p_i", 2): (2.0, 0.0, 0.0, 0.0), ("k_i", 0): (1.0, 0.0, 0.0, 0.5)},
+     "p_i off shell: p^2 - m^2 = 3.000e+00"),
+    ({("p_f", 0): (2.0, 0.0, 0.0, 0.0), ("p_i", 2): (3.0, 0.0, 0.0, 0.0)},
+     "p_i off shell: p^2 - m^2 = 8.000e+00"),
+    ({("p_i", 2): (-1.0, 0.0, 0.0, 0.0), ("k_f", 0): (1.0, 0.0, 0.0, 0.5)},
+     "p_i needs p0 > 0, p0 = -1.000e+00"),
+    ({("k_f", 2): (1.0, 0.0, 0.0, 0.5), ("k_i", 0): (0.0, 0.0, 0.0, 0.0)},
+     "k_f not lightlike: k^2 = 7.500e-01"),
+    ({("k_i", 1): (0.0, 0.0, 0.0, 0.0), ("k_f", 0): (0.5, 0.0, 0.3, 0.4)},
+     "k_i needs |k| > 0, |k| = 0.000e+00"),
+    ({("k_f", 2): (1.5, 0.0, 0.0, 1.5)},
+     "4-momentum not conserved, |residual| = 1.295e+00"),
+]
+
+
+@pytest.mark.parametrize("edits, message", FIRST_FAILING_CHECK)
+def test_first_failing_check_named(edits, message):
+    with pytest.raises(DomainError) as exc:
+        edited_compton(edits).validate()
+    assert str(exc.value) == message
