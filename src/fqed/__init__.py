@@ -19,9 +19,8 @@ from .fourvec import FourVector, minkowski_dot
 # not cached here, so they always are the module's current attribute.
 _LAZY = {
     "NormalizationLedger": "ledger",
-    **dict.fromkeys(("KinematicConfig", "ReducedAmplitude",
-                     "SubstitutionTable", "amplitude", "spin_summed_squared"),
-                    "processes"),
+    **dict.fromkeys(("KinematicConfig", "ReducedAmplitude", "amplitude",
+                     "spin_summed_squared"), "processes"),
     **dict.fromkeys(("PhotonSpinor", "photon_state"), "states"),
     **{m: m for m in ("ledger", "processes", "propagators", "states")},
 }
@@ -32,8 +31,8 @@ __all__ = [
     "DegenerateLevelError", "DomainError", "FqedError", "NumericError",
     "PoleError", "SingularityError",
     "FourVector", "minkowski_dot", "NormalizationLedger",
-    "KinematicConfig", "ReducedAmplitude", "SubstitutionTable",
-    "amplitude", "spin_summed_squared",
+    "KinematicConfig", "ReducedAmplitude", "amplitude",
+    "spin_summed_squared",
     "PhotonSpinor", "photon_state",
 ]
 

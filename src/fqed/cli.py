@@ -410,7 +410,7 @@ def _cmd_selftest(args):
 
     def crossing():
         # annihilation, evaluated from the Compton topology through its
-        # crossing table, against the closed form of its spin sum
+        # crossing map, against the closed form of its spin sum
         # (Peskin & Schroeder 5.105; m = 1)
         cfg = processes.annihilation_cm_config(0.7, 1.1, 0.3)
         p = cfg.momenta["p_minus"]

@@ -75,7 +75,6 @@ class ElectronState:
     x: FourVector
     p: FourVector
     z: np.ndarray               # 4 complex
-    tau: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class PhotonClassicalState:
     x: FourVector
     p: FourVector
     eta: np.ndarray             # 2 complex
-    tau: float = 0.0
 
 
 @dataclass(frozen=True)

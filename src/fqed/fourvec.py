@@ -47,9 +47,6 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.t, self.x, self.y, self.z], dtype=float)
 
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.t + other.t, self.x + other.x,
                           self.y + other.y, self.z + other.z)

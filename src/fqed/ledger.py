@@ -37,9 +37,6 @@ class NormalizationLedger:
     def of(cls, **exponents) -> "NormalizationLedger":
         return cls({k: Fraction(v) for k, v in exponents.items()})
 
-    def exponent(self, symbol: str) -> Fraction:
-        return self.exponents.get(symbol, Fraction(0))
-
     def __str__(self):
         if not self.exponents:
             return "1"
@@ -49,7 +46,7 @@ class NormalizationLedger:
 # -- printed final prefactors of the base topologies ----------------------
 #
 # The crossed processes' ledgers are these with each leg's energy symbol
-# renamed through the crossing table (fqed.processes).
+# renamed through the crossing map (fqed.processes).
 
 def compton_prefactor() -> NormalizationLedger:
     """e^2/(V T^3) sqrt(m^2/(E_f E_i)) (2 omega_f 2 omega_i)^(-1/2)."""

@@ -28,17 +28,18 @@ Crossing
 Each process declares its legs once, in _LEGS: label -> (particle,
 side), with particle e-, e+ or photon and side in or out. Every process
 is evaluated on one of three base topologies (Compton, bremsstrahlung,
-Moller) through a SubstitutionTable, a map from base leg labels to the
-process's own: the identity for a base process, the crossing table for
-annihilation, pair production and Bhabha scattering. The rest follows
-from the two processes' legs. A leg's momentum enters the internal
-lines with sign -1 exactly when the leg changes side. A fermion takes
-a v spinor exactly when its target leg is a positron, and it keeps its
-end of the fermion line (an incoming e- and an outgoing e+ are the
-spinor end). Emitted photons enter with the conjugated polarization
-vector; external spinors are built at the physical positive-energy
-momentum. The crossed ledger is the base ledger with each leg's energy
-symbol renamed through the table.
+Moller) through a map from base leg labels to the process's own: the
+identity for a base process, its entry in _CROSSINGS for annihilation,
+pair production and Bhabha scattering. The rest follows from the two
+processes' legs, and _plan derives it once per process, at import,
+into _PLANS. A leg's momentum enters the internal lines with sign -1
+exactly when the leg changes side. A fermion takes a v spinor exactly
+when its target leg is a positron, and it keeps its end of the fermion
+line (an incoming e- and an outgoing e+ are the spinor end). Emitted
+photons enter with the conjugated polarization vector; external
+spinors are built at the physical positive-energy momentum. The
+crossed ledger is the base ledger with each leg's energy symbol
+renamed through the map.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +99,7 @@ _SPINOR_END = (("e-", "in"), ("e+", "out"))
 # the external-Coulomb processes conserve energy only
 _ENERGY_ONLY = ("bremsstrahlung", "pair_production")
 # helicity axes of the base topologies' amplitude arrays; a crossed
-# process has its base's axes renamed by its table (crossing engine)
+# process has its base's axes renamed by its crossing map (its _Plan)
 _AXES = {
     "compton": ("p_f", "p_i", "k_i", "k_f"),
     "bremsstrahlung": ("p_f", "p_i", "k_f"),
@@ -201,7 +203,6 @@ def _residual(process: str, mom: dict) -> np.ndarray:
 class ReducedAmplitude:
     value: complex                  # (N,) complex array for N points
     ledger: _ledger.NormalizationLedger
-    conservation: FourVector        # (N, 4) array for N points
 
 
 # -- core topologies -----------------------------------------------------
@@ -260,69 +261,30 @@ def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
     return -1j * e2 * (direct / t - exchange.transpose(0, 3, 2, 1, 4) / u)
 
 
-# -- crossing tables -------------------------------------------------------
+# -- crossing --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubstitutionTable:
-    """Map from base-process leg labels to target-process leg labels.
+# each crossed process: its base topology and the map of the base's leg
+# labels onto its own; a base process is evaluated through the identity
+_CROSSINGS = {
+    "annihilation": ("compton", {"k_f": "k_f", "k_i": "k_i",
+                                 "p_f": "p_plus", "p_i": "p_minus"}),
+    "pair_production": ("bremsstrahlung", {"k_f": "k_i", "p_f": "p_minus",
+                                           "p_i": "p_plus"}),
+    "bhabha": ("moller", {"p_i1": "p_i_minus", "p_f1": "p_f_minus",
+                          "p_i2": "p_f_plus", "p_f2": "p_i_plus"}),
+}
 
-    Everything else follows from the two processes' legs: a leg's
-    momentum enters the internal lines with sign -1 exactly when it
-    changes side, and a fermion takes a v spinor exactly when its target
-    leg is a positron.
-    """
+
+class _Plan(NamedTuple):
+    """How a process is evaluated on its base topology."""
 
     base: str
-    target: str
-    legs: dict[str, str]
-
-    def validate(self) -> None:
-        if self.base not in _LEGS or self.target not in _LEGS:
-            raise DomainError("substitution table references unknown process")
-        base, target = _LEGS[self.base], _LEGS[self.target]
-        if (self.legs.keys() != base.keys()
-                or sorted(self.legs.values()) != sorted(target)):
-            raise DomainError(
-                f"table {self.legs} does not map the {self.base} legs one "
-                f"to one onto the {self.target} legs {sorted(target)}")
-        for base_lab, lab in self.legs.items():
-            if (base[base_lab][0] == "photon") != (target[lab][0] == "photon"):
-                raise DomainError(
-                    f"{base_lab} -> {lab} mixes photon/fermion legs")
-            if base[base_lab][0] != "photon" and (
-                    (base[base_lab] in _SPINOR_END)
-                    != (target[lab] in _SPINOR_END)):
-                raise DomainError(
-                    f"{base_lab} -> {lab} moves a fermion to the other end "
-                    f"of its line")
-
-
-COMPTON_TO_ANNIHILATION = SubstitutionTable(
-    "compton", "annihilation",
-    {"k_f": "k_f", "k_i": "k_i", "p_f": "p_plus", "p_i": "p_minus"})
-
-BREMSSTRAHLUNG_TO_PAIR_PRODUCTION = SubstitutionTable(
-    "bremsstrahlung", "pair_production",
-    {"k_f": "k_i", "p_f": "p_minus", "p_i": "p_plus"})
-
-MOLLER_TO_BHABHA = SubstitutionTable(
-    "moller", "bhabha",
-    {"p_i1": "p_i_minus", "p_f1": "p_f_minus", "p_i2": "p_f_plus",
-     "p_f2": "p_i_plus"})
-
-_CROSSINGS = (COMPTON_TO_ANNIHILATION, BREMSSTRAHLUNG_TO_PAIR_PRODUCTION,
-              MOLLER_TO_BHABHA)
-
-
-# the table each process is evaluated through: the identity on a base
-# topology, its crossing table otherwise; validated once, here
-_TABLES = {b: SubstitutionTable(b, b, {lab: lab for lab in _LEGS[b]})
-           for b in _AXES}
-_TABLES.update((t.target, t) for t in _CROSSINGS)
-_AXES.update((t.target, tuple(t.legs[lab] for lab in _AXES[t.base]))
-             for t in _CROSSINGS)
-for _table in _TABLES.values():
-    _table.validate()
+    axes: tuple             # its labels, in the base's axis order
+    nf: int                 # the fermion count
+    sign: np.ndarray        # each leg's sign on the internal lines
+    positrons: list         # the v spinor rows
+    emitted: np.ndarray     # which photons are emitted
+    ledger: _ledger.NormalizationLedger
 
 
 def _energy(label: str) -> str:
@@ -330,74 +292,83 @@ def _energy(label: str) -> str:
     return ("E" if label[0] == "p" else "omega") + label[1:]
 
 
-def _crossed_ledger(table: SubstitutionTable) -> _ledger.NormalizationLedger:
-    """The base topology's ledger with each leg's energy renamed through
-    the table."""
-    base = {"compton": _ledger.compton_prefactor,
-            "bremsstrahlung": _ledger.bremsstrahlung_prefactor,
-            "moller": _ledger.moller_prefactor}[table.base]()
-    rename = {_energy(b): _energy(t) for b, t in table.legs.items()}
-    return _ledger.NormalizationLedger(
-        {rename.get(sym, sym): v for sym, v in base.exponents.items()})
+def _plan(target: str, base: str, legs: dict) -> _Plan:
+    """target's plan on base's topology under legs, a map of the base's
+    leg labels onto target's. It must map them one to one, photons onto
+    photons, and keep every fermion at its end of the line. The ledger is
+    the base's with each leg's energy symbol renamed through legs."""
+    base_legs, target_legs = _LEGS[base], _LEGS[target]
+    if (legs.keys() != base_legs.keys()
+            or sorted(legs.values()) != sorted(target_legs)):
+        raise DomainError(
+            f"table {legs} does not map the {base} legs one "
+            f"to one onto the {target} legs {sorted(target_legs)}")
+    for base_lab, lab in legs.items():
+        b, t = base_legs[base_lab], target_legs[lab]
+        if (b[0] == "photon") != (t[0] == "photon"):
+            raise DomainError(
+                f"{base_lab} -> {lab} mixes photon/fermion legs")
+        if b[0] != "photon" and (b in _SPINOR_END) != (t in _SPINOR_END):
+            raise DomainError(
+                f"{base_lab} -> {lab} moves a fermion to the other end "
+                f"of its line")
+    kinds = [(base_legs[b], target_legs[legs[b]]) for b in _AXES[base]]
+    nf = sum(b[0] != "photon" for b, _ in kinds)
+    sign = np.array([1.0 if b[1] == t[1] else -1.0 for b, t in kinds])
+    emitted = np.array([t[1] == "out" for _, t in kinds[nf:]])
+    prefactor = {"compton": _ledger.compton_prefactor,
+                 "bremsstrahlung": _ledger.bremsstrahlung_prefactor,
+                 "moller": _ledger.moller_prefactor}[base]()
+    rename = {_energy(b): _energy(t) for b, t in legs.items()}
+    return _Plan(
+        base, tuple(legs[b] for b in _AXES[base]), nf, sign[:, None, None],
+        [i for i, (_, t) in enumerate(kinds) if t[0] == "e+"],
+        emitted[:, None, None, None],
+        _ledger.NormalizationLedger(
+            {rename.get(s, s): v for s, v in prefactor.exponents.items()}))
 
 
-# built once: every amplitude of a process carries the same ledger
-_LEDGERS = {process: _crossed_ledger(t) for process, t in _TABLES.items()}
+# every process's plan, built and checked once, here
+_PLANS = {process: _plan(process, *_CROSSINGS.get(
+              process, (process, {lab: lab for lab in _LEGS[process]})))
+          for process in _LEGS}
 
 
 # -- evaluation ------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _leg_pass(base: str, target: str, legs: tuple) -> tuple:
-    """Under a table (legs: base -> target label pairs): the target labels
-    in the base's axis order, fermions first; the fermion count; the legs'
-    signs on the internal lines; the v spinor rows; the emitted photons."""
-    table = dict(legs)
-    kinds = [(_LEGS[base][b], _LEGS[target][table[b]]) for b in _AXES[base]]
-    nf = sum(b[0] != "photon" for b, _ in kinds)
-    sign = np.array([1.0 if b[1] == t[1] else -1.0 for b, t in kinds])
-    emitted = np.array([t[1] == "out" for _, t in kinds[nf:]])
-    return (tuple(table[b] for b in _AXES[base]), nf, sign[:, None, None],
-            [i for i, (_, t) in enumerate(kinds) if t[0] == "e+"],
-            emitted[:, None, None, None])
-
-
-def _evaluate(table: SubstitutionTable, cfg: KinematicConfig, mom: dict,
+def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict,
               alpha: float) -> np.ndarray:
-    """Every helicity amplitude of the table's base topology on the
-    target legs mom (validated), in one stacked pass over the legs; axes
-    (N, *_AXES[table.base]), each renamed by the table."""
+    """Every helicity amplitude of the plan's base topology on the legs
+    mom (validated), in one stacked pass over the legs; axes
+    (N, *plan.axes)."""
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
-    labels, nf, sign, positrons, emitted = _leg_pass(
-        table.base, table.target, tuple(table.legs.items()))
-    p = np.array([mom[lab] for lab in labels])
-    q = p * sign                    # the momenta on the internal lines
+    nf = plan.nf
+    p = np.array([mom[lab] for lab in plan.axes])
+    q = p * plan.sign               # the momenta on the internal lines
     # every spinor (u-bar u = +-2m); the barred leg leads each pair
     u = np.sqrt(2.0 * p[:nf, ..., 0])[..., None, None] * _u_spinors(p[:nf], m)
-    if positrons:
-        u[positrons] = u[positrons][..., _V_ORDER]
+    if plan.positrons:
+        u[plan.positrons] = u[plan.positrons][..., _V_ORDER]
     bar, u = u[::2].conj() * _G0_DIAG, u[1::2]
     if nf < len(p):
         # the target's side decides: emitted legs enter conjugated
         eps = polarization_vectors(p[nf:])
-        np.conjugate(eps, out=eps, where=emitted)
-    if table.base == "compton":
+        np.conjugate(eps, out=eps, where=plan.emitted)
+    if plan.base == "compton":
         return _compton_core(bar[0], u[0], eps[0], eps[1], q[1], q[2], q[3],
                              m, e2)
-    if table.base == "bremsstrahlung":
+    if plan.base == "bremsstrahlung":
         return _coulomb_core(bar[0], u[0], eps[0], q[0], q[1], q[2], m,
                              cfg.Z, e2 * math.sqrt(e2))
-    if table.base == "moller":
-        return _four_fermion_core(bar[0], u[0], bar[1], u[1], q[3] - q[2],
-                                  q[3] - q[0], m, e2)
-    raise DomainError(f"{table.base} is not a base topology")
+    return _four_fermion_core(bar[0], u[0], bar[1], u[1], q[3] - q[2],
+                              q[3] - q[0], m, e2)
 
 
 def _slots(cfg: KinematicConfig) -> tuple:
     """Index of cfg's spins and polarizations on the helicity axes."""
     idx = []
-    for lab in _AXES[cfg.process]:
+    for lab in _PLANS[cfg.process].axes:
         if lab in cfg.spins:
             idx.append(spin_slot(cfg.spins[lab]))
         elif cfg.pols.get(lab) in HELICITIES:
@@ -413,11 +384,11 @@ def amplitude(cfg: KinematicConfig,
     """The reduced amplitude at cfg's spins and polarizations, with its
     ledger."""
     mom = cfg.validate()
-    amps = _evaluate(_TABLES[cfg.process], cfg, mom, alpha)
-    value, res = amps[_slots(cfg)], _residual(cfg.process, mom)
+    plan = _PLANS[cfg.process]
+    value = _evaluate(plan, cfg, mom, alpha)[_slots(cfg)]
     if cfg._is_point():
-        value, res = complex(value[0]), FourVector.from_array(res[0])
-    return ReducedAmplitude(value, _LEDGERS[cfg.process], res)
+        value = complex(value[0])
+    return ReducedAmplitude(value, plan.ledger)
 
 
 # the per-process names of the direct evaluation
@@ -439,7 +410,7 @@ def spin_summed_squared(cfg: KinematicConfig,
     if sides != ["in", "in", "out", "out"]:
         raise DomainError(
             f"spin_summed_squared needs a 2->2 process, got {cfg.process}")
-    amps = _evaluate(_TABLES[cfg.process], cfg, cfg.validate(), alpha)
+    amps = _evaluate(_PLANS[cfg.process], cfg, cfg.validate(), alpha)
     amps = amps.reshape(len(amps), -1)
     total = np.sum(amps.real ** 2 + amps.imag ** 2, axis=1) / 4.0
     return float(total[0]) if cfg._is_point() else total

@@ -20,7 +20,7 @@ from fqed.states import (PHOTON_KINDS, dirac_spinors, photon_state,
                          spin_slot, wave_equation_residual)
 from test_loops import positronium_insertion
 from test_processes import (compton_with_momentum, crossed_amplitudes,
-                            crossed_value)
+                            crossed_value, crossing)
 
 rng = np.random.default_rng(2026)
 
@@ -119,12 +119,12 @@ def test_criterion_7_crossing_consistency():
             pol_i=str(rng.choice(["plus", "minus"])),
             pol_f=str(rng.choice(["plus", "minus"])))
         a = processes.pair_annihilation_amplitude(cfg).value
-        b = crossed_value(processes.COMPTON_TO_ANNIHILATION, cfg)
+        b = crossed_value(crossing("annihilation"), cfg)
         ok = ok and abs(a - b) <= 1e-12 * max(1.0, abs(a))
         # the crossed spin sum against the closed form, which shares no
         # code path with the crossing engine
         m2 = np.sum(np.abs(crossed_amplitudes(
-            processes.COMPTON_TO_ANNIHILATION, cfg)) ** 2) / 4.0
+            crossing("annihilation"), cfg)) ** 2) / 4.0
         oracle = oracles.annihilation_invariant_m2(cfg, ALPHA_DEFAULT)
         ok = ok and abs(m2 - oracle) <= 1e-9 * oracle
     for _ in range(100):
@@ -138,10 +138,10 @@ def test_criterion_7_crossing_consistency():
             s_minus=int(rng.choice([1, -1])),
             pol_i=str(rng.choice(["plus", "minus"])))
         a = processes.pair_production_amplitude(cfg).value
-        b = crossed_value(processes.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION, cfg)
+        b = crossed_value(crossing("pair_production"), cfg)
         ok = ok and abs(a - b) <= 1e-12 * max(1.0, abs(a))
         m2 = np.sum(np.abs(crossed_amplitudes(
-            processes.BREMSSTRAHLUNG_TO_PAIR_PRODUCTION, cfg)) ** 2)
+            crossing("pair_production"), cfg)) ** 2)
         oracle = oracles.coulomb_trace_m2(cfg, ALPHA_DEFAULT)
         ok = ok and abs(m2 - oracle) <= 1e-9 * oracle
     report(7, "crossing substitution equals direct evaluation and the "

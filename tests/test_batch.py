@@ -29,7 +29,7 @@ def boosted(cfg, eta, theta, phi):
     ch, sh = math.cosh(eta), math.sinh(eta)
     legs = {}
     for lab, p in cfg.momenta.items():
-        t, x = p.t, p.spatial()
+        t, x = p.t, p.as_array()[1:]
         along = x @ n
         legs[lab] = FourVector.from_spatial(
             ch * t + sh * along, x + ((ch - 1.0) * along + sh * t) * n)

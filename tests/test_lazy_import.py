@@ -97,8 +97,8 @@ _EXPORTS = {
                "NumericError", "PoleError", "SingularityError"),
     "fourvec": ("FourVector", "minkowski_dot"),
     "ledger": ("NormalizationLedger",),
-    "processes": ("KinematicConfig", "ReducedAmplitude",
-                  "SubstitutionTable", "amplitude", "spin_summed_squared"),
+    "processes": ("KinematicConfig", "ReducedAmplitude", "amplitude",
+                  "spin_summed_squared"),
     "states": ("PhotonSpinor", "photon_state"),
 }
 

@@ -3,12 +3,14 @@
 Every public top-level def and class of src/fqed must be named somewhere
 in src/, demos/ or perfbench/ outside its own definition: by a name, an
 attribute, an import, or a word of a string that is not a docstring (the
-benchmark's tracer names functions as "layer.name" strings). An entry
-point that only tests call fails here; move it to the tests, or delete it
-with its tests.
+benchmark's tracer names functions as "layer.name" strings). Every
+public method of a public class there must be read as an attribute in
+those files outside its own def. An entry point that only tests call
+fails here; move it to the tests, or delete it with its tests.
 """
 
 import ast
+import collections
 import pathlib
 import re
 
@@ -25,6 +27,8 @@ EXCEPTIONS = {
     "derivative": "the classical equations' one right-hand side, the "
                   "documented API of the dynamics docstring; integrate "
                   "runs its stage core directly",
+    "conservation_residual": "kept for the observability item, which "
+                             "reports the tree conservation residual",
 }
 
 
@@ -71,6 +75,32 @@ def _census():
     return definitions, references
 
 
+def _attributes(node) -> collections.Counter:
+    """How often the subtree reads each attribute name."""
+    return collections.Counter(sub.attr for sub in ast.walk(node)
+                               if isinstance(sub, ast.Attribute))
+
+
+def _method_census():
+    """(methods, attributes): methods maps each public method of a public
+    top-level class of src/fqed, as (class, method), to how often its own
+    def reads its name as an attribute; attributes counts the attribute
+    names read over every .py file under the scanned directories."""
+    methods, attributes = {}, collections.Counter()
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            attributes += _attributes(tree)
+            methods.update(
+                ((cls.name, fn.name), _attributes(fn)[fn.name])
+                for cls in tree.body if top == "src"
+                and isinstance(cls, ast.ClassDef)
+                and not cls.name.startswith("_")
+                for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                and not fn.name.startswith("_"))
+    return methods, attributes
+
+
 def test_every_public_definition_is_reached():
     definitions, references = _census()
     assert {"amplitude", "integrate", "KinematicConfig"} <= definitions.keys()
@@ -83,11 +113,26 @@ def test_every_public_definition_is_reached():
         f"only tests reach {unreached}: move them to tests/ or delete them")
 
 
+def test_every_public_method_is_reached():
+    methods, attributes = _method_census()
+    assert {("KinematicConfig", "validate"),
+            ("FourVector", "as_array")} <= methods.keys()
+    unreached = sorted(f"{cls}.{name}" for (cls, name), own in methods.items()
+                       if name not in EXCEPTIONS and attributes[name] <= own)
+    assert not unreached, (
+        f"only tests reach {unreached}: move them to tests/ or delete them")
+
+
 def test_exceptions_are_current():
-    """Each exception still names a definition that no scanned file
-    names, so the list cannot go stale."""
+    """Each exception still names a definition or method that no
+    scanned file reaches, so the list cannot go stale."""
     definitions, references = _census()
+    methods, attributes = _method_census()
     for name in EXCEPTIONS:
-        assert name in definitions, name
-        assert not any(name in names for key, names in references.items()
-                       if key != definitions[name]), name
+        if name in definitions:
+            assert not any(name in names for key, names in references.items()
+                           if key != definitions[name]), name
+        else:
+            owners = [own for (_, m), own in methods.items() if m == name]
+            assert owners, name
+            assert all(attributes[name] <= own for own in owners), name
