@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -110,26 +111,71 @@ def _config(args) -> dict:
             and v is not None}
 
 
-def _column_cells(c: np.ndarray, csv: bool) -> list:
-    """The text of each cell of a column (of one block of rows): str for
-    CSV, JSON otherwise. A float64 column of two or more rows whose cells
-    all have the bytes of the first (so -0.0 is not 0.0) is formatted
-    once. The bytes are compared only where the last cell equals the
-    first, so that other columns (and NaN ones) pay one float
-    comparison: on a short table the full test would cost more than it
-    saves."""
-    v = c.tolist()
-    if len(v) > 1 and v[-1] == v[0] and c.dtype == np.float64:
-        bits = c.tobytes()
-        if bits == bits[:8] * len(v):
-            return [str(v[0]) if csv else json.dumps(v[0])] * len(v)
+# a float64 column of a block of at least this many rows is tested for
+# repeats on its bits: the test costs about 2 us a column, 2-3% of the
+# repr of 100 cells (70 us, 2 vCPU x86_64); shorter blocks (single
+# points, the 24- to 72-row tree sweeps) have no repeating column that
+# is not constant, and keep one float comparison
+_REPEAT_ROWS = 100
+# the share of a column's cells other than +0.0 that equal the one
+# before among them, from which each distinct bit pattern is spelled
+# once: np.unique and the indexing cost about 40 us a 1024-row block
+# against 480 us of repr of 17-digit cells, so this pays where at most
+# about 90% of the patterns differ, which 1/16 equal neighbours all but
+# ensures (a trajectory's H: 8-42% equal, 24-48% distinct). +0.0 is
+# left out: its repr costs 0.1 us, and counted, a run of it beside
+# distinct cells (an imaginary part below a threshold) made the
+# benchmark's timelike vacuum-pol sweeps 3% slower
+_REPEAT_FRACTION = 1 / 16
+
+
+def _column_cells(c: np.ndarray, csv: bool) -> tuple:
+    """(cells, same): the text of each cell of a column of one block of
+    rows, repr for CSV (str for bool and text columns) and JSON
+    otherwise, and whether the column has one text. That is so for a
+    float64 column of two or more rows whose cells all have the bytes
+    of the first (so -0.0 is not 0.0): its one text is formatted once.
+    In a block of _REPEAT_ROWS rows or more, equal neighbours are
+    counted on the column's int64 bit view before any cell becomes a
+    Python float: all equal is a constant column, and where at least
+    _REPEAT_FRACTION of the cells other than +0.0 equal the one before
+    among them, each distinct bit pattern is spelled once (np.unique)
+    and the texts are indexed with the inverse. A shorter block
+    compares the bytes only where the last cell equals the first, so
+    that other columns (and NaN ones) pay one float comparison."""
+    n, inverse = len(c), None
+    if n >= _REPEAT_ROWS and c.dtype == np.float64:
+        bits = c.view(np.int64)
+        same = bits[1:] == bits[:-1]
+        if same.all():
+            v = c[:1].tolist()
+        else:
+            nonzero = bits[bits != 0] if same.any() else bits[:1]
+            if (np.count_nonzero(nonzero[1:] == nonzero[:-1])
+                    >= _REPEAT_FRACTION * len(nonzero)):
+                bits, inverse = np.unique(bits, return_inverse=True)
+                v = bits.view(np.float64).tolist()
+            else:
+                v = c.tolist()
+    else:
+        v = c.tolist()
+        if n > 1 and v[-1] == v[0] and c.dtype == np.float64:
+            bits = c.tobytes()
+            if bits == bits[:8] * n:
+                v = v[:1]
+    kind = c.dtype.kind
     if csv:
-        # str of a Python float (from tolist) is its round-trip repr
-        return list(map(str, v))
-    # repr of a finite float is its JSON, and a float column with a
-    # finite sum holds only finite floats; json.dumps spells the rest
-    finite = c.dtype.kind == "f" and math.isfinite(sum(v))
-    return list(map(repr if finite else json.dumps, v))
+        # repr of a Python number (from tolist) is its str, without the
+        # type call
+        cells = list(map(repr if kind in "fiuc" else str, v))
+    else:
+        # repr of a finite float is its JSON, and a float column with a
+        # finite sum holds only finite floats; json.dumps spells the rest
+        finite = kind == "f" and math.isfinite(sum(v))
+        cells = list(map(repr if finite else json.dumps, v))
+    if inverse is not None:
+        return np.array(cells, dtype=object)[inverse].tolist(), False
+    return (cells * n, True) if len(v) < n else (cells, False)
 
 
 # rows per block of table text: the writer holds the cells and the text
@@ -140,25 +186,23 @@ _BLOCK_ROWS = 1024
 def _rows_text(names, cols, csv: bool) -> str:
     """The text of the rows of one block of columns: each row's cells
     joined by commas and ended by a newline, or each row's JSON object
-    (indent=1, one level into "rows") joined by ",\n"."""
-    cells = [_column_cells(c, csv) for c in cols]
+    (indent=1, one level into "rows") joined by ",\n". A JSON block is
+    one `%` format of its rows' joined template over its varying cells,
+    row by row; a column of one text is written into the template."""
+    cells, same = zip(*[_column_cells(c, csv) for c in cols])
     if csv:
         return "\n".join([*map(",".join, zip(*cells)), ""])
-    # a column of two or more rows whose cells all have one text is
-    # written into the row template once (escaped for %, as a string
-    # cell may hold one); only the other columns are substituted
-    same = [len(c) > 1 and c[-1] == c[0] and c.count(c[0]) == len(c)
-            for c in cells]
+    # the one text of a column (escaped for %, as a string cell may hold
+    # one) goes into the row template; only the other columns are
+    # substituted
     row = "  {\n" + ",\n".join(
         f"   {json.dumps(k).replace('%', '%%')}: "
         + (c[0].replace("%", "%%") if s else "%s")
         for k, c, s in zip(names, cells, same)
     ) + "\n  }"
-    n = len(cells[0])
-    cells = [c for c, s in zip(cells, same) if not s]
-    # where no column varies, every row is the template alone
-    return ",\n".join([row % r for r in zip(*cells)] if cells
-                      else [row % ()] * n)
+    varying = [c for c, s in zip(cells, same) if not s]
+    return ",\n".join([row] * len(cells[0])) % tuple(
+        itertools.chain.from_iterable(zip(*varying)))
 
 
 def _write_table(args, table: dict):
@@ -166,8 +210,9 @@ def _write_table(args, table: dict):
     blocks of _BLOCK_ROWS rows: the CSV header or the JSON head goes out
     with the first block and the JSON close with the last, and a table
     of one block is one write. Within a block the cells are formatted
-    column by column (a column constant over the block once), and the
-    bytes are those of joining each row's cells with commas, or of
+    column by column (a column constant over the block once, a
+    repeating one once per distinct bit pattern), and the bytes are
+    those of joining each row's cells with commas, or of
     `json.dumps` of {"config", "rows": [a dict per row]}, indent=1."""
     csv = args.format == "csv"
     cols = [np.asarray(v) for v in table.values()]
@@ -221,12 +266,20 @@ def _check_mass_alpha(args) -> None:
 
 def _finite(table: dict) -> dict:
     """table's columns as arrays, the float and complex ones checked: a
-    non-finite (overflowed) cell is a NumericError naming its columns."""
+    non-finite (overflowed) cell is a NumericError naming its columns.
+    Each block of _BLOCK_ROWS rows is tested with one np.isfinite over
+    those columns' cells in it, concatenated (never the whole table's);
+    the columns are walked, to name the bad ones, only when that fails."""
     cols = {k: np.asarray(v) for k, v in table.items()}
-    bad = [k for k, c in cols.items()
-           if c.dtype.kind in "fc" and not np.isfinite(c).all()]
-    if bad:
-        raise NumericError(f"not finite (overflow): {', '.join(bad)}")
+    checked = [c for c in cols.values() if c.dtype.kind in "fc"]
+    n = max(map(len, checked), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = (checked if n <= _BLOCK_ROWS
+                 else [c[start:start + _BLOCK_ROWS] for c in checked])
+        if not np.isfinite(np.concatenate(block)).all():
+            bad = [k for k, c in cols.items()
+                   if c.dtype.kind in "fc" and not np.isfinite(c).all()]
+            raise NumericError(f"not finite (overflow): {', '.join(bad)}")
     return cols
 
 

@@ -178,6 +178,21 @@ class TestExitCodes:
             cli._finite(table)
         assert str(exc.value) == "not finite (overflow): im_shift"
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_finite_names_bad_columns_of_any_block(self, rows):
+        """Each block is tested at once, and a failing one names every
+        bad column of the table, in table order: here a NaN in the last
+        block and an inf in an earlier one."""
+        table = {"a": np.ones(rows), "b": np.ones(rows, dtype=complex),
+                 "level": ["x"] * rows, "c": np.ones(rows)}
+        with mock.patch.object(cli, "_BLOCK_ROWS", 2):
+            assert list(cli._finite(table)) == ["a", "b", "level", "c"]
+            table["c"][-1] = math.nan
+            table["b"][0] = complex(0.0, math.inf)
+            with pytest.raises(NumericError) as exc:
+                cli._finite(table)
+        assert str(exc.value) == "not finite (overflow): b, c"
+
 
 # every option each subcommand declares
 OPTIONS = {
@@ -541,6 +556,48 @@ def blocked_tables(draw):
     return table, block
 
 
+# cells whose text a memo keyed by the float would get wrong (0.0 ==
+# -0.0; NaN != NaN, of either sign), infinities, a subnormal and
+# 17-digit values
+REPEAT_POOL = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+               5e-324, 0.1 + 0.2, -1 / 3, 2.718281828459045e-300)
+
+
+@st.composite
+def repeating_column(draw, n):
+    """n cells from REPEAT_POOL in runs of equal cells, so that a long
+    block's equal neighbours pass the writer's repeat fraction; at times
+    one cell is any float."""
+    cells = []
+    while len(cells) < n:
+        cells += [draw(st.sampled_from(REPEAT_POOL))] * draw(
+            st.integers(1, 40))
+    del cells[n:]
+    if n and draw(st.booleans()):
+        cells[draw(st.integers(0, n - 1))] = draw(st.floats())
+    return cells
+
+
+@st.composite
+def repeating_tables(draw):
+    """(table, rows per block): one to three repeating float columns
+    beside at times a constant, a varying or a text column, at blocks
+    of 20 rows more than the writer's repeat threshold; the last block
+    falls on either side of that threshold."""
+    block = cli._REPEAT_ROWS + 20
+    n = draw(st.integers(0, 3 * block))
+    table = {f"r{i}": draw(repeating_column(n))
+             for i in range(draw(st.integers(1, 3)))}
+    extra = draw(st.sampled_from([None, "constant", "varying", "text"]))
+    if extra == "constant":
+        table["c"] = [draw(st.sampled_from(REPEAT_POOL))] * n
+    elif extra == "varying":
+        table["v"] = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    elif extra == "text":
+        table["t"] = draw(st.lists(cell_text, min_size=n, max_size=n))
+    return table, block
+
+
 class _CountedWrites(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -549,6 +606,25 @@ class _CountedWrites(io.StringIO):
     def write(self, s):
         self.calls += 1
         return super().write(s)
+
+
+def check_blocks(table, block, fmt, to_file):
+    """Write the table at `block` rows a block, to stdout or to -o FILE:
+    its bytes must be those of the whole-row formulas, and it must go
+    out in one write per block (one for an empty table)."""
+    n = len(next(iter(table.values())))
+    sink = _CountedWrites()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "_BLOCK_ROWS", block), \
+            contextlib.redirect_stdout(sink):
+        target = os.path.join(tmp, "table") if to_file else "-"
+        args = argparse.Namespace(format=fmt, output=target, mass=1.0)
+        cli._write_table(args, table)
+        got = (pathlib.Path(target).read_bytes().decode("utf-8")
+               if to_file else sink.getvalue())
+    assert got == oracles.table_text(cli._config(args), fmt, table)
+    if not to_file:
+        assert sink.calls == max(1, -(-n // block))
 
 
 class TestWriter:
@@ -611,20 +687,46 @@ class TestWriter:
         """Streamed in blocks of 1 to 3 rows, to stdout or to -o FILE,
         the bytes are those of the whole-row formulas, and a table goes
         out in one write per block (one for an empty table)."""
-        table, block = case
-        n = len(next(iter(table.values())))
-        sink = _CountedWrites()
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli, "_BLOCK_ROWS", block), \
-                contextlib.redirect_stdout(sink):
-            target = os.path.join(tmp, "table") if to_file else "-"
-            args = argparse.Namespace(format=fmt, output=target, mass=1.0)
-            cli._write_table(args, table)
-            got = (pathlib.Path(target).read_bytes().decode("utf-8")
-                   if to_file else sink.getvalue())
-        assert got == oracles.table_text(cli._config(args), fmt, table)
-        if not to_file:
-            assert sink.calls == max(1, -(-n // block))
+        check_blocks(*case, fmt, to_file)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=repeating_tables(), fmt=st.sampled_from(["csv", "json"]),
+           to_file=st.booleans())
+    # the last block one row short of the threshold, then at it
+    @example(case=({"r": [0.0] * 60 + [-0.0] * 119 + [math.nan] * 40},
+                   cli._REPEAT_ROWS + 20), fmt="json", to_file=False)
+    @example(case=({"r": [-math.nan] * 130 + [math.inf, 5e-324] * 45},
+                   cli._REPEAT_ROWS + 20), fmt="csv", to_file=True)
+    def test_repeating_columns_match_row_formulas(self, case, fmt, to_file):
+        """Columns of long blocks that repeat values, spelled once per
+        bit pattern, give the bytes of the whole-row formulas, to stdout
+        or to -o FILE, in one write per block."""
+        check_blocks(*case, fmt, to_file)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_classical_repeating_columns_spelled_once(self, capsys, fmt):
+        """A real trajectory's conserved zbar_z and H columns go through
+        np.unique of their bits in every full block, and the table's
+        bytes are those of the whole-row formulas."""
+        argv = ["classical", "--pz", "0.8", "--tau-max", "2.048", "--dt",
+                "0.001", "--format", fmt]
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            rc, out, err = run_capture(capsys, argv)
+        assert (rc, err) == (0, "")
+        spelled = [call.args[0].tobytes() for call in unique.call_args_list]
+        z0 = np.array([0.7071067811865476, 0, 0.7071067811865476, 0],
+                      dtype=complex)
+        p = FourVector(math.sqrt(1.0 + 0.8 * 0.8), 0.0, 0.0, 0.8)
+        table = trajectory_columns(integrate(
+            ElectronState(FourVector(0, 0, 0, 0), p, z0), None,
+            (0.0, 2.048), 0.001))
+        assert len(table["tau"]) == 2 * cli._BLOCK_ROWS + 1
+        for name in ("zbar_z", "H"):
+            for start in (0, cli._BLOCK_ROWS):
+                block = table[name][start:start + cli._BLOCK_ROWS]
+                assert block.tobytes() in spelled, (name, start)
+        config = cli._config(cli._parser().parse_args(argv))
+        assert out == oracles.table_text(config, fmt, table)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("rows", [
