@@ -320,7 +320,7 @@ def _cmd_annihilate(args):
 
 
 def _coulomb_cmd(args, params, builder):
-    """brems and pairprod: two energies, two angles, one helicity."""
+    """brems and pairprod: two energies, two angles, every leg at slot 0."""
     from . import processes
     esc = _escale(args)
     g = _grid(args, params)
@@ -328,7 +328,7 @@ def _coulomb_cmd(args, params, builder):
     cfg = getattr(processes, builder)(
         *(g[p] for p in energies), *(np.radians(g[p]) for p in angles),
         Z=args.Z, mass=args.mass)
-    m = processes.amplitude(cfg, args.alpha).value
+    m = processes.amplitude(cfg, args.alpha).value[:, 0, 0, 0]
     return {**{p: g[p] * esc for p in energies},
             **{p + "_deg": g[p] for p in angles},
             "re_M": m.real, "im_M": m.imag, "abs2_M": np.abs(m) ** 2}
@@ -475,16 +475,17 @@ def _cmd_selftest(args):
         return abs(processes.spin_summed_squared(cfg) - want) <= 1e-12 * want
 
     def exchange():
+        # every helicity amplitude against the one with the final
+        # electrons' momenta and slot axes swapped
         cfg = processes.moller_cm_config(1.5, 0.8, 0.2)
         swapped = dict(cfg.momenta)
         swapped["p_f1"], swapped["p_f2"] = swapped["p_f2"], swapped["p_f1"]
-        spins = dict(cfg.spins)
-        spins["p_f1"], spins["p_f2"] = spins["p_f2"], spins["p_f1"]
-        c2 = processes.KinematicConfig("moller", swapped, spins, {},
-                                       mass=cfg.mass)
-        a = processes.electron_electron_amplitude(cfg).value
-        b = processes.electron_electron_amplitude(c2).value
-        return abs(a + b) <= 1e-12 * max(1.0, abs(a))
+        c2 = processes.KinematicConfig("moller", swapped, mass=cfg.mass)
+        amp = processes.electron_electron_amplitude(cfg)
+        a, b = amp.value, np.swapaxes(
+            processes.electron_electron_amplitude(c2).value,
+            amp.axes.index("p_f1"), amp.axes.index("p_f2"))
+        return (np.abs(a + b) <= 1e-12 * np.maximum(1.0, np.abs(a))).all()
 
     check("clifford-algebra", clifford)
     check("dirac-residual", dirac_residual)

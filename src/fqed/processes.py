@@ -13,15 +13,18 @@ Conventions
 * Photon vertices use transverse polarization four-vectors (the
   eps-slash form of the final matrix elements).
 
-Batches
--------
+Batches and helicities
+----------------------
 A KinematicConfig holds one point (FourVector legs) or N points ((N, 4)
 array legs). Evaluation validates all legs at once, then makes one
 stacked leg pass: one build of every spinor (a v spinor is the u spinor
 with its halves swapped) and one of every photon's polarization vectors.
 Each topology core contracts them with einsum into every helicity
-amplitude of every point. One point is a batch of one through the same
-code and returns Python scalars.
+amplitude of every point, and `amplitude` returns them all: one slot
+axis per leg, slot 0 spin up (the spinor built on chi_up, as in
+states.dirac_spinors) or helicity plus, slot 1 spin down or helicity
+minus. One point is a batch of one through the same code, without the
+batch axis.
 
 Crossing
 --------
@@ -45,7 +48,7 @@ renamed through the map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -57,8 +60,7 @@ from .constants import ALPHA_DEFAULT
 from .errors import DomainError, reject
 from .fourvec import FourVector, _components, minkowski_dot
 from .propagators import coulomb_line, fermion_line, photon_line
-from .states import (HELICITIES, _u_spinors, _V_ORDER, polarization_vectors,
-                     spin_slot)
+from .states import _u_spinors, _V_ORDER, polarization_vectors
 
 # validate's tolerance: on shell and lightlike in units of m^2,
 # conservation in units of m
@@ -115,15 +117,12 @@ class KinematicConfig:
 
     momenta is keyed by leg label: a FourVector per leg for one point,
     or an (N, 4) array of contravariant components per leg for N points.
-    spins/pols pick the helicity configuration the amplitude functions
-    report: spins are +-1 (meaning s = +-1/2), pols are 'plus' or
-    'minus'. Spin sums run over all of them.
+    It fixes no helicity: amplitude returns every helicity amplitude,
+    and spin sums run over all of them.
     """
 
     process: str
     momenta: dict
-    spins: dict[str, int] = field(default_factory=dict)
-    pols: dict[str, str] = field(default_factory=dict)
     Z: float = 1.0
     mass: float = 1.0
 
@@ -201,8 +200,9 @@ def _residual(process: str, mom: dict) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReducedAmplitude:
-    value: complex                  # (N,) complex array for N points
+    value: np.ndarray       # axes (N, 2, ..., 2), without N for one point
     ledger: _ledger.NormalizationLedger
+    axes: tuple             # the leg label of each slot axis of value
 
 
 # -- core topologies -----------------------------------------------------
@@ -365,30 +365,16 @@ def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict,
                               q[3] - q[0], m, e2)
 
 
-def _slots(cfg: KinematicConfig) -> tuple:
-    """Index of cfg's spins and polarizations on the helicity axes."""
-    idx = []
-    for lab in _PLANS[cfg.process].axes:
-        if lab in cfg.spins:
-            idx.append(spin_slot(cfg.spins[lab]))
-        elif cfg.pols.get(lab) in HELICITIES:
-            idx.append(HELICITIES.index(cfg.pols[lab]))
-        else:
-            raise DomainError(f"{lab} needs a spin or a transverse "
-                              f"polarization, got {cfg.pols.get(lab)}")
-    return (slice(None), *idx)
-
-
 def amplitude(cfg: KinematicConfig,
               alpha: float = ALPHA_DEFAULT) -> ReducedAmplitude:
-    """The reduced amplitude at cfg's spins and polarizations, with its
-    ledger."""
+    """Every reduced helicity amplitude of cfg, with its ledger: one slot
+    axis per leg, named in axes (slot 0 spin up or helicity plus, slot 1
+    spin down or helicity minus), after the N axis of N points."""
     mom = cfg.validate()
     plan = _PLANS[cfg.process]
-    value = _evaluate(plan, cfg, mom, alpha)[_slots(cfg)]
-    if cfg._is_point():
-        value = complex(value[0])
-    return ReducedAmplitude(value, plan.ledger)
+    value = _evaluate(plan, cfg, mom, alpha)
+    return ReducedAmplitude(value[0] if cfg._is_point() else value,
+                            plan.ledger, plan.axes)
 
 
 # the per-process names of the direct evaluation
@@ -456,8 +442,7 @@ def _direction(theta, phi):
             np.cos(theta))
 
 
-def _config(process: str, legs: dict, spins: dict, pols: dict,
-            **kwargs) -> KinematicConfig:
+def _config(process: str, legs: dict, **kwargs) -> KinematicConfig:
     """legs maps each label to its (t, x, y, z), broadcast together."""
     comps = [c for leg in legs.values() for c in leg]
     shape = np.broadcast(*comps).shape
@@ -466,8 +451,7 @@ def _config(process: str, legs: dict, spins: dict, pols: dict,
         arrays[(i // 4, ..., i % 4)] = c
     if not shape:
         arrays = [FourVector.from_array(v) for v in arrays]
-    return KinematicConfig(process, dict(zip(legs, arrays)), spins, pols,
-                           **kwargs)
+    return KinematicConfig(process, dict(zip(legs, arrays)), **kwargs)
 
 
 def compton_omega_out(omega_in, theta, mass: float = 1.0):
@@ -476,8 +460,6 @@ def compton_omega_out(omega_in, theta, mass: float = 1.0):
 
 
 def compton_lab_config(omega_in, theta, phi=0.0,
-                       s_i: int = +1, s_f: int = +1,
-                       pol_i: str = "plus", pol_f: str = "plus",
                        mass: float = 1.0) -> KinematicConfig:
     """Electron at rest, photon along +z, scattering at (theta, phi)."""
     _guard(("omega_in", omega_in, 0.0), theta=theta, phi=phi)
@@ -491,16 +473,13 @@ def compton_lab_config(omega_in, theta, phi=0.0,
          "p_f": (np.sqrt(px * px + py * py + pz * pz + mass * mass),
                  px, py, pz),
          "k_i": (omega_in, 0.0, 0.0, omega_in),
-         "k_f": (w2, w2 * nx, w2 * ny, w2 * nz)},
-        {"p_i": s_i, "p_f": s_f}, {"k_i": pol_i, "k_f": pol_f}, mass=mass)
+         "k_f": (w2, w2 * nx, w2 * ny, w2 * nz)}, mass=mass)
 
 
 def annihilation_cm_config(pmag, theta, phi=0.0,
-                           s_minus: int = +1, s_plus: int = +1,
-                           pol_i: str = "plus", pol_f: str = "plus",
                            mass: float = 1.0) -> KinematicConfig:
     """e- e+ back to back along z; photons back to back at (theta, phi)."""
-    _guard(("|p|", pmag, 0.0), theta=theta, phi=phi)
+    _guard(("pmag", pmag, 0.0), theta=theta, phi=phi)
     E = np.sqrt(pmag * pmag + mass * mass)
     nx, ny, nz = _direction(theta, phi)
     return _config(
@@ -508,45 +487,37 @@ def annihilation_cm_config(pmag, theta, phi=0.0,
         {"p_minus": (E, 0.0, 0.0, pmag),
          "p_plus": (E, 0.0, 0.0, -pmag),
          "k_i": (E, E * nx, E * ny, E * nz),
-         "k_f": (E, -E * nx, -E * ny, -E * nz)},
-        {"p_minus": s_minus, "p_plus": s_plus},
-        {"k_i": pol_i, "k_f": pol_f}, mass=mass)
+         "k_f": (E, -E * nx, -E * ny, -E * nz)}, mass=mass)
 
 
-def moller_cm_config(E, theta, phi=0.0, spins: dict | None = None,
-                     mass: float = 1.0,
+def moller_cm_config(E, theta, phi=0.0, mass: float = 1.0,
                      process: str = "moller") -> KinematicConfig:
     """Symmetric CM collision at beam energy E per particle."""
-    _guard(("beam energy", E, mass), theta=theta, phi=phi)
+    _guard(("energy", E, mass), theta=theta, phi=phi)
     pmag = np.sqrt(E * E - mass * mass)
     nx, ny, nz = _direction(theta, phi)
     # in along +z, in along -z, out along n, out along -n
-    labels = tuple(_LEGS[process])
-    legs = dict(zip(labels, (
+    legs = dict(zip(_LEGS[process], (
         (E, 0.0, 0.0, pmag),
         (E, 0.0, 0.0, -pmag),
         (E, pmag * nx, pmag * ny, pmag * nz),
         (E, -pmag * nx, -pmag * ny, -pmag * nz))))
-    if spins is None:
-        spins = {lab: +1 for lab in labels}
-    return _config(process, legs, dict(spins), {}, mass=mass)
+    return _config(process, legs, mass=mass)
 
 
-def bhabha_cm_config(E, theta, phi=0.0, spins: dict | None = None,
+def bhabha_cm_config(E, theta, phi=0.0,
                      mass: float = 1.0) -> KinematicConfig:
-    return moller_cm_config(E, theta, phi, spins, mass, process="bhabha")
+    return moller_cm_config(E, theta, phi, mass, process="bhabha")
 
 
 def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
-                          phi_e=0.0, phi_k=0.0,
-                          s_i: int = +1, s_f: int = +1,
-                          pol_f: str = "plus", Z: float = 1.0,
+                          phi_e=0.0, phi_k=0.0, Z: float = 1.0,
                           mass: float = 1.0) -> KinematicConfig:
     """Electron E_i along z radiates omega_f; energy conservation only."""
     # an E_f that overflows or is inf - inf has an input refused first
     with np.errstate(over="ignore", invalid="ignore"):
         E_f = E_i - omega_f
-    _guard(("incident energy", E_i, mass), ("omega_f", omega_f, 0.0),
+    _guard(("e_in", E_i, mass), ("omega", omega_f, 0.0),
            ("final electron energy", E_f, mass), theta_e=theta_e,
            theta_k=theta_k, phi_e=phi_e, phi_k=phi_k)
     pf = np.sqrt(E_f * E_f - mass * mass)
@@ -557,19 +528,17 @@ def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
         {"p_i": (E_i, 0.0, 0.0, np.sqrt(E_i * E_i - mass * mass)),
          "p_f": (E_f, pf * ex, pf * ey, pf * ez),
          "k_f": (omega_f, omega_f * kx, omega_f * ky, omega_f * kz)},
-        {"p_i": s_i, "p_f": s_f}, {"k_f": pol_f}, Z=Z, mass=mass)
+        Z=Z, mass=mass)
 
 
 def pair_production_config(omega_i, E_plus, theta_p, theta_m,
-                           phi_p=0.0, phi_m=math.pi,
-                           s_plus: int = +1, s_minus: int = +1,
-                           pol_i: str = "plus", Z: float = 1.0,
+                           phi_p=0.0, phi_m=math.pi, Z: float = 1.0,
                            mass: float = 1.0) -> KinematicConfig:
     """Photon omega_i along z converts; E_minus fixed by energy balance."""
     # an E_minus that overflows or is inf - inf has an input refused first
     with np.errstate(over="ignore", invalid="ignore"):
         E_minus = omega_i - E_plus
-    _guard(("photon energy", omega_i, 2.0 * mass), ("E_plus", E_plus, mass),
+    _guard(("omega_in", omega_i, 2.0 * mass), ("e_plus", E_plus, mass),
            ("E_minus", E_minus, mass), theta_p=theta_p, theta_m=theta_m,
            phi_p=phi_p, phi_m=phi_m)
     pp = np.sqrt(E_plus * E_plus - mass * mass)
@@ -581,5 +550,4 @@ def pair_production_config(omega_i, E_plus, theta_p, theta_m,
         {"k_i": (omega_i, 0.0, 0.0, omega_i),
          "p_plus": (E_plus, pp * px, pp * py, pp * pz),
          "p_minus": (E_minus, pm * mx, pm * my, pm * mz)},
-        {"p_plus": s_plus, "p_minus": s_minus}, {"k_i": pol_i},
         Z=Z, mass=mass)

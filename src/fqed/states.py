@@ -40,13 +40,6 @@ HELICITIES = ("plus", "minus")
 _V_ORDER = [2, 3, 0, 1]     # v(p, s) is u(p, s) with its halves swapped
 
 
-def spin_slot(s) -> int:
-    """Slot of a spin label (+-1/2 or +-1): 0 for spin up, 1 for down."""
-    if s in (+1, -1) or abs(abs(float(s)) - 0.5) < 1e-12:
-        return 0 if s > 0 else 1
-    raise DomainError(f"spin label must be +-1/2, got {s}")
-
-
 @dataclass(frozen=True)
 class PhotonSpinor:
     components: np.ndarray          # 4 complex in C^2 (x) C^2

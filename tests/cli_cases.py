@@ -139,8 +139,7 @@ for value in ("nan", "inf", "-inf"):
              key=f"{value}-{sub}-{option}")
 
 case("domain_error", "pairprod --omega-in 1.0", 2,
-     err="domain error: photon energy must exceed 2: photon energy = "
-         "1.000e+00\n")
+     err="domain error: omega_in must exceed 2: omega_in = 1.000e+00\n")
 
 for argv in ("vacuum-pol --k2 1 --mass 0", "vacuum-pol --k2 1 --mass -1",
              "self-energy --mass nan", "compton --alpha nan",
@@ -371,13 +370,13 @@ for argv, message in (("classical --z -x,0", "expected one argument"),
 # a non-finite energy is named, not met later as a leg off its shell
 for argv, name in (("compton --omega-in inf", "omega_in"),
                    ("compton --omega-in nan", "omega_in"),
-                   ("annihilate --pmag inf", "|p|"),
-                   ("moller --energy inf", "beam energy"),
-                   ("bhabha --energy -inf", "beam energy"),
-                   ("brems --e-in inf", "incident energy"),
-                   ("brems --omega inf", "omega_f"),
-                   ("pairprod --omega-in inf", "photon energy"),
-                   ("pairprod --e-plus inf", "E_plus")):
+                   ("annihilate --pmag inf", "pmag"),
+                   ("moller --energy inf", "energy"),
+                   ("bhabha --energy -inf", "energy"),
+                   ("brems --e-in inf", "e_in"),
+                   ("brems --omega inf", "omega"),
+                   ("pairprod --omega-in inf", "omega_in"),
+                   ("pairprod --e-plus inf", "e_plus")):
     case("non_finite_energy_named", argv, 2,
          err=f"domain error: {name} must be finite: {name} = "
              f"{float(argv.split()[-1]):.3e}\n")
@@ -388,20 +387,20 @@ for argv, message in (
         ("compton --sweep omega_in:-1:1:3 --omega-in -1 --theta nan",
          "omega_in must exceed 0: omega_in = -1.000e+00"),
         ("annihilate --sweep pmag:1:0:3 --pmag 1 --theta inf",
-         "|p| must exceed 0: |p| = 0.000e+00"),
+         "pmag must exceed 0: pmag = 0.000e+00"),
         ("moller --sweep energy:2:0.5:3 --energy 2 --theta nan",
-         "beam energy must exceed 1: beam energy = 5.000e-01"),
+         "energy must exceed 1: energy = 5.000e-01"),
         ("bhabha --sweep theta:10:20:2 --theta 10 --energy 0.5",
-         "beam energy must exceed 1: beam energy = 5.000e-01"),
+         "energy must exceed 1: energy = 5.000e-01"),
         ("brems --sweep omega:0.5:1.5:3 --omega 0.5 --theta-e nan",
          "final electron energy must exceed 1: final electron energy = "
          "1.000e+00"),
         ("brems --sweep e_in:2:0.5:2 --e-in 2 --omega 1.2",
-         "incident energy must exceed 1: incident energy = 5.000e-01"),
+         "e_in must exceed 1: e_in = 5.000e-01"),
         ("pairprod --sweep e_plus:0.5:2.5:3 --e-plus 0.5 --theta-m inf",
-         "E_plus must exceed 1: E_plus = 5.000e-01"),
+         "e_plus must exceed 1: e_plus = 5.000e-01"),
         ("pairprod --sweep omega_in:3:2:2 --omega-in 3 --theta-p nan",
-         "photon energy must exceed 2: photon energy = 2.000e+00")):
+         "omega_in must exceed 2: omega_in = 2.000e+00")):
     case("first_failing_input", argv, 2, err=f"domain error: {message}\n")
 
 

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 import math
 
 import numpy as np
@@ -33,8 +32,7 @@ def boosted(cfg, eta, theta, phi):
         along = x @ n
         legs[lab] = FourVector.from_spatial(
             ch * t + sh * along, x + ((ch - 1.0) * along + sh * t) * n)
-    return pr.KinematicConfig(cfg.process, legs, cfg.spins, cfg.pols,
-                              cfg.Z, cfg.mass)
+    return pr.KinematicConfig(cfg.process, legs, cfg.Z, cfg.mass)
 
 
 @settings(max_examples=40)
@@ -69,19 +67,14 @@ def test_annihilation_spin_sum_matches_invariant_oracle(pmag, theta, phi, eta,
     assert abs(pr.spin_summed_squared(cfg) - oracle) <= 1e-9 * oracle
 
 
-# the external-Coulomb builders from six uniform draws, and the names of
-# their spin and helicity arguments
+# the external-Coulomb builders from six uniform draws
 COULOMB = {
-    "bremsstrahlung": (
-        lambda u, v, a, b, c, d, Z, hel: pr.bremsstrahlung_config(
-            1.2 + 4 * u, 0.05 + (0.05 + 4 * u) * v, 0.1 + 3 * a,
-            0.1 + 3 * b, 6.2 * c, 6.2 * d, Z=Z, **hel),
-        ("s_i", "s_f", "pol_f")),
-    "pair_production": (
-        lambda u, v, a, b, c, d, Z, hel: pr.pair_production_config(
-            2.3 + 4 * u, 1.05 + (0.2 + 4 * u) * v, 0.1 + 3 * a,
-            0.1 + 3 * b, 6.2 * c, 6.2 * d, Z=Z, **hel),
-        ("s_plus", "s_minus", "pol_i")),
+    "bremsstrahlung": lambda u, v, a, b, c, d, Z: pr.bremsstrahlung_config(
+        1.2 + 4 * u, 0.05 + (0.05 + 4 * u) * v, 0.1 + 3 * a, 0.1 + 3 * b,
+        6.2 * c, 6.2 * d, Z=Z),
+    "pair_production": lambda u, v, a, b, c, d, Z: pr.pair_production_config(
+        2.3 + 4 * u, 1.05 + (0.2 + 4 * u) * v, 0.1 + 3 * a, 0.1 + 3 * b,
+        6.2 * c, 6.2 * d, Z=Z),
 }
 
 
@@ -89,11 +82,8 @@ COULOMB = {
 @given(st.sampled_from(sorted(COULOMB)),
        st.tuples(*[st.floats(0, 1)] * 6), st.floats(0.2, 3.0))
 def test_coulomb_spin_sums_match_trace_oracle(process, draws, Z):
-    build, names = COULOMB[process]
-    total = 0.0
-    for hel in itertools.product((1, -1), (1, -1), ("plus", "minus")):
-        cfg = build(*draws, Z, dict(zip(names, hel)))
-        total += abs(pr.amplitude(cfg).value) ** 2
+    cfg = COULOMB[process](*draws, Z)
+    total = np.sum(np.abs(pr.amplitude(cfg).value) ** 2)
     ref = oracles.coulomb_trace_m2(cfg, ALPHA_DEFAULT)
     assert abs(total - ref) <= 1e-9 * ref
 
@@ -103,14 +93,14 @@ BATCHED = {
     "compton": lambda u, v: pr.compton_lab_config(0.05 + 5 * u, 0.05 + 3 * v,
                                                   6 * u * v),
     "annihilation": lambda u, v: pr.annihilation_cm_config(
-        0.05 + 3 * u, 0.05 + 3 * v, 6 * v, s_plus=-1, pol_f="minus"),
+        0.05 + 3 * u, 0.05 + 3 * v, 6 * v),
     "moller": lambda u, v: pr.moller_cm_config(1.05 + 5 * u, 0.2 + 2.7 * v),
     "bhabha": lambda u, v: pr.bhabha_cm_config(1.05 + 5 * u, 0.2 + 2.7 * v,
                                                2 * u),
     "bremsstrahlung": lambda u, v: pr.bremsstrahlung_config(
-        2.0 + 3 * u, 0.1 + 0.8 * v, 0.1 + 3 * v, 0.1 + 3 * u, s_f=-1),
+        2.0 + 3 * u, 0.1 + 0.8 * v, 0.1 + 3 * v, 0.1 + 3 * u),
     "pair_production": lambda u, v: pr.pair_production_config(
-        4.0 + 2 * u, 1.2 + 1.5 * v, 0.1 + 3 * u, 0.1 + 3 * v, pol_i="minus"),
+        4.0 + 2 * u, 1.2 + 1.5 * v, 0.1 + 3 * u, 0.1 + 3 * v),
 }
 
 
@@ -121,15 +111,16 @@ draws = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1,
 @settings(max_examples=15)
 @given(st.sampled_from(sorted(BATCHED)), draws)
 def test_batch_of_n_equals_n_batches_of_one(process, uv):
+    """Every helicity amplitude, and the spin sum of a 2->2 process."""
     build = BATCHED[process]
-    if process in ("bremsstrahlung", "pair_production"):
-        evaluate = lambda cfg: pr.amplitude(cfg).value
-    else:
-        evaluate = pr.spin_summed_squared
-    got = evaluate(build(*np.array(uv).T))
-    assert got.shape == (len(uv),)
-    want = [evaluate(build(u, v)) for u, v in uv]
-    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    evaluations = [lambda cfg: pr.amplitude(cfg).value]
+    if process not in ("bremsstrahlung", "pair_production"):
+        evaluations.append(pr.spin_summed_squared)
+    for evaluate in evaluations:
+        got = evaluate(build(*np.array(uv).T))
+        want = [evaluate(build(u, v)) for u, v in uv]
+        assert got.shape == (len(uv),) + np.shape(want[0])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=10)
@@ -149,6 +140,6 @@ def test_batch_rejects_any_bad_point():
     cfg = pr.compton_lab_config(np.array([0.5, 1.0]), np.array([0.3, 0.6]))
     mom = dict(cfg.momenta)
     mom["p_f"] = mom["p_f"] * np.array([[1.0], [1.01]])
-    bad = pr.KinematicConfig("compton", mom, cfg.spins, cfg.pols)
+    bad = pr.KinematicConfig("compton", mom)
     with pytest.raises(DomainError, match="p_f off shell"):
         pr.spin_summed_squared(bad)

@@ -1,5 +1,6 @@
 """Smoke test: every script in demos/ runs to the end and prints its
-report; the zitterbewegung demo finds the 2m oscillation."""
+report; the zitterbewegung demo finds the 2m oscillation. Every python
+example of README.md runs too."""
 
 import pathlib
 import re
@@ -7,13 +8,22 @@ import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
+EXAMPLES = re.findall(r"^```python\n(.*?)^```\n",
+                      README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 def test_demos_found():
     assert {p.stem for p in DEMOS} >= {
         "compton_sweep", "spontaneous_emission", "vacuum_polarization_scan",
         "zitterbewegung"}
+
+
+def test_readme_examples_found():
+    # the library example and the loops example
+    assert len(EXAMPLES) == 2
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
@@ -24,3 +34,9 @@ def test_demo_runs(path, capsys):
     if path.stem == "zitterbewegung":
         w = float(re.search(r"dominant frequency: (\S+)", out).group(1))
         assert abs(w - 2.0) <= 0.01 * 2.0
+
+
+@pytest.mark.parametrize("code", EXAMPLES,
+                         ids=[f"example{i}" for i in range(len(EXAMPLES))])
+def test_readme_example_runs(code):
+    exec(compile(code, str(README), "exec"), {"__name__": "__main__"})

@@ -141,9 +141,9 @@ class TestSelfEnergy:
         assert np.max(np.abs(lv.pole - target)) <= 1e-15
 
     def test_on_shell_pole_projection(self):
-        from fqed.states import dirac_spinors, spin_slot
+        from fqed.states import dirac_spinors
         p = FourVector(math.sqrt(1.0 + 0.09), 0.3, 0.0, 0.0)
-        u = dirac_spinors(p.as_array())[spin_slot(+1)]
+        u = dirac_spinors(p.as_array())[0]       # spin up
         ub = u.conj() @ GAMMA[0]
         pole = (ALPHA_DEFAULT / (4.0 * math.pi)) * (4.0 * I4 - slash(p))
         proj = (ub @ pole @ u) / (ub @ u)

@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,17 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fqed import cli
 from fqed import processes as pr
 from fqed.algebra import GAMMA
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import DomainError, PoleError
 from fqed.fourvec import FourVector, check_on_shell
-from fqed.states import (HELICITIES, dirac_spinors, polarization_vectors,
-                         spin_slot)
+from fqed.states import dirac_spinors, polarization_vectors
 
 rng = np.random.default_rng(19)
-SPIN = st.sampled_from([1, -1])
-POL = st.sampled_from(["plus", "minus"])
 
 
 def crossed_amplitudes(plan, cfg):
@@ -37,17 +38,23 @@ def crossing(target):
 
 
 def crossed_value(plan, cfg):
-    """crossed_amplitudes at cfg's spins and polarizations: a complex for
-    one point, an (N,) array for N."""
-    value = crossed_amplitudes(plan, cfg)[pr._slots(cfg)]
-    return complex(value[0]) if cfg._is_point() else value
+    """crossed_amplitudes shaped as pr.amplitude(cfg).value: without the
+    batch axis for one point."""
+    value = crossed_amplitudes(plan, cfg)
+    return value[0] if cfg._is_point() else value
+
+
+def swapped(amp, a, b):
+    """amp.value with the slot axes of the legs a and b swapped."""
+    return np.swapaxes(amp.value, amp.axes.index(a), amp.axes.index(b))
 
 
 def compton_with_momentum(cfg, photon):
-    """cfg's Compton amplitude with the polarization of one photon
+    """cfg's Compton amplitudes with the polarization of one photon
     ("k_i", absorbed, or "k_f", emitted) replaced by that photon's
-    momentum; every other leg at cfg's spin or polarization. Gauge
-    invariance makes it vanish. photon=None replaces nothing."""
+    momentum, at every slot of the other legs: the axes of
+    pr.amplitude(cfg).value, with one slot on the replaced photon's axis.
+    Gauge invariance makes them vanish. photon=None replaces nothing."""
     mom = cfg.validate()
     m = cfg.mass
     # relativistic normalization, u-bar u = 2m
@@ -60,10 +67,7 @@ def compton_with_momentum(cfg, photon):
     amps = pr._compton_core(u_f.conj() @ GAMMA[0], u_i, eps["k_i"],
                             eps["k_f"], mom["p_i"], mom["k_i"], mom["k_f"],
                             m, 4.0 * math.pi * ALPHA_DEFAULT)
-    pol = lambda lab: 0 if lab == photon else HELICITIES.index(cfg.pols[lab])
-    value = amps[:, spin_slot(cfg.spins["p_f"]), spin_slot(cfg.spins["p_i"]),
-                 pol("k_i"), pol("k_f")]
-    return complex(value[0]) if cfg._is_point() else value
+    return amps[0] if cfg._is_point() else amps
 
 
 def random_compton():
@@ -75,10 +79,7 @@ def random_compton():
 def random_annihilation():
     return pr.annihilation_cm_config(
         float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 3.0)),
-        float(rng.uniform(0.0, 2 * math.pi)),
-        s_minus=int(rng.choice([1, -1])), s_plus=int(rng.choice([1, -1])),
-        pol_i=str(rng.choice(["plus", "minus"])),
-        pol_f=str(rng.choice(["plus", "minus"])))
+        float(rng.uniform(0.0, 2 * math.pi)))
 
 
 # every kinematics builder: its energy arguments and its angle names
@@ -120,8 +121,7 @@ class TestKinematicConfig:
         cfg = random_compton()
         mom = dict(cfg.momenta)
         mom["p_i"] = FourVector(2.0, 0.0, 0.0, 0.0)
-        bad = pr.KinematicConfig("compton", mom, dict(cfg.spins),
-                                 dict(cfg.pols))
+        bad = pr.KinematicConfig("compton", mom)
         with pytest.raises(DomainError):
             bad.validate()
 
@@ -129,16 +129,15 @@ class TestKinematicConfig:
         cfg = random_compton()
         mom = dict(cfg.momenta)
         mom["k_f"] = FourVector(0.9, 0.0, 0.0, 0.9)
-        bad = pr.KinematicConfig("compton", mom, dict(cfg.spins),
-                                 dict(cfg.pols))
+        bad = pr.KinematicConfig("compton", mom)
         with pytest.raises(DomainError):
             bad.validate()
 
     def test_unknown_process(self):
         with pytest.raises(DomainError):
-            pr.KinematicConfig("mott", {}, {}, {}).validate()
+            pr.KinematicConfig("mott", {}).validate()
         with pytest.raises(DomainError, match="unknown process"):
-            pr.KinematicConfig("mott", {}, {}, {}).conservation_residual()
+            pr.KinematicConfig("mott", {}).conservation_residual()
 
     @pytest.mark.parametrize("edit", [
         lambda mom: {lab: v for lab, v in mom.items() if lab != "k_f"},
@@ -228,12 +227,12 @@ class TestLegForms:
                 cfg.conservation_residual())
         if form == "mixed-2d":
             # a (1, 4) leg makes a batch of one
-            assert isinstance(value, np.ndarray) and value.shape == (1,)
+            assert value.shape == (1, 2, 2, 2, 2)
             assert isinstance(m2, np.ndarray) and m2.shape == (1,)
             assert isinstance(res, np.ndarray) and res.shape == (1, 4)
-            value, m2 = complex(value[0]), float(m2[0])
+            value, m2 = value[0], float(m2[0])
             res = FourVector.from_array(res[0])
-        assert type(value) is complex and value == want[0]
+        assert value.shape == (2, 2, 2, 2) and np.array_equal(value, want[0])
         assert type(m2) is float and m2 == want[1]
         assert isinstance(res, FourVector) and res == want[2]
 
@@ -291,19 +290,17 @@ class TestComptonFamily:
     def test_ward_identity(self, omega, theta, phi):
         cfg = pr.compton_lab_config(omega, theta, phi)
         val = compton_with_momentum(cfg, "k_i")
-        ref = abs(pr.compton_amplitude(cfg).value)
-        assert abs(val) <= 1e-10 * max(ref, 1e-30)
+        ref = np.abs(pr.compton_amplitude(cfg).value)
+        assert np.all(np.abs(val) <= 1e-10 * np.maximum(ref, 1e-30))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.2, 2.0), st.floats(0.1, 3.0),
-           st.floats(0.0, 2 * math.pi), SPIN, SPIN, POL)
-    def test_ward_identity_emitted_photon(self, omega, theta, phi, s_i, s_f,
-                                          pol_i):
-        cfg = pr.compton_lab_config(omega, theta, phi, s_i=s_i, s_f=s_f,
-                                    pol_i=pol_i)
+           st.floats(0.0, 2 * math.pi))
+    def test_ward_identity_emitted_photon(self, omega, theta, phi):
+        cfg = pr.compton_lab_config(omega, theta, phi)
         val = compton_with_momentum(cfg, "k_f")
-        ref = abs(pr.compton_amplitude(cfg).value)
-        assert abs(val) <= 1e-10 * max(ref, 1e-30)
+        ref = np.abs(pr.compton_amplitude(cfg).value)
+        assert np.all(np.abs(val) <= 1e-10 * np.maximum(ref, 1e-30))
 
     def test_ward_helper_without_replacement_is_the_amplitude(self):
         """compton_with_momentum's own route, with no polarization
@@ -312,26 +309,19 @@ class TestComptonFamily:
         for _ in range(5):
             cfg = pr.compton_lab_config(draw(0.2, 2.0), draw(0.1, 3.0),
                                         draw(0.0, 2 * math.pi))
-            for s_i, s_f, pol_i, pol_f in itertools.product(
-                    (1, -1), (1, -1), HELICITIES, HELICITIES):
-                c = dataclasses.replace(
-                    cfg, spins={"p_i": s_i, "p_f": s_f},
-                    pols={"k_i": pol_i, "k_f": pol_f})
-                a = pr.compton_amplitude(c).value
-                assert abs(compton_with_momentum(c, None) - a) <= (
-                    1e-14 * max(1.0, abs(a)))
+            a = pr.compton_amplitude(cfg).value
+            assert np.all(np.abs(compton_with_momentum(cfg, None) - a)
+                          <= 1e-14 * np.maximum(1.0, np.abs(a)))
 
     def test_annihilation_photon_swap_symmetric(self):
         for _ in range(5):
             cfg = random_annihilation()
             mom = dict(cfg.momenta)
             mom["k_i"], mom["k_f"] = mom["k_f"], mom["k_i"]
-            pols = {"k_i": cfg.pols["k_f"], "k_f": cfg.pols["k_i"]}
-            swapped = pr.KinematicConfig("annihilation", mom,
-                                         dict(cfg.spins), pols)
             a = pr.pair_annihilation_amplitude(cfg).value
-            b = pr.pair_annihilation_amplitude(swapped).value
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+            b = swapped(pr.pair_annihilation_amplitude(
+                dataclasses.replace(cfg, momenta=mom)), "k_i", "k_f")
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
 
 
 class TestFourFermion:
@@ -354,23 +344,18 @@ class TestFourFermion:
             oracle = oracles.bhabha_trace_m2(cfg, ALPHA_DEFAULT)
             assert abs(m2 - oracle) <= 1e-10 * oracle
 
-    @example(1.7, 0.9, 0.4, (1, -1, 1, -1))
+    @example(1.7, 0.9, 0.4)
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1.2, 3.0), st.floats(0.3, 2.8),
-           st.floats(0.0, 2 * math.pi),
-           st.tuples(*[st.sampled_from([1, -1])] * 4))
-    def test_final_label_swap_antisymmetric(self, E, theta, phi, spins):
-        labels = ("p_i1", "p_i2", "p_f1", "p_f2")
-        cfg = pr.moller_cm_config(E, theta, phi,
-                                  spins=dict(zip(labels, spins)))
+           st.floats(0.0, 2 * math.pi))
+    def test_final_label_swap_antisymmetric(self, E, theta, phi):
+        cfg = pr.moller_cm_config(E, theta, phi)
         mom = dict(cfg.momenta)
         mom["p_f1"], mom["p_f2"] = mom["p_f2"], mom["p_f1"]
-        sp = dict(cfg.spins)
-        sp["p_f1"], sp["p_f2"] = sp["p_f2"], sp["p_f1"]
-        swapped = pr.KinematicConfig("moller", mom, sp, {})
         a = pr.electron_electron_amplitude(cfg).value
-        b = pr.electron_electron_amplitude(swapped).value
-        assert a == -b
+        b = swapped(pr.electron_electron_amplitude(
+            pr.KinematicConfig("moller", mom)), "p_f1", "p_f2")
+        assert np.array_equal(a, -b)
 
 
 
@@ -387,96 +372,68 @@ def examples(draws):
 
 # the draws of the fixed-seed versions of the crossing tests
 ANNIHILATION_DRAWS = (
-    (1.4604186650291426, 0.26102844080162735, 0.5375519863617662, 1, -1,
-     "minus", "plus"),
-    (0.3668663720706288, 1.5561347646068362, 0.5745207086628672, 1, -1, "plus",
-     "plus"),
-    (1.9559291899923894, 2.4857866399785857, 1.2788106031867734, 1, 1, "plus",
-     "minus"),
-    (0.622657169219179, 2.615196977809026, 4.729067121018884, -1, -1, "minus",
-     "plus"),
-    (1.658340709348814, 2.7694705780322386, 5.492215123524347, 1, 1, "plus",
-     "plus"),
-    (0.37926558941610367, 0.7353665512235276, 3.8161500311139904, -1, 1,
-     "plus", "plus"),
-    (1.8146108713076123, 1.7981515577020424, 2.6805010895010173, 1, 1, "minus",
-     "minus"),
-    (0.9675157913553056, 0.5223024305406957, 3.820006927156838, -1, -1,
-     "minus", "minus"),
-    (0.2415570541104476, 0.49520779452996055, 2.061697240184546, 1, 1, "plus",
-     "plus"),
-    (0.34674467101433243, 1.7606836321486898, 3.151634326048687, -1, 1,
-     "minus", "plus"),
-    (0.5392045027304104, 1.53480630470804, 3.1941212712722926, 1, -1, "minus",
-     "minus"),
-    (1.820060289213928, 1.2406171288158958, 0.899823676345273, 1, -1, "plus",
-     "minus"),
-    (0.6653545868222437, 1.9149068126313882, 1.8618120053043083, 1, 1, "plus",
-     "plus"),
-    (0.49598408921307896, 0.9088846938863145, 3.869331291224391, 1, -1,
-     "minus", "minus"),
-    (1.8441870643693499, 1.5835168681960856, 4.393017752396124, -1, 1, "minus",
-     "plus"),
-    (1.312400868200348, 0.15904652823060877, 0.8113024297590435, 1, 1, "plus",
-     "plus"),
-    (0.4829863647498635, 2.8588766653527693, 3.5714723863584754, -1, -1,
-     "minus", "minus"),
-    (1.5823780667289975, 2.9292543851559736, 3.033438452736009, 1, -1, "minus",
-     "minus"),
-    (1.318965207590731, 2.877698695022695, 4.897805660385702, 1, 1, "plus",
-     "minus"),
-    (1.8734837030902542, 2.2144529120441536, 1.89857263770497, 1, 1, "minus",
-     "minus"),
+    (1.4604186650291426, 0.26102844080162735, 0.5375519863617662),
+    (0.3668663720706288, 1.5561347646068362, 0.5745207086628672),
+    (1.9559291899923894, 2.4857866399785857, 1.2788106031867734),
+    (0.622657169219179, 2.615196977809026, 4.729067121018884),
+    (1.658340709348814, 2.7694705780322386, 5.492215123524347),
+    (0.37926558941610367, 0.7353665512235276, 3.8161500311139904),
+    (1.8146108713076123, 1.7981515577020424, 2.6805010895010173),
+    (0.9675157913553056, 0.5223024305406957, 3.820006927156838),
+    (0.2415570541104476, 0.49520779452996055, 2.061697240184546),
+    (0.34674467101433243, 1.7606836321486898, 3.151634326048687),
+    (0.5392045027304104, 1.53480630470804, 3.1941212712722926),
+    (1.820060289213928, 1.2406171288158958, 0.899823676345273),
+    (0.6653545868222437, 1.9149068126313882, 1.8618120053043083),
+    (0.49598408921307896, 0.9088846938863145, 3.869331291224391),
+    (1.8441870643693499, 1.5835168681960856, 4.393017752396124),
+    (1.312400868200348, 0.15904652823060877, 0.8113024297590435),
+    (0.4829863647498635, 2.8588766653527693, 3.5714723863584754),
+    (1.5823780667289975, 2.9292543851559736, 3.033438452736009),
+    (1.318965207590731, 2.877698695022695, 4.897805660385702),
+    (1.8734837030902542, 2.2144529120441536, 1.89857263770497),
 )
 PAIR_PRODUCTION_DRAWS = (
     ((3.279350974283289, 1.436252989915768), 2.7285580980658657,
-     2.1043763596126737, 0.06754370706049682, 2.2640024914228674, 1, 1,
-     "minus"),
+     2.1043763596126737, 0.06754370706049682, 2.2640024914228674),
     ((3.135749851608042, 1.7762007806204774), 0.45706282125981323,
-     2.004739127990902, 1.3730302772565406, 3.0901381650167603, -1, 1, "plus"),
+     2.004739127990902, 1.3730302772565406, 3.0901381650167603),
     ((4.324421586533704, 1.5075734576626416), 0.6791048541379161,
-     0.24916260020740089, 5.6272413645685155, 3.656655203637778, 1, 1,
-     "minus"),
+     0.24916260020740089, 5.6272413645685155, 3.656655203637778),
     ((3.3805527634330756, 1.4983586143968275), 2.5549308579805836,
-     2.1089927444219425, 0.17386544417553162, 0.9589182389814107, -1, -1,
-     "minus"),
+     2.1089927444219425, 0.17386544417553162, 0.9589182389814107),
     ((3.9078542580782716, 2.526386949717113), 0.7205822025582473,
-     0.9278564227625831, 0.09014760652738885, 1.6897861034991724, -1, 1,
-     "minus"),
+     0.9278564227625831, 0.09014760652738885, 1.6897861034991724),
     ((4.218663909191669, 1.3570042235658977), 2.842885349691696,
-     1.4248458567609066, 6.09742568648931, 1.455888577256228, -1, -1, "minus"),
+     1.4248458567609066, 6.09742568648931, 1.455888577256228),
     ((4.180962399193128, 2.853063750356225), 2.2509724073737587,
-     2.3917994719564053, 0.6893240336094496, 4.1254314595152435, 1, 1,
-     "minus"),
+     2.3917994719564053, 0.6893240336094496, 4.1254314595152435),
     ((3.991997212606067, 2.5284470030364297), 2.9041374276592204,
-     1.1702802397332488, 2.1981238644719734, 0.727139042817176, 1, -1, "plus"),
+     1.1702802397332488, 2.1981238644719734, 0.727139042817176),
     ((4.06180647231679, 2.0366993875484), 1.969273381088411, 2.435496570751664,
-     4.149155822935916, 1.5352697721715425, 1, 1, "minus"),
+     4.149155822935916, 1.5352697721715425),
     ((3.955398955137012, 1.9182883375668531), 1.3753921049851485,
-     2.377844056900563, 1.1173252317074527, 4.485801821193999, -1, 1, "plus"),
+     2.377844056900563, 1.1173252317074527, 4.485801821193999),
     ((4.757798417741428, 2.567445939164635), 0.9060076988795628,
-     1.178897221377972, 3.38387488112099, 1.0072100657998497, -1, -1, "plus"),
+     1.178897221377972, 3.38387488112099, 1.0072100657998497),
     ((4.955405339703301, 2.491466079339687), 2.601118934648528,
-     2.5618426054534793, 1.1208878044617114, 5.27262157124614, -1, -1,
-     "minus"),
+     2.5618426054534793, 1.1208878044617114, 5.27262157124614),
     ((3.5418996483661696, 1.2416558678114695), 1.5316689813594522,
-     1.189026189214463, 5.172579708930462, 3.1981081535671043, 1, 1, "plus"),
+     1.189026189214463, 5.172579708930462, 3.1981081535671043),
     ((4.888160544805023, 3.22294287783041), 0.27095634310781835,
-     0.5230217465607271, 3.0086797722456935, 4.569032913020409, -1, -1,
-     "minus"),
+     0.5230217465607271, 3.0086797722456935, 4.569032913020409),
     ((3.4660174623431876, 1.2233707120435309), 1.7623212607264582,
-     1.1571564265801, 5.452695351686188, 0.08549552360076425, 1, 1, "minus"),
+     1.1571564265801, 5.452695351686188, 0.08549552360076425),
     ((2.888142420843071, 1.5411278030297204), 2.5513715249155386,
-     0.6807640575340825, 2.7300016812780945, 5.805272411896735, 1, 1, "minus"),
+     0.6807640575340825, 2.7300016812780945, 5.805272411896735),
     ((4.656911207724763, 3.0246140521328053), 2.5646315002902327,
-     1.190344911439483, 4.9887669221428155, 5.411316846758991, 1, -1, "minus"),
+     1.190344911439483, 4.9887669221428155, 5.411316846758991),
     ((3.4536442249170487, 1.3213665929222371), 2.287204295108769,
-     0.4917932376900853, 4.713028484878184, 1.5566593615186566, 1, -1, "plus"),
+     0.4917932376900853, 4.713028484878184, 1.5566593615186566),
     ((3.7520077554205966, 1.6781710076463523), 0.37436970396795943,
-     2.5126968594624066, 1.3553016893297818, 0.8958258440511573, 1, 1,
-     "minus"),
+     2.5126968594624066, 1.3553016893297818, 0.8958258440511573),
     ((3.245070452195536, 1.7008713561999813), 1.2764696483006233,
-     2.003122494892145, 4.153701289872324, 1.9402577302793542, -1, -1, "plus"),
+     2.003122494892145, 4.153701289872324, 1.9402577302793542),
 )
 BHABHA_DRAWS = (
     (2.193866475427746, 0.9685014877055207, 1.6283165108063575),
@@ -531,25 +488,27 @@ class TestCrossing:
     def test_every_target_permutation_rejected_or_equal(self, table):
         """Each map of the base legs onto a permutation of the target
         legs is rejected, or evaluates to +-1 times the direct amplitude
-        at every point. table is (target, base, map)."""
+        at every point and slot. table is (target, base, map)."""
         target, base, legs = table
         draw = np.random.default_rng(23).uniform
         n = 5
-        cfg, valid = {
+        # the config, the count of valid maps, and a slot whose amplitude
+        # is nonzero at every point, which the sign is read off
+        cfg, valid, slot = {
             "annihilation": lambda: (pr.annihilation_cm_config(
-                draw(0.2, 2.0, n), draw(0.1, 3.0, n), draw(0, 2 * math.pi, n),
-                s_minus=-1, pol_f="minus"), 2),
+                draw(0.2, 2.0, n), draw(0.1, 3.0, n), draw(0, 2 * math.pi, n)),
+                2, (0, 1, 0, 1)),
             "pair_production": lambda: (pr.pair_production_config(
                 draw(3.0, 5.0, n), draw(1.2, 1.8, n), draw(0.1, 3.0, n),
                 draw(0.1, 3.0, n), draw(0, 2 * math.pi, n),
-                draw(0, 2 * math.pi, n), s_plus=-1), 1),
+                draw(0, 2 * math.pi, n)), 1, (0, 1, 0)),
             "bhabha": lambda: (pr.bhabha_cm_config(
-                draw(1.2, 3.0, n), draw(0.3, 2.8, n), draw(0, 2 * math.pi, n),
-                spins={"p_i_minus": 1, "p_i_plus": -1, "p_f_minus": 1,
-                       "p_f_plus": 1}), 4),
+                draw(1.2, 3.0, n), draw(0.3, 2.8, n), draw(0, 2 * math.pi, n)),
+                4, (1, 0, 0, 0)),
         }[target]()
         direct = pr.amplitude(cfg).value
-        assert np.all(np.abs(direct) > 1e-6)
+        at = (slice(None), *slot)
+        assert np.all(np.abs(direct[at]) > 1e-6)
         accepted = 0
         for targets in itertools.permutations(legs.values()):
             try:
@@ -558,7 +517,8 @@ class TestCrossing:
                 continue
             accepted += 1
             crossed = crossed_value(plan, cfg)
-            sign = 1.0 if abs(crossed[0] - direct[0]) < abs(direct[0]) else -1.0
+            d, c = direct[at][0], crossed[at][0]
+            sign = 1.0 if abs(c - d) < abs(d) else -1.0
             assert np.all(np.abs(crossed - sign * direct)
                           <= 1e-12 * np.maximum(1.0, np.abs(direct)))
         assert accepted == valid
@@ -566,33 +526,28 @@ class TestCrossing:
     @examples(ANNIHILATION_DRAWS)
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.2, 2.0), st.floats(0.1, 3.0),
-           st.floats(0.0, 2 * math.pi), SPIN, SPIN, POL, POL)
-    def test_compton_to_annihilation(self, pmag, theta, phi, s_minus, s_plus,
-                                     pol_i, pol_f):
-        cfg = pr.annihilation_cm_config(pmag, theta, phi, s_minus=s_minus,
-                                        s_plus=s_plus, pol_i=pol_i,
-                                        pol_f=pol_f)
+           st.floats(0.0, 2 * math.pi))
+    def test_compton_to_annihilation(self, pmag, theta, phi):
+        cfg = pr.annihilation_cm_config(pmag, theta, phi)
         a = pr.pair_annihilation_amplitude(cfg).value
         b = crossed_value(crossing("annihilation"), cfg)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
 
     @examples(PAIR_PRODUCTION_DRAWS)
     @settings(max_examples=60, deadline=None)
     @given(st.floats(2.6, 5.0).flatmap(
                lambda w: st.tuples(st.just(w), st.floats(1.2, w - 1.2))),
            st.floats(0.1, 3.0), st.floats(0.1, 3.0),
-           st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
-           SPIN, SPIN, POL)
+           st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
     def test_brems_to_pair_production(self, energies, theta_p, theta_m,
-                                      phi_p, phi_m, s_plus, s_minus, pol_i):
+                                      phi_p, phi_m):
         """energies is (omega_i, E_plus) with E_plus in [m + 0.2,
         omega_i - m - 0.2]."""
         cfg = pr.pair_production_config(*energies, theta_p, theta_m, phi_p,
-                                        phi_m, s_plus=s_plus,
-                                        s_minus=s_minus, pol_i=pol_i)
+                                        phi_m)
         a = pr.pair_production_amplitude(cfg).value
         b = crossed_value(crossing("pair_production"), cfg)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
 
     @examples(BHABHA_DRAWS)
     @settings(max_examples=60, deadline=None)
@@ -602,7 +557,63 @@ class TestCrossing:
         cfg = pr.bhabha_cm_config(E, theta, phi)
         a = pr.electron_positron_amplitude(cfg).value
         b = crossed_value(crossing("bhabha"), cfg)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))
+
+
+# one builder per process, from one number: a point for a float, a batch
+# for an array
+CONTRACT = {
+    "compton": lambda x: pr.compton_lab_config(0.5 + x, 0.4 + x, x),
+    "annihilation": lambda x: pr.annihilation_cm_config(0.3 + x, 0.5 + x, x),
+    "moller": lambda x: pr.moller_cm_config(1.5 + x, 0.6 + x, x),
+    "bhabha": lambda x: pr.bhabha_cm_config(1.5 + x, 0.6 + x, x),
+    "bremsstrahlung": lambda x: pr.bremsstrahlung_config(
+        2.0 + x, 0.5, 0.3 + x, 1.1 + x, x),
+    "pair_production": lambda x: pr.pair_production_config(
+        3.0 + x, 1.4, 0.4 + x, 0.7 + x, x),
+}
+
+
+class TestAmplitudeContract:
+
+    @pytest.mark.parametrize("x", [0.3, np.array([0.1, 0.3, 0.5])],
+                             ids=["point", "batch"])
+    @pytest.mark.parametrize("process", pr.PROCESS_IDS)
+    def test_every_helicity_amplitude(self, process, x):
+        """amplitude returns one slot axis per leg, after the batch axis
+        of a batch, and the spin sum of a 2->2 process is the sum of the
+        squares of every slot over 4."""
+        cfg = CONTRACT[process](x)
+        amp = pr.amplitude(cfg)
+        assert set(amp.axes) == set(cfg.momenta)
+        assert len(amp.axes) == len(cfg.momenta)
+        batch = np.shape(x)
+        assert amp.value.shape == batch + (2,) * len(amp.axes)
+        if len(amp.axes) == 4:
+            flat = amp.value.reshape(batch + (-1,))
+            m2 = np.sum(flat.real ** 2 + flat.imag ** 2, axis=-1) / 4.0
+            np.testing.assert_allclose(m2, pr.spin_summed_squared(cfg),
+                                       rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("sub, build", [
+        ("brems", pr.bremsstrahlung_config),
+        ("pairprod", pr.pair_production_config)])
+    def test_cli_prints_slot_zero(self, sub, build):
+        """brems and pairprod print the amplitude at slot 0 of every leg
+        (spin up, helicity plus), read back from their JSON rows."""
+        angle = "theta_k" if sub == "brems" else "theta_p"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run([sub, "--sweep", f"{angle}:10:170:9",
+                            "--format", "json"]) == 0
+        rows = json.loads(out.getvalue())["rows"]
+        cols = {k: np.array([row[k] for row in rows]) for k in rows[0]}
+        names = list(cols)
+        cfg = build(*(cols[k] for k in names[:2]),
+                    *(np.radians(cols[k]) for k in names[2:4]))
+        m = pr.amplitude(cfg).value[:, 0, 0, 0]
+        assert np.array_equal(cols["re_M"], m.real)
+        assert np.array_equal(cols["im_M"], m.imag)
 
 
 class TestGuards:
@@ -618,8 +629,8 @@ class TestGuards:
 
     def test_amplitude_dispatch(self):
         cfg = random_compton()
-        assert (pr.amplitude(cfg).value
-                == pr.compton_amplitude(cfg).value)
+        assert np.array_equal(pr.amplitude(cfg).value,
+                              pr.compton_amplitude(cfg).value)
 
     def test_spin_sum_rejects_coulomb_processes(self):
         cfg = pr.bremsstrahlung_config(2.0, 0.5, 0.3, 1.2)
@@ -646,11 +657,11 @@ FIRST_FAILING_INPUT = [
     (pr.compton_lab_config, ([-1.0, 1.0, math.inf], 0.1), {},
      "omega_in must be finite: omega_in = inf"),
     (pr.annihilation_cm_config, ([0.5, 0.5, 0.0], [math.nan, 0.1, 0.1]), {},
-     "|p| must exceed 0: |p| = 0.000e+00"),
+     "pmag must exceed 0: pmag = 0.000e+00"),
     (pr.moller_cm_config, ([2.0, 0.5, 2.0], [math.inf, 0.1, 0.1]), {},
-     "beam energy must exceed 1: beam energy = 5.000e-01"),
+     "energy must exceed 1: energy = 5.000e-01"),
     (pr.moller_cm_config, ([3.0, 1.5], 0.1), {"mass": 2.0},
-     "beam energy must exceed 2: beam energy = 1.500e+00"),
+     "energy must exceed 2: energy = 1.500e+00"),
     (pr.bhabha_cm_config, (2.0, [0.1, math.nan], [math.inf, 0.0]), {},
      "theta must be finite: theta = nan"),
     (pr.bremsstrahlung_config,
@@ -659,13 +670,13 @@ FIRST_FAILING_INPUT = [
      "5.000e-01"),
     (pr.bremsstrahlung_config,
      ([2.0, 2.0, 0.5], [0.5, -1.0, 0.5], 0.1, 0.1), {},
-     "incident energy must exceed 1: incident energy = 5.000e-01"),
+     "e_in must exceed 1: e_in = 5.000e-01"),
     (pr.bremsstrahlung_config, (2.0, 0.5, 0.1, [0.1, math.nan]),
      {"phi_e": [math.inf, 0.0]}, "theta_k must be finite: theta_k = nan"),
     (pr.pair_production_config, (3.0, [1.5, 2.5, 0.5], 0.1, 0.1), {},
-     "E_plus must exceed 1: E_plus = 5.000e-01"),
+     "e_plus must exceed 1: e_plus = 5.000e-01"),
     (pr.pair_production_config, ([3.0, 1.9], [1.5, 0.5], 0.1, 0.1), {},
-     "photon energy must exceed 2: photon energy = 1.900e+00"),
+     "omega_in must exceed 2: omega_in = 1.900e+00"),
     (pr.pair_production_config,
      (3.0, 1.5, [0.1, 0.1, math.nan], [0.1, math.inf, 0.1]),
      {"phi_m": math.nan}, "theta_p must be finite: theta_p = nan"),

@@ -21,7 +21,7 @@ def random_on_shell(mass=1.0, scale=1.0):
 class TestElectronSpinors:
 
     def test_rest_frame_u(self):
-        u = states.dirac_spinors([1.0, 0.0, 0.0, 0.0])[states.spin_slot(+1)]
+        u = states.dirac_spinors([1.0, 0.0, 0.0, 0.0])[0]     # spin up
         assert np.allclose(u, [1, 0, 0, 0])
 
     def test_unit_norm(self):
@@ -33,18 +33,16 @@ class TestElectronSpinors:
 
     def test_ubar_u(self):
         p = random_on_shell()
-        up = states.spin_slot(+1)
-        u = states.dirac_spinors(p.as_array())[up]
+        u = states.dirac_spinors(p.as_array())[0]
         assert np.isclose(u.conj() @ GAMMA[0] @ u, 1.0 / p.t, atol=1e-12)
-        v = states.dirac_spinors(p.as_array(), 1.0, True)[up]
+        v = states.dirac_spinors(p.as_array(), 1.0, True)[0]
         assert np.isclose(v.conj() @ GAMMA[0] @ v, -1.0 / p.t, atol=1e-12)
 
     def test_dirac_equation_residual(self):
         for _ in range(200):
             p = random_on_shell(scale=2.0)
-            u = states.dirac_spinors(p.as_array())[states.spin_slot(+1)]
-            v = states.dirac_spinors(p.as_array(), 1.0,
-                                     True)[states.spin_slot(-1)]
+            u = states.dirac_spinors(p.as_array())[0]             # spin up
+            v = states.dirac_spinors(p.as_array(), 1.0, True)[1]  # spin down
             ru = (algebra.slash(p) - np.eye(4)) @ u
             rv = (algebra.slash(p) + np.eye(4)) @ v
             assert np.linalg.norm(ru) <= 1e-12
@@ -53,10 +51,10 @@ class TestElectronSpinors:
     def test_uv_orthogonality(self):
         # ubar(p, s) v(p, s') = 0 at equal momentum
         p = random_on_shell().as_array()
-        for s in (+1, -1):
-            for sp in (+1, -1):
-                u = states.dirac_spinors(p)[states.spin_slot(s)]
-                v = states.dirac_spinors(p, 1.0, True)[states.spin_slot(sp)]
+        for s in (0, 1):
+            for sp in (0, 1):
+                u = states.dirac_spinors(p)[s]
+                v = states.dirac_spinors(p, 1.0, True)[sp]
                 assert abs(u.conj() @ GAMMA[0] @ v) <= 1e-12
 
     # axes on and next to the poles, where x^2 + y^2 underflows
@@ -79,10 +77,6 @@ class TestElectronSpinors:
     def test_off_shell_rejected(self):
         with pytest.raises(DomainError):
             states.dirac_spinors([2.0, 0.0, 0.0, 0.0])
-
-    def test_bad_spin_rejected(self):
-        with pytest.raises(DomainError):
-            states.spin_slot(2)
 
 
 class TestPhotonStates:
