@@ -8,7 +8,7 @@ that never touches them never loads them."""
 
 import importlib
 
-from .algebra import GAMMA, SIGMA, BIG_SIGMA, slash, trace_product
+from .algebra import GAMMA, SIGMA, BIG_SIGMA, slash
 from .constants import ALPHA_DEFAULT, ELECTRON_MASS_MEV
 from .errors import (DegenerateLevelError, DomainError, FqedError,
                      NumericError, PoleError, SingularityError)
@@ -26,7 +26,7 @@ _LAZY = {
 }
 
 __all__ = [
-    "GAMMA", "SIGMA", "BIG_SIGMA", "slash", "trace_product",
+    "GAMMA", "SIGMA", "BIG_SIGMA", "slash",
     "ALPHA_DEFAULT", "ELECTRON_MASS_MEV",
     "DegenerateLevelError", "DomainError", "FqedError", "NumericError",
     "PoleError", "SingularityError",

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .fourvec import FourVector, _components
+from .fourvec import _components
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -61,18 +60,3 @@ def slash(p) -> np.ndarray:
 def big_sigma_slash(p) -> np.ndarray:
     """Sigma^mu p_mu on the photon internal C^2 (x) C^2 space."""
     return np.einsum("...m,mij->...ij", _components(p), _BIG_SIGMA_LOWERED)
-
-
-def trace_product(ms) -> complex:
-    """Trace of the ordered product of 4x4 matrices.
-
-    Cyclic-invariant; used for closed-fermion-loop evaluation and for
-    the independent trace-theorem oracles in the tests.
-    """
-    ms = list(ms)
-    if not ms:
-        raise DomainError("trace_product of an empty list")
-    acc = np.asarray(ms[0], dtype=complex)
-    for m in ms[1:]:
-        acc = acc @ m
-    return complex(np.trace(acc))

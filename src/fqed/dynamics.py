@@ -11,10 +11,11 @@ separately):
 The photon is the two-component analogue with sigma^mu in place of
 gamma^mu and eta^dag in place of zbar. One law serves both: `velocity`
 reads dx/dtau off either spinor by its length, and `derivative` is the
-one right-hand side of either state. It and `integrate` run one stage
-core (`_stage`) on the packed real state y = (x, p, Re z, Im z): the
-symmetrised velocity operator V is stacked over the generator C in one
-real (8 * 2d, 2d) array, so with u = (Re z, Im z) and r =
+one right-hand side of either state, with no field the zero field. It
+and `integrate` in a field run one stage core (`_stage`) on the packed
+real state y = (x, p, Re z, Im z): the symmetrised velocity operator V
+is stacked over the generator C in one real (8 * 2d, 2d) array, so
+with u = (Re z, Im z) and r =
 stacked.dot(u) viewed as (8, 2d) a stage is v = r[:4].dot(u), dp =
 -e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]).
 Each is written by `ndarray.dot(..., out=)` into a view built once per
@@ -28,11 +29,11 @@ is a function bound once per run to its views. The field's A(x) and
 grad(x) get the stage position x as a new (4,) float64 array, after a
 test that it is finite.
 
-Free motion (field = None) is a linear constant-coefficient system, so
-one RK4 step is a linear map, z -> M z and x -> x + z^dag Q^mu z, built
-once from the stage matrices; a trajectory applies the powers of M by
-doubling and sums the position increments, with no per-step loop. The
-exact solution
+Free runs of `integrate` (field = None) run no stage: the free equations
+are a linear constant-coefficient system, so one RK4 step is a linear
+map, z -> M z and x -> x + z^dag Q^mu z, built once from the stage
+matrices; a trajectory applies the powers of M by doubling and sums
+the position increments, with no per-step loop. The exact solution
 
     z(tau) = exp(-i slash(p) tau) z0
            = [cos(w tau) - i sin(w tau) slash(p)/w] z0,   w = sqrt(p^2)
@@ -126,19 +127,17 @@ def _packed(mats, cliff, x, p, z, field):
     of V over C such that, with u = (Re z, Im z) and r = stacked.dot(u)
     viewed as (8, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and
     kin.dot(r[4:]) is dz = -i cliff^mu kin_mu z; em is -e * metric and
-    charge e as a 0-d array (both None without a field); r is the
-    (8 * 2d,) buffer each stage fills, with its [:4] and [4:] row views;
-    kin holds the (4,) buffers of e A and of p - e A. Refuses a field
-    unless A(x) has shape (4,) and grad(x) shape (4, 4)."""
-    em = charge = None
-    if field is not None:
-        xa = x.copy()
-        shapes = np.shape(field.A(xa)), np.shape(field.grad(xa))
-        if shapes != ((4,), (4, 4)):
-            raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
-                              f"(4, 4), got {shapes[0]}, {shapes[1]}")
-        em = -field.charge * _METRIC_DIAG
-        charge = np.array(field.charge, dtype=float)
+    charge e as a 0-d array; r is the (8 * 2d,) buffer each stage fills,
+    with its [:4] and [4:] row views; kin holds the (4,) buffers of e A
+    and of p - e A. Refuses a field unless A(x) has shape (4,) and
+    grad(x) shape (4, 4)."""
+    xa = x.copy()
+    shapes = np.shape(field.A(xa)), np.shape(field.grad(xa))
+    if shapes != ((4,), (4, 4)):
+        raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
+                          f"(4, 4), got {shapes[0]}, {shapes[1]}")
+    em = -field.charge * _METRIC_DIAG
+    charge = np.array(field.charge, dtype=float)
     m = np.stack([-1j * _METRIC_DIAG[:, None, None] * cliff, mats])
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
@@ -163,24 +162,15 @@ def _split(row):
 
 def _stage(ops, field, state, deriv):
     """The stage core: a function of no arguments that writes dy/dtau of
-    the packed state views (x, p, u) into the derivative views (v, dp,
-    dz), bound to them once; the free equations when field is None.
-    stacked.dot(u) fills the run's product buffer r, whose rows r[:4] and
-    r[4:] give v = r[:4].dot(u) and dz = kin.dot(r[4:]). In a field, a
-    non-finite position raises DomainError before the field is called;
-    A and grad get the position as a new (4,) float64 array."""
+    the packed state views (x, p, u) in the field into the derivative
+    views (v, dp, dz), bound to them once. stacked.dot(u) fills the run's
+    product buffer r, whose rows r[:4] and r[4:] give v = r[:4].dot(u)
+    and dz = kin.dot(r[4:]). A non-finite position raises DomainError
+    before the field is called; A and grad get the position as a new
+    (4,) float64 array."""
     stacked, em, charge, (r, rv, rc), (ea, kin) = ops
     x, p, u = state
     v, dp, dz = deriv
-
-    if field is None:
-        def stage():
-            stacked.dot(u, out=r)
-            rv.dot(u, out=v)
-            dp.fill(0.0)
-            p.dot(rc, out=dz)
-        return stage
-
     potential, gradient = field.A, field.grad
 
     def stage():
@@ -224,15 +214,18 @@ def _particle(state):
 
 def derivative(state, field: ExternalField | None = None):
     """(dx, dp, dz) right-hand sides of an ElectronState (z) or
-    PhotonClassicalState (eta); the free equations when field is None."""
+    PhotonClassicalState (eta). No field is the zero field (A = 0,
+    grad = 0, charge 0), through the same stage core."""
     mats, cliff, z = _particle(state)
     x = state.x.as_array()
-    if field is not None:
+    if field is None:
+        a, g, charge = np.zeros(4), np.zeros((4, 4)), 0.0
+    else:
         # A and grad are called once each: `_packed`'s shape check and
         # the stage read the same values
         xa = x.copy()
-        a, g = field.A(xa), field.grad(xa)
-        field = ExternalField(lambda _: a, lambda _: g, field.charge)
+        a, g, charge = field.A(xa), field.grad(xa), field.charge
+    field = ExternalField(lambda _: a, lambda _: g, charge)
     ops, y = _packed(mats, cliff, x, state.p.as_array(), z, field)
     out = np.empty_like(y)
     _stage(ops, field, _split(y), _split(out))()

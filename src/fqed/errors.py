@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the batched raiser."""
+"""Exception types shared across the package, the batched raiser and the
+mass check."""
+
+import math
 
 import numpy as np
 
@@ -39,3 +42,9 @@ def reject(bad: np.ndarray, what: str, values: np.ndarray, legs=(),
         first = tuple(np.argwhere(bad)[0])
         where = f"{legs[first[0]]} " if legs else ""
         raise error(f"{where}{what} = {values[first]:.3e}")
+
+
+def check_mass(mass) -> None:
+    """A mass must be finite and > 0: a DomainError naming it otherwise."""
+    if not 0.0 < mass < math.inf:
+        raise DomainError(f"mass must be finite and > 0, got {mass!r}")

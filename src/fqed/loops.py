@@ -93,7 +93,7 @@ import numpy as np
 from .algebra import I4, slash
 from .constants import ALPHA_DEFAULT
 from .errors import (DegenerateLevelError, DomainError, NumericError,
-                     SingularityError)
+                     SingularityError, check_mass)
 from .fourvec import FourVector
 
 _EULER_GAMMA = 0.5772156649015329
@@ -183,6 +183,7 @@ def vacuum_polarization_finite(k2, mass: float = 1.0,
     imaginary part from the log branch. k2 is a scalar (complex out)
     or an array (complex array out).
     """
+    check_mass(mass)
     r, scalar = _batch(k2, "k2")
     r = r / (mass * mass)
     re = np.empty_like(r)
@@ -220,6 +221,7 @@ def vacuum_polarization_pole(alpha: float = ALPHA_DEFAULT,
     2 alpha/(3 pi); the Gamma(1+eps/2) (4 pi)^(eps/2) m^(-eps) factors
     are expanded to order eps^0 and folded into the finite slot.
     """
+    check_mass(mass)
     pole = 2.0 * alpha / (3.0 * math.pi)
     L = math.log(4.0 * math.pi) - _EULER_GAMMA - 2.0 * math.log(mass)
     return LaurentValue(complex(pole), complex(pole * L / 2.0))
@@ -248,6 +250,7 @@ def self_energy_ab(p2, mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     complex arrays out). A point exactly on the mass shell, where the
     z-integral is logarithmically singular, rejects the whole batch.
     """
+    check_mass(mass)
     m = mass
     p2, scalar = _batch(p2, "p2")
     if np.any(np.abs(p2 - m * m) <= 1e-12 * m * m):
@@ -289,6 +292,7 @@ def self_energy_pole(mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     """The self energy's 1/eps pole as (a, b), pole = a 1 + b pslash:
     (alpha/4 pi)(4m, -1) at every p. This is the d = 4 - 2 eps form,
     which a derivation of the self energy is to revisit (ROADMAP)."""
+    check_mass(mass)
     c = alpha / (4.0 * math.pi)
     return 4.0 * mass * c, -c
 
@@ -333,6 +337,7 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
     representation.
     """
     m = mass
+    pole_a, pole_b = self_energy_pole(m, alpha)     # checks the mass
     p2 = float(p.norm2())
     if abs(p2 - m * m) <= 1e-12 * m * m:
         raise SingularityError(
@@ -340,7 +345,6 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
     delta = (m * m - p2) / (m * m)
     logd = cmath.log(complex(delta))
     psl = slash(p).astype(complex)
-    pole_a, pole_b = self_energy_pole(m, alpha)
     return LaurentValue(pole_a * I4 + pole_b * psl,
                         pole_b * logd * (psl - m * I4))
 

@@ -19,12 +19,14 @@ A KinematicConfig holds one point (FourVector legs) or N points ((N, 4)
 array legs). Evaluation validates all legs at once, then makes one
 stacked leg pass: one build of every spinor (a v spinor is the u spinor
 with its halves swapped) and one of every photon's polarization vectors.
-Each topology core contracts them with einsum into every helicity
-amplitude of every point, and `amplitude` returns them all: one slot
-axis per leg, slot 0 spin up (the spinor built on chi_up, as in
-states.dirac_spinors) or helicity plus, slot 1 spin down or helicity
-minus. One point is a batch of one through the same code, without the
-batch axis.
+Two kernels contract them with einsum into every helicity amplitude of
+every point: `_line`, the fermion line with two vertices, serves the
+Compton topology and bremsstrahlung, whose static Coulomb vertex
+gamma^0 is a one-slot absorbed photon, and `_four_fermion_core` the
+Moller topology. `amplitude` returns them all: one slot axis per leg,
+slot 0 spin up (the spinor built on chi_up, as in states.dirac_spinors)
+or helicity plus, slot 1 spin down or helicity minus. One point is a
+batch of one through the same code, without the batch axis.
 
 Crossing
 --------
@@ -57,7 +59,7 @@ import numpy as np
 from . import ledger as _ledger
 from .algebra import GAMMA, slash
 from .constants import ALPHA_DEFAULT
-from .errors import DomainError, reject
+from .errors import DomainError, check_mass, reject
 from .fourvec import FourVector, _components, minkowski_dot
 from .propagators import coulomb_line, fermion_line, photon_line
 from .states import _u_spinors, _V_ORDER, polarization_vectors
@@ -138,6 +140,7 @@ class KinematicConfig:
         legs = self._legs()
         if not np.isfinite(self.Z).all():
             raise DomainError(f"Z must be finite, got {self.Z!r}")
+        check_mass(self.mass)
         m2 = self.mass * self.mass
         order = _ORDER[self.process]
         nf = len(order) - len(_labels(self.process, "photon"))
@@ -207,41 +210,21 @@ class ReducedAmplitude:
 
 # -- core topologies -----------------------------------------------------
 #
-# Each core returns every helicity amplitude of every point; the axes are
+# Each core returns a value per helicity slot of every point; the axes are
 # the points, then the spin or helicity slots of its arguments in order.
 
-def _compton_core(bar_out, u_in, eps_abs, eps_em, p_in, k_abs, k_em,
-                  mass: float, e2: float) -> np.ndarray:
-    """bar_out [ eps_em 1/(p+k_abs-m) eps_abs
-                 + eps_abs 1/(p-k_em-m) eps_em ] u_in * (-i e^2),
-    axes (N, out, in, abs, em)."""
-    s1, s2 = fermion_line(np.stack([p_in + k_abs, p_in - k_em]), mass)
-    a, e = slash(eps_abs), slash(eps_em)
+def _line(bar_out, u_in, a, e, s1, s2) -> np.ndarray:
+    """bar_out [e s1 a + a s2 e] u_in, axes (N, out, in, a, e): the
+    fermion line with two vertices, shared by the Compton and the
+    bremsstrahlung topologies. a and e are the slashed vertices, each
+    (N, slots, 4, 4); s1 and s2 are the internal fermion lines of the
+    terms where a and where e meets u_in first."""
     bar_e = np.einsum("noi,neij->noej", bar_out, e)
     bar_a = np.einsum("noi,naij->noaj", bar_out, a)
     a_u = np.einsum("naij,nmj->nmai", a, u_in)
     e_u = np.einsum("neij,nmj->nmei", e, u_in)
-    m = (np.einsum("noej,njk,nmak->nomae", bar_e, s1, a_u)
-         + np.einsum("noaj,njk,nmek->nomae", bar_a, s2, e_u))
-    return -1j * e2 * m
-
-
-def _coulomb_core(bar_out, u_in, eps, p_out, p_in, k, mass: float,
-                  Z: float, e3: float) -> np.ndarray:
-    """External-Coulomb topology with static gamma^0 vertex.
-
-    -Z e^3/|q|^2 * bar_out [ eps 1/(p_out+k-m) g0
-                             + g0 1/(p_in-k-m) eps ] u_in * (-i),
-    with q = spatial part of (k + p_out - p_in); axes (N, out, in, photon).
-    """
-    q2 = coulomb_line((k + p_out - p_in)[:, 1:], mass)
-    s1, s2 = fermion_line(np.stack([p_out + k, p_in - k]), mass)
-    e = slash(eps)
-    bar_e = np.einsum("noi,ncij->nocj", bar_out, e)
-    e_u = np.einsum("ncij,nmj->nmci", e, u_in)
-    m = (np.einsum("nocj,njk,nmk->nomc", bar_e, s1, u_in * _G0_DIAG)
-         + np.einsum("noj,njk,nmck->nomc", bar_out * _G0_DIAG, s2, e_u))
-    return (-1j * (-Z) * e3 / q2)[:, None, None, None] * m
+    return (np.einsum("noej,njk,nmak->nomae", bar_e, s1, a_u)
+            + np.einsum("noaj,njk,nmek->nomae", bar_a, s2, e_u))
 
 
 def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
@@ -356,11 +339,20 @@ def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict,
         eps = polarization_vectors(p[nf:])
         np.conjugate(eps, out=eps, where=plan.emitted)
     if plan.base == "compton":
-        return _compton_core(bar[0], u[0], eps[0], eps[1], q[1], q[2], q[3],
-                             m, e2)
+        # -i e^2 bar [eps_em 1/(p+k_abs-m) eps_abs + eps_abs 1/(p-k_em-m)
+        # eps_em] u
+        s1, s2 = fermion_line(np.stack([q[1] + q[2], q[1] - q[3]]), m)
+        return -1j * e2 * _line(bar[0], u[0], slash(eps[0]), slash(eps[1]),
+                                s1, s2)
     if plan.base == "bremsstrahlung":
-        return _coulomb_core(bar[0], u[0], eps[0], q[0], q[1], q[2], m,
-                             cfg.Z, e2 * math.sqrt(e2))
+        # -i (-Z e^3/|q|^2) bar [eps 1/(p_out+k-m) g0 + g0 1/(p_in-k-m) eps]
+        # u, g0 a one-slot absorbed photon, q the spatial k + p_out - p_in
+        p_out, p_in, k = q
+        q2 = coulomb_line((k + p_out - p_in)[:, 1:], m)
+        s1, s2 = fermion_line(np.stack([p_out + k, p_in - k]), m)
+        e3 = e2 * math.sqrt(e2)     # first: the order sets the last bits
+        return (-1j * (-cfg.Z) * e3 / q2)[:, None, None, None] * _line(
+            bar[0], u[0], GAMMA[:1, None], slash(eps[0]), s1, s2)[:, :, :, 0]
     return _four_fermion_core(bar[0], u[0], bar[1], u[1], q[3] - q[2],
                               q[3] - q[0], m, e2)
 
@@ -415,13 +407,15 @@ def _above(name: str, value, low: float) -> None:
     reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
 
 
-def _guard(*inputs, **angles) -> None:
-    """Reject the first bad one of a builder's inputs at its first bad
-    point: inputs are (name, value, low), each to be finite and above
-    low, in the order they are checked; the angles follow, by name, each
-    only to be finite. The inputs, broadcast together, are tested in one
-    pass; only when that fails, or cannot take them, is `_above` run on
-    each in turn, which then refuses or passes them as it alone would."""
+def _guard(mass, *inputs, **angles) -> None:
+    """Reject the mass first, as the other bounds depend on it, then the
+    first bad one of a builder's inputs at its first bad point: inputs
+    are (name, value, low), each to be finite and above low, in the order
+    they are checked; the angles follow, by name, each only to be
+    finite. The inputs, broadcast together, are tested in one pass; only
+    when that fails, or cannot take them, is `_above` run on each in
+    turn, which then refuses or passes them as it alone would."""
+    check_mass(mass)
     inputs += tuple((name, v, -math.inf) for name, v in angles.items())
     try:
         values = [v for _, v, _ in inputs]
@@ -462,7 +456,7 @@ def compton_omega_out(omega_in, theta, mass: float = 1.0):
 def compton_lab_config(omega_in, theta, phi=0.0,
                        mass: float = 1.0) -> KinematicConfig:
     """Electron at rest, photon along +z, scattering at (theta, phi)."""
-    _guard(("omega_in", omega_in, 0.0), theta=theta, phi=phi)
+    _guard(mass, ("omega_in", omega_in, 0.0), theta=theta, phi=phi)
     w2 = compton_omega_out(omega_in, theta, mass)
     nx, ny, nz = _direction(theta, phi)
     # p_f = p_i + k_i - k_f, with the energy put on shell
@@ -479,7 +473,7 @@ def compton_lab_config(omega_in, theta, phi=0.0,
 def annihilation_cm_config(pmag, theta, phi=0.0,
                            mass: float = 1.0) -> KinematicConfig:
     """e- e+ back to back along z; photons back to back at (theta, phi)."""
-    _guard(("pmag", pmag, 0.0), theta=theta, phi=phi)
+    _guard(mass, ("pmag", pmag, 0.0), theta=theta, phi=phi)
     E = np.sqrt(pmag * pmag + mass * mass)
     nx, ny, nz = _direction(theta, phi)
     return _config(
@@ -493,7 +487,7 @@ def annihilation_cm_config(pmag, theta, phi=0.0,
 def moller_cm_config(E, theta, phi=0.0, mass: float = 1.0,
                      process: str = "moller") -> KinematicConfig:
     """Symmetric CM collision at beam energy E per particle."""
-    _guard(("energy", E, mass), theta=theta, phi=phi)
+    _guard(mass, ("energy", E, mass), theta=theta, phi=phi)
     pmag = np.sqrt(E * E - mass * mass)
     nx, ny, nz = _direction(theta, phi)
     # in along +z, in along -z, out along n, out along -n
@@ -517,7 +511,7 @@ def bremsstrahlung_config(E_i, omega_f, theta_e, theta_k,
     # an E_f that overflows or is inf - inf has an input refused first
     with np.errstate(over="ignore", invalid="ignore"):
         E_f = E_i - omega_f
-    _guard(("e_in", E_i, mass), ("omega", omega_f, 0.0),
+    _guard(mass, ("e_in", E_i, mass), ("omega", omega_f, 0.0),
            ("final electron energy", E_f, mass), theta_e=theta_e,
            theta_k=theta_k, phi_e=phi_e, phi_k=phi_k)
     pf = np.sqrt(E_f * E_f - mass * mass)
@@ -538,7 +532,7 @@ def pair_production_config(omega_i, E_plus, theta_p, theta_m,
     # an E_minus that overflows or is inf - inf has an input refused first
     with np.errstate(over="ignore", invalid="ignore"):
         E_minus = omega_i - E_plus
-    _guard(("omega_in", omega_i, 2.0 * mass), ("e_plus", E_plus, mass),
+    _guard(mass, ("omega_in", omega_i, 2.0 * mass), ("e_plus", E_plus, mass),
            ("E_minus", E_minus, mass), theta_p=theta_p, theta_m=theta_m,
            phi_p=phi_p, phi_m=phi_m)
     pp = np.sqrt(E_plus * E_plus - mass * mass)

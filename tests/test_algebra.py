@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from fqed import algebra
-from fqed.errors import DomainError
 from fqed.fourvec import METRIC, FourVector, minkowski_dot
 
 rng = np.random.default_rng(42)
@@ -33,24 +31,10 @@ def test_sigma_slash_determinant():
         assert np.isclose(np.linalg.det(sigma_p), p.norm2(), atol=1e-12)
 
 
-def test_trace_cyclicity():
-    ms = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-          for _ in range(5)]
-    base = algebra.trace_product(ms)
-    for k in range(1, 5):
-        rot = ms[k:] + ms[:k]
-        assert abs(algebra.trace_product(rot) - base) <= 1e-12 * abs(base)
-
-
-def test_trace_empty_rejected():
-    with pytest.raises(DomainError):
-        algebra.trace_product([])
-
-
 def test_trace_of_two_slashes():
     p = FourVector(*rng.normal(size=4))
     q = FourVector(*rng.normal(size=4))
-    tr = algebra.trace_product([algebra.slash(p), algebra.slash(q)])
+    tr = np.trace(algebra.slash(p) @ algebra.slash(q))
     assert abs(tr - 4.0 * minkowski_dot(p, q)) <= 1e-12
 
 
@@ -58,8 +42,7 @@ def test_odd_trace_vanishes():
     p = FourVector(*rng.normal(size=4))
     q = FourVector(*rng.normal(size=4))
     r = FourVector(*rng.normal(size=4))
-    tr = algebra.trace_product([algebra.slash(p), algebra.slash(q),
-                                algebra.slash(r)])
+    tr = np.trace(algebra.slash(p) @ algebra.slash(q) @ algebra.slash(r))
     assert abs(tr) <= 1e-12
 
 

@@ -436,6 +436,24 @@ class TestIntegrate:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_free_derivative_is_the_zero_field(self, photon):
+        """derivative without a field is derivative in the zero field (A =
+        0, grad = 0, charge 0), exactly, with dp zero."""
+        rng = np.random.default_rng(11)
+        d = 2 if photon else 4
+        build = dyn.PhotonClassicalState if photon else dyn.ElectronState
+        zero = dyn.ExternalField(lambda x: np.zeros(4),
+                                 lambda x: np.zeros((4, 4)), charge=0.0)
+        for _ in range(20):
+            st = build(FourVector.from_array(rng.normal(size=4)),
+                       FourVector.from_array(rng.normal(size=4)),
+                       rng.normal(size=d) + 1j * rng.normal(size=d))
+            free, field = dyn.derivative(st), dyn.derivative(st, zero)
+            for got, want in zip(free, field):
+                assert np.array_equal(got, want)
+            assert np.all(free[1] == 0.0)
+
     @pytest.mark.parametrize("kind", ["none", "sin", "wave"])
     @pytest.mark.parametrize("photon", [False, True])
     def test_packed_rhs_fills_its_row(self, photon, kind):
@@ -448,12 +466,11 @@ class TestIntegrate:
         d = 2 if photon else 4
         x, p = rng.normal(size=4), rng.normal(size=4)
         z = rng.normal(size=d) + 1j * rng.normal(size=d)
-        f = {"none": None, "sin": self.SIN_FIELD, "wave": WAVE_FIELD}[kind]
-        ops, y = dyn._packed(mats, cliff, x, p, z, f)
         zero = dyn.ExternalField(lambda x: np.zeros(4),
                                  lambda x: np.zeros((4, 4)))
-        want = np.concatenate(oracles.field_rhs_complex(
-            cliff, f or zero, x, p, z))
+        f = {"none": zero, "sin": self.SIN_FIELD, "wave": WAVE_FIELD}[kind]
+        ops, y = dyn._packed(mats, cliff, x, p, z, f)
+        want = np.concatenate(oracles.field_rhs_complex(cliff, f, x, p, z))
         for row in range(4):
             k = np.full((4, len(y)), np.nan)
             out = k[row]

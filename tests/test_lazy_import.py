@@ -91,7 +91,7 @@ print(tracer.count("loops.quad"), tracer.counts["integrand_evals"],
 
 # the names `fqed` re-exports, by the submodule that defines them
 _EXPORTS = {
-    "algebra": ("GAMMA", "SIGMA", "BIG_SIGMA", "slash", "trace_product"),
+    "algebra": ("GAMMA", "SIGMA", "BIG_SIGMA", "slash"),
     "constants": ("ALPHA_DEFAULT", "ELECTRON_MASS_MEV"),
     "errors": ("DegenerateLevelError", "DomainError", "FqedError",
                "NumericError", "PoleError", "SingularityError"),

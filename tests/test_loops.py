@@ -94,6 +94,29 @@ class TestVacuumPolarization:
             loops.vacuum_polarization_finite(math.inf)
 
 
+# each closed form that takes a mass, called with it
+MASS_CALLS = {
+    "vacuum_polarization_finite":
+        lambda m: loops.vacuum_polarization_finite(1.0, m),
+    "vacuum_polarization_pole":
+        lambda m: loops.vacuum_polarization_pole(ALPHA_DEFAULT, m),
+    "self_energy_ab": lambda m: loops.self_energy_ab(0.5, m),
+    "self_energy_pole": lambda m: loops.self_energy_pole(m),
+    "self_energy_near_shell": lambda m: loops.self_energy_near_shell(
+        FourVector(0.5, 0.0, 0.0, 0.0), m),
+}
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", MASS_CALLS)
+def test_bad_mass_named(name, mass):
+    """A mass that is not finite and > 0 is a DomainError naming it,
+    never an inf, a NaN or a math domain error."""
+    MASS_CALLS[name](1.0)
+    with pytest.raises(DomainError, match="^mass must be finite and > 0"):
+        MASS_CALLS[name](mass)
+
+
 class TestPolarizationTensor:
 
     def test_transversality(self):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import oracles
 from fqed import cli
 from fqed import processes as pr
-from fqed.algebra import GAMMA
+from fqed.algebra import GAMMA, slash
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import DomainError, PoleError
 from fqed.fourvec import FourVector, check_on_shell
+from fqed.propagators import fermion_line
 from fqed.states import dirac_spinors, polarization_vectors
 
 rng = np.random.default_rng(19)
@@ -64,9 +65,11 @@ def compton_with_momentum(cfg, photon):
            "k_f": polarization_vectors(mom["k_f"]).conj()}
     if photon is not None:
         eps[photon] = mom[photon][:, None, :]
-    amps = pr._compton_core(u_f.conj() @ GAMMA[0], u_i, eps["k_i"],
-                            eps["k_f"], mom["p_i"], mom["k_i"], mom["k_f"],
-                            m, 4.0 * math.pi * ALPHA_DEFAULT)
+    p_i, k_i, k_f = mom["p_i"], mom["k_i"], mom["k_f"]
+    s1, s2 = fermion_line(np.stack([p_i + k_i, p_i - k_f]), m)
+    amps = -1j * (4.0 * math.pi * ALPHA_DEFAULT) * pr._line(
+        u_f.conj() @ GAMMA[0], u_i, slash(eps["k_i"]), slash(eps["k_f"]),
+        s1, s2)
     return amps[0] if cfg._is_point() else amps
 
 
@@ -108,6 +111,20 @@ def test_non_finite_angle_named(build, energies, angles):
             with pytest.raises(DomainError,
                                match=f"^{name} must be finite: {name} = "):
                 build(*energies, **kwargs)
+
+
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("build, energies, angles", ANGLE_BUILDERS,
+                         ids=lambda v: getattr(v, "__name__", ""))
+def test_bad_mass_named(build, energies, angles, mass):
+    """A mass that is not finite and > 0 is a DomainError naming mass:
+    from each builder, before the bounds that depend on it, and from
+    validate."""
+    cfg = build(*energies, **dict.fromkeys(angles, 0.5))
+    with pytest.raises(DomainError, match="^mass must be finite and > 0"):
+        build(*energies, **dict.fromkeys(angles, 0.5), mass=mass)
+    with pytest.raises(DomainError, match="^mass must be finite and > 0"):
+        dataclasses.replace(cfg, mass=mass).validate()
 
 
 class TestKinematicConfig:
@@ -683,7 +700,37 @@ FIRST_FAILING_INPUT = [
 ]
 
 
-@pytest.mark.parametrize("build, args, kwargs, message", FIRST_FAILING_INPUT)
+# explicit ids, as pytest first generated them (builder, indices and
+# pinned message), so that a later message edit renames no test
+FIRST_FAILING_INPUT_IDS = [
+    "compton_lab_config-args0-kwargs0-omega_in must exceed 0: omega_in = "
+    "-1.000e+00",
+    "compton_lab_config-args1-kwargs1-omega_in must be finite: omega_in = "
+    "inf",
+    "annihilation_cm_config-args2-kwargs2-pmag must exceed 0: pmag = "
+    "0.000e+00",
+    "moller_cm_config-args3-kwargs3-energy must exceed 1: energy = "
+    "5.000e-01",
+    "moller_cm_config-args4-kwargs4-energy must exceed 2: energy = "
+    "1.500e+00",
+    "bhabha_cm_config-args5-kwargs5-theta must be finite: theta = nan",
+    "bremsstrahlung_config-args6-kwargs6-final electron energy must exceed "
+    "1: final electron energy = 5.000e-01",
+    "bremsstrahlung_config-args7-kwargs7-e_in must exceed 1: e_in = "
+    "5.000e-01",
+    "bremsstrahlung_config-args8-kwargs8-theta_k must be finite: theta_k = "
+    "nan",
+    "pair_production_config-args9-kwargs9-e_plus must exceed 1: e_plus = "
+    "5.000e-01",
+    "pair_production_config-args10-kwargs10-omega_in must exceed 2: "
+    "omega_in = 1.900e+00",
+    "pair_production_config-args11-kwargs11-theta_p must be finite: theta_p "
+    "= nan",
+]
+
+
+@pytest.mark.parametrize("build, args, kwargs, message", FIRST_FAILING_INPUT,
+                         ids=FIRST_FAILING_INPUT_IDS)
 def test_first_failing_input_named(build, args, kwargs, message):
     with pytest.raises(DomainError) as exc:
         build(*(np.array(a) for a in args),
@@ -721,7 +768,20 @@ FIRST_FAILING_CHECK = [
 ]
 
 
-@pytest.mark.parametrize("edits, message", FIRST_FAILING_CHECK)
+# explicit ids, as pytest first generated them (index and pinned
+# message), so that a later message edit renames no test
+FIRST_FAILING_CHECK_IDS = [
+    "edits0-p_i off shell: p^2 - m^2 = 3.000e+00",
+    "edits1-p_i off shell: p^2 - m^2 = 8.000e+00",
+    "edits2-p_i needs p0 > 0, p0 = -1.000e+00",
+    "edits3-k_f not lightlike: k^2 = 7.500e-01",
+    "edits4-k_i needs |k| > 0, |k| = 0.000e+00",
+    "edits5-4-momentum not conserved, |residual| = 1.295e+00",
+]
+
+
+@pytest.mark.parametrize("edits, message", FIRST_FAILING_CHECK,
+                         ids=FIRST_FAILING_CHECK_IDS)
 def test_first_failing_check_named(edits, message):
     with pytest.raises(DomainError) as exc:
         edited_compton(edits).validate()
