@@ -19,7 +19,9 @@ J = 0.2
 
 
 def main():
-    current = lambda k: np.array([0.0, J, 0.0, 0.0], dtype=complex)
+    # a constant current: the same J at both ends of the sampled range
+    current = ([0.0, 5.0], np.array([[0.0, 0.0], [J, J], [0.0, 0.0],
+                                     [0.0, 0.0]], dtype=complex))
     spec = loops.SpectrumInput({"upper": 1.0, "lower": 1.0 - GAP},
                                {("upper", "lower"): current}, 5.0)
 

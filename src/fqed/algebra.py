@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fourvec import _components
+from .fourvec import METRIC_DIAG, _components
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -44,12 +44,11 @@ BIG_SIGMA.setflags(write=False)
 I4 = np.eye(4, dtype=complex)
 I4.setflags(write=False)
 
-_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])[:, None, None]
 # the matrices with their index lowered, mats_mu: each slash contracts
 # the last axis of a FourVector or (..., 4) (possibly complex) array of
 # contravariant components with one of them
 _GAMMA_LOWERED, _BIG_SIGMA_LOWERED = (
-    _METRIC_DIAG * mats for mats in (GAMMA, BIG_SIGMA))
+    METRIC_DIAG[:, None, None] * mats for mats in (GAMMA, BIG_SIGMA))
 
 
 def slash(p) -> np.ndarray:

@@ -431,14 +431,14 @@ def _cmd_selftest(args):
         checks.append((name, ok))
         print(f"{'PASS' if ok else 'FAIL'} {name}")
 
-    from . import algebra, loops, processes, states
+    from . import algebra, fourvec, loops, processes, states
     rng = np.random.default_rng(7)
 
     def clifford():
         # every anticommutator {g^m, g^n} = 2 eta^mn from one product
         g = algebra.GAMMA
         gg = np.einsum("mij,njk->mnik", g, g)
-        metric = np.diag([1.0, -1.0, -1.0, -1.0])
+        metric = np.diag(fourvec.METRIC_DIAG)
         return np.allclose(gg + gg.transpose(1, 0, 2, 3),
                            2 * metric[:, :, None, None] * np.eye(4),
                            atol=1e-14)

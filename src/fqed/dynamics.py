@@ -61,14 +61,13 @@ import numpy as np
 from .algebra import GAMMA, SIGMA, slash
 from .constants import MAX_RECORD_BYTES
 from .errors import DomainError
-from .fourvec import FourVector
+from .fourvec import METRIC_DIAG, FourVector
 
 _G0 = GAMMA[0]
 # velocity matrices: dx^mu/dtau = z^dag mats^mu z, with mats = gamma^0
 # gamma^mu for the electron and sigma^mu for the photon
 _G0G = np.stack([_G0 @ GAMMA[mu] for mu in range(4)])
 _S = SIGMA
-_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -136,9 +135,9 @@ def _packed(mats, cliff, x, p, z, field):
     if shapes != ((4,), (4, 4)):
         raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
                           f"(4, 4), got {shapes[0]}, {shapes[1]}")
-    em = -field.charge * _METRIC_DIAG
+    em = -field.charge * METRIC_DIAG
     charge = np.array(field.charge, dtype=float)
-    m = np.stack([-1j * _METRIC_DIAG[:, None, None] * cliff, mats])
+    m = np.stack([-1j * METRIC_DIAG[:, None, None] * cliff, mats])
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
     stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c))
@@ -292,7 +291,7 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
     S_i^dag mats^mu S_i with weights (1, 2, 2, 1).
     """
     eye = np.eye(len(z0))
-    g = -1j * np.einsum("m,mij->ij", p, _METRIC_DIAG[:, None, None] * cliff)
+    g = -1j * np.einsum("m,mij->ij", p, METRIC_DIAG[:, None, None] * cliff)
     s2 = eye + 0.5 * dt * g
     s3 = eye + 0.5 * dt * g @ s2
     s4 = eye + dt * g @ s3
@@ -405,7 +404,7 @@ def integrate(state0, field: ExternalField | None = None,
     for start in range(0, end, _VELOCITY_ROWS):
         rows = slice(start, start + _VELOCITY_ROWS)
         hs[rows] = np.einsum("nm,nm->n", _velocity(mats, zs[rows]),
-                             ps[rows] * _METRIC_DIAG)
+                             ps[rows] * METRIC_DIAG)
         norms[rows] = _internal_norm(cliff, zs[rows])
     return Trajectory(t0 + dt * np.arange(end), xs, ps, zs, norms, hs,
                       end <= n)

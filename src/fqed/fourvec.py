@@ -2,6 +2,7 @@
 
 All operations accept contravariant components; index lowering happens
 inside the dot product and the slash contraction, never in user code.
+It owns the metric's diagonal, METRIC_DIAG, and the mass-shell rule.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, reject
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-# check_on_shell's tolerance on p^2 - m^2, in units of max(m^2, 1)
-ON_SHELL_TOL = 1e-10
+METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
+METRIC_DIAG.setflags(write=False)
+# on_shell's tolerance on p^2 - m^2, in units of max(m^2, p0^2)
+SHELL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,17 @@ def minkowski_dot(a, b):
             - av[..., 2] * bv[..., 2] - av[..., 3] * bv[..., 3])
 
 
+def on_shell(dev, mass, p0):
+    """Where dev, a p^2 - m^2 (or a photon's k^2), is zero up to rounding
+    at energy p0: |dev| < SHELL_TOL max(m^2, p0^2), as p^2 cancels terms
+    of size p0^2. A non-finite dev is never on shell."""
+    return np.abs(dev) < SHELL_TOL * np.maximum(mass * mass, p0 * p0)
+
+
 def check_on_shell(p, mass: float) -> None:
     """Raise DomainError unless p (a FourVector or (..., 4) array) is on
     the mass shell at every point."""
+    p = _components(p)
     dev = np.asarray(minkowski_dot(p, p) - mass * mass)
-    bad = ~(np.abs(dev) <= ON_SHELL_TOL * max(mass * mass, 1.0))
-    if bad.any():
-        raise DomainError(
-            f"momentum off shell: p^2 - m^2 = {dev[bad][0]:.3e}")
+    reject(~on_shell(dev, mass, p[..., 0]), "momentum off shell: p^2 - m^2",
+           dev)

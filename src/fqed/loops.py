@@ -355,8 +355,8 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
 class SpectrumInput:
     """Discrete level spectrum with isotropic transition currents.
 
-    levels maps label -> energy. currents maps (row, col) label pairs
-    to either a callable k -> length-4 complex array or a pair of
+    levels maps label -> energy. currents maps (row, col) pairs of those
+    labels to either a callable k -> length-4 complex array or a pair of
     arrays (k_samples, J (4, n)) interpolated linearly (constant beyond
     the end samples). Missing pairs are zero. k_max bounds all
     photon-momentum integrals. Energies, k_max and the samples of
@@ -368,6 +368,10 @@ class SpectrumInput:
     k_max: float = 10.0
 
     def __post_init__(self):
+        for a, b in self.currents:
+            if a not in self.levels or b not in self.levels:
+                raise DomainError(
+                    f"current ({a},{b}) references unknown level")
         if not self.levels:
             raise DomainError("spectrum needs at least one level")
         for lab, E in self.levels.items():
@@ -686,9 +690,6 @@ def parse_spectrum(text: str, k_max: float = 10.0) -> SpectrumInput:
         else:
             raise DomainError(f"data before any section: {line}")
     flush()
-    for (a, b) in currents:
-        if a not in levels or b not in levels:
-            raise DomainError(f"current ({a},{b}) references unknown level")
     return SpectrumInput(levels, currents, k_max)
 
 

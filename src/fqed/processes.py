@@ -16,9 +16,10 @@ Conventions
 Batches and helicities
 ----------------------
 A KinematicConfig holds one point (FourVector legs) or N points ((N, 4)
-array legs). Evaluation validates all legs at once, then makes one
-stacked leg pass: one build of every spinor (a v spinor is the u spinor
-with its halves swapped) and one of every photon's polarization vectors.
+array legs). Evaluation validates all legs at once (fourvec.on_shell
+scales the mass-shell tolerance with the energy), then makes one stacked
+leg pass: one build of every spinor (a v spinor is the u spinor with its
+halves swapped) and one of every photon's polarization vectors.
 Two kernels contract them with einsum into every helicity amplitude of
 every point: `_line`, the fermion line with two vertices, serves the
 Compton topology and bremsstrahlung, whose static Coulomb vertex
@@ -60,13 +61,10 @@ from . import ledger as _ledger
 from .algebra import GAMMA, slash
 from .constants import ALPHA_DEFAULT
 from .errors import DomainError, check_mass, reject
-from .fourvec import FourVector, _components, minkowski_dot
+from .fourvec import (METRIC_DIAG, SHELL_TOL, FourVector, _components,
+                      minkowski_dot, on_shell)
 from .propagators import coulomb_line, fermion_line, photon_line
 from .states import _u_spinors, _V_ORDER, polarization_vectors
-
-# validate's tolerance: on shell and lightlike in units of m^2,
-# conservation in units of m
-KINEMATIC_TOL = 1e-10
 
 # each process's external legs, label -> (particle, side); every other
 # per-leg fact (labels, conservation sides, emitted photons, positrons,
@@ -110,7 +108,6 @@ _AXES = {
     "moller": ("p_f2", "p_i2", "p_f1", "p_i1"),
 }
 _G0_DIAG = np.array([1.0, 1.0, -1.0, -1.0])     # gamma^0 is diagonal
-_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -134,19 +131,19 @@ class KinematicConfig:
 
     def validate(self) -> dict[str, np.ndarray]:
         """Check exactly the process's legs, a finite Z, on-shell
-        fermions with p0 > 0, lightlike photons with |k| > 0 and
-        conservation at every point at once; returns every leg as an
-        (N, 4) array (N = 1 for one point)."""
+        fermions with p0 > 0, lightlike photons with |k| > 0 (both by
+        fourvec.on_shell) and conservation at every point at once;
+        returns every leg as an (N, 4) array (N = 1 for one point)."""
         legs = self._legs()
         if not np.isfinite(self.Z).all():
             raise DomainError(f"Z must be finite, got {self.Z!r}")
         check_mass(self.mass)
-        m2 = self.mass * self.mass
         order = _ORDER[self.process]
         nf = len(order) - len(_labels(self.process, "photon"))
-        square = minkowski_dot(legs, legs)      # fermions first
-        dev, k2 = square[:nf] - m2, square[nf:]
-        p0 = legs[:nf, ..., 0]
+        dev = minkowski_dot(legs, legs)     # k^2 of the photons, and
+        dev[:nf] -= self.mass * self.mass   # p^2 - m^2 of the fermions
+        p0 = legs[..., 0]
+        shell = on_shell(dev, self.mass, p0)
         kmag = np.sqrt(np.add.reduce(legs[nf:, ..., 1:] ** 2, -1))
         mom = dict(zip(order, legs))
         res = _residual(self.process, mom)
@@ -155,13 +152,12 @@ class KinematicConfig:
         # each check once, in the order they are reported: where it
         # holds, its message, its values and the legs they run over
         checks = (
-            (np.abs(dev) <= KINEMATIC_TOL * m2, "off shell: p^2 - m^2", dev,
-             order),
-            (p0 > 0, "needs p0 > 0, p0", p0, order),
-            (np.abs(k2) <= KINEMATIC_TOL * m2, "not lightlike: k^2", k2,
-             order[nf:]),
+            (shell[:nf], "off shell: p^2 - m^2", dev[:nf], order),
+            (p0[:nf] > 0, "needs p0 > 0, p0", p0[:nf], order),
+            (shell[nf:], "not lightlike: k^2", dev[nf:], order[nf:]),
             (kmag > 0, "needs |k| > 0, |k|", kmag, order[nf:]),
-            (res <= KINEMATIC_TOL * self.mass,
+            # in units of the largest of m and the point's leg energies
+            (res < SHELL_TOL * p0.max(0, initial=self.mass),
              f"{what} not conserved, |residual|", res, ()))
         # one test of every point of every check; the first failure is
         # found, and named, only when one fails
@@ -238,7 +234,7 @@ def _four_fermion_core(bar_1, u_1, bar_2, u_2, q_direct, q_exchange,
     # the two outgoing fermions swaps the two terms exactly
     currents = lambda bar, ket: np.einsum("nai,mij,nbj->nabm", bar, GAMMA,
                                           ket)
-    dot = lambda j, k: np.einsum("nabm,ncdm->nabcd", j * _METRIC_DIAG, k)
+    dot = lambda j, k: np.einsum("nabm,ncdm->nabcd", j * METRIC_DIAG, k)
     direct = dot(currents(bar_1, u_1), currents(bar_2, u_2))
     exchange = dot(currents(bar_2, u_1), currents(bar_1, u_2))
     return -1j * e2 * (direct / t - exchange.transpose(0, 3, 2, 1, 4) / u)
@@ -399,35 +395,24 @@ def spin_summed_squared(cfg: KinematicConfig,
 # Every builder takes scalars or arrays (broadcast together): scalars give
 # a one-point config with FourVector legs, arrays an N-point config.
 
-def _above(name: str, value, low: float) -> None:
-    """Reject non-finite inputs and inputs at or below low, naming the
-    first one."""
-    value = np.asarray(value, dtype=float)
-    reject(~np.isfinite(value), f"{name} must be finite: {name}", value)
-    reject(~(value > low), f"{name} must exceed {low:g}: {name}", value)
-
-
 def _guard(mass, *inputs, **angles) -> None:
     """Reject the mass first, as the other bounds depend on it, then the
     first bad one of a builder's inputs at its first bad point: inputs
     are (name, value, low), each to be finite and above low, in the order
     they are checked; the angles follow, by name, each only to be
     finite. The inputs, broadcast together, are tested in one pass; only
-    when that fails, or cannot take them, is `_above` run on each in
-    turn, which then refuses or passes them as it alone would."""
+    when that fails is the same array walked, input by input, for the
+    first non-finite value, then the first at or below its bound."""
     check_mass(mass)
     inputs += tuple((name, v, -math.inf) for name, v in angles.items())
-    try:
-        values = [v for _, v, _ in inputs]
-        a = np.empty(np.broadcast(*values).shape + (len(values),))
-        for i, v in enumerate(values):
-            a[..., i] = v
-        if (np.isfinite(a) & (a > [low for _, _, low in inputs])).all():
-            return
-    except (TypeError, ValueError):
-        pass
-    for name, value, low in inputs:
-        _above(name, value, low)
+    values = [v for _, v, _ in inputs]
+    a = np.empty(np.broadcast(*values).shape + (len(values),))
+    for i, v in enumerate(values):
+        a[..., i] = v
+    if not (np.isfinite(a) & (a > [low for _, _, low in inputs])).all():
+        for (name, _, low), v in zip(inputs, np.moveaxis(a, -1, 0)):
+            reject(~np.isfinite(v), f"{name} must be finite: {name}", v)
+            reject(~(v > low), f"{name} must exceed {low:g}: {name}", v)
 
 
 def _direction(theta, phi):
@@ -450,6 +435,7 @@ def _config(process: str, legs: dict, **kwargs) -> KinematicConfig:
 
 def compton_omega_out(omega_in, theta, mass: float = 1.0):
     """Lab-frame Compton relation for the scattered photon energy."""
+    check_mass(mass)
     return omega_in / (1.0 + (omega_in / mass) * (1.0 - np.cos(theta)))
 
 

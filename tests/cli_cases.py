@@ -381,6 +381,14 @@ for argv, name in (("compton --omega-in inf", "omega_in"),
          err=f"domain error: {name} must be finite: {name} = "
              f"{float(argv.split()[-1]):.3e}\n")
 
+# momenta that a builder made at a high energy are on their shell: the
+# tolerance of p^2 - m^2 grows with the energy, as its rounding does
+for argv, head in (("moller --energy 1e5", "energy,theta_deg,"),
+                   ("annihilate --pmag 1e6", "theta_deg,pmag,"),
+                   ("annihilate --pmag 1e7", "theta_deg,pmag,"),
+                   ("compton --omega-in 1e7 --theta 10", "theta_deg,")):
+    case("high_energy_kinematics", argv, 0, Csv(1, head))
+
 # inputs that fail at different points of a sweep: the input checked
 # first is named, at its first bad point, whatever the later ones hold
 for argv, message in (

@@ -1,7 +1,7 @@
 import numpy as np
 
 from fqed import algebra
-from fqed.fourvec import METRIC, FourVector, minkowski_dot
+from fqed.fourvec import METRIC_DIAG, FourVector, minkowski_dot
 
 rng = np.random.default_rng(42)
 
@@ -11,7 +11,7 @@ def test_clifford_algebra():
         for nu in range(4):
             anti = (algebra.GAMMA[mu] @ algebra.GAMMA[nu]
                     + algebra.GAMMA[nu] @ algebra.GAMMA[mu])
-            target = 2.0 * METRIC[mu, nu] * np.eye(4)
+            target = 2.0 * np.diag(METRIC_DIAG)[mu, nu] * np.eye(4)
             assert np.max(np.abs(anti - target)) <= 1e-14
 
 

@@ -1066,6 +1066,8 @@ class TestContract:
     test_non_finite_energy_named = table_test("non_finite_energy_named",
                                               each=True)
     test_first_failing_input = table_test("first_failing_input", each=True)
+    test_high_energy_kinematics = table_test("high_energy_kinematics",
+                                             each=True)
 
     def test_every_case_runs_in_process(self):
         """Each group of cases is run by exactly one test of this module,

@@ -12,7 +12,7 @@ from fqed import cli
 from fqed import dynamics as dyn
 from fqed.algebra import GAMMA, SIGMA, slash
 from fqed.errors import DomainError
-from fqed.fourvec import FourVector, minkowski_dot
+from fqed.fourvec import METRIC_DIAG, FourVector, minkowski_dot
 
 import oracles
 
@@ -197,7 +197,7 @@ class TestDerivatives:
                 else:
                     ps = np.array(traj.p)
                 assert np.array_equal(
-                    traj.H, np.einsum("nm,nm->n", v, ps * dyn._METRIC_DIAG))
+                    traj.H, np.einsum("nm,nm->n", v, ps * METRIC_DIAG))
                 assert np.array_equal(traj.zbar_z,
                                       dyn._internal_norm(cliff, z))
 

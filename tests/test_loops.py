@@ -9,7 +9,9 @@ from fqed.algebra import GAMMA, I4, slash
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import (DegenerateLevelError, DomainError,
                          SingularityError)
-from fqed.fourvec import METRIC, FourVector
+from fqed.fourvec import METRIC_DIAG, FourVector
+
+METRIC = np.diag(METRIC_DIAG)
 
 
 def polarization_tensor(k):
@@ -357,6 +359,16 @@ class TestSpectrumFormat:
                        {"k_max": math.nan}, {"k_max": math.inf}):
             with pytest.raises(DomainError):
                 loops.SpectrumInput({"d": 1.0, "b": 0.7}, **kwargs)
+
+    def test_current_of_unknown_level(self):
+        """A current naming a level the spectrum lacks is refused where
+        the spectrum is made: it was dropped, and every shift read 0."""
+        table = (np.array([0.0, 5.0]), np.full((4, 2), 0.2))
+        with pytest.raises(DomainError,
+                           match=r"^current \(a,zz\) references unknown "
+                                 r"level$"):
+            loops.SpectrumInput({"a": 1.0, "b": 0.7}, {("a", "zz"): table},
+                                5.0)
 
     @pytest.mark.parametrize("ks, J", [
         ([5.0, 2.5, 0.0], np.full((4, 3), 0.2)),

@@ -180,7 +180,7 @@ class TestKinematicConfig:
         assert abs(res.t) <= 1e-12
 
     # the evaluation builds spinors without check_on_shell, so validate's
-    # bound, KINEMATIC_TOL m^2, must never be looser than check_on_shell's
+    # bound must never be looser than check_on_shell's
     @example(1e-3, 1.0, 1e-9, 0.5e-10)
     @example(1e3, 0.3, math.pi - 1e-9, -0.5e-10)
     @example(1.0, 2.0, 0.0, 0.0)
@@ -289,6 +289,11 @@ class TestComptonFamily:
     def test_compton_relation(self):
         w2 = pr.compton_omega_out(1.0, math.pi)
         assert np.isclose(w2, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan, math.inf])
+    def test_compton_relation_checks_mass(self, mass):
+        with pytest.raises(DomainError, match="^mass must be finite and > 0"):
+            pr.compton_omega_out(1.0, 1.0, mass)
 
     # the draws of the fixed-seed version of this test
     @example(1.1148895233549918, 0.20691912789502345, 3.2221200440604623)
@@ -631,6 +636,71 @@ class TestAmplitudeContract:
         m = pr.amplitude(cfg).value[:, 0, 0, 0]
         assert np.array_equal(cols["re_M"], m.real)
         assert np.array_equal(cols["im_M"], m.imag)
+
+
+# each process at the scale r: the config of its builder from r, the mass
+# m, a share f of the energy above threshold and four angles; the oracle
+# of its spin sum (of |M|^2 for the Coulomb processes); and the bound on
+# their relative difference, a floor plus a slope per unit of r
+HIGH_ENERGY = {
+    "compton": (lambda r, m, f, a: pr.compton_lab_config(
+        r * m, a[0], a[2], mass=m), oracles.compton_invariant_m2,
+        (0.0, 1e-14)),
+    "annihilation": (lambda r, m, f, a: pr.annihilation_cm_config(
+        r * m, a[0], a[2], mass=m), oracles.annihilation_invariant_m2,
+        (0.0, 2e-14)),
+    "moller": (lambda r, m, f, a: pr.moller_cm_config(
+        m * math.hypot(1.0, r), a[0], a[2], mass=m), oracles.moller_trace_m2,
+        (0.0, 1e-14)),
+    "bhabha": (lambda r, m, f, a: pr.bhabha_cm_config(
+        m * math.hypot(1.0, r), a[0], a[2], mass=m), oracles.bhabha_trace_m2,
+        (0.0, 1e-14)),
+    "bremsstrahlung": (lambda r, m, f, a: pr.bremsstrahlung_config(
+        m * (1.0 + r), f * r * m, *a, mass=m), oracles.coulomb_trace_m2,
+        (1e-9, 2e-14)),
+    "pair_production": (lambda r, m, f, a: pr.pair_production_config(
+        m * (2.0 + r), m * (1.0 + f * r), *a, mass=m),
+        oracles.coulomb_trace_m2, (1e-9, 2e-14)),
+}
+
+
+def opening_angle(theta_1, theta_2, phi_1, phi_2):
+    """The angle between the directions (theta_1, phi_1), (theta_2, phi_2)."""
+    c = (math.sin(theta_1) * math.sin(theta_2) * math.cos(phi_1 - phi_2)
+         + math.cos(theta_1) * math.cos(theta_2))
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+@pytest.mark.parametrize("process", HIGH_ENERGY)
+@example(log_r=3.0, log_m=0.0, f=0.5, a=(1.0, 1.0, 0.0, 0.0))
+@settings(max_examples=30, deadline=None)
+@given(log_r=st.floats(0.0, 6.0), log_m=st.floats(-3.0, 3.0),
+       f=st.floats(0.05, 0.95),
+       a=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+                   st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)))
+def test_high_energy_kinematics(process, log_r, log_m, f, a):
+    """Every builder's legs, at energies from about m to 1e6 m, pass
+    validate and check_on_shell, as the mass-shell tolerance scales with
+    the leg energy; the spin sums stay within the bound of the oracles'.
+    A bremsstrahlung electron and photon less than 0.1 apart are not
+    compared: the q^2 - m^2 of the line between them cancels, in the
+    oracle as in the amplitude, and at a = (1, 1, 0, 0) and r = 1e3 the
+    two differ by 5e-10."""
+    build, oracle, (floor, slope) = HIGH_ENERGY[process]
+    r, m = 10.0 ** log_r, 10.0 ** log_m
+    cfg = build(r, m, f, a)
+    legs = cfg.validate()
+    for lab in pr._ORDER[process][:pr._PLANS[process].nf]:
+        check_on_shell(legs[lab], m)
+    if process == "bremsstrahlung" and opening_angle(*a) < 0.1:
+        return
+    if process in pr._ENERGY_ONLY:
+        value = pr.amplitude(cfg).value
+        got = float(np.sum(value.real ** 2 + value.imag ** 2))
+    else:
+        got = pr.spin_summed_squared(cfg)
+    ref = oracle(cfg, ALPHA_DEFAULT)
+    assert abs(got - ref) <= (floor + slope * r) * abs(ref)
 
 
 class TestGuards:
