@@ -23,11 +23,7 @@ class SingularityError(FqedError, ArithmeticError):
 
 
 class NumericError(FqedError, RuntimeError):
-    """A numerical procedure (quadrature, fit) failed to reach its tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """A computed result is unusable: it overflowed, or its run aborted."""
 
 
 class DegenerateLevelError(DomainError):

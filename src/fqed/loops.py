@@ -6,10 +6,7 @@ closed form and is stored symbolically as a two-term Laurent series
 (pole, finite). The epsilon^0 Feynman-parameter integrals are
 elementary and are evaluated in closed form on arrays: the k^2 and p^2
 functions below take a scalar (Python scalars out) or an array (arrays
-out), a scalar being a batch of one through the same code. scipy's quad
-is used only for energy shifts with callable transition currents, and
-scipy.integrate is imported on the first such quadrature (the module
-attribute `integrate`, loaded by the module __getattr__).
+out), a scalar being a batch of one through the same code.
 
 Vacuum polarization scalar part, with the subtraction at k^2 = 0
 already performed:
@@ -66,34 +63,30 @@ transition currents J_db(k):
             + P/2k (1/(E+k) - 1/(E-k)) ] J_db . J_db* }
 
 with E = E_d - E_b, Minkowski contraction of the currents, the delta
-terms collapsed analytically and P the principal value. For tabulated
-(piecewise-linear) currents both integrals are exact sums over the
-segments between table nodes: a polynomial for the static term, and a
-polynomial plus P(a) log|(a - x0)/(a - x1)| for the principal value
-with pole a. Callable currents are integrated by scipy's quad with
-fixed tolerances: absolute 1e-12, relative 1e-10, at most 200
-subintervals; an error estimate above ten times either tolerance (of
-the value, for the relative one) raises NumericError. A missing current
-adds an exact 0.0. The two levels of a stored tabulated pair share its
-PV integrals, swapped (they read only Re J.J^*, which conjugation
-keeps), and its current at |E|, conjugated; each forms its own shell
-term, as SIMD complex products round Im J.J^* and Im J^*.J to opposite
-signs. A pair stored in both orders is two entries.
+terms collapsed analytically and P the principal value. The currents
+are tabulated and interpolated linearly, so both integrals are exact
+sums over the segments between table nodes: a polynomial for the
+static term, and a polynomial plus P(a) log|(a - x0)/(a - x1)| for the
+principal value with pole a. A missing current adds an exact 0.0. The
+two levels of a stored pair share its PV integrals, swapped (they read
+only Re J.J^*, which conjugation keeps), and its current at |E|,
+conjugated; each forms its own shell term, as SIMD complex products
+round Im J.J^* and Im J^*.J to opposite signs. A pair stored in both
+orders is two entries.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import I4, slash
 from .constants import ALPHA_DEFAULT
-from .errors import (DegenerateLevelError, DomainError, NumericError,
-                     SingularityError, check_mass)
+from .errors import (DegenerateLevelError, DomainError, SingularityError,
+                     check_mass)
 from .fourvec import FourVector
 
 _EULER_GAMMA = 0.5772156649015329
@@ -120,33 +113,15 @@ class LaurentValue:
 
 
 def __getattr__(name):
-    # scipy.integrate takes most of the import time of fqed and only
-    # callable currents need it: import it on first use, then keep it
+    # no fqed code integrates numerically: `integrate` (scipy.integrate,
+    # imported on first access) stays only because the benchmark tracer
+    # (perfbench/tracing.py) wraps its quad when it installs; it goes
+    # with scipy in [project].dependencies (ROADMAP item B)
     if name == "integrate":
         from scipy import integrate
         globals()["integrate"] = integrate
         return integrate
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# quadrature tolerances and subdivision limit (module docstring)
-_QUAD_ABS_TOL = 1e-12
-_QUAD_REL_TOL = 1e-10
-_QUAD_LIMIT = 200
-
-
-def _quad(f, a, b, points=None) -> float:
-    # read through the module, so the first call imports scipy and a
-    # replaced `integrate` attribute is honoured
-    integrate = sys.modules[__name__].integrate
-    val, err = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL,
-                              epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT,
-                              points=points)
-    if err > max(_QUAD_ABS_TOL * 10.0, _QUAD_REL_TOL * 10.0 * abs(val)):
-        raise NumericError(
-            f"quadrature did not reach tolerance (error {err:.3e})",
-            achieved=err)
-    return val
 
 
 def _batch(x, name: str) -> tuple[np.ndarray, bool]:
@@ -356,11 +331,10 @@ class SpectrumInput:
     """Discrete level spectrum with isotropic transition currents.
 
     levels maps label -> energy. currents maps (row, col) pairs of those
-    labels to either a callable k -> length-4 complex array or a pair of
-    arrays (k_samples, J (4, n)) interpolated linearly (constant beyond
-    the end samples). Missing pairs are zero. k_max bounds all
-    photon-momentum integrals. Energies, k_max and the samples of
-    tabulated currents must be finite, with k_samples strictly increasing.
+    labels to a pair of arrays (k_samples, J (4, n)), interpolated
+    linearly (constant beyond the end samples). Missing pairs are zero.
+    k_max bounds all photon-momentum integrals. Energies, k_max and the
+    current samples must be finite, with k_samples strictly increasing.
     """
 
     levels: dict[str, float]
@@ -381,8 +355,9 @@ class SpectrumInput:
             raise DomainError(f"k_max must be finite and positive, got "
                               f"{self.k_max!r}")
         for key, entry in self.currents.items():
-            if callable(entry):
-                continue
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise DomainError(f"current {key} must be a (k_samples, J) "
+                                  f"pair")
             if not all(np.isfinite(np.asarray(a, dtype=complex)).all()
                        for a in entry):
                 raise DomainError(f"current {key} has a non-finite sample")
@@ -403,23 +378,22 @@ class SpectrumInput:
         return entry, entry is not None
 
     def current(self, row: str, col: str):
-        """Callable k -> J^mu_{row,col}(k) as a length-4 array."""
+        """The function k -> J^mu_{row,col}(k), a length-4 array
+        interpolated from the stored table (conjugated when the table is
+        stored for the reversed pair)."""
         entry, conj = self._entry(row, col)
         if entry is None:
             return lambda k: np.zeros(4, dtype=complex)
-        if callable(entry):
-            f = entry
-        else:
-            ks, table = entry
-            ks = np.asarray(ks, dtype=float)
-            table = np.asarray(table, dtype=complex)
+        ks, table = entry
+        ks = np.asarray(ks, dtype=float)
+        table = np.asarray(table, dtype=complex)
 
-            def f(k, _ks=ks, _t=table):
-                out = np.empty(4, dtype=complex)
-                for mu in range(4):
-                    out[mu] = (np.interp(k, _ks, _t[mu].real)
-                               + 1j * np.interp(k, _ks, _t[mu].imag))
-                return out
+        def f(k):
+            out = np.empty(4, dtype=complex)
+            for mu in range(4):
+                out[mu] = (np.interp(k, ks, table[mu].real)
+                           + 1j * np.interp(k, ks, table[mu].imag))
+            return out
         if conj:
             return lambda k: np.conj(f(k))
         return f
@@ -520,29 +494,6 @@ def _pv_integrals(k_max: float, table, poles) -> np.ndarray:
     return np.sum(np.where(far, series, near), axis=1)
 
 
-def principal_value_integral(f, pole: float, a: float, b: float) -> complex:
-    """P int_a^b f(k)/(pole - k) dk by subtracting the pole residue.
-
-    For pole outside (a, b) this is an ordinary integral.
-    """
-    if not a < b:
-        raise DomainError("need a < b")
-    if not a < pole < b:
-        re = _quad(lambda k: np.real(f(k)) / (pole - k), a, b)
-        im = _quad(lambda k: np.imag(f(k)) / (pole - k), a, b)
-        return complex(re, im)
-    fp = complex(f(pole))
-
-    def reg(k):
-        if k == pole:
-            return 0.0j
-        return (complex(f(k)) - fp) / (pole - k)
-
-    re = _quad(lambda k: reg(k).real, a, b, points=[pole])
-    im = _quad(lambda k: reg(k).imag, a, b, points=[pole])
-    return complex(re, im) + fp * math.log(abs((pole - a) / (b - pole)))
-
-
 def energy_shift(spec: SpectrumInput, d: str,
                  alpha: float = ALPHA_DEFAULT) -> complex:
     """Complex second-order shift Delta E_d: energy_shifts of level d."""
@@ -556,14 +507,14 @@ def energy_shifts(spec: SpectrumInput, levels,
     Real part: static current-current term plus the principal-value
     (level-shift) term; imaginary part: the delta-shell emission and
     absorption terms, collapsed analytically. Energies and momenta in
-    units of the electron mass. Tabulated currents are integrated
-    exactly and callable ones by quadrature; a missing current adds an
-    exact 0.0. The two levels of a stored tabulated pair share work
-    (module docstring), and each shift is bit for bit energy_shift's.
+    units of the electron mass. The currents are integrated exactly; a
+    missing current adds an exact 0.0. The two levels of a stored pair
+    share work (module docstring), and each shift is bit for bit
+    energy_shift's.
     """
     e2 = 4.0 * math.pi * alpha
     pref = e2 / math.pi
-    # stored tabulated pair -> (level, its PV integrals, J at |E|)
+    # stored pair -> (level, its PV integrals, J at |E|)
     shared = {}
     shifts = []
     for d in levels:
@@ -573,12 +524,7 @@ def energy_shifts(spec: SpectrumInput, levels,
         for b, E_b in spec.levels.items():
             # static term: the 1/k^2 cancels the measure; a missing
             # current adds 0.0, what it integrates to
-            e_dd, e_bb = spec.currents.get((d, d)), spec.currents.get((b, b))
-            if callable(e_dd) or callable(e_bb):
-                J_dd, J_bb = spec.current(d, d), spec.current(b, b)
-                static = _quad(lambda k: _contract(J_dd(k), J_bb(k)).real,
-                               0.0, spec.k_max)
-            elif e_dd is None or e_bb is None:
+            if (d, d) not in spec.currents or (b, b) not in spec.currents:
                 static = 0.0
             else:
                 static = _static_integral(spec.k_max, _table(spec, d, d),
@@ -594,18 +540,13 @@ def energy_shifts(spec: SpectrumInput, levels,
                 raise DomainError(
                     f"k_max = {spec.k_max} does not cover the {d}-{b} "
                     f"transition at |E| = {abs(E)}")
-            entry, conj = spec._entry(d, b)
-            if callable(entry):
-                J_db = spec.current(d, b)
-                J_E, pv = J_db(abs(E)), None
-            else:
-                key = (b, d) if conj else (d, b)
-                if key not in shared:
-                    pv = _pv_integrals(spec.k_max, _table(spec, d, b), (-E, E))
-                    shared[key] = d, pv, spec.current(d, b)(abs(E))
-                owner, pv, J_E = shared[key]
-                if owner != d:
-                    pv, J_E = pv[::-1], np.conj(J_E)
+            key = (d, b) if (d, b) in spec.currents else (b, d)
+            if key not in shared:
+                pv = _pv_integrals(spec.k_max, _table(spec, d, b), (-E, E))
+                shared[key] = d, pv, spec.current(d, b)(abs(E))
+            owner, pv, J_E = shared[key]
+            if owner != d:
+                pv, J_E = pv[::-1], np.conj(J_E)
             # delta-shell terms: i pi/2k [delta(E-k) - delta(E+k)], the
             # k^2 dk measure collapses onto k = |E|; emission for E > 0,
             # absorption (opposite sign) for E < 0
@@ -615,14 +556,7 @@ def energy_shifts(spec: SpectrumInput, levels,
             total += pref * shell
             # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
             # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
-            if pv is None:
-                half = lambda k, _J=J_db: 0.5 * k * complex(
-                    _contract(_J(k), _J(k)))
-                term = -(principal_value_integral(half, -E, 0.0, spec.k_max)
-                         + principal_value_integral(half, E, 0.0, spec.k_max))
-            else:
-                term = -complex(np.sum(pv))
-            total += pref * term
+            total += pref * -complex(np.sum(pv))
         shifts.append(total)
     return shifts
 

@@ -165,7 +165,8 @@ def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):
 def smeared_shift_imag(E_levels, d, currents, k_max, alpha,
                        sigma=1e-4, n=400001):
     """Imaginary part of the level shift with the delta shells replaced
-    by narrow Gaussians, integrated on a dense uniform grid."""
+    by narrow Gaussians, integrated on a dense uniform grid. Each current
+    is a table (k nodes, J (4, n)), interpolated linearly on the grid."""
     e2 = 4.0 * math.pi * alpha
     ks = np.linspace(1e-12, k_max, n)
     E_d = E_levels[d]
@@ -173,13 +174,12 @@ def smeared_shift_imag(E_levels, d, currents, k_max, alpha,
     for b, E_b in E_levels.items():
         if b == d or (d, b) not in currents and (b, d) not in currents:
             continue
-        J = currents.get((d, b), currents.get((b, d)))
+        nodes, J = currents.get((d, b), currents.get((b, d)))
         E = E_d - E_b
-        c = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            j = np.asarray(J(k))
-            c[i] = float(np.real(j[0] * np.conj(j[0])
-                                 - j[1:] @ np.conj(j[1:])))
+        j = np.array([np.interp(ks, nodes, comp)
+                      for comp in np.asarray(J, dtype=complex)])
+        c = np.real(j[0] * np.conj(j[0])
+                    - np.sum(j[1:] * np.conj(j[1:]), axis=0))
         gauss = lambda x: np.exp(-x * x / (2 * sigma * sigma)) / (
             sigma * math.sqrt(2 * math.pi))
         integrand = (ks * ks * (math.pi / (2 * ks))

@@ -217,7 +217,10 @@ def test_criterion_11_classical_dynamics():
 
 
 def test_criterion_12_energy_shift_kernel():
-    cur = lambda k: np.array([0.0, 0.2, 0.0, 0.0], dtype=complex)
+    # the constant current J_x = 0.2, tabulated at both ends of [0, 5]
+    cur = (np.array([0.0, 5.0]), np.array([[0.0, 0.0], [0.2, 0.2],
+                                           [0.0, 0.0], [0.0, 0.0]],
+                                          dtype=complex))
     levels = {"d": 1.0, "b": 0.7}
     currents = {("d", "b"): cur}
     spec = loops.SpectrumInput(levels, currents, 5.0)

@@ -248,12 +248,14 @@ class TestExactSolution:
         assert np.isclose(z[2], np.exp(+1j * 0.7))
 
     def test_matches_matrix_exponential(self):
-        from scipy.linalg import expm
+        import mpmath as mp
         from fqed.algebra import slash
         p = FourVector(math.sqrt(1.0 + 0.74), 0.3, -0.7, 0.4)
         z0 = np.array([0.2, -0.4j, 0.8, 0.1], dtype=complex)
         tau = 1.37
-        direct = expm(-1j * slash(p) * tau) @ z0
+        with mp.workdps(30):
+            U = mp.expm(mp.matrix((-1j * slash(p) * tau).tolist()))
+            direct = np.array(U.tolist(), dtype=complex) @ z0
         assert np.allclose(exact_z(z0, p, tau), direct, atol=1e-12)
 
     def test_zbar_z_preserved_not_dagger_norm(self):

@@ -87,8 +87,8 @@ class TestVacuumPolarization:
 
     def test_x_integral_value(self):
         # int 2x(1-x) dx = 1/3, the pole's Feynman-parameter weight
-        from scipy.integrate import quad
-        val, _ = quad(lambda x: 2.0 * x * (1.0 - x), 0.0, 1.0)
+        import mpmath as mp
+        val = float(mp.quad(lambda x: 2 * x * (1 - x), [0, 1]))
         assert abs(val - 1.0 / 3.0) <= 1e-14
 
     def test_non_finite_rejected(self):
@@ -236,10 +236,17 @@ class TestSelfEnergy:
         assert abs(got - target) <= 0.05 * abs(target)
 
 
+def constant_current(J, k_max):
+    """The current J (4 components) at every k in [0, k_max]: a table
+    with J at both nodes."""
+    J = np.asarray(J, dtype=complex)
+    return np.array([0.0, k_max]), np.stack([J, J], axis=1)
+
+
 class TestEnergyShift:
 
     def two_level(self, J=0.2, delta=0.3, k_max=5.0):
-        cur = lambda k: np.array([0.0, J, 0.0, 0.0], dtype=complex)
+        cur = constant_current([0.0, J, 0.0, 0.0], k_max)
         return loops.SpectrumInput({"d": 1.0, "b": 1.0 - delta},
                                    {("d", "b"): cur}, k_max), cur
 
@@ -268,14 +275,14 @@ class TestEnergyShift:
         assert abs(val.imag - oracle) <= 1e-8 * abs(oracle)
 
     def test_degenerate_levels_rejected(self):
-        cur = lambda k: np.array([0.0, 0.1, 0.0, 0.0], dtype=complex)
+        cur = constant_current([0.0, 0.1, 0.0, 0.0], 5.0)
         spec = loops.SpectrumInput({"d": 1.0, "b": 1.0},
                                    {("d", "b"): cur}, 5.0)
         with pytest.raises(DegenerateLevelError):
             loops.energy_shift(spec, "d")
 
     def test_k_max_coverage(self):
-        cur = lambda k: np.array([0.0, 0.1, 0.0, 0.0], dtype=complex)
+        cur = constant_current([0.0, 0.1, 0.0, 0.0], 2.0)
         spec = loops.SpectrumInput({"d": 3.0, "b": 0.5},
                                    {("d", "b"): cur}, 2.0)
         with pytest.raises(DomainError):
@@ -287,31 +294,13 @@ class TestEnergyShift:
             loops.energy_shift(spec, "q")
 
     def test_static_term_with_diagonal_currents(self):
-        cur = lambda k: np.array([0.1, 0.0, 0.0, 0.0], dtype=complex)
+        cur = constant_current([0.1, 0.0, 0.0, 0.0], 2.0)
         spec = loops.SpectrumInput({"d": 1.0}, {("d", "d"): cur}, 2.0)
         val = loops.energy_shift(spec, "d")
         # + (e^2/pi) int_0^kmax |J0|^2 dk
         target = 4.0 * ALPHA_DEFAULT * 0.01 * 2.0
         assert abs(val.real - target) <= 1e-10 * target
         assert val.imag == 0.0
-
-
-class TestPrincipalValue:
-
-    def test_log_ratio_kernel(self):
-        # P int_a^b dk/(x - k) = log((x-a)/(b-x))
-        val = loops.principal_value_integral(lambda k: 1.0, 1.0, 0.2, 1.7)
-        target = math.log(0.8 / 0.7)
-        assert abs(val - target) <= 1e-8
-
-    def test_symmetric_window_cancels(self):
-        val = loops.principal_value_integral(lambda k: 1.0, 1.0, 0.5, 1.5)
-        assert abs(val) <= 1e-10
-
-    def test_no_pole_in_range(self):
-        val = loops.principal_value_integral(lambda k: 1.0, -1.0, 0.0, 1.0)
-        target = math.log(1.0 / 2.0)
-        assert abs(val - target) <= 1e-10
 
 
 class TestSpectrumFormat:
@@ -382,3 +371,20 @@ class TestSpectrumFormat:
         with pytest.raises(DomainError, match=r"current \('d', 'b'\)"):
             loops.SpectrumInput({"d": 1.0, "b": 0.4},
                                 {("d", "b"): (np.array(ks), J)}, 5.0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda k: np.array([0.0, 0.2, 0.0, 0.0], dtype=complex),
+        0.2,
+        "table",
+        (np.array([0.0, 5.0]),),
+        (np.array([0.0, 5.0]), np.full((4, 2), 0.2), np.zeros(2)),
+    ], ids=["callable", "float", "string", "1-tuple", "3-tuple"])
+    def test_entry_not_a_pair(self, entry):
+        """A current is a (k_samples, J) pair and nothing else: a float,
+        a string or a 1-tuple failed with a TypeError, ValueError or
+        IndexError, and a callable or a 3-tuple was accepted."""
+        with pytest.raises(DomainError,
+                           match=r"^current \('d', 'b'\) must be a "
+                                 r"\(k_samples, J\) pair$"):
+            loops.SpectrumInput({"d": 1.0, "b": 0.4}, {("d", "b"): entry},
+                                5.0)

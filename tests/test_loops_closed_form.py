@@ -1,12 +1,8 @@
 """Oracle tests for the closed-form one-loop layer.
 
 References are 50-digit mpmath quadratures of the defining
-Feynman-parameter integrals; for energy shifts with tabulated currents,
-a 20-digit mpmath quadrature split at the table nodes, and the
-quadrature path of energy_shift on the same spectrum given as callable
-currents. That path places no break points at the kinks of an
-interpolated current, so it is used as a reference only on spectra with
-few nodes.
+Feynman-parameter integrals, and for energy shifts a 20-digit mpmath
+quadrature of the kernel split at the table nodes and the poles.
 """
 
 import math
@@ -191,13 +187,6 @@ class TestBatchOfOne:
             assert abs(bv - b1) <= 1e-14 * abs(b1)
 
 
-def _callables(spec):
-    """The same spectrum with every current given as a callable."""
-    return loops.SpectrumInput(
-        spec.levels, {pair: spec.current(*pair) for pair in spec.currents},
-        spec.k_max)
-
-
 def _mdot(J, K):
     return J[0] * np.conj(K[0]) - J[1:] @ np.conj(K[1:])
 
@@ -208,9 +197,8 @@ def mp_shift(spec, d):
     smooth; the principal value subtracts the residue at the pole."""
     k_max = spec.k_max
     nodes = {0.0, k_max}
-    for entry in spec.currents.values():
-        if not callable(entry):
-            nodes |= {float(k) for k in entry[0] if 0.0 < k < k_max}
+    for ks, _ in spec.currents.values():
+        nodes |= {float(k) for k in ks if 0.0 < k < k_max}
     with mp.workdps(20):
         pref = 4 * mp.mpf(ALPHA_DEFAULT)
         J_dd = spec.current(d, d)
@@ -245,11 +233,6 @@ def _assert_shifts_agree(spec, reference, rtol=1e-10):
         exact = loops.energy_shift(spec, d)
         ref = reference(spec, d)
         assert abs(exact - ref) <= rtol * abs(ref), (d, exact, ref)
-
-
-def quad_shift(spec, d):
-    """The quadrature path: the same spectrum with callable currents."""
-    return loops.energy_shift(_callables(spec), d)
 
 
 def _draw_table(draw, last):
@@ -300,7 +283,7 @@ class TestTabulatedShift:
     @pytest.mark.parametrize("k_max", [5.0, 6.5, 3.7])
     def test_loop_scan_like_spectrum(self, k_max):
         """The benchmark's kinked three-level profile, with k_max at,
-        beyond and inside the last node, against both references."""
+        beyond and inside the last node."""
         ks = np.array([0.0, 2.5, 5.0])
         profile = np.array([(0.0, 0.20, 0.05, 0.00), (0.0, 0.22, 0.02, 0.08),
                             (0.0, 0.05, 0.01, 0.01)]).T
@@ -309,7 +292,6 @@ class TestTabulatedShift:
                     ("L0", "L2"): (ks, 1.1 * profile),
                     ("L1", "L2"): (ks, 1.3 * profile)}
         spec = loops.SpectrumInput(levels, currents, k_max)
-        _assert_shifts_agree(spec, quad_shift)
         _assert_shifts_agree(spec, mp_shift, 1e-13)
 
     @pytest.mark.parametrize("offset", [0.0, 1e-7, -1e-9])
@@ -325,7 +307,6 @@ class TestTabulatedShift:
                                             ("d", "d"): (ks, 0.5 * J)}, 3.0)
         val = loops.energy_shift(spec, "d")
         assert np.isfinite(val.real) and np.isfinite(val.imag)
-        _assert_shifts_agree(spec, quad_shift)
         _assert_shifts_agree(spec, mp_shift, 1e-13)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
@@ -340,17 +321,6 @@ class TestTabulatedShift:
         spec = loops.SpectrumInput({"d": 1.0, "b": 0.62},
                                    {("d", "b"): (ks, J)}, 2.8)
         _assert_shifts_agree(spec, mp_shift, 1e-13)
-
-    def test_mixed_kinds_dispatch_per_pair(self):
-        ks = np.array([0.0, 1.0, 4.0])
-        J = np.array([[0.0, 0.05, 0.0], [0.2, 0.1, 0.15],
-                      [0.0, 0.0, 0.05], [0.1, 0.0, 0.0]], dtype=complex)
-        flat = lambda k: np.array([0.0, 0.1, 0.05j, 0.0])
-        spec = loops.SpectrumInput({"a": 1.2, "b": 0.8, "c": 0.3},
-                                   {("a", "b"): (ks, J), ("b", "c"): flat,
-                                    ("a", "a"): (ks, J),
-                                    ("c", "c"): flat}, 4.0)
-        _assert_shifts_agree(spec, quad_shift)
 
     def test_reversed_pair_is_conjugated(self):
         ks = np.array([0.0, 2.0])
