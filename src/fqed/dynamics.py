@@ -116,8 +116,10 @@ def _velocity(mats: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
 
 def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
     """z^dag cliff^0 z (zbar z, or eta^dag eta) in real arithmetic:
-    cliff^0 is diagonal, so conjugate components cancel exactly."""
-    return (z.real ** 2 + z.imag ** 2) @ cliff[0].diagonal().real
+    cliff^0 is diagonal, so conjugate components cancel exactly. Summed
+    with no BLAS: a row's bits depend on it alone."""
+    return np.add.reduce((z.real ** 2 + z.imag ** 2)
+                         * cliff[0].diagonal().real, axis=-1)
 
 
 def _packed(mats, cliff, x, p, z, field):
@@ -364,6 +366,10 @@ def integrate(state0, field: ExternalField | None = None,
     sample is at or before t1; a span shorter than one step, or a step
     count whose samples would not fit in memory, is a DomainError,
     raised before allocating.
+
+    The last bits of x, p, the spinor and H depend on numpy's OpenBLAS
+    kernel (the `@` of _free_steps and _velocity, the field stage's
+    `.dot`); zbar_z is summed elementwise and does not.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")

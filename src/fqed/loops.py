@@ -67,12 +67,13 @@ terms collapsed analytically and P the principal value. The currents
 are tabulated and interpolated linearly, so both integrals are exact
 sums over the segments between table nodes: a polynomial for the
 static term, and a polynomial plus P(a) log|(a - x0)/(a - x1)| for the
-principal value with pole a. A missing current adds an exact 0.0. The
-two levels of a stored pair share its PV integrals, swapped (they read
-only Re J.J^*, which conjugation keeps), and its current at |E|,
-conjugated; each forms its own shell term, as SIMD complex products
-round Im J.J^* and Im J^*.J to opposite signs. A pair stored in both
-orders is two entries.
+principal value with pole a. A missing current adds an exact 0.0.
+Every read of a stored current goes through one table, conjugated for
+the reversed pair, and one complex np.interp, at the nodes and at |E|
+alike. Every term reads only Re J.J^*, which conjugation keeps. The
+two levels of a stored pair share only the sum of its PV integrals:
+each level's poles are the other's, swapped, and a + b rounds as b + a.
+A pair stored in both orders is two entries.
 """
 
 from __future__ import annotations
@@ -332,9 +333,10 @@ class SpectrumInput:
 
     levels maps label -> energy. currents maps (row, col) pairs of those
     labels to a pair of arrays (k_samples, J (4, n)), interpolated
-    linearly (constant beyond the end samples). Missing pairs are zero.
-    k_max bounds all photon-momentum integrals. Energies, k_max and the
-    current samples must be finite, with k_samples strictly increasing.
+    linearly (constant beyond the end samples); the table of (b, d)
+    serves (d, b) conjugated, and missing pairs are zero. k_max bounds
+    all photon-momentum integrals. Energies, k_max and the current
+    samples must be finite, with k_samples strictly increasing.
     """
 
     levels: dict[str, float]
@@ -369,38 +371,6 @@ class SpectrumInput:
                 raise DomainError(f"current {key} needs J of shape "
                                   f"(4, {len(ks)}), got {shape}")
 
-    def _entry(self, row: str, col: str):
-        """The stored current of a pair, and whether it is stored for
-        the reversed pair (it then enters conjugated)."""
-        if (row, col) in self.currents:
-            return self.currents[(row, col)], False
-        entry = self.currents.get((col, row))
-        return entry, entry is not None
-
-    def current(self, row: str, col: str):
-        """The function k -> J^mu_{row,col}(k), a length-4 array
-        interpolated from the stored table (conjugated when the table is
-        stored for the reversed pair)."""
-        entry, conj = self._entry(row, col)
-        if entry is None:
-            return lambda k: np.zeros(4, dtype=complex)
-        ks, table = entry
-        ks = np.asarray(ks, dtype=float)
-        table = np.asarray(table, dtype=complex)
-
-        def f(k):
-            out = np.empty(4, dtype=complex)
-            for mu in range(4):
-                out[mu] = (np.interp(k, ks, table[mu].real)
-                           + 1j * np.interp(k, ks, table[mu].imag))
-            return out
-        if conj:
-            return lambda k: np.conj(f(k))
-        return f
-
-    def has_current(self, row: str, col: str) -> bool:
-        return (row, col) in self.currents or (col, row) in self.currents
-
 
 def _contract(u: np.ndarray, v: np.ndarray):
     """Minkowski contraction u . v^* of currents, over the leading axis
@@ -410,21 +380,28 @@ def _contract(u: np.ndarray, v: np.ndarray):
 
 
 def _table(spec: SpectrumInput, row: str, col: str):
-    """A stored tabulated pair's current as (k nodes, J (4, n)),
-    conjugated for a reversed pair."""
-    (ks, J), conj = spec._entry(row, col)
-    J = np.asarray(J, dtype=complex)
-    return np.asarray(ks, dtype=float), J.conj() if conj else J
+    """A pair's stored current as (k nodes, J (4, n)), conjugated if it
+    is stored for the reversed pair; None if neither order is stored."""
+    for key, conj in (((row, col), False), ((col, row), True)):
+        if key in spec.currents:
+            ks, J = spec.currents[key]
+            J = np.asarray(J, dtype=complex)
+            return np.asarray(ks, dtype=float), J.conj() if conj else J
+    return None
+
+
+def _interp(x, table) -> np.ndarray:
+    """A table's current at x, linear and clamped beyond its ends."""
+    ks, J = table
+    return np.array([np.interp(x, ks, comp) for comp in J])
 
 
 def _breakpoints(k_max: float, tables) -> tuple[np.ndarray, list]:
     """The nodes of all tables inside (0, k_max), with 0 and k_max, and
-    each table's current there, clamped beyond its ends as np.interp
-    does: between two break points every current is linear."""
+    each table's current there, between which every current is linear."""
     inner = [ks[(ks > 0.0) & (ks < k_max)] for ks, _ in tables]
     x = np.unique(np.concatenate([[0.0, k_max], *inner]))
-    return x, [np.array([np.interp(x, ks, comp) for comp in J])
-               for ks, J in tables]
+    return x, [_interp(x, table) for table in tables]
 
 
 def _static_integral(k_max: float, t_dd, t_bb) -> float:
@@ -508,29 +485,30 @@ def energy_shifts(spec: SpectrumInput, levels,
     (level-shift) term; imaginary part: the delta-shell emission and
     absorption terms, collapsed analytically. Energies and momenta in
     units of the electron mass. The currents are integrated exactly; a
-    missing current adds an exact 0.0. The two levels of a stored pair
-    share work (module docstring), and each shift is bit for bit
-    energy_shift's.
+    missing current adds an exact 0.0. Each level reads every current
+    from its own table, and the two levels of a stored pair share only
+    the sum of its PV integrals (module docstring), so each shift is bit
+    for bit energy_shift's.
     """
     e2 = 4.0 * math.pi * alpha
     pref = e2 / math.pi
-    # stored pair -> (level, its PV integrals, J at |E|)
-    shared = {}
+    # stored pair -> the sum of its PV integrals at the poles -E and E
+    pv_sums = {}
     shifts = []
     for d in levels:
         if d not in spec.levels:
             raise DomainError(f"unknown level: {d}")
+        t_dd = _table(spec, d, d)
         total = 0.0 + 0.0j
         for b, E_b in spec.levels.items():
             # static term: the 1/k^2 cancels the measure; a missing
             # current adds 0.0, what it integrates to
-            if (d, d) not in spec.currents or (b, b) not in spec.currents:
-                static = 0.0
-            else:
-                static = _static_integral(spec.k_max, _table(spec, d, d),
-                                          _table(spec, b, b))
+            t_bb = _table(spec, b, b)
+            static = (0.0 if t_dd is None or t_bb is None
+                      else _static_integral(spec.k_max, t_dd, t_bb))
             total += pref * static
-            if b == d or not spec.has_current(d, b):
+            table = None if b == d else _table(spec, d, b)
+            if table is None:
                 continue
             E = spec.levels[d] - E_b
             if E == 0.0:
@@ -540,23 +518,21 @@ def energy_shifts(spec: SpectrumInput, levels,
                 raise DomainError(
                     f"k_max = {spec.k_max} does not cover the {d}-{b} "
                     f"transition at |E| = {abs(E)}")
-            key = (d, b) if (d, b) in spec.currents else (b, d)
-            if key not in shared:
-                pv = _pv_integrals(spec.k_max, _table(spec, d, b), (-E, E))
-                shared[key] = d, pv, spec.current(d, b)(abs(E))
-            owner, pv, J_E = shared[key]
-            if owner != d:
-                pv, J_E = pv[::-1], np.conj(J_E)
             # delta-shell terms: i pi/2k [delta(E-k) - delta(E+k)], the
             # k^2 dk measure collapses onto k = |E|; emission for E > 0,
             # absorption (opposite sign) for E < 0
-            shell = 0.5j * math.pi * abs(E) * complex(_contract(J_E, J_E))
+            J_E = _interp(abs(E), table)
+            shell = 0.5j * math.pi * abs(E) * _contract(J_E, J_E).real
             if E < 0.0:
                 shell = -shell
             total += pref * shell
             # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
             # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
-            total += pref * -complex(np.sum(pv))
+            key = (d, b) if (d, b) in spec.currents else (b, d)
+            if key not in pv_sums:
+                pv_sums[key] = complex(np.sum(
+                    _pv_integrals(spec.k_max, table, (-E, E))))
+            total += pref * -pv_sums[key]
         shifts.append(total)
     return shifts
 

@@ -188,6 +188,22 @@ def smeared_shift_imag(E_levels, d, currents, k_max, alpha,
     return total
 
 
+def interpolated_current(currents, row, col):
+    """k -> J^mu_{row,col}(k) of a spectrum's (k nodes, J (4, n)) tables,
+    interpolated linearly with Re and Im apart; conjugated when the table
+    is stored for the reversed pair, and zero when neither order is."""
+    if (row, col) in currents:
+        (ks, J), sign = currents[(row, col)], 1.0
+    elif (col, row) in currents:
+        (ks, J), sign = currents[(col, row)], -1.0
+    else:
+        return lambda k: np.zeros(4, dtype=complex)
+    J = np.asarray(J, dtype=complex)
+    return lambda k: np.array([np.interp(k, ks, c.real)
+                               + sign * 1j * np.interp(k, ks, c.imag)
+                               for c in J])
+
+
 def table_text(config, fmt, table):
     """The bytes of a CLI table by whole-row formulas: each row's cells
     joined by commas, or json.dumps of one dict per row."""

@@ -708,14 +708,15 @@ class TestWriter:
         """A real trajectory's conserved zbar_z and H columns go through
         np.unique of their bits in every full block, and the table's
         bytes are those of the whole-row formulas."""
-        argv = ["classical", "--pz", "0.8", "--tau-max", "2.048", "--dt",
-                "0.001", "--format", fmt]
+        # zbar_z = 0.28, not 0: a zero column would be constant or
+        # rounding noise, as the BLAS kernel has it
+        argv = ["classical", "--z", "0.8,0,0.6,0", "--pz", "0.8",
+                "--tau-max", "2.048", "--dt", "0.001", "--format", fmt]
         with mock.patch.object(np, "unique", wraps=np.unique) as unique:
             rc, out, err = run_capture(capsys, argv)
         assert (rc, err) == (0, "")
         spelled = [call.args[0].tobytes() for call in unique.call_args_list]
-        z0 = np.array([0.7071067811865476, 0, 0.7071067811865476, 0],
-                      dtype=complex)
+        z0 = np.array([0.8, 0, 0.6, 0], dtype=complex)
         p = FourVector(math.sqrt(1.0 + 0.8 * 0.8), 0.0, 0.0, 0.8)
         table = trajectory_columns(integrate(
             ElectronState(FourVector(0, 0, 0, 0), p, z0), None,

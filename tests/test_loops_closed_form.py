@@ -2,7 +2,8 @@
 
 References are 50-digit mpmath quadratures of the defining
 Feynman-parameter integrals, and for energy shifts a 20-digit mpmath
-quadrature of the kernel split at the table nodes and the poles.
+quadrature of the kernel split at the table nodes and the poles, on
+currents that oracles.interpolated_current interpolates.
 """
 
 import math
@@ -10,9 +11,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fqed import cli, loops
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import DomainError, SingularityError
@@ -199,19 +201,20 @@ def mp_shift(spec, d):
     nodes = {0.0, k_max}
     for ks, _ in spec.currents.values():
         nodes |= {float(k) for k in ks if 0.0 < k < k_max}
+    current = oracles.interpolated_current
     with mp.workdps(20):
         pref = 4 * mp.mpf(ALPHA_DEFAULT)
-        J_dd = spec.current(d, d)
+        J_dd = current(spec.currents, d, d)
         total = mp.mpc(0)
         for b, E_b in spec.levels.items():
-            J_bb = spec.current(b, b)
+            J_bb = current(spec.currents, b, b)
             total += pref * mp.quad(
                 lambda k: _mdot(J_dd(float(k)), J_bb(float(k))).real,
                 sorted(nodes))
-            if b == d or not spec.has_current(d, b):
+            if b == d or {(d, b), (b, d)}.isdisjoint(spec.currents):
                 continue
             E = spec.levels[d] - E_b
-            J = spec.current(d, b)
+            J = current(spec.currents, d, b)
             half = lambda k: 0.5 * float(k) * _mdot(J(float(k)),
                                                     J(float(k))).real
             shell = _mdot(J(abs(E)), J(abs(E))).real
@@ -322,16 +325,28 @@ class TestTabulatedShift:
                                    {("d", "b"): (ks, J)}, 2.8)
         _assert_shifts_agree(spec, mp_shift, 1e-13)
 
-    def test_reversed_pair_is_conjugated(self):
-        ks = np.array([0.0, 2.0])
-        J = np.array([[0.1j, 0.0], [0.2, 0.1 + 0.1j], [0.0, 0.0],
-                      [0.0, 0.05]])
-        levels = {"d": 1.0, "b": 0.4}
-        fwd = loops.SpectrumInput(levels, {("d", "b"): (ks, J)}, 3.0)
-        rev = loops.SpectrumInput(levels, {("b", "d"): (ks, J.conj())}, 3.0)
-        for lab in levels:
-            assert abs(loops.energy_shift(fwd, lab)
-                       - loops.energy_shift(rev, lab)) <= 1e-15
+    @settings(max_examples=60)
+    @given(tabulated_spectra())
+    @example(loops.SpectrumInput(
+        {"d": 1.0, "b": 0.4},
+        {("d", "b"): (np.array([0.0, 2.0]),
+                      np.array([[0.1j, 0.0], [0.2, 0.1 + 0.1j], [0.0, 0.0],
+                                [0.0, 0.05]]))}, 3.0))
+    def test_reversed_pair_is_conjugated(self, spec):
+        """Every shift keeps its bits when each transition pair (a, b)
+        is restated as (b, a) with the conjugated table: every term
+        reads Re J.J^*, which conjugation keeps. A pair stored in both
+        orders is two currents, and stays as it is."""
+        restated = {}
+        for (a, b), (ks, J) in spec.currents.items():
+            if (b, a) in spec.currents:
+                restated[(a, b)] = ks, J
+            else:
+                restated[(b, a)] = ks, np.conj(J)
+        levels = sorted(spec.levels)
+        rev = loops.SpectrumInput(spec.levels, restated, spec.k_max)
+        assert (_hex(loops.energy_shifts(rev, levels))
+                == _hex(loops.energy_shifts(spec, levels)))
 
 
 def _hex(shifts):
