@@ -112,70 +112,105 @@ def _config(args) -> dict:
 
 
 # a float64 column of a block of at least this many rows is tested for
-# repeats on its bits: the test costs about 2 us a column, 2-3% of the
-# repr of 100 cells (70 us, 2 vCPU x86_64); shorter blocks (single
-# points, the 24- to 72-row tree sweeps) have no repeating column that
-# is not constant, and keep one float comparison
+# repeats on its bits and spelled through orjson (_float_cells): the
+# test costs 2-5 us a column, and orjson's text of 100 cells, mask and
+# call included, about 20 us against 60-95 us of repr (2 vCPU x86_64);
+# shorter blocks (single points, the 24- to 72-row tree sweeps) have no
+# repeating column that is not constant, keep one float comparison and
+# repr, and never import orjson (about 8 ms, with datetime and uuid)
 _REPEAT_ROWS = 100
 # the share of a column's cells other than +0.0 that equal the one
 # before among them, from which each distinct bit pattern is spelled
-# once: np.unique and the indexing cost about 40 us a 1024-row block
-# against 480 us of repr of 17-digit cells, so this pays where at most
-# about 90% of the patterns differ, which 1/16 equal neighbours all but
-# ensures (a trajectory's H: 8-42% equal, 24-48% distinct). +0.0 is
-# left out: its repr costs 0.1 us, and counted, a run of it beside
-# distinct cells (an imaginary part below a threshold) made the
-# benchmark's timelike vacuum-pol sweeps 3% slower
+# once: np.unique and the indexing cost 40-85 us a 1024-row block,
+# against about 120 us of orjson text of its 17-digit cells, or 450 us
+# of repr where the cells fall outside orjson's window. So it pays for
+# a column of few patterns, such as a zero zbar_z's rounding noise (7
+# to 13 patterns below 3e-16: 60-95 us against 130-450 us), and
+# costs a trajectory's H (8-42% equal neighbours, about 500 patterns)
+# about 17 us a block (93 us against 76 us). +0.0 is left out:
+# counted, a run of it beside distinct cells (an imaginary part below
+# a threshold) made the benchmark's timelike vacuum-pol sweeps 3% slower
 _REPEAT_FRACTION = 1 / 16
+
+
+def _spelled(v: list, kind: str, csv: bool) -> list:
+    """The text of each cell of v, a column's tolist() of dtype kind:
+    repr for CSV (str for bool and text columns) and JSON otherwise."""
+    if csv:
+        # repr of a Python number (from tolist) is its str, without the
+        # type call
+        return list(map(repr if kind in "fiuc" else str, v))
+    # repr of a finite float is its JSON, and a float column with a
+    # finite sum holds only finite floats; json.dumps spells the rest
+    finite = kind == "f" and math.isfinite(sum(v))
+    return list(map(repr if finite else json.dumps, v))
+
+
+def _float_cells(v: np.ndarray, csv: bool) -> list:
+    """_spelled of a float64 array, through orjson. For 1e-4 <= |x| <
+    1e16 and for +-0.0, orjson writes repr's shortest round-trip
+    digits; outside that window it spells the exponent its own way
+    (1e16 and 0.0000224 for 1e+16 and 2.24e-05) and non-finite cells
+    as null. So the array is formatted by one orjson.dumps, and the
+    cells outside the window, found on the values, are spelled again;
+    where they are more than half the cells, all are spelled by
+    _spelled and orjson is not called."""
+    a = np.abs(v)
+    odd = (a != 0.0) & ~((a >= 1e-4) & (a < 1e16))
+    if 2 * np.count_nonzero(odd) > len(v):
+        return _spelled(v.tolist(), "f", csv)
+    import orjson
+    # orjson takes only C-contiguous arrays; a trajectory's x and p
+    # columns are strided views
+    text = orjson.dumps(np.ascontiguousarray(v),
+                        option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode().split(",")
+    for i, text in zip(np.flatnonzero(odd).tolist(),
+                       _spelled(v[odd].tolist(), "f", csv)):
+        cells[i] = text
+    return cells
 
 
 def _column_cells(c: np.ndarray, csv: bool) -> tuple:
     """(cells, same): the text of each cell of a column of one block of
-    rows, repr for CSV (str for bool and text columns) and JSON
-    otherwise, and whether the column has one text. That is so for a
-    float64 column of two or more rows whose cells all have the bytes
-    of the first (so -0.0 is not 0.0): its one text is formatted once.
+    rows, as _spelled gives it, and whether the column has one text.
+    That is so for a float64 column of two or more rows whose cells all
+    have the bytes of the first (so -0.0 is not 0.0): its one text is
+    formatted once.
     In a block of _REPEAT_ROWS rows or more, equal neighbours are
-    counted on the column's int64 bit view before any cell becomes a
-    Python float: all equal is a constant column, and where at least
+    counted on the column's int64 bit view before any cell is spelled:
+    all equal is a constant column, and where at least
     _REPEAT_FRACTION of the cells other than +0.0 equal the one before
     among them, each distinct bit pattern is spelled once (np.unique)
-    and the texts are indexed with the inverse. A shorter block
-    compares the bytes only where the last cell equals the first, so
-    that other columns (and NaN ones) pay one float comparison."""
+    and the texts are indexed with the inverse; the cells spelled go
+    through _float_cells. A shorter block compares the bytes only where
+    the last cell equals the first, so that other columns (and NaN
+    ones) pay one float comparison."""
     n, inverse = len(c), None
     if n >= _REPEAT_ROWS and c.dtype == np.float64:
         bits = c.view(np.int64)
         same = bits[1:] == bits[:-1]
         if same.all():
-            v = c[:1].tolist()
+            v = c[:1]
         else:
             nonzero = bits[bits != 0] if same.any() else bits[:1]
             if (np.count_nonzero(nonzero[1:] == nonzero[:-1])
                     >= _REPEAT_FRACTION * len(nonzero)):
                 bits, inverse = np.unique(bits, return_inverse=True)
-                v = bits.view(np.float64).tolist()
+                v = bits.view(np.float64)
             else:
-                v = c.tolist()
+                v = c
+        cells = _float_cells(v, csv)
     else:
         v = c.tolist()
         if n > 1 and v[-1] == v[0] and c.dtype == np.float64:
             bits = c.tobytes()
             if bits == bits[:8] * n:
                 v = v[:1]
-    kind = c.dtype.kind
-    if csv:
-        # repr of a Python number (from tolist) is its str, without the
-        # type call
-        cells = list(map(repr if kind in "fiuc" else str, v))
-    else:
-        # repr of a finite float is its JSON, and a float column with a
-        # finite sum holds only finite floats; json.dumps spells the rest
-        finite = kind == "f" and math.isfinite(sum(v))
-        cells = list(map(repr if finite else json.dumps, v))
+        cells = _spelled(v, c.dtype.kind, csv)
     if inverse is not None:
         return np.array(cells, dtype=object)[inverse].tolist(), False
-    return (cells * n, True) if len(v) < n else (cells, False)
+    return (cells * n, True) if len(cells) < n else (cells, False)
 
 
 # rows per block of table text: the writer holds the cells and the text

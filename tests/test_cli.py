@@ -598,6 +598,48 @@ def repeating_tables(draw):
     return table, block
 
 
+# the edges of the window in which orjson writes repr's text (1e-4 <=
+# |x| < 1e16, and +-0.0), a subnormal, 2**53, the largest doubles and
+# the non-finite cells, which orjson writes as null
+WINDOW_EDGES = (1e-4, float(np.nextafter(1e-4, 0)),
+                float(np.nextafter(1e16, 0)), 1e16, 0.0, -0.0, 5e-324,
+                2.0 ** 53, 1.7976931348623157e308, -1.7976931348623157e308,
+                math.nan, math.inf, -math.inf)
+# a long column of the edges among in-window cells, most of them
+# formatted by orjson; and one of the edges alone, most of them outside
+EDGES_AMONG_WINDOW = [*WINDOW_EDGES, *(0.5 + i / 7 for i in range(100))]
+EDGES_ALONE = list(WINDOW_EDGES) * 8
+
+# a float of any binade: any float, any 64-bit pattern viewed as a
+# float64, or a float inside the window of either sign
+binade_floats = (
+    st.floats()
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(
+        lambda b: np.array(b, dtype=np.int64).view(np.float64).item())
+    | st.builds(math.copysign, st.floats(1e-4, 1e16, exclude_max=True),
+                st.sampled_from([1.0, -1.0]))
+    | st.sampled_from(WINDOW_EDGES))
+
+
+@st.composite
+def binade_tables(draw):
+    """(table, rows per block): one or two float columns of cells from
+    every binade, at blocks of the writer's long-block threshold; at
+    times a column's cells are mostly inside orjson's window (so most
+    are formatted by it), at times drawn freely (most fall outside)."""
+    block = cli._REPEAT_ROWS
+    n = draw(st.integers(block, 3 * block))
+    table = {}
+    for i in range(draw(st.integers(1, 2))):
+        cells = draw(st.lists(binade_floats, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            inside = st.floats(1e-4, 1e16, exclude_max=True)
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+                cells[j] = draw(inside)
+        table[f"b{i}"] = cells
+    return table, block
+
+
 class _CountedWrites(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -702,6 +744,35 @@ class TestWriter:
         bit pattern, give the bytes of the whole-row formulas, to stdout
         or to -o FILE, in one write per block."""
         check_blocks(*case, fmt, to_file)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=binade_tables(), fmt=st.sampled_from(["csv", "json"]),
+           to_file=st.booleans())
+    @example(case=({"e": EDGES_AMONG_WINDOW}, cli._REPEAT_ROWS),
+             fmt="csv", to_file=False)
+    @example(case=({"e": EDGES_AMONG_WINDOW}, cli._REPEAT_ROWS),
+             fmt="json", to_file=False)
+    @example(case=({"e": EDGES_ALONE}, cli._REPEAT_ROWS), fmt="csv",
+             to_file=True)
+    @example(case=({"e": EDGES_ALONE}, cli._REPEAT_ROWS), fmt="json",
+             to_file=True)
+    def test_long_blocks_of_every_binade_match_row_formulas(self, case, fmt,
+                                                             to_file):
+        """Float columns of long blocks, whose cells orjson formats and
+        whose cells outside its window are spelled again, give the
+        bytes of the whole-row formulas, from every binade."""
+        check_blocks(*case, fmt, to_file)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_long_blocks_are_formatted_by_orjson(self, fmt):
+        """A long block's float column of in-window cells is formatted
+        by one orjson call, and the window's edges among them are
+        spelled again: the bytes are those of the whole-row formulas."""
+        import orjson
+        table = {"e": EDGES_AMONG_WINDOW}
+        with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as dumps:
+            check_blocks(table, len(EDGES_AMONG_WINDOW), fmt, False)
+        assert dumps.call_count == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_classical_repeating_columns_spelled_once(self, capsys, fmt):

@@ -1,6 +1,7 @@
 """Layers load when first used, not with fqed: each fqed layer when a
 command (or an attribute of the package) needs it. No command and no
-energy shift imports scipy. Each check runs in a fresh interpreter."""
+energy shift imports scipy, and only a table of long blocks imports
+orjson. Each check runs in a fresh interpreter."""
 
 import os
 import pathlib
@@ -129,3 +130,19 @@ except AttributeError:
     print("ok")
 """)
     assert out.split() == ["False", "ok"]
+
+
+def test_orjson_loads_only_for_long_tables():
+    """Blocks under the CLI's long-block threshold (100 rows) are spelled
+    by repr and load no orjson; a table of 100 rows or more loads it."""
+    out = run_python("""
+import contextlib, io, sys
+import fqed.cli
+for argv in (["compton"], ["vacuum-pol", "--sweep", "k2:-3:-1:99"],
+             ["vacuum-pol", "--sweep", "k2:-3:-1:100"]):
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert fqed.cli.run(argv) == 0, argv
+    print(text.getvalue().count("\\n") - 1, "orjson" in sys.modules)
+""")
+    assert out.split() == ["1", "False", "99", "False", "100", "True"]
