@@ -112,25 +112,13 @@ def _config(args) -> dict:
 
 
 # a float64 column of a block of at least this many rows is tested for
-# repeats on its bits and spelled through orjson (_float_cells): the
-# test costs 2-5 us a column, and orjson's text of 100 cells, mask and
-# call included, about 20 us against 60-95 us of repr (2 vCPU x86_64);
-# shorter blocks (single points, the 24- to 72-row tree sweeps) have no
-# repeating column that is not constant, keep one float comparison and
-# repr, and never import orjson (about 8 ms, with datetime and uuid)
+# one bit pattern and spelled through orjson (_float_cells): the test
+# costs 2-5 us a column, and orjson's text of 100 cells, mask and call
+# included, about 20 us against 60-95 us of repr (2 vCPU x86_64);
+# shorter blocks (single points, the 24- to 72-row tree sweeps) keep
+# one float comparison and repr, and never import orjson (about 8 ms,
+# with datetime and uuid)
 _REPEAT_ROWS = 100
-# the share of a column's cells other than +0.0 that equal the one
-# before among them, from which each distinct bit pattern is spelled
-# once: np.unique and the indexing cost 40-85 us a 1024-row block,
-# against about 120 us of orjson text of its 17-digit cells, or 450 us
-# of repr where the cells fall outside orjson's window. So it pays for
-# a column of few patterns, such as a zero zbar_z's rounding noise (7
-# to 13 patterns below 3e-16: 60-95 us against 130-450 us), and
-# costs a trajectory's H (8-42% equal neighbours, about 500 patterns)
-# about 17 us a block (93 us against 76 us). +0.0 is left out:
-# counted, a run of it beside distinct cells (an imaginary part below
-# a threshold) made the benchmark's timelike vacuum-pol sweeps 3% slower
-_REPEAT_FRACTION = 1 / 16
 
 
 def _spelled(v: list, kind: str, csv: bool) -> list:
@@ -176,31 +164,16 @@ def _column_cells(c: np.ndarray, csv: bool) -> tuple:
     rows, as _spelled gives it, and whether the column has one text.
     That is so for a float64 column of two or more rows whose cells all
     have the bytes of the first (so -0.0 is not 0.0): its one text is
-    formatted once.
-    In a block of _REPEAT_ROWS rows or more, equal neighbours are
-    counted on the column's int64 bit view before any cell is spelled:
-    all equal is a constant column, and where at least
-    _REPEAT_FRACTION of the cells other than +0.0 equal the one before
-    among them, each distinct bit pattern is spelled once (np.unique)
-    and the texts are indexed with the inverse; the cells spelled go
+    formatted once. In a block of _REPEAT_ROWS rows or more, that is
+    tested on the column's int64 bit view, and the cells spelled go
     through _float_cells. A shorter block compares the bytes only where
     the last cell equals the first, so that other columns (and NaN
     ones) pay one float comparison."""
-    n, inverse = len(c), None
+    n = len(c)
     if n >= _REPEAT_ROWS and c.dtype == np.float64:
         bits = c.view(np.int64)
-        same = bits[1:] == bits[:-1]
-        if same.all():
-            v = c[:1]
-        else:
-            nonzero = bits[bits != 0] if same.any() else bits[:1]
-            if (np.count_nonzero(nonzero[1:] == nonzero[:-1])
-                    >= _REPEAT_FRACTION * len(nonzero)):
-                bits, inverse = np.unique(bits, return_inverse=True)
-                v = bits.view(np.float64)
-            else:
-                v = c
-        cells = _float_cells(v, csv)
+        cells = _float_cells(c[:1] if (bits[1:] == bits[:-1]).all() else c,
+                             csv)
     else:
         v = c.tolist()
         if n > 1 and v[-1] == v[0] and c.dtype == np.float64:
@@ -208,8 +181,6 @@ def _column_cells(c: np.ndarray, csv: bool) -> tuple:
             if bits == bits[:8] * n:
                 v = v[:1]
         cells = _spelled(v, c.dtype.kind, csv)
-    if inverse is not None:
-        return np.array(cells, dtype=object)[inverse].tolist(), False
     return (cells * n, True) if len(cells) < n else (cells, False)
 
 
@@ -245,9 +216,8 @@ def _write_table(args, table: dict):
     blocks of _BLOCK_ROWS rows: the CSV header or the JSON head goes out
     with the first block and the JSON close with the last, and a table
     of one block is one write. Within a block the cells are formatted
-    column by column (a column constant over the block once, a
-    repeating one once per distinct bit pattern), and the bytes are
-    those of joining each row's cells with commas, or of
+    column by column (a column constant over the block once), and the
+    bytes are those of joining each row's cells with commas, or of
     `json.dumps` of {"config", "rows": [a dict per row]}, indent=1."""
     csv = args.format == "csv"
     cols = [np.asarray(v) for v in table.values()]

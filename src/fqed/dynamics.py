@@ -33,7 +33,10 @@ Free runs of `integrate` (field = None) run no stage: the free equations
 are a linear constant-coefficient system, so one RK4 step is a linear
 map, z -> M z and x -> x + z^dag Q^mu z, built once from the stage
 matrices; a trajectory applies the powers of M by doubling and sums
-the position increments, with no per-step loop. The exact solution
+the position increments, with no per-step loop. Its products (and
+those of `_velocity`) are einsums, which call no BLAS, so a free run's
+bits do not depend on the OpenBLAS kernel numpy picks for the CPU; a
+field run's, through the stage's `.dot`, do. The exact solution
 
     z(tau) = exp(-i slash(p) tau) z0
            = [cos(w tau) - i sin(w tau) slash(p)/w] z0,   w = sqrt(p^2)
@@ -102,15 +105,16 @@ def _velocity(mats: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     """Re z^dag mats^mu z over the last axis of z, which may carry leading
     batch axes: the four-velocity for mats = _G0G or _S. The rows are
     taken in blocks of _VELOCITY_ROWS into one (..., 4) result, or into
-    out (n rows of z); each row goes through the same two matmuls as in
-    one pass over all rows, so the bits do not depend on the block."""
+    out (n rows of z). Each block is one einsum of contiguous operands,
+    with no BLAS, so a row's bits depend on that row alone: not on the
+    block, the strides of z or the CPU's BLAS kernel."""
     rows = z.reshape(-1, z.shape[-1])
     out = np.empty((len(rows), 4)) if out is None else out
     for start in range(0, len(rows), _VELOCITY_ROWS):
         stop = start + _VELOCITY_ROWS
-        zb = rows[start:stop]
-        zm = (zb.conj()[:, None, None, :] @ mats)[:, :, 0, :]
-        out[start:stop] = np.real(zm @ zb[..., None])[..., 0]
+        zb = np.ascontiguousarray(rows[start:stop])
+        out[start:stop] = np.einsum("ni,mij,nj->nm", zb.conj(), mats,
+                                    zb).real
     return out.reshape(z.shape[:-1] + (4,))
 
 
@@ -295,19 +299,21 @@ def _free_steps(mats, cliff, x0, p, z0, n, dt):
     eye = np.eye(len(z0))
     g = -1j * np.einsum("m,mij->ij", p, METRIC_DIAG[:, None, None] * cliff)
     s2 = eye + 0.5 * dt * g
-    s3 = eye + 0.5 * dt * g @ s2
-    s4 = eye + dt * g @ s3
-    m = eye + dt / 6.0 * g @ (eye + 2.0 * s2 + 2.0 * s3 + s4)
-    q = dt / 6.0 * sum(w * (s.conj().T @ mats @ s) for w, s in
-                       zip((1.0, 2.0, 2.0, 1.0), (eye, s2, s3, s4)))
+    s3 = eye + np.einsum("ij,jk->ik", 0.5 * dt * g, s2)
+    s4 = eye + np.einsum("ij,jk->ik", dt * g, s3)
+    m = eye + np.einsum("ij,jk->ik", dt / 6.0 * g,
+                        eye + 2.0 * s2 + 2.0 * s3 + s4)
+    q = dt / 6.0 * sum(w * np.einsum("ki,mkl,lj->mij", s.conj(), mats, s)
+                       for w, s in zip((1.0, 2.0, 2.0, 1.0),
+                                       (eye, s2, s3, s4)))
     zs = np.empty((n + 1, len(z0)), dtype=complex)
     zs[0] = z0
     done = 1
     while done <= n:
         # rows done.. are M^done times rows 0..; then M <- M^2
         k = min(done, n + 1 - done)
-        zs[done:done + k] = zs[:k] @ m.T
-        m = m @ m
+        zs[done:done + k] = np.einsum("ij,nj->ni", m, zs[:k])
+        m = np.einsum("ij,jk->ik", m, m)
         done += k
     xs = np.empty((n + 1, 4))
     xs[0] = x0
@@ -367,9 +373,9 @@ def integrate(state0, field: ExternalField | None = None,
     count whose samples would not fit in memory, is a DomainError,
     raised before allocating.
 
-    The last bits of x, p, the spinor and H depend on numpy's OpenBLAS
-    kernel (the `@` of _free_steps and _velocity, the field stage's
-    `.dot`); zbar_z is summed elementwise and does not.
+    A free run calls no BLAS (einsums and an elementwise zbar_z), so its
+    bits do not depend on numpy's OpenBLAS kernel; in a field, the last
+    bits of x, p, the spinor and H do, through the stage's `.dot`.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be finite and positive, got {dt!r}")

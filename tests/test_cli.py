@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -740,9 +742,9 @@ class TestWriter:
     @example(case=({"r": [-math.nan] * 130 + [math.inf, 5e-324] * 45},
                    cli._REPEAT_ROWS + 20), fmt="csv", to_file=True)
     def test_repeating_columns_match_row_formulas(self, case, fmt, to_file):
-        """Columns of long blocks that repeat values, spelled once per
-        bit pattern, give the bytes of the whole-row formulas, to stdout
-        or to -o FILE, in one write per block."""
+        """Columns of long blocks that repeat values give the bytes of
+        the whole-row formulas, to stdout or to -o FILE, in one write
+        per block."""
         check_blocks(*case, fmt, to_file)
 
     @settings(max_examples=150, deadline=None)
@@ -775,30 +777,77 @@ class TestWriter:
         assert dumps.call_count == 1
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_classical_repeating_columns_spelled_once(self, capsys, fmt):
-        """A real trajectory's conserved zbar_z and H columns go through
-        np.unique of their bits in every full block, and the table's
-        bytes are those of the whole-row formulas."""
-        # zbar_z = 0.28, not 0: a zero column would be constant or
-        # rounding noise, as the BLAS kernel has it
-        argv = ["classical", "--z", "0.8,0,0.6,0", "--pz", "0.8",
-                "--tau-max", "2.048", "--dt", "0.001", "--format", fmt]
-        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
-            rc, out, err = run_capture(capsys, argv)
-        assert (rc, err) == (0, "")
-        spelled = [call.args[0].tobytes() for call in unique.call_args_list]
-        z0 = np.array([0.8, 0, 0.6, 0], dtype=complex)
+    def test_classical_constant_columns_spelled_once(self, capsys, fmt):
+        """With the default --z, a free run's conserved zbar_z is exactly
+        0.0 in every row, as the free steps sum in one order whatever
+        the BLAS kernel: in each full block the writer formats it, like
+        each p column, once, and no column goes through np.unique. With
+        --z 0.8,0,0.6,0 (zbar_z = 0.28) the bytes are those of the
+        whole-row formulas too."""
         p = FourVector(math.sqrt(1.0 + 0.8 * 0.8), 0.0, 0.0, 0.8)
-        table = trajectory_columns(integrate(
-            ElectronState(FourVector(0, 0, 0, 0), p, z0), None,
-            (0.0, 2.048), 0.001))
-        assert len(table["tau"]) == 2 * cli._BLOCK_ROWS + 1
-        for name in ("zbar_z", "H"):
-            for start in (0, cli._BLOCK_ROWS):
-                block = table[name][start:start + cli._BLOCK_ROWS]
-                assert block.tobytes() in spelled, (name, start)
-        config = cli._config(cli._parser().parse_args(argv))
-        assert out == oracles.table_text(config, fmt, table)
+        once = ["p0", "p1", "p2", "p3", "zbar_z"]
+        for z in (None, "0.8,0,0.6,0"):
+            argv = ["classical", "--pz", "0.8", "--tau-max", "2.048",
+                    "--dt", "0.001", "--format", fmt]
+            argv += [] if z is None else ["--z", z]
+            with mock.patch.object(np, "unique", wraps=np.unique) as unique, \
+                    mock.patch.object(cli, "_float_cells",
+                                      wraps=cli._float_cells) as spelled:
+                rc, out, err = run_capture(capsys, argv)
+            assert (rc, err) == (0, "")
+            assert unique.call_count == 0
+            z0 = np.array([0.7071067811865476, 0, 0.7071067811865476, 0]
+                          if z is None else [0.8, 0, 0.6, 0], dtype=complex)
+            table = trajectory_columns(integrate(
+                ElectronState(FourVector(0, 0, 0, 0), p, z0), None,
+                (0.0, 2.048), 0.001))
+            assert len(table["tau"]) == 2 * cli._BLOCK_ROWS + 1
+            config = cli._config(cli._parser().parse_args(argv))
+            assert out == oracles.table_text(config, fmt, table)
+            if z is not None:
+                continue
+            assert table["zbar_z"].tobytes() == bytes(table["zbar_z"].nbytes)
+            # the two full blocks' float columns, in order; the last
+            # block's one row is spelled by repr
+            calls = [call.args[0] for call in spelled.call_args_list]
+            assert len(calls) == 2 * len(table)
+            for i, name in enumerate(list(table) * 2):
+                if name in once:
+                    start = i // len(table) * cli._BLOCK_ROWS
+                    assert calls[i].tobytes() == (
+                        table[name][start:start + 1].tobytes()), name
+
+    def test_classical_bytes_do_not_depend_on_blas_kernel(self):
+        """A classical run prints the same bytes under the OpenBLAS
+        kernels that OPENBLAS_CORETYPE picks (set for the child only) as
+        in this process: electron with the default --z, electron with a
+        complex --z (JSON), and photon."""
+        argvs = [["classical", "--pz", "0.8", "--tau-max", "2.048"],
+                 ["classical", "--z", "0.3+0.2j,0.1,-0.5j,0.7", "--pz",
+                  "-0.8", "--tau-max", "2.048", "--format", "json"],
+                 ["classical", "--particle", "photon", "--pz", "-1",
+                  "--tau-max", "2.048"]]
+        want = [list(run_in_process(argv)) for argv in argvs]
+        assert [rc for rc, _, _ in want] == [0, 0, 0]
+        code = ("import contextlib, io, json, sys\n"
+                "from fqed import cli\n"
+                "runs = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out, err = io.StringIO(), io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out), "
+                "contextlib.redirect_stderr(err):\n"
+                "        rc = cli.run(argv)\n"
+                "    runs.append([rc, out.getvalue(), err.getvalue()])\n"
+                "print(json.dumps(runs))\n")
+        for kernel in ("Prescott", "Haswell"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(cli_cases.ROOT / "src"), env.get("PYTHONPATH", "")])
+            proc = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(argvs)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, ""), kernel
+            assert json.loads(proc.stdout) == want, kernel
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("rows", [

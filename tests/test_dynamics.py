@@ -153,16 +153,30 @@ class TestDerivatives:
         dyn._VELOCITY_ROWS - 1, dyn._VELOCITY_ROWS, dyn._VELOCITY_ROWS + 1,
         2 * dyn._VELOCITY_ROWS + 1])
     def test_velocity_blocks_equal_one_pass(self, rows):
-        """Taken in row blocks, the velocity has the bits of the same two
-        matmuls over all rows at once."""
+        """Taken in row blocks, the velocity has the bits of the same
+        einsum over all rows at once."""
         rng = np.random.default_rng(rows)
         for mats in (dyn._G0G, dyn._S):
             d = mats.shape[-1]
             z = rng.normal(size=(rows, d)) + 1j * rng.normal(size=(rows, d))
-            zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
-            one_pass = np.real(zm @ z[..., None])[..., 0]
+            one_pass = np.einsum("ni,mij,nj->nm", z.conj(), mats, z).real
             assert np.array_equal(dyn._velocity(mats, z), one_pass)
             assert np.array_equal(dyn._velocity(mats, z[0]), one_pass[0])
+
+    @pytest.mark.parametrize("d", [4, 2])
+    def test_velocity_of_strided_spinors_equals_contiguous(self, d):
+        """velocity of a strided spinor array (every other row and
+        column of a larger one, or a column-major copy) has the bits of
+        its contiguous copy: einsum may pick its summation order from
+        its operands' strides, so the blocks are made contiguous."""
+        rng = np.random.default_rng(d)
+        rows = dyn._VELOCITY_ROWS + 7
+        big = (rng.normal(size=(2 * rows, 2 * d))
+               + 1j * rng.normal(size=(2 * rows, 2 * d)))
+        for z in (big[::2, ::2], big[::2, ::2].T.copy().T):
+            assert not z.flags.c_contiguous
+            want = dyn.velocity(np.ascontiguousarray(z))
+            assert dyn.velocity(z).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("rows", [
         dyn._VELOCITY_ROWS - 1, dyn._VELOCITY_ROWS, dyn._VELOCITY_ROWS + 1,
@@ -186,10 +200,9 @@ class TestDerivatives:
                 traj = dyn.integrate(state, f, (0.0, 0.01 * (rows - 1)), 0.01)
                 assert len(traj.H) == rows
                 z = traj.spinor
-                zm = (z.conj()[..., None, None, :] @ mats)[..., 0, :]
                 # contiguous, as _velocity returns it: einsum's reduction
                 # order depends on the operands' strides
-                v = np.real(zm @ z[..., None])[..., 0].copy()
+                v = np.einsum("ni,mij,nj->nm", z.conj(), mats, z).real.copy()
                 if f is None:
                     ps = np.tile(state.p.as_array(), (rows, 1))
                     assert np.array_equal(traj.p, ps)
