@@ -404,6 +404,7 @@ def _cmd_classical(args):
         p = FourVector(math.sqrt(args.mass * args.mass + pz * pz),
                        0.0, 0.0, pz)
         state = dynamics.ElectronState(FourVector(0, 0, 0, 0), p, z0)
+        rate = args.mass            # slash(p) has eigenvalues +-m
     else:
         if "mass" in getattr(args, "_given", ()):
             raise _UsageError("--mass is not read by a photon run")
@@ -416,6 +417,14 @@ def _cmd_classical(args):
         # a photon along -z still has positive energy
         p = FourVector(abs(args.pz), 0.0, 0.0, args.pz)
         state = dynamics.PhotonClassicalState(FourVector(0, 0, 0, 0), p, eta)
+        rate = 2.0 * abs(args.pz)   # sigma.p has eigenvalues 0 and 2|k|
+    # an RK4 step of dz/dtau = -i A z multiplies each eigencomponent by
+    # R(-i y), y = dt times an eigenvalue of A, and |R(iy)|^2 = 1 - y^6/72
+    # + y^8/576 exceeds 1 for |y| > 2 sqrt(2): z would grow without bound
+    if args.dt * rate > math.sqrt(8.0):
+        raise DomainError(f"--dt {args.dt!r} is above "
+                          f"{math.sqrt(8.0) / rate!r}, RK4's stability "
+                          f"limit for this run")
     # an overflow of x, p or z aborts the run, reported after its rows;
     # one of zbar_z or H alone is refused by `_finite` before any row
     traj = dynamics.integrate(state, None, (0.0, args.tau_max), args.dt)
@@ -561,9 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-m", dest="theta_m", type=float, default=30.0)
     sp.add_argument("--Z", type=float, default=1.0)
 
-    for name in ("moller", "bhabha"):
+    for name, builder in (("moller", "moller_cm_config"),
+                          ("bhabha", "bhabha_cm_config")):
         sp = command(name, functools.partial(
-            _four_fermion_cmd, builder=f"{name}_cm_config"), _TREE)
+            _four_fermion_cmd, builder=builder), _TREE)
         sp.add_argument("--energy", type=float, default=2.0)
         sp.add_argument("--theta", type=float, default=60.0)
 

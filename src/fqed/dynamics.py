@@ -96,8 +96,9 @@ class ExternalField:
     charge: float = 1.0         # coupling e multiplying the potential
 
 
-# rows of z per block in `_velocity`, whose (rows, 4, 1, d) complex
-# product then stays a few hundred kB however long the trajectory
+# rows of z per block in `_velocity`, whose contiguous copy of the block,
+# its conjugate and the (rows, 4) einsum result then stay under 200 kB
+# however long the trajectory
 _VELOCITY_ROWS = 1024
 
 

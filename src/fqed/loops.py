@@ -116,8 +116,8 @@ class LaurentValue:
 def __getattr__(name):
     # no fqed code integrates numerically: `integrate` (scipy.integrate,
     # imported on first access) stays only because the benchmark tracer
-    # (perfbench/tracing.py) wraps its quad when it installs; it goes
-    # with scipy in [project].dependencies (ROADMAP item B)
+    # (perfbench/tracing.py) wraps its quad when it installs, until that
+    # tracer drops it (ROADMAP item B)
     if name == "integrate":
         from scipy import integrate
         globals()["integrate"] = integrate

@@ -265,12 +265,29 @@ case("classical_ends_at_or_before_tau_max",
      "classical --tau-max 0.0025 --dt 0.001", 0,
      Csv(3, TRAJECTORY, ("0.0", "0.001", "0.002")))
 
+# an RK4 step is stable while dt times the spinor's top frequency (m for
+# an electron, 2|k| for a photon) is at most 2 sqrt(2) = 2.8284271...:
+# a step past it is refused before any row, one just inside it runs
+for argv in ("classical --z 0.6,0.1,0.3,0.2j --pz 3 --dt 2.83",
+             "classical --mass 2 --dt 1.4143 --tau-max 3",
+             "classical --z 1e150,0,0,0 --tau-max 3e10 --dt 1e10",
+             "classical --particle photon --z 0.6,0.8 --pz 1414.3",
+             "classical --particle photon --pz -1414.3 --format json"):
+    case("classical_rk4_stability_limit", argv, 2,
+         err=Line("domain error: ", "--dt", "stability limit"))
+for argv, rows in (("classical --z 0.6,0.1,0.3,0.2j --pz 3 --dt 2.828 "
+                    "--tau-max 5.656", 3),
+                   ("classical --particle photon --z 0.6,0.8 --pz 1414.2 "
+                    "--tau-max 0.01", 11)):
+    case("classical_rk4_stability_limit", argv, 0, Csv(rows, TRAJECTORY))
+
 # the first step overflows, so the run stops after the initial sample,
-# whose cells are finite: its one row is written, then the abort
+# whose cells are finite: its one row is written, then the abort (the
+# small --mass keeps the long step inside RK4's stability limit)
 ABORT = ("numeric error: trajectory aborted after tau = 0.0: the state "
          "became non-finite\n")
-for run in ("--z 1e150,0,0,0 --tau-max 3e10 --dt 1e10",
-            "--z 1e150,0,0,0 --dt 1e10 --tau-max 3e10"):
+for run in ("--z 1e150,0,0,0 --mass 1e-10 --tau-max 3e10 --dt 1e10",
+            "--z 1e150,0,0,0 --dt 1e10 --mass 1e-10 --tau-max 3e10"):
     case("classical_abort_writes_rows_then_fails", f"classical {run}", 3,
          Csv(1, TRAJECTORY, same=[f"classical {run} --format json"]),
          ABORT)

@@ -157,6 +157,8 @@ class TestExitCodes:
         "classical_ends_at_or_before_tau_max")
     test_classical_abort_writes_rows_then_fails = table_test(
         "classical_abort_writes_rows_then_fails")
+    test_classical_rk4_stability_limit = table_test(
+        "classical_rk4_stability_limit")
     test_classical_writes_no_non_finite_cell = table_test(
         "classical_writes_no_non_finite_cell", each=True)
 

@@ -1,7 +1,7 @@
 """Layers load when first used, not with fqed: each fqed layer when a
-command (or an attribute of the package) needs it. No command and no
-energy shift imports scipy, and only a table of long blocks imports
-orjson. Each check runs in a fresh interpreter."""
+command imports it; `import fqed` loads none. No command and no energy
+shift imports scipy, and only a table of long blocks imports orjson.
+Each check runs in a fresh interpreter."""
 
 import os
 import pathlib
@@ -61,20 +61,6 @@ print(installed, loops.integrate is scipy.integrate)
     assert out.split() == ["True", "True"]
 
 
-# the names `fqed` re-exports, by the submodule that defines them
-_EXPORTS = {
-    "algebra": ("GAMMA", "SIGMA", "BIG_SIGMA", "slash"),
-    "constants": ("ALPHA_DEFAULT", "ELECTRON_MASS_MEV"),
-    "errors": ("DegenerateLevelError", "DomainError", "FqedError",
-               "NumericError", "PoleError", "SingularityError"),
-    "fourvec": ("FourVector", "minkowski_dot"),
-    "ledger": ("NormalizationLedger",),
-    "processes": ("KinematicConfig", "ReducedAmplitude", "amplitude",
-                  "spin_summed_squared"),
-    "states": ("PhotonSpinor", "photon_state"),
-}
-
-
 def loaded_after(argv) -> set:
     """The fqed layers a fresh interpreter holds after `fqed.cli.run`."""
     out = run_python(f"""
@@ -106,30 +92,19 @@ def test_compton_loads_no_loop_or_dynamics_layer():
     assert not loaded & {"loops", "dynamics"}
 
 
-def test_package_names_resolve_on_first_use():
-    out = run_python(f"""
-import importlib, sys
+def test_import_fqed_loads_no_layer():
+    """The package root defines no names: `import fqed` loads no layer
+    and no numpy, and each layer still imports from the package."""
+    out = run_python("""
+import sys
 import fqed
-lazy = ("processes", "states", "ledger", "propagators", "loops", "dynamics")
-print(any(f"fqed.{{m}}" in sys.modules for m in lazy))
-for mod in ("propagators", "ledger", "states", "processes"):
-    assert getattr(fqed, mod) is sys.modules[f"fqed.{{mod}}"], mod
-exports = {_EXPORTS!r}
-assert sorted(fqed.__all__) == sorted(n for v in exports.values() for n in v)
-assert set(fqed.__all__) <= set(dir(fqed))
-for mod, names in exports.items():
-    sub = importlib.import_module(f"fqed.{{mod}}")
-    for name in names:
-        assert getattr(fqed, name) is getattr(sub, name), name
-star = {{}}
-exec("from fqed import *", star)
-assert all(star[n] is getattr(fqed, n) for n in fqed.__all__)
-try:
-    fqed.no_such_name
-except AttributeError:
-    print("ok")
+print(sorted(m for m in sys.modules
+             if m.startswith("fqed.") or m.split(".")[0] == "numpy"))
+from fqed import (algebra, cli, constants, dynamics, errors, fourvec,
+                  ledger, loops, processes, propagators, states)
+print("ok")
 """)
-    assert out.split() == ["False", "ok"]
+    assert out.split() == ["[]", "ok"]
 
 
 def test_orjson_loads_only_for_long_tables():

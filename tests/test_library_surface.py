@@ -5,8 +5,7 @@ in src/, demos/ or perfbench/ outside its own definition: by a name, an
 attribute, an import, or a word of a string that is not a docstring (the
 benchmark's tracer names functions as "layer.name" strings). Every
 public method of a public class there must be read as an attribute in
-those files outside its own def. The package's `__init__.py` is not
-scanned: a re-export is not a reach. An entry point that only tests
+those files outside its own def. An entry point that only tests
 call fails here; move it to the tests, or delete it with its tests.
 """
 
@@ -17,12 +16,9 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "demos", "perfbench")
-# a re-export is not a reach
-SKIPPED = ROOT / "src" / "fqed" / "__init__.py"
 
 # names that stay although no scanned file names them, with the reason
 EXCEPTIONS = {
-    "bhabha_cm_config": "the CLI builds its name as f\"{name}_cm_config\"",
     "self_energy": "kept for the self-energy item, which reworks it with "
                    "its pole and the benchmark oracle",
     "self_energy_near_shell": "kept for the self-energy item, with "
@@ -60,9 +56,9 @@ def _names(node, skip: set) -> set:
 
 
 def _scanned():
-    """(top, path) of every scanned .py file, SKIPPED left out."""
+    """(top, path) of every scanned .py file."""
     return [(top, path) for top in SCANNED
-            for path in sorted((ROOT / top).rglob("*.py")) if path != SKIPPED]
+            for path in sorted((ROOT / top).rglob("*.py"))]
 
 
 def _census():
