@@ -28,8 +28,8 @@ def main():
     print(f"\nsmall-k^2 slope : {slope:.8e}")
     print(f"alpha/(15 pi)   : {ALPHA_DEFAULT / (15.0 * math.pi):.8e}")
 
-    lv = loops.vacuum_polarization(0.0)
-    print(f"\npole coefficient (1/eps): {lv.pole:.8e}"
+    pole, _ = loops.vacuum_polarization_pole()
+    print(f"\npole coefficient (1/eps): {pole.real:.8e}"
           f"  [2 alpha / 3 pi = {2 * ALPHA_DEFAULT / (3 * math.pi):.8e}]")
 
 

@@ -2,8 +2,9 @@
 
 The divergent integrals are never evaluated in d dimensions
 numerically. Their pole structure at epsilon = 4 - d -> 0 is known in
-closed form and is stored symbolically as a two-term Laurent series
-(pole, finite). The epsilon^0 Feynman-parameter integrals are
+closed form; each result is a pair of complex coefficients, (pole,
+finite) of pole/eps + finite, or (a, b) of a 1 + b pslash, so that no
+4x4 matrix is ever formed. The epsilon^0 Feynman-parameter integrals are
 elementary and are evaluated in closed form on arrays: the k^2 and p^2
 functions below take a scalar (Python scalars out) or an array (arrays
 out), a scalar being a batch of one through the same code.
@@ -78,17 +79,14 @@ A pair stored in both orders is two entries.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import I4, slash
 from .constants import ALPHA_DEFAULT
 from .errors import (DegenerateLevelError, DomainError, SingularityError,
                      check_mass)
-from .fourvec import FourVector
 
 _EULER_GAMMA = 0.5772156649015329
 
@@ -100,17 +98,6 @@ _PI_BAR_SERIES = np.array([math.factorial(n + 1) ** 2
                            for n in range(1, 31)])
 _I1_SERIES = np.array([-1.0 / (k * (k + 2)) for k in range(1, 61)])
 _I2_SERIES = np.array([-1.0 / (k * (k + 1)) for k in range(1, 61)])
-
-
-@dataclass(frozen=True)
-class LaurentValue:
-    """Two-term Laurent series a/eps + b in the parameter eps = 4 - d.
-
-    pole and finite are either complex scalars or complex matrices.
-    """
-
-    pole: object
-    finite: object
 
 
 def __getattr__(name):
@@ -189,9 +176,11 @@ def vacuum_polarization_finite(k2, mass: float = 1.0,
     return _complex(re, im, scalar)
 
 
-def vacuum_polarization_pole(alpha: float = ALPHA_DEFAULT,
-                             mass: float = 1.0) -> LaurentValue:
-    """Divergent part Pi_d(0) of the unsubtracted scalar polarization.
+def vacuum_polarization_pole(mass: float = 1.0,
+                             alpha: float = ALPHA_DEFAULT):
+    """Divergent part Pi_d(0) of the unsubtracted scalar polarization,
+    as the pair (pole, finite) of pole/eps + finite; the full
+    Pi_d(k^2) adds vacuum_polarization_finite to the finite slot.
 
     The x-integral int 2x(1-x) dx = 1/3 gives the pole coefficient
     2 alpha/(3 pi); the Gamma(1+eps/2) (4 pi)^(eps/2) m^(-eps) factors
@@ -200,23 +189,22 @@ def vacuum_polarization_pole(alpha: float = ALPHA_DEFAULT,
     check_mass(mass)
     pole = 2.0 * alpha / (3.0 * math.pi)
     L = math.log(4.0 * math.pi) - _EULER_GAMMA - 2.0 * math.log(mass)
-    return LaurentValue(complex(pole), complex(pole * L / 2.0))
-
-
-def vacuum_polarization(k2, mass: float = 1.0,
-                        alpha: float = ALPHA_DEFAULT) -> LaurentValue:
-    """Full Pi_d(k^2) = Pi_d(0) + Pi_bar(k^2) as a Laurent series.
-
-    The pole is k-independent, so differences of two values have an
-    exactly zero pole component.
-    """
-    base = vacuum_polarization_pole(alpha, mass)
-    return LaurentValue(base.pole,
-                        base.finite + vacuum_polarization_finite(
-                            k2, mass, alpha))
+    return complex(pole), complex(pole * L / 2.0)
 
 
 # -- electron self-energy --------------------------------------------------
+
+def _off_shell(p2, mass: float) -> tuple[np.ndarray, bool]:
+    """r = p^2/m^2 as a batch, and whether p2 was a scalar, after the
+    mass check; a point on the mass shell, where both self-energy forms
+    are logarithmically singular, rejects the whole batch."""
+    check_mass(mass)
+    p2, scalar = _batch(p2, "p2")
+    if np.any(np.abs(p2 - mass * mass) <= 1e-12 * mass * mass):
+        raise SingularityError(
+            "self-energy has a logarithmic singularity at p^2 = m^2")
+    return p2 / (mass * mass), scalar
+
 
 def self_energy_ab(p2, mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     """Finite part of the self energy as Omega = a 1 + b pslash.
@@ -226,13 +214,8 @@ def self_energy_ab(p2, mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     complex arrays out). A point exactly on the mass shell, where the
     z-integral is logarithmically singular, rejects the whole batch.
     """
-    check_mass(mass)
     m = mass
-    p2, scalar = _batch(p2, "p2")
-    if np.any(np.abs(p2 - m * m) <= 1e-12 * m * m):
-        raise SingularityError(
-            "self-energy has a logarithmic singularity at p^2 = m^2")
-    r = p2 / (m * m)
+    r, scalar = _off_shell(p2, m)
     i1 = np.empty_like(r)
     i2 = np.empty_like(r)
     small = np.abs(r) < 0.5
@@ -273,30 +256,21 @@ def self_energy_pole(mass: float = 1.0, alpha: float = ALPHA_DEFAULT):
     return 4.0 * mass * c, -c
 
 
-def self_energy(p: FourVector, mass: float = 1.0,
-                alpha: float = ALPHA_DEFAULT) -> LaurentValue:
-    """Self-energy matrix Omega(p) as a Laurent series of 4x4 matrices.
-
-    Pole part (1/eps)[a_pole + b_pole pslash] from self_energy_pole;
-    finite part a 1 + b pslash from self_energy_ab. Exactly on shell
-    the point is rejected.
-    """
-    a, b = self_energy_ab(float(p.norm2()), mass, alpha)
-    pole_a, pole_b = self_energy_pole(mass, alpha)
-    psl = slash(p)
-    return LaurentValue((pole_a * I4 + pole_b * psl).astype(complex),
-                        a * I4 + b * psl)
-
-
-def self_energy_near_shell(p: FourVector, mass: float = 1.0,
-                           alpha: float = ALPHA_DEFAULT) -> LaurentValue:
-    """Printed near-mass-shell form of the self energy.
+def self_energy_near_shell(p2, mass: float = 1.0,
+                           alpha: float = ALPHA_DEFAULT):
+    """Finite part of the printed near-mass-shell form of the self
+    energy as (a, b), finite = a 1 + b pslash:
 
     (alpha/4 pi) { (1/eps)[3m - (pslash - m)]
                    - (pslash - m) log((m^2 - p^2)/m^2) }
 
-    The full z-integral of self_energy has the same pole bracket but a
-    log coefficient four times this printed -alpha/4pi. Expand its
+    Its pole bracket is self_energy_pole's. p2 is batched as in
+    self_energy_ab, and the shell is rejected alike. Above the shell
+    the log takes the -i epsilon branch of the module docstring,
+    log(-|x|) = log|x| - i pi.
+
+    The full z-integral of self_energy_ab has the same pole bracket but
+    a log coefficient four times this printed -alpha/4pi. Expand its
     closed form (module docstring, m = 1) at delta = 1 - p^2 -> 0: with
     1 - r = delta, the log delta parts are -delta log delta/(1 - delta)
     in i2 and -(delta - delta^2/2) log delta/(1 - delta)^2 in i1. On a
@@ -312,17 +286,16 @@ def self_energy_near_shell(p: FourVector, mass: float = 1.0,
     exactly -alpha/pi. Both forms are kept, this one as the quoted
     representation.
     """
-    m = mass
-    pole_a, pole_b = self_energy_pole(m, alpha)     # checks the mass
-    p2 = float(p.norm2())
-    if abs(p2 - m * m) <= 1e-12 * m * m:
-        raise SingularityError(
-            "near-shell form is logarithmically singular at p^2 = m^2")
-    delta = (m * m - p2) / (m * m)
-    logd = cmath.log(complex(delta))
-    psl = slash(p).astype(complex)
-    return LaurentValue(pole_a * I4 + pole_b * psl,
-                        pole_b * logd * (psl - m * I4))
+    r, scalar = _off_shell(p2, mass)
+    # the printed literal alpha/4pi, not self_energy_pole's coefficient
+    c = alpha / (4.0 * math.pi)
+    # -c (pslash - m) log delta = (c m log delta) 1 - (c log delta) pslash,
+    # log delta = log|1 - r| - i pi above the shell
+    log_re = c * np.log(np.abs(1.0 - r))
+    above = r > 1.0
+    return (_complex(mass * log_re,
+                     np.where(above, -math.pi * c * mass, 0.0), scalar),
+            _complex(-log_re, np.where(above, math.pi * c, 0.0), scalar))
 
 
 # -- complex energy shifts -------------------------------------------------

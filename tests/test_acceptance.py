@@ -18,7 +18,7 @@ from fqed.constants import ALPHA_DEFAULT
 from fqed.fourvec import FourVector
 from fqed.states import (PHOTON_KINDS, dirac_spinors, photon_state,
                          wave_equation_residual)
-from test_loops import positronium_insertion
+from test_loops import fit_log_coefficient, positronium_insertion
 from test_processes import (compton_with_momentum, crossed_amplitudes,
                             crossed_value, crossing, swapped)
 
@@ -58,34 +58,20 @@ def test_criterion_4_positronium_null():
 
 
 def test_criterion_5_self_energy_near_shell():
-    deltas = np.geomspace(1e-4, 1e-2, 12)
-    design, ys = [], []
-    for d in deltas:
-        lam = math.sqrt(1.0 - float(d))
-        p = FourVector(lam, 0.0, 0.0, 0.0)
-        om = loops.self_energy_near_shell(p).finite
-        a = np.trace(om) / 4.0
-        b = np.trace(slash(p) @ om) / (4.0 * lam * lam)
-        design.append([1.0, lam - 1.0, (lam - 1.0) * math.log(float(d))])
-        ys.append((a + lam * b).real)
-    coef, *_ = np.linalg.lstsq(np.array(design), np.array(ys), rcond=None)
     target = -ALPHA_DEFAULT / (4.0 * math.pi)
-    fit_ok = abs(coef[2] - target) <= 0.01 * abs(target)
+    got = fit_log_coefficient(loops.self_energy_near_shell)
+    fit_ok = abs(got - target) <= 0.01 * abs(target)
 
+    # the pole bracket (alpha/4 pi)[3m - (pslash - m)], projected
+    # between on-shell spinors
     p = FourVector(math.sqrt(1.0 + 0.16), 0.4, 0.0, 0.0)
     u = dirac_spinors(p.as_array())[0]       # spin up
     ub = u.conj() @ GAMMA[0]
-    pole = loops.self_energy_near_shell(
-        FourVector(math.sqrt(1.0 - 1e-4), 0.0, 0.0, 0.0)).pole
-    # the bracket is the same matrix polynomial for any p; rebuild at
-    # the probe momentum and project between on-shell spinors
-    bracket = (ALPHA_DEFAULT / (4.0 * math.pi)) * (4.0 * I4 - slash(p))
-    proj = (ub @ bracket @ u) / (ub @ u)
-    pole_ok = abs(proj - ALPHA_DEFAULT / (4.0 * math.pi) * 3.0) <= 1e-10
-    assert np.max(np.abs(
-        pole - (ALPHA_DEFAULT / (4.0 * math.pi))
-        * (4.0 * I4 - slash(FourVector(math.sqrt(1.0 - 1e-4),
-                                       0.0, 0.0, 0.0))))) <= 1e-15
+    pole_a, pole_b = loops.self_energy_pole()
+    c = ALPHA_DEFAULT / (4.0 * math.pi)
+    assert (pole_a, pole_b) == (4.0 * c, -c)
+    proj = (ub @ (pole_a * I4 + pole_b * slash(p)) @ u) / (ub @ u)
+    pole_ok = abs(proj - 3.0 * c) <= 1e-10
     report(5, "self-energy near-shell log coefficient and pole bracket",
            fit_ok and pole_ok)
 

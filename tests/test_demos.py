@@ -1,6 +1,7 @@
 """Smoke test: every script in demos/ runs to the end and prints its
-report; the zitterbewegung demo finds the 2m oscillation. Every python
-example of README.md runs too."""
+report; the zitterbewegung demo finds the 2m oscillation, and the
+vacuum-polarization scan prints the 2 alpha/3 pi pole coefficient.
+Every python example of README.md runs too."""
 
 import pathlib
 import re
@@ -34,6 +35,10 @@ def test_demo_runs(path, capsys):
     if path.stem == "zitterbewegung":
         w = float(re.search(r"dominant frequency: (\S+)", out).group(1))
         assert abs(w - 2.0) <= 0.01 * 2.0
+    if path.stem == "vacuum_polarization_scan":
+        pole, ref = re.search(r"pole coefficient \(1/eps\): (\S+)"
+                              r"\s+\[2 alpha / 3 pi = (\S+)\]", out).groups()
+        assert pole == ref
 
 
 @pytest.mark.parametrize("code", EXAMPLES,

@@ -86,6 +86,21 @@ def test_vacuum_pol_loads_no_tree_or_dynamics_layer():
     assert not loaded & {"processes", "states", "dynamics"}
 
 
+def test_loop_commands_load_no_dirac_algebra(tmp_path):
+    """The loop commands read only (a, b) coefficients and Pi_bar, so
+    none of them loads the Dirac algebra."""
+    spectrum = tmp_path / "levels.txt"
+    spectrum.write_text("[levels]\nd 1.0\nb 0.7\n[current d b]\n"
+                        "0.0 0.0 0.2 0.0 0.0\n5.0 0.0 0.2 0.0 0.0\n")
+    for argv in (["vacuum-pol", "--k2", "0.5"],
+                 ["self-energy", "--p2", "0.5"],
+                 ["energy-shift", "--spectrum", str(spectrum),
+                  "--k-max", "5.0"]):
+        loaded = loaded_after(argv)
+        assert "loops" in loaded
+        assert "algebra" not in loaded, argv
+
+
 def test_compton_loads_no_loop_or_dynamics_layer():
     loaded = loaded_after(["compton"])
     assert "processes" in loaded

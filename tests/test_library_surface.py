@@ -19,10 +19,8 @@ SCANNED = ("src", "demos", "perfbench")
 
 # names that stay although no scanned file names them, with the reason
 EXCEPTIONS = {
-    "self_energy": "kept for the self-energy item, which reworks it with "
-                   "its pole and the benchmark oracle",
-    "self_energy_near_shell": "kept for the self-energy item, with "
-                              "self_energy",
+    "self_energy_near_shell": "the paper's printed near-shell form, held "
+                              "by acceptance criterion 5",
     "derivative": "the classical equations' one right-hand side, the "
                   "documented API of the dynamics docstring; integrate "
                   "runs its stage core directly",

@@ -74,16 +74,21 @@ class TestVacuumPolarization:
         assert all(b.real > a.real for a, b in zip(vals, vals[1:]))
 
     def test_pole_laurent(self):
-        lv = loops.vacuum_polarization_pole()
-        assert abs(lv.pole - 2.0 * ALPHA_DEFAULT / (3.0 * math.pi)) <= 1e-15
+        pole, finite = loops.vacuum_polarization_pole()
+        assert abs(pole - 2.0 * ALPHA_DEFAULT / (3.0 * math.pi)) <= 1e-15
         # finite slot carries the expanded Gamma/(4pi)/m factors
         L = math.log(4.0 * math.pi) - 0.5772156649015329
-        assert abs(lv.finite - lv.pole * L / 2.0) <= 1e-15
+        assert abs(finite - pole * L / 2.0) <= 1e-15
 
     def test_subtracted_difference_has_zero_pole(self):
-        a = loops.vacuum_polarization(-1.0)
-        b = loops.vacuum_polarization(2.5)
-        assert a.pole - b.pole == 0.0
+        """Pi_d(k^2) = pole/eps + finite + Pi_bar(k^2): the pole takes
+        no k^2 and no mass, so the difference of two values has an
+        exactly zero pole; the mass moves only the finite slot, by
+        -pole log m."""
+        pole, finite = loops.vacuum_polarization_pole()
+        pole_m, finite_m = loops.vacuum_polarization_pole(2.5)
+        assert pole_m - pole == 0.0
+        assert abs(finite_m - finite + pole * math.log(2.5)) <= 1e-15
 
     def test_x_integral_value(self):
         # int 2x(1-x) dx = 1/3, the pole's Feynman-parameter weight
@@ -100,12 +105,11 @@ class TestVacuumPolarization:
 MASS_CALLS = {
     "vacuum_polarization_finite":
         lambda m: loops.vacuum_polarization_finite(1.0, m),
-    "vacuum_polarization_pole":
-        lambda m: loops.vacuum_polarization_pole(ALPHA_DEFAULT, m),
+    "vacuum_polarization_pole": lambda m: loops.vacuum_polarization_pole(m),
     "self_energy_ab": lambda m: loops.self_energy_ab(0.5, m),
     "self_energy_pole": lambda m: loops.self_energy_pole(m),
-    "self_energy_near_shell": lambda m: loops.self_energy_near_shell(
-        FourVector(0.5, 0.0, 0.0, 0.0), m),
+    "self_energy_near_shell":
+        lambda m: loops.self_energy_near_shell(0.5, m),
 }
 
 
@@ -156,74 +160,90 @@ class TestPolarizationTensor:
         assert abs(slope - 2.0) <= 0.05
 
 
+def fit_log_coefficient(form):
+    """C of A + B (lambda - 1) + C (lambda - 1) log delta, fitted to
+    a + lambda b of a self-energy form's (a, b) on a spinor with
+    pslash = lambda = sqrt(1 - delta), near the shell."""
+    deltas = np.geomspace(1e-4, 1e-2, 12)
+    lam = np.sqrt(1.0 - deltas)
+    a, b = form(1.0 - deltas)
+    design = np.stack([np.ones_like(lam), lam - 1.0,
+                       (lam - 1.0) * np.log(deltas)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, (a + lam * b).real, rcond=None)
+    return coef[2]
+
+
 class TestSelfEnergy:
 
     def test_pole_bracket(self):
-        p = FourVector(0.8, 0.1, 0.0, 0.0)
-        lv = loops.self_energy(p)
         c = ALPHA_DEFAULT / (4.0 * math.pi)
-        target = c * (4.0 * I4 - slash(p))
-        assert np.max(np.abs(lv.pole - target)) <= 1e-15
+        assert loops.self_energy_pole() == (4.0 * c, -c)
+        pole_a, pole_b = loops.self_energy_pole(2.0)
+        assert abs(pole_a - 8.0 * c) <= 1e-15 and pole_b == -c
 
     def test_on_shell_pole_projection(self):
         from fqed.states import dirac_spinors
         p = FourVector(math.sqrt(1.0 + 0.09), 0.3, 0.0, 0.0)
         u = dirac_spinors(p.as_array())[0]       # spin up
         ub = u.conj() @ GAMMA[0]
-        pole = (ALPHA_DEFAULT / (4.0 * math.pi)) * (4.0 * I4 - slash(p))
+        pole_a, pole_b = loops.self_energy_pole()
+        pole = pole_a * I4 + pole_b * slash(p)
         proj = (ub @ pole @ u) / (ub @ u)
         assert abs(proj - ALPHA_DEFAULT / (4.0 * math.pi) * 3.0) <= 1e-10
 
     def test_hermiticity_below_shell(self):
-        for p2 in (0.5, -1.3, 0.9):
+        """Below the shell a and b are real, so a 1 + b pslash is
+        Dirac-hermitian, gamma0 Omega^dagger gamma0 = Omega."""
+        p2s = np.array([0.5, -1.3, 0.9])
+        for form in (loops.self_energy_ab, loops.self_energy_near_shell):
+            a, b = form(p2s)
+            assert np.all(a.imag == 0.0) and np.all(b.imag == 0.0)
+        for p2, av, bv in zip(p2s, *loops.self_energy_ab(p2s)):
             if p2 > 0:
                 p = FourVector(math.sqrt(p2), 0.0, 0.0, 0.0)
             else:
                 p = FourVector(0.0, math.sqrt(-p2), 0.0, 0.0)
-            om = loops.self_energy(p).finite
+            om = av * I4 + bv * slash(p)
             assert np.max(np.abs(GAMMA[0] @ om.conj().T @ GAMMA[0]
                                  - om)) <= 1e-10
 
     def test_exact_shell_rejected(self):
-        with pytest.raises(SingularityError):
-            loops.self_energy(FourVector(1.0, 0.0, 0.0, 0.0))
-        with pytest.raises(SingularityError):
-            loops.self_energy_near_shell(FourVector(1.0, 0.0, 0.0, 0.0))
+        """Both forms share one shell rule: a batch with a point on the
+        shell is rejected whole."""
+        match = "^self-energy has a logarithmic singularity at p"
+        for form in (loops.self_energy_ab, loops.self_energy_near_shell):
+            with pytest.raises(SingularityError, match=match):
+                form(1.0)
+            with pytest.raises(SingularityError, match=match):
+                form(np.array([0.5, 4.0, 2.0]), 2.0)
 
     def test_complex_above_shell(self):
-        om = loops.self_energy(FourVector(1.4, 0.0, 0.0, 0.0)).finite
-        assert np.max(np.abs(om.imag)) > 0.0
+        for form in (loops.self_energy_ab, loops.self_energy_near_shell):
+            a, b = form(1.96)
+            assert a.imag != 0.0 and b.imag != 0.0
+
+    def test_near_shell_imaginary_part_matches_full_form(self):
+        """Above the shell both forms take log(-|x|) = log|x| - i pi,
+        so Im(a + lambda b) of the full z-integral is four times the
+        near-shell form's, as the log coefficients are; below the
+        shell both are real."""
+        lam = math.sqrt(1.001)
+        a, b = loops.self_energy_ab(1.001)
+        an, bn = loops.self_energy_near_shell(1.001)
+        ratio = (a + lam * b).imag / (an + lam * bn).imag
+        assert abs(ratio - 4.0) <= 0.01 * 4.0
+        for form in (loops.self_energy_ab, loops.self_energy_near_shell):
+            a, b = form(0.999)
+            assert a.imag == 0.0 and b.imag == 0.0
 
     def test_z_integral_constant(self):
         # int (1-z) dz = 1/2 enters the pslash pole coefficient:
         # pole = (alpha/2pi)[2m - pslash/2] = (alpha/4pi)[4m - pslash]
-        p = FourVector(0.6, 0.0, 0.0, 0.0)
-        lv = loops.self_energy(p)
-        coeff = -np.trace(slash(p) @ lv.pole).real / (4.0 * p.norm2())
-        assert abs(coeff - ALPHA_DEFAULT / (4.0 * math.pi)) <= 1e-14
-
-    @staticmethod
-    def _scalar_probe(fn, lam):
-        p = FourVector(lam, 0.0, 0.0, 0.0)
-        om = fn(p).finite
-        a = np.trace(om) / 4.0
-        b = np.trace(slash(p) @ om) / (4.0 * lam * lam)
-        return (a + lam * b).real
-
-    def _fit_log_coefficient(self, fn):
-        deltas = np.geomspace(1e-4, 1e-2, 12)
-        rows = []
-        for d in deltas:
-            lam = math.sqrt(1.0 - d)
-            rows.append((lam - 1.0, math.log(d),
-                         self._scalar_probe(fn, lam)))
-        A = np.array([[1.0, dl, dl * ld] for dl, ld, _ in rows])
-        y = np.array([v for _, _, v in rows])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return coef[2]
+        _, pole_b = loops.self_energy_pole()
+        assert abs(-pole_b - ALPHA_DEFAULT / (4.0 * math.pi)) <= 1e-14
 
     def test_near_shell_form_log_coefficient(self):
-        got = self._fit_log_coefficient(loops.self_energy_near_shell)
+        got = fit_log_coefficient(loops.self_energy_near_shell)
         target = -ALPHA_DEFAULT / (4.0 * math.pi)
         assert abs(got - target) <= 0.01 * abs(target)
 
@@ -231,7 +251,7 @@ class TestSelfEnergy:
         """The full z-integral's near-shell log coefficient is
         -alpha/pi, four times the printed near-shell form; kept as a
         pinned observation of the unreconciled factor."""
-        got = self._fit_log_coefficient(loops.self_energy)
+        got = fit_log_coefficient(loops.self_energy_ab)
         target = -ALPHA_DEFAULT / math.pi
         assert abs(got - target) <= 0.05 * abs(target)
 

@@ -136,12 +136,20 @@ class TestSelfEnergyOracle:
         assert_close(b, wb, 1e-12)
 
     def test_matrix_from_kernel(self):
+        """The matrices a 1 + b pslash of a batch of momenta, (a, b)
+        from one self_energy_ab call on their p^2, match those of the
+        50-digit z-integrals."""
         from fqed.algebra import I4, slash
-        from fqed.fourvec import FourVector
-        p = FourVector(1.3, 0.2, -0.4, 0.1)
-        a, b = loops.self_energy_ab(float(p.norm2()))
-        om = loops.self_energy(p).finite
-        assert np.array_equal(om, a * I4 + b * slash(p))
+        from fqed.fourvec import minkowski_dot
+        p = np.array([[1.3, 0.2, -0.4, 0.1], [0.4, 0.3, 0.0, -0.5],
+                      [2.0, 0.1, 0.2, 0.3]])
+        p2 = minkowski_dot(p, p)
+        a, b = loops.self_energy_ab(p2)
+        om = a[:, None, None] * I4 + b[:, None, None] * slash(p)
+        for row, q, q2 in zip(om, p, p2):
+            wa, wb = (complex(v) for v in mp_ab(q2))
+            want = wa * I4 + wb * slash(q)
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_shell_in_batch_rejected(self):
         with pytest.raises(SingularityError):
