@@ -135,16 +135,19 @@ def _spelled(v: list, kind: str, csv: bool) -> list:
 
 
 def _float_cells(v: np.ndarray, csv: bool) -> list:
-    """_spelled of a float64 array, through orjson. For 1e-4 <= |x| <
-    1e16 and for +-0.0, orjson writes repr's shortest round-trip
-    digits; outside that window it spells the exponent its own way
-    (1e16 and 0.0000224 for 1e+16 and 2.24e-05) and non-finite cells
-    as null. So the array is formatted by one orjson.dumps, and the
-    cells outside the window, found on the values, are spelled again;
-    where they are more than half the cells, all are spelled by
-    _spelled and orjson is not called."""
+    """_spelled of a float64 array, through orjson. For |x| < 1e-9
+    (+-0.0 and subnormals included) and 1e-4 <= |x| < 1e16, orjson
+    writes repr's shortest round-trip digits; in 1e-9 <= |x| < 1e-4 and
+    from 1e16 up it spells the exponent its own way (1e-9, 0.0000224
+    and 1e16 for 1e-09, 2.24e-05 and 1e+16) and non-finite cells as
+    null. So the array is formatted by one orjson.dumps, and the odd
+    cells, found on the values, are spelled again; where they are more
+    than half the cells, all are spelled by _spelled and orjson is not
+    called. The window is orjson 3.8.3's; the writer tests hold the text
+    to repr's in every binade."""
     a = np.abs(v)
-    odd = (a != 0.0) & ~((a >= 1e-4) & (a < 1e16))
+    # ~(a < 1e16) also marks NaN
+    odd = ((a >= 1e-9) & (a < 1e-4)) | ~(a < 1e16)
     if 2 * np.count_nonzero(odd) > len(v):
         return _spelled(v.tolist(), "f", csv)
     import orjson

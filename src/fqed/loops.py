@@ -69,12 +69,12 @@ are tabulated and interpolated linearly, so both integrals are exact
 sums over the segments between table nodes: a polynomial for the
 static term, and a polynomial plus P(a) log|(a - x0)/(a - x1)| for the
 principal value with pole a. A missing current adds an exact 0.0.
-Every read of a stored current goes through one table, conjugated for
-the reversed pair, and one complex np.interp, at the nodes and at |E|
-alike. Every term reads only Re J.J^*, which conjugation keeps. The
-two levels of a stored pair share only the sum of its PV integrals:
-each level's poles are the other's, swapped, and a + b rounds as b + a.
-A pair stored in both orders is two entries.
+Every term reads only Re J.J^*, which conjugation keeps: a table serves
+the reversed pair as stored, and the two levels of a pair share its PV
+sum (its poles, swapped; a + b rounds as b + a). A pair stored in both
+orders is two entries. The pairs on one node grid are one batch,
+interpolated as np.interp rounds; each level adds, per b in turn, its
+static, shell and -PV terms, so no value depends on its batch.
 """
 
 from __future__ import annotations
@@ -337,7 +337,7 @@ class SpectrumInput:
                        for a in entry):
                 raise DomainError(f"current {key} has a non-finite sample")
             ks, shape = np.asarray(entry[0], dtype=float), np.shape(entry[1])
-            if ks.ndim != 1 or not ks.size or (np.diff(ks) <= 0.0).any():
+            if ks.ndim != 1 or not ks.size or (ks[1:] <= ks[:-1]).any():
                 raise DomainError(f"current {key} needs a strictly "
                                   f"increasing 1-d array of k samples")
             if shape != (4, len(ks)):
@@ -346,65 +346,51 @@ class SpectrumInput:
 
 
 def _contract(u: np.ndarray, v: np.ndarray):
-    """Minkowski contraction u . v^* of currents, over the leading axis
-    of a (4,) or (4, n) array."""
+    """Minkowski contraction u . v^* of currents (..., 4, n)."""
     uv = u * np.conj(v)
-    return uv[0] - uv[1] - uv[2] - uv[3]
+    return uv[..., 0, :] - uv[..., 1, :] - uv[..., 2, :] - uv[..., 3, :]
 
 
-def _table(spec: SpectrumInput, row: str, col: str):
-    """A pair's stored current as (k nodes, J (4, n)), conjugated if it
-    is stored for the reversed pair; None if neither order is stored."""
-    for key, conj in (((row, col), False), ((col, row), True)):
-        if key in spec.currents:
-            ks, J = spec.currents[key]
-            J = np.asarray(J, dtype=complex)
-            return np.asarray(ks, dtype=float), J.conj() if conj else J
-    return None
+def _grids(spec: SpectrumInput, keys) -> list:
+    """The stored currents of keys by node grid, in blocks of at most 64
+    keys that bound the working set (some 40 kB a pair on 33 nodes): per
+    block (k nodes, breakpoints [0, nodes in (0, k_max), k_max],
+    J (keys, 4, n), keys)."""
+    groups: dict[bytes, tuple] = {}
+    for key in keys:
+        ks = np.asarray(spec.currents[key][0], dtype=float)
+        groups.setdefault(ks.tobytes(), (ks, []))[1].append(key)
+    return [(ks, np.concatenate([[0.0], ks[(ks > 0.0) & (ks < spec.k_max)],
+                                 [spec.k_max]]),
+             np.array([spec.currents[k][1] for k in part], dtype=complex),
+             part) for ks, group in groups.values()
+            for part in (group[i:i + 64] for i in range(0, len(group), 64))]
 
 
-def _interp(x, table) -> np.ndarray:
-    """A table's current at x, linear and clamped beyond its ends."""
-    ks, J = table
-    return np.array([np.interp(x, ks, comp) for comp in J])
+def _lerp(x, ks: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Currents J (..., 4, n) on the nodes ks at the points x (last axis;
+    the others broadcast against J's): linear, clamped beyond the ends,
+    rounded as np.interp rounds, (J1 - J0) (1/(k1 - k0)) (x - k0) + J0."""
+    n = J.shape[-1]
+    j = np.searchsorted(ks, x, side="right") - 1
+    lo = np.minimum(np.maximum(j, 0), max(n - 2, 0))
+    hi = np.minimum(lo + 1, n - 1)
+    start = np.arange(0, J.size, n).reshape(J.shape[:-1] + (1,))
+    J0, J1, k0, k1 = J.take(start + lo), J.take(start + hi), ks[lo], ks[hi]
+    low, top = x <= k0, x >= k1
+    inv = 1.0 / np.where(low | top, 1.0, k1 - k0)
+    return np.where(top, J1,
+                    np.where(low, J0, (J1 - J0) * inv * (x - k0) + J0))
 
 
-def _breakpoints(k_max: float, tables) -> tuple[np.ndarray, list]:
-    """The nodes of all tables inside (0, k_max), with 0 and k_max, and
-    each table's current there, between which every current is linear."""
-    inner = [ks[(ks > 0.0) & (ks < k_max)] for ks, _ in tables]
-    x = np.unique(np.concatenate([[0.0, k_max], *inner]))
-    return x, [_interp(x, table) for table in tables]
+# int_{-1/2}^{1/2} s^(n+j) ds: series term n, power j of the cubic
+_MOMENT_TABLE = np.array([[0.5 ** m / (m + 1) if m % 2 == 0 else 0.0
+                           for m in range(n, n + 4)] for n in range(40)])
 
 
-def _static_integral(k_max: float, t_dd, t_bb) -> float:
-    """int_0^k_max Re J_dd . J_bb^* dk for tabulated currents: on each
-    segment the product of two linear functions, integrated exactly."""
-    x, (f, g) = _breakpoints(k_max, (t_dd, t_bb))
-    f0, f1, g0, g1 = f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:]
-    seg = (2.0 * _contract(f0, g0) + _contract(f0, g1)
-           + _contract(f1, g0) + 2.0 * _contract(f1, g1))
-    return float(np.sum(np.diff(x) * seg.real)) / 6.0
-
-
-def _log_abs(x: np.ndarray) -> np.ndarray:
-    """log|x|, with 0 where x = 0."""
-    out = np.zeros_like(x)
-    nz = x != 0.0
-    out[nz] = np.log(np.abs(x[nz]))
-    return out
-
-
-# moments int_{-1/2}^{1/2} s^m ds of the segment's centred variable
-_PV_TERMS = 40
-_MOMENTS = np.array([0.5 ** m / (m + 1) if m % 2 == 0 else 0.0
-                     for m in range(_PV_TERMS + 4)])
-_MOMENT_TABLE = _MOMENTS[np.arange(_PV_TERMS)[:, None] + np.arange(4)]
-
-
-def _pv_integrals(k_max: float, table, poles) -> np.ndarray:
-    """P int_0^k_max (k/2) J.J^*(k) / (a - k) dk for each pole a, with
-    a tabulated current.
+def _pv_integrals(x: np.ndarray, f: np.ndarray, a: np.ndarray):
+    """P int_0^k_max (k/2) J.J^*(k) / (a - k) dk for a batch of currents
+    f (pairs, 4, len(x)) on the breakpoints x, at poles a (pairs, m, 1).
 
     On a segment of midpoint xm and width w, in s = (k - xm)/w, the
     numerator is a cubic Q(s) = sum q_j s^j and, with
@@ -418,30 +404,33 @@ def _pv_integrals(k_max: float, table, poles) -> np.ndarray:
     they cancel, and both are dropped. For a pole far from a short
     segment these terms cancel instead, so for |sigma| >= 3/2 the
     expansion of 1/(sigma - s) in s/sigma, sum_n sigma^-(n+1)
-    int Q(s) s^n ds, is used (terms fall by 3 or more each).
+    int Q(s) s^n ds, is used there (terms fall by 3 or more each).
     """
-    x, (f,) = _breakpoints(k_max, (table,))
-    x0, x1, w = x[:-1], x[1:], np.diff(x)
-    xm = 0.5 * (x0 + x1)
-    Jm, D = 0.5 * (f[:, :-1] + f[:, 1:]), np.diff(f, axis=1)
+    x0, x1, w, xm = x[:-1], x[1:], x[1:] - x[:-1], 0.5 * (x[:-1] + x[1:])
+    Jm, D = 0.5 * (f[..., :-1] + f[..., 1:]), f[..., 1:] - f[..., :-1]
     # J.J^* on the segment: c0 + c1 s + c2 s^2, real
-    c0 = _contract(Jm, Jm).real
-    c1 = 2.0 * _contract(Jm, D).real
+    c0, c1 = _contract(Jm, Jm).real, 2.0 * _contract(Jm, D).real
     c2 = _contract(D, D).real
     q = np.array([0.5 * xm * c0, 0.5 * (xm * c1 + w * c0),
-                  0.5 * (xm * c2 + w * c1), 0.5 * w * c2])
-    a = np.asarray(poles, dtype=float)[:, None]
+                  0.5 * (xm * c2 + w * c1), 0.5 * w * c2])[:, :, None]
     sigma = (a - xm) / w
     Q = ((q[3] * sigma + q[2]) * sigma + q[1]) * sigma + q[0]
-    logs = _log_abs(a - x0) - _log_abs(a - x1)
-    near = Q * logs - q[1] - q[2] * sigma - q[3] * (sigma * sigma + 1 / 12)
+    # log|a - x0| - log|a - x1|, a log|0| taken as 0
+    logs = [np.log(np.abs(a - xe), out=np.zeros(sigma.shape), where=a != xe)
+            for xe in (x0, x1)]
+    out = (Q * (logs[0] - logs[1]) - q[1] - q[2] * sigma
+           - q[3] * (sigma * sigma + 1 / 12))
     far = np.abs(sigma) >= 1.5
-    u = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=far)
-    moments = np.einsum("nj,jm->nm", _MOMENT_TABLE, q)
-    series = np.zeros_like(sigma)
-    for M in moments[::-1]:
-        series = (series + M) * u
-    return np.sum(np.where(far, series, near), axis=1)
+    if far.any():
+        (pair, _, seg), u = np.nonzero(far), 1.0 / sigma[far]
+        moments = np.einsum("nj,jf->nf", _MOMENT_TABLE,
+                            q.reshape(4, -1).take(pair * w.size + seg, axis=1))
+        series = np.zeros_like(u)
+        for M in moments[::-1]:
+            series += M
+            series *= u
+        out[far] = series
+    return out.sum(axis=-1)
 
 
 def energy_shift(spec: SpectrumInput, d: str,
@@ -456,34 +445,21 @@ def energy_shifts(spec: SpectrumInput, levels,
 
     Real part: static current-current term plus the principal-value
     (level-shift) term; imaginary part: the delta-shell emission and
-    absorption terms, collapsed analytically. Energies and momenta in
-    units of the electron mass. The currents are integrated exactly; a
-    missing current adds an exact 0.0. Each level reads every current
-    from its own table, and the two levels of a stored pair share only
-    the sum of its PV integrals (module docstring), so each shift is bit
-    for bit energy_shift's.
-    """
-    e2 = 4.0 * math.pi * alpha
-    pref = e2 / math.pi
-    # stored pair -> the sum of its PV integrals at the poles -E and E
-    pv_sums = {}
-    shifts = []
-    for d in levels:
+    absorption terms, collapsed analytically; in units of the electron
+    mass. The levels are checked in order before any integral, so the
+    error raised is the first a level-by-level evaluation meets."""
+    pref = 4.0 * math.pi * alpha / math.pi
+    col = {b: i for i, b in enumerate(spec.levels)}
+    rows = {d: i for i, d in enumerate(dict.fromkeys(levels))}
+    links = []  # (row, col, stored key, E) of each pair with a current
+    for d in rows:
         if d not in spec.levels:
             raise DomainError(f"unknown level: {d}")
-        t_dd = _table(spec, d, d)
-        total = 0.0 + 0.0j
-        for b, E_b in spec.levels.items():
-            # static term: the 1/k^2 cancels the measure; a missing
-            # current adds 0.0, what it integrates to
-            t_bb = _table(spec, b, b)
-            static = (0.0 if t_dd is None or t_bb is None
-                      else _static_integral(spec.k_max, t_dd, t_bb))
-            total += pref * static
-            table = None if b == d else _table(spec, d, b)
-            if table is None:
+        for b in col:
+            key = (d, b) if (d, b) in spec.currents else (b, d)
+            if b == d or key not in spec.currents:
                 continue
-            E = spec.levels[d] - E_b
+            E = spec.levels[d] - spec.levels[b]
             if E == 0.0:
                 raise DegenerateLevelError(
                     f"levels {d} and {b} are degenerate with nonzero current")
@@ -491,23 +467,47 @@ def energy_shifts(spec: SpectrumInput, levels,
                 raise DomainError(
                     f"k_max = {spec.k_max} does not cover the {d}-{b} "
                     f"transition at |E| = {abs(E)}")
-            # delta-shell terms: i pi/2k [delta(E-k) - delta(E+k)], the
-            # k^2 dk measure collapses onto k = |E|; emission for E > 0,
-            # absorption (opposite sign) for E < 0
-            J_E = _interp(abs(E), table)
-            shell = 0.5j * math.pi * abs(E) * _contract(J_E, J_E).real
-            if E < 0.0:
-                shell = -shell
-            total += pref * shell
-            # principal-value term P/2k (1/(E+k) - 1/(E-k)) k^2 dk;
-            # 1/(E +- k) rewritten as -+ 1/((-+E) - k) for the PV integrals
-            key = (d, b) if (d, b) in spec.currents else (b, d)
-            if key not in pv_sums:
-                pv_sums[key] = complex(np.sum(
-                    _pv_integrals(spec.k_max, table, (-E, E))))
-            total += pref * -pv_sums[key]
-        shifts.append(total)
-    return shifts
+            links.append((rows[d], col[b], key, E))
+    # each level's real and imaginary terms in the order it adds them:
+    # 0, then per b its static (real) or shell (imag) term and its -PV
+    terms = np.zeros((2, len(rows), 2 * len(col) + 1))
+    # static term: the 1/k^2 cancels the measure; on each segment the
+    # product of two linear currents, integrated exactly
+    diag = _grids(spec, [(b, b) for b in col if (b, b) in spec.currents])
+    for ks_d, x_d, J_d, group_d in diag:
+        mine = [i for i, (d, _) in enumerate(group_d) if d in rows]
+        for ks_b, x_b, J_b, group_b in diag if mine else ():
+            x = np.union1d(x_d, x_b)
+            f = _lerp(x, ks_d, J_d[mine])[:, None]
+            g = _lerp(x, ks_b, J_b)[None]
+            f0, f1, g0, g1 = f[..., :-1], f[..., 1:], g[..., :-1], g[..., 1:]
+            seg = (2.0 * _contract(f0, g0) + _contract(f0, g1)
+                   + _contract(f1, g0) + 2.0 * _contract(f1, g1))
+            terms[0][np.ix_([rows[group_d[i][0]] for i in mine],
+                            [2 * col[b] + 1 for b, _ in group_b])] = (
+                pref * ((np.diff(x) * seg.real).sum(axis=-1) / 6.0))
+    r, c, keys, E = zip(*links) if links else ((),) * 4
+    r, c = np.array(r, dtype=int), 2 * np.array(c, dtype=int)
+    # a stored pair's PV sum and Re J.J^* at |E| sit at its first link
+    first = {key: i for i, key in reversed(list(enumerate(keys)))}
+    E, pv, shell = np.array(E), np.empty(len(E)), np.empty(len(E))
+    for ks, x, J, group in _grids(spec, first):
+        at = [first[key] for key in group]
+        gap = np.abs(E[at])[:, None]
+        points = np.empty((len(at), 1, len(x) + 1))
+        points[..., :-1], points[..., -1] = x, gap
+        f = _lerp(points, ks, J)
+        pv[at] = _pv_integrals(x, f[..., :-1],
+                               (gap * [-1.0, 1.0])[..., None]).sum(1)
+        shell[at] = _contract(f[..., -1:], f[..., -1:]).real[:, 0]
+    same = [first[key] for key in keys]
+    # i pi/2k [delta(E-k) - delta(E+k)]: the k^2 dk measure collapses
+    # onto k = |E|; emission for E > 0, absorption for E < 0
+    terms[1, r, c + 1] = pref * (0.5 * math.pi * E * shell[same])
+    # P/2k (1/(E+k) - 1/(E-k)) k^2 dk, as minus the PV integrals
+    terms[0, r, c + 2] = pref * -pv[same]
+    re, im = terms.cumsum(axis=2)[:, :, -1].tolist()
+    return [complex(re[rows[d]], im[rows[d]]) for d in levels]
 
 
 # -- spectrum text format --------------------------------------------------

@@ -12,7 +12,8 @@ import math
 import numpy as np
 
 from fqed.algebra import GAMMA, I4, SIGMA, slash
-from fqed.errors import DomainError
+from fqed.constants import ALPHA_DEFAULT
+from fqed.errors import DegenerateLevelError, DomainError
 from fqed.fourvec import minkowski_dot
 
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -202,6 +203,123 @@ def interpolated_current(currents, row, col):
     return lambda k: np.array([np.interp(k, ks, c.real)
                                + sign * 1j * np.interp(k, ks, c.imag)
                                for c in J])
+
+
+# -- the level shift, pair by pair -----------------------------------------
+# Every (d, b) pair in a Python loop, each table conjugated for the
+# reversed pair, read by np.interp and integrated on its own breakpoints;
+# loops.energy_shifts, which batches the pairs by node grid, is held to
+# it bit for bit.
+
+def _pair_contract(u, v):
+    uv = u * np.conj(v)
+    return uv[0] - uv[1] - uv[2] - uv[3]
+
+
+def _pair_table(spec, row, col):
+    for key, conj in (((row, col), False), ((col, row), True)):
+        if key in spec.currents:
+            ks, J = spec.currents[key]
+            J = np.asarray(J, dtype=complex)
+            return np.asarray(ks, dtype=float), J.conj() if conj else J
+    return None
+
+
+def _pair_interp(x, table):
+    ks, J = table
+    return np.array([np.interp(x, ks, comp) for comp in J])
+
+
+def _pair_breakpoints(k_max, tables):
+    inner = [ks[(ks > 0.0) & (ks < k_max)] for ks, _ in tables]
+    x = np.unique(np.concatenate([[0.0, k_max], *inner]))
+    return x, [_pair_interp(x, table) for table in tables]
+
+
+def _pair_static(k_max, t_dd, t_bb):
+    x, (f, g) = _pair_breakpoints(k_max, (t_dd, t_bb))
+    f0, f1, g0, g1 = f[:, :-1], f[:, 1:], g[:, :-1], g[:, 1:]
+    seg = (2.0 * _pair_contract(f0, g0) + _pair_contract(f0, g1)
+           + _pair_contract(f1, g0) + 2.0 * _pair_contract(f1, g1))
+    return float(np.sum(np.diff(x) * seg.real)) / 6.0
+
+
+def _pair_pv(k_max, table, poles):
+    x, (f,) = _pair_breakpoints(k_max, (table,))
+    x0, x1, w = x[:-1], x[1:], np.diff(x)
+    xm = 0.5 * (x0 + x1)
+    Jm, D = 0.5 * (f[:, :-1] + f[:, 1:]), np.diff(f, axis=1)
+    c0 = _pair_contract(Jm, Jm).real
+    c1 = 2.0 * _pair_contract(Jm, D).real
+    c2 = _pair_contract(D, D).real
+    q = np.array([0.5 * xm * c0, 0.5 * (xm * c1 + w * c0),
+                  0.5 * (xm * c2 + w * c1), 0.5 * w * c2])
+    a = np.asarray(poles, dtype=float)[:, None]
+    sigma = (a - xm) / w
+    Q = ((q[3] * sigma + q[2]) * sigma + q[1]) * sigma + q[0]
+    logs = _log_abs(a - x0) - _log_abs(a - x1)
+    near = Q * logs - q[1] - q[2] * sigma - q[3] * (sigma * sigma + 1 / 12)
+    far = np.abs(sigma) >= 1.5
+    u = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=far)
+    moments = np.einsum("nj,jm->nm", _MOMENT_TABLE, q)
+    series = np.zeros_like(sigma)
+    for M in moments[::-1]:
+        series = (series + M) * u
+    return np.sum(np.where(far, series, near), axis=1)
+
+
+def _log_abs(x):
+    out = np.zeros_like(x)
+    nz = x != 0.0
+    out[nz] = np.log(np.abs(x[nz]))
+    return out
+
+
+_MOMENTS = np.array([0.5 ** m / (m + 1) if m % 2 == 0 else 0.0
+                     for m in range(44)])
+_MOMENT_TABLE = _MOMENTS[np.arange(40)[:, None] + np.arange(4)]
+
+
+def per_pair_shifts(spec, levels, alpha=ALPHA_DEFAULT):
+    """Delta E_d of the levels d, pair by pair: static, shell and -PV
+    terms of each b in turn, the PV sum of a stored pair computed once
+    and shared by its two levels."""
+    pref = 4.0 * math.pi * alpha / math.pi
+    pv_sums = {}
+    shifts = []
+    for d in levels:
+        if d not in spec.levels:
+            raise DomainError(f"unknown level: {d}")
+        t_dd = _pair_table(spec, d, d)
+        total = 0.0 + 0.0j
+        for b, E_b in spec.levels.items():
+            t_bb = _pair_table(spec, b, b)
+            static = (0.0 if t_dd is None or t_bb is None
+                      else _pair_static(spec.k_max, t_dd, t_bb))
+            total += pref * static
+            table = None if b == d else _pair_table(spec, d, b)
+            if table is None:
+                continue
+            E = spec.levels[d] - E_b
+            if E == 0.0:
+                raise DegenerateLevelError(
+                    f"levels {d} and {b} are degenerate with nonzero current")
+            if abs(E) >= spec.k_max:
+                raise DomainError(
+                    f"k_max = {spec.k_max} does not cover the {d}-{b} "
+                    f"transition at |E| = {abs(E)}")
+            J_E = _pair_interp(abs(E), table)
+            shell = 0.5j * math.pi * abs(E) * _pair_contract(J_E, J_E).real
+            if E < 0.0:
+                shell = -shell
+            total += pref * shell
+            key = (d, b) if (d, b) in spec.currents else (b, d)
+            if key not in pv_sums:
+                pv_sums[key] = complex(np.sum(
+                    _pair_pv(spec.k_max, table, (-E, E))))
+            total += pref * -pv_sums[key]
+        shifts.append(total)
+    return shifts
 
 
 def table_text(config, fmt, table):

@@ -602,11 +602,14 @@ def repeating_tables(draw):
     return table, block
 
 
-# the edges of the window in which orjson writes repr's text (1e-4 <=
-# |x| < 1e16, and +-0.0), a subnormal, 2**53, the largest doubles and
-# the non-finite cells, which orjson writes as null
+# the edges of the windows in which orjson writes repr's text (|x| <
+# 1e-9, and 1e-4 <= |x| < 1e16), the smallest normal and a subnormal,
+# +-0.0, 2**53, the largest doubles and the non-finite cells, which
+# orjson writes as null
 WINDOW_EDGES = (1e-4, float(np.nextafter(1e-4, 0)),
                 float(np.nextafter(1e16, 0)), 1e16, 0.0, -0.0, 5e-324,
+                1e-9, float(np.nextafter(1e-9, 0)),
+                float(np.nextafter(1e-9, 1)), 2.2250738585072014e-308,
                 2.0 ** 53, 1.7976931348623157e308, -1.7976931348623157e308,
                 math.nan, math.inf, -math.inf)
 # a long column of the edges among in-window cells, most of them
@@ -614,34 +617,42 @@ WINDOW_EDGES = (1e-4, float(np.nextafter(1e-4, 0)),
 EDGES_AMONG_WINDOW = [*WINDOW_EDGES, *(0.5 + i / 7 for i in range(100))]
 EDGES_ALONE = list(WINDOW_EDGES) * 8
 
-# a float of any binade: any float, any 64-bit pattern viewed as a
-# float64, or a float inside the window of either sign
-binade_floats = (
-    st.floats()
-    | st.integers(-2 ** 63, 2 ** 63 - 1).map(
-        lambda b: np.array(b, dtype=np.int64).view(np.float64).item())
-    | st.builds(math.copysign, st.floats(1e-4, 1e16, exclude_max=True),
-                st.sampled_from([1.0, -1.0]))
-    | st.sampled_from(WINDOW_EDGES))
+
+@st.composite
+def binade_column(draw, n):
+    """n float cells of every binade, drawn as a whole column: the raw
+    64-bit patterns from one binary of 8n bytes, and one byte a cell
+    that keeps the pattern or puts in its place a cell inside orjson's
+    window (log-uniform, from the pattern), an edge cell (picked by the
+    pattern) or one of st.floats() (from a short list). At times most
+    cells are inside the window, so that most are formatted by orjson;
+    at times the kinds are drawn evenly, and most cells fall outside."""
+    raw = np.frombuffer(draw(st.binary(min_size=8 * n, max_size=8 * n)),
+                        dtype=np.float64)
+    bits = raw.view(np.uint64)
+    kind = np.frombuffer(draw(st.binary(min_size=n, max_size=n)),
+                         dtype=np.uint8)
+    kind = np.where(draw(st.booleans()) & (kind < 192), 1, kind % 4)
+    inside = np.minimum(1e-4 * 10.0 ** (20.0 * (bits >> 11) * 2.0 ** -53),
+                        np.nextafter(1e16, 0))
+    cells = np.where(kind == 1, np.copysign(inside, raw), raw).tolist()
+    edges = (bits % len(WINDOW_EDGES)).tolist()
+    floats = draw(st.lists(st.floats(), min_size=1, max_size=16))
+    for j, i in enumerate(np.flatnonzero(kind >= 2).tolist()):
+        cells[i] = (WINDOW_EDGES[edges[i]] if kind[i] == 2
+                    else floats[j % len(floats)])
+    return cells
 
 
 @st.composite
 def binade_tables(draw):
     """(table, rows per block): one or two float columns of cells from
-    every binade, at blocks of the writer's long-block threshold; at
-    times a column's cells are mostly inside orjson's window (so most
-    are formatted by it), at times drawn freely (most fall outside)."""
+    every binade (binade_column), at blocks of the writer's long-block
+    threshold."""
     block = cli._REPEAT_ROWS
     n = draw(st.integers(block, 3 * block))
-    table = {}
-    for i in range(draw(st.integers(1, 2))):
-        cells = draw(st.lists(binade_floats, min_size=n, max_size=n))
-        if draw(st.booleans()):
-            inside = st.floats(1e-4, 1e16, exclude_max=True)
-            for j in draw(st.lists(st.integers(0, n - 1), max_size=n)):
-                cells[j] = draw(inside)
-        table[f"b{i}"] = cells
-    return table, block
+    return {f"b{i}": draw(binade_column(n))
+            for i in range(draw(st.integers(1, 2)))}, block
 
 
 class _CountedWrites(io.StringIO):

@@ -284,6 +284,65 @@ def tabulated_spectra(draw):
     return loops.SpectrumInput(dict(zip(labels, energies)), currents, k_max)
 
 
+@st.composite
+def large_spectra(draw, max_levels=100):
+    """Spectra of up to max_levels levels, built from a drawn seed. Most
+    tables share one of three node grids, with nodes below 0, at 0, at
+    a transition energy and beyond k_max; the rest sit on grids of
+    their own. Each diagonal current is present or missing; each
+    transition pair is missing, stored as (a, b), as (b, a) or in both
+    orders; tables are real or complex. At times two levels are made
+    degenerate or k_max is cut below some transitions, so that the
+    evaluation fails."""
+    n = draw(st.integers(1, max_levels))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p_diag = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    p_pair = draw(st.floats(0.0, 1.0))
+    p_own = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    E = rng.uniform(-1.0, 2.0, n)
+    grids = [np.unique(np.concatenate([[rng.choice([-0.4, 0.0, 0.2])],
+                                       rng.uniform(0.05, 5.0,
+                                                   rng.integers(0, 6))]))
+             for _ in range(3)]
+    if n > 1:
+        grids[0] = np.union1d(grids[0], [abs(E[0] - E[1])])
+    k_max = 3.5
+    fault = draw(st.sampled_from([None] * 6 + ["degenerate", "k_max"]))
+    if fault == "degenerate" and n > 1:
+        E[rng.integers(1, n)] = E[0]
+    elif fault == "k_max":
+        k_max = float(rng.uniform(0.3, 2.5))
+
+    def table():
+        ks = (grids[rng.integers(3)] if rng.random() >= p_own
+              else np.unique(rng.uniform(-0.5, 5.0, rng.integers(1, 7))))
+        J = rng.uniform(-0.3, 0.3, (4, len(ks)))
+        if rng.random() < 0.5:
+            J = J + 1j * rng.uniform(-0.3, 0.3, (4, len(ks)))
+        return ks, J
+
+    labels = [f"L{i}" for i in range(n)]
+    currents = {}
+    for i, a in enumerate(labels):
+        if rng.random() < p_diag:
+            currents[(a, a)] = table()
+        for b in labels[i + 1:]:
+            if rng.random() < p_pair:
+                for key in [[(a, b)], [(b, a)], [(a, b), (b, a)]][
+                        rng.integers(3)]:
+                    currents[key] = table()
+    return loops.SpectrumInput(dict(zip(labels, E.tolist())), currents,
+                               k_max)
+
+
+def _outcome(shifts, spec, levels):
+    """The hex bits of shifts(spec, levels), or the error it raises."""
+    try:
+        return _hex(shifts(spec, levels))
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
 class TestTabulatedShift:
 
     @settings(max_examples=12)
@@ -356,6 +415,17 @@ class TestTabulatedShift:
         assert (_hex(loops.energy_shifts(rev, levels))
                 == _hex(loops.energy_shifts(spec, levels)))
 
+    @settings(max_examples=12, deadline=None)
+    @given(large_spectra(), st.randoms(use_true_random=False))
+    def test_batched_equals_per_pair_reference(self, spec, rnd):
+        """The shifts batched by node grid have the bits of the
+        pair-by-pair evaluation (oracles.per_pair_shifts), and fail
+        with its error where it fails."""
+        levels = sorted(spec.levels)
+        rnd.shuffle(levels)
+        assert (_outcome(loops.energy_shifts, spec, levels)
+                == _outcome(oracles.per_pair_shifts, spec, levels))
+
 
 def _hex(shifts):
     return [(v.real.hex(), v.imag.hex()) for v in shifts]
@@ -379,6 +449,23 @@ class TestOnePass:
             spec.levels, {(d, d): zero for d in levels} | spec.currents,
             spec.k_max)
         assert _hex(loops.energy_shifts(explicit, levels)) == together
+
+    @settings(max_examples=25, deadline=None)
+    @given(large_spectra(max_levels=30), st.randoms(use_true_random=False))
+    def test_batch_composition(self, spec, rnd):
+        """No value depends on what else shares its batch: each level's
+        shift has the same bits asked alone, with all levels, in a
+        permuted order and with a subset."""
+        levels = sorted(spec.levels)
+        try:
+            alone = {d: _hex([loops.energy_shift(spec, d)]) for d in levels}
+        except DomainError:
+            return
+        order = rnd.sample(levels, len(levels))
+        subset = rnd.sample(levels, rnd.randint(1, len(levels)))
+        for asked in (levels, order, subset, subset + subset[:1]):
+            got = _hex(loops.energy_shifts(spec, asked))
+            assert got == [alone[d][0] for d in asked]
 
     @pytest.mark.parametrize("levels, currents, k_max, extra", [
         # a label that is not a level, sorted before a failing one
