@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -162,11 +161,10 @@ def _float_cells(v: np.ndarray, csv: bool) -> list:
     return cells
 
 
-def _column_cells(c: np.ndarray, csv: bool) -> tuple:
-    """(cells, same): the text of each cell of a column of one block of
-    rows, as _spelled gives it, and whether the column has one text.
-    That is so for a float64 column of two or more rows whose cells all
-    have the bytes of the first (so -0.0 is not 0.0): its one text is
+def _column_cells(c: np.ndarray, csv: bool) -> list:
+    """The text of each cell of a column of one block of rows, as
+    _spelled gives it. A float64 column of two or more rows whose cells
+    all have the bytes of the first (so -0.0 is not 0.0) has one text,
     formatted once. In a block of _REPEAT_ROWS rows or more, that is
     tested on the column's int64 bit view, and the cells spelled go
     through _float_cells. A shorter block compares the bytes only where
@@ -184,7 +182,7 @@ def _column_cells(c: np.ndarray, csv: bool) -> tuple:
             if bits == bits[:8] * n:
                 v = v[:1]
         cells = _spelled(v, c.dtype.kind, csv)
-    return (cells * n, True) if len(cells) < n else (cells, False)
+    return cells * n if len(cells) < n else cells
 
 
 # rows per block of table text: the writer holds the cells and the text
@@ -196,22 +194,21 @@ def _rows_text(names, cols, csv: bool) -> str:
     """The text of the rows of one block of columns: each row's cells
     joined by commas and ended by a newline, or each row's JSON object
     (indent=1, one level into "rows") joined by ",\n". A JSON block is
-    one `%` format of its rows' joined template over its varying cells,
-    row by row; a column of one text is written into the template."""
-    cells, same = zip(*[_column_cells(c, csv) for c in cols])
+    one join of a flat list holding, row by row, each column's head and
+    cell and then the row's close."""
+    cells = [_column_cells(c, csv) for c in cols]
     if csv:
         return "\n".join([*map(",".join, zip(*cells)), ""])
-    # the one text of a column (escaped for %, as a string cell may hold
-    # one) goes into the row template; only the other columns are
-    # substituted
-    row = "  {\n" + ",\n".join(
-        f"   {json.dumps(k).replace('%', '%%')}: "
-        + (c[0].replace("%", "%%") if s else "%s")
-        for k, c, s in zip(names, cells, same)
-    ) + "\n  }"
-    varying = [c for c, s in zip(cells, same) if not s]
-    return ",\n".join([row] * len(cells[0])) % tuple(
-        itertools.chain.from_iterable(zip(*varying)))
+    n, step = len(cells[0]), 2 * len(cells) + 1
+    parts = [""] * (step * n)
+    for j, (name, column) in enumerate(zip(names, cells)):
+        head = ("  {\n" if j == 0 else ",\n") + f"   {json.dumps(name)}: "
+        parts[2 * j::step] = [head] * n
+        parts[2 * j + 1::step] = column
+    parts[step - 1::step] = ["\n  },\n"] * n
+    if n:
+        parts[-1] = "\n  }"
+    return "".join(parts)
 
 
 def _write_table(args, table: dict):

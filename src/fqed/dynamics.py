@@ -13,21 +13,20 @@ gamma^mu and eta^dag in place of zbar. One law serves both: `velocity`
 reads dx/dtau off either spinor by its length, and `derivative` is the
 one right-hand side of either state, with no field the zero field. It
 and `integrate` in a field run one stage core (`_stage`) on the packed
-real state y = (x, p, Re z, Im z): the symmetrised velocity operator V
-is stacked over the generator C in one real (8 * 2d, 2d) array, so
-with u = (Re z, Im z) and r =
-stacked.dot(u) viewed as (8, 2d) a stage is v = r[:4].dot(u), dp =
--e grad(A).dot(v) with the index raised, and dz = kin.dot(r[4:]).
-Each is written by `ndarray.dot(..., out=)` into a view built once per
-run: r into one (8 * 2d,) buffer, and v, dp and dz into the slices of
-the stage's row of a (4, 8 + 2d) array k (dp then scaled in place);
-kin = p - e A is formed in a run buffer, with e a 0-d array. The stage
-inputs are the rows of a second (4, 8 + 2d) array, row 0 the state y
-itself and row s > 0 filled in place with y + h_s k[s - 1], so an RK4
-step in a field is y += w.dot(k), w = dt (1, 2, 2, 1) / 6. Each stage
-is a function bound once per run to its views. The field's A(x) and
-grad(x) get the stage position x as a new (4,) float64 array, after a
-test that it is finite.
+real row y = (x, p, A, Re z, Im z), whose A slot the stage fills with
+A(x): the symmetrised velocity operator V, the generator C and -e C are
+stacked in one real (12 * 2d, 2d) array, so with u = (Re z, Im z) and
+r = stacked.dot(u) viewed as (12, 2d) a stage is v = r[:4].dot(u),
+dp = -e grad(A).dot(v) with the index raised, and dz = -i cliff^mu
+(p - e A)_mu z = [p, A].dot(r[4:]), one product of the row's contiguous
+[p, A]. Each is written by `ndarray.dot(..., out=)` into a view built
+once per run: r into one (12 * 2d,) buffer, and v, dp and dz into the
+slices of the stage's row of a (4, 12 + 2d) array k whose A slot stays
+0 (dp then scaled in place). The stage inputs are the rows of a second
+such array, row 0 the state y itself and row s > 0 filled in place with
+y + h_s k[s - 1], so an RK4 step in a field is y += w.dot(k), with
+w = dt (1, 2, 2, 1) / 6. The field's A(x) and grad(x) get the stage
+position x as a new (4,) float64 array, after a test that it is finite.
 
 Free runs of `integrate` (field = None) run no stage: the free equations
 are a linear constant-coefficient system, so one RK4 step is a linear
@@ -106,15 +105,15 @@ def _velocity(mats: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     """Re z^dag mats^mu z over the last axis of z, which may carry leading
     batch axes: the four-velocity for mats = _G0G or _S. The rows are
     taken in blocks of _VELOCITY_ROWS into one (..., 4) result, or into
-    out (n rows of z). Each block is one einsum of contiguous operands,
-    with no BLAS, so a row's bits depend on that row alone: not on the
-    block, the strides of z or the CPU's BLAS kernel."""
+    out (n rows of z). Each block is one einsum of a contiguous copy,
+    points last, with no BLAS, so a row's bits depend on that row alone:
+    not on the block, the strides of z or the CPU's BLAS kernel."""
     rows = z.reshape(-1, z.shape[-1])
     out = np.empty((len(rows), 4)) if out is None else out
     for start in range(0, len(rows), _VELOCITY_ROWS):
         stop = start + _VELOCITY_ROWS
-        zb = np.ascontiguousarray(rows[start:stop])
-        out[start:stop] = np.einsum("ni,mij,nj->nm", zb.conj(), mats,
+        zb = np.ascontiguousarray(rows[start:stop].T)
+        out[start:stop] = np.einsum("in,mij,jn->nm", zb.conj(), mats,
                                     zb).real
     return out.reshape(z.shape[:-1] + (4,))
 
@@ -128,55 +127,56 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _packed(mats, cliff, x, p, z, field):
-    """The packed state y = (x, p, Re z, Im z) of a run, and its operators
-    (stacked, em, charge, r, kin): stacked is the real (8 * 2d, 2d) stack
-    of V over C such that, with u = (Re z, Im z) and r = stacked.dot(u)
-    viewed as (8, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and
-    kin.dot(r[4:]) is dz = -i cliff^mu kin_mu z; em is -e * metric and
-    charge e as a 0-d array; r is the (8 * 2d,) buffer each stage fills,
-    with its [:4] and [4:] row views; kin holds the (4,) buffers of e A
-    and of p - e A. Refuses a field unless A(x) has shape (4,) and
-    grad(x) shape (4, 4)."""
+    """The packed row y = (x, p, A = 0, Re z, Im z) of a run and its
+    operators (stacked, em, r): stacked is the real (12 * 2d, 2d) stack of
+    V, C and -e C such that, with u = (Re z, Im z) and r = stacked.dot(u)
+    viewed as (12, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and [p,
+    A].dot(r[4:]) is dz = -i cliff^mu (p - e A)_mu z; em is -e * metric;
+    r is the (12 * 2d,) buffer each stage fills, with its [:4] and [4:]
+    row views. Refuses unless A(x) and grad(x) are real, of shapes (4,)
+    and (4, 4)."""
     xa = x.copy()
-    shapes = np.shape(field.A(xa)), np.shape(field.grad(xa))
+    a, g = field.A(xa), field.grad(xa)
+    shapes = np.shape(a), np.shape(g)
     if shapes != ((4,), (4, 4)):
         raise DomainError(f"field A(x), grad(x) must have shapes (4,), "
                           f"(4, 4), got {shapes[0]}, {shapes[1]}")
+    if np.iscomplexobj(a) or np.iscomplexobj(g):
+        raise DomainError("field A(x), grad(x) must be real")
     em = -field.charge * METRIC_DIAG
-    charge = np.array(field.charge, dtype=float)
     m = np.stack([-1j * METRIC_DIAG[:, None, None] * cliff, mats])
     c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
     n = c.shape[-1]
-    stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c))
-    r = np.empty(8 * n)
-    rows = r.reshape(8, n)
-    return ((stacked.reshape(8 * n, n), em, charge, (r, rows[:4], rows[4:]),
-             np.empty((2, 4))),
-            np.concatenate((x, p, z.real, z.imag)))
+    stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c,
+                              -field.charge * c))
+    r = np.empty(12 * n)
+    rows = r.reshape(12, n)
+    return ((stacked.reshape(12 * n, n), em, (r, rows[:4], rows[4:])),
+            np.concatenate((x, p, np.zeros(4), z.real, z.imag)))
 
 
 def _unpacked(y, d: int):
     """(x, p, z) of packed states y, over the last axis."""
-    return y[..., :4], y[..., 4:8], y[..., 8:8 + d] + 1j * y[..., 8 + d:]
+    return y[..., :4], y[..., 4:8], y[..., 12:12 + d] + 1j * y[..., 12 + d:]
 
 
 def _split(row):
-    """The (x, p, u) views of a packed state row, or the (v, dp, dz)
-    views of a derivative row."""
-    return row[:4], row[4:8], row[8:]
+    """The (x, [p, A], u) views of a packed state row, or the (v, [dp, 0],
+    dz) views of a derivative row."""
+    return row[:4], row[4:12], row[12:]
 
 
 def _stage(ops, field, state, deriv):
     """The stage core: a function of no arguments that writes dy/dtau of
-    the packed state views (x, p, u) in the field into the derivative
-    views (v, dp, dz), bound to them once. stacked.dot(u) fills the run's
-    product buffer r, whose rows r[:4] and r[4:] give v = r[:4].dot(u)
-    and dz = kin.dot(r[4:]). A non-finite position raises DomainError
-    before the field is called; A and grad get the position as a new
-    (4,) float64 array."""
-    stacked, em, charge, (r, rv, rc), (ea, kin) = ops
-    x, p, u = state
-    v, dp, dz = deriv
+    the packed state views (x, [p, A], u) in the field into the
+    derivative views (v, [dp, 0], dz), bound to them once. stacked.dot(u)
+    fills the run's product buffer r: v = r[:4].dot(u) and, with A(x) in
+    the state's A slot, dz = [p, A].dot(r[4:]). A non-finite position
+    raises DomainError before the field is called; A and grad get the
+    position as a new (4,) float64 array."""
+    stacked, em, (r, rv, rc) = ops
+    (x, pa, u), (v, dpa, dz) = state, deriv
+    a, dp = pa[4:], dpa[:4]
     potential, gradient = field.A, field.grad
 
     def stage():
@@ -187,12 +187,12 @@ def _stage(ops, field, state, deriv):
         stacked.dot(u, out=r)
         rv.dot(u, out=v)
         xa = x.copy()
-        np.subtract(p, np.multiply(charge, potential(xa), out=ea), out=kin)
+        a[...] = potential(xa)
         # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric;
         # a closure cannot rebind dp, so no dp *= em
         np.asarray(gradient(xa), dtype=float).dot(v, out=dp)
         np.multiply(dp, em, out=dp)
-        kin.dot(rc, out=dz)
+        pa.dot(rc, out=dz)
     return stage
 
 
@@ -233,7 +233,7 @@ def derivative(state, field: ExternalField | None = None):
         a, g, charge = field.A(xa), field.grad(xa), field.charge
     field = ExternalField(lambda _: a, lambda _: g, charge)
     ops, y = _packed(mats, cliff, x, state.p.as_array(), z, field)
-    out = np.empty_like(y)
+    out = np.zeros_like(y)
     _stage(ops, field, _split(y), _split(out))()
     return _unpacked(out, len(z))
 
@@ -326,21 +326,21 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
     with n + 1 rows; the rows after a non-finite state stay NaN.
 
-    The four stages are bound once per run: stage s reads the (x, p, u)
-    views of row s of stage_in, whose row 0 is the state y, and writes the
-    (v, dp, dz) views of row s of k. Row s > 0 of stage_in is filled in
-    place with y + h_s k[s - 1], h = dt (1/2, 1/2, 1), and a step is
-    y += w.dot(k) with w = dt (1, 2, 2, 1) / 6. A non-finite state needs
-    no test of its own: a non-finite x stops the next step at its first
-    stage, and a non-finite p or u makes the velocity, and so the
-    position of a later stage of that step, non-finite."""
+    The four stages are bound once per run: stage s reads the (x, [p, A],
+    u) views of row s of stage_in, whose row 0 is the state y, and writes
+    the (v, [dp, 0], dz) views of row s of k. Row s > 0 of stage_in is
+    filled in place with y + h_s k[s - 1], h = dt (1/2, 1/2, 1), and a
+    step is y += w.dot(k) with w = dt (1, 2, 2, 1) / 6. A non-finite
+    state needs no test of its own: a non-finite x stops the next step at
+    its first stage, and a non-finite p or u makes the velocity, and so
+    the position of a later stage of that step, non-finite."""
     ops, y0 = _packed(mats, cliff, x, p, z, field)
     ys = np.full((n + 1, len(y0)), np.nan)
     ys[0] = y0
     stage_in = np.empty((4, len(y0)))
     stage_in[0] = y0
     y = stage_in[0]
-    k = np.empty_like(stage_in)
+    k = np.zeros_like(stage_in)
     w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
     first = _stage(ops, field, _split(y), _split(k[0]))
     later = [(k[s - 1], np.array(h), stage_in[s],
@@ -389,11 +389,11 @@ def integrate(state0, field: ExternalField | None = None,
     p = state0.p.as_array()
 
     steps = (t1 - t0) / dt
-    # a sample is tau, x, p, z, zbar_z and H: 11 floats and the spinor.
-    # The run holds its samples and a few rows of float temporaries per
-    # sample (velocities are taken in row blocks), and the CLI writes
-    # the table in row blocks, so the samples are what must fit
-    if (steps + 1.0) * 8 * (11 + 2 * len(z)) > MAX_RECORD_BYTES:
+    # a run holds per sample tau, x, p, z, zbar_z and H, and in a field its
+    # packed rows, of which x and p are views; its temporaries and the
+    # CLI's table go in row blocks, so the samples are what must fit
+    floats = 11 + 2 * len(z) if field is None else 15 + 4 * len(z)
+    if (steps + 1.0) * 8 * floats > MAX_RECORD_BYTES:
         raise DomainError(f"{steps:.3g} steps: the samples would not fit "
                           f"in memory ({MAX_RECORD_BYTES} bytes)")
     # (t1 - t0) / dt may fall short of a whole count by rounding

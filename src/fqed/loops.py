@@ -333,16 +333,16 @@ class SpectrumInput:
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise DomainError(f"current {key} must be a (k_samples, J) "
                                   f"pair")
-            if not all(np.isfinite(np.asarray(a, dtype=complex)).all()
-                       for a in entry):
+            ks = np.asarray(entry[0], dtype=float)
+            J = np.asarray(entry[1], dtype=complex)
+            if not (np.isfinite(ks).all() and np.isfinite(J).all()):
                 raise DomainError(f"current {key} has a non-finite sample")
-            ks, shape = np.asarray(entry[0], dtype=float), np.shape(entry[1])
             if ks.ndim != 1 or not ks.size or (ks[1:] <= ks[:-1]).any():
                 raise DomainError(f"current {key} needs a strictly "
                                   f"increasing 1-d array of k samples")
-            if shape != (4, len(ks)):
+            if J.shape != (4, len(ks)):
                 raise DomainError(f"current {key} needs J of shape "
-                                  f"(4, {len(ks)}), got {shape}")
+                                  f"(4, {len(ks)}), got {J.shape}")
 
 
 def _contract(u: np.ndarray, v: np.ndarray):

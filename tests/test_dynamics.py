@@ -69,9 +69,10 @@ def packed_rk4_reference(state, field, n, dt):
     """n RK4 steps in a field built stage by stage from `derivative` of
     the packed state y on new arrays, as in
     TestIntegrate.test_field_run_is_rk4_of_packed_rhs. Returns the
-    (n + 1, 8 + 2d) states, NaN after the first non-finite one and from
-    the first step with a non-finite stage position or momentum (which
-    FourVector refuses), and the stage positions in the order reached."""
+    (n + 1, 12 + 2d) states (A slot 0), NaN after the first non-finite
+    one and from the first step with a non-finite stage position or
+    momentum (which FourVector refuses), and the stage positions in the
+    order reached."""
     z = state.eta if isinstance(state, dyn.PhotonClassicalState) else state.z
     build = type(state)
 
@@ -80,10 +81,10 @@ def packed_rk4_reference(state, field, n, dt):
         dx, dp, dz = dyn.derivative(build(FourVector.from_array(x),
                                           FourVector.from_array(p), u),
                                     field)
-        return np.concatenate((dx, dp, dz.real, dz.imag))
+        return np.concatenate((dx, dp, np.zeros(4), dz.real, dz.imag))
 
-    y = np.concatenate((state.x.as_array(), state.p.as_array(), z.real,
-                        z.imag))
+    y = np.concatenate((state.x.as_array(), state.p.as_array(), np.zeros(4),
+                        z.real, z.imag))
     w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
     ys = np.full((n + 1, len(y)), np.nan)
     ys[0] = y
@@ -405,10 +406,10 @@ class TestIntegrate:
             dx, dp, dz = dyn.derivative(build(FourVector.from_array(x),
                                               FourVector.from_array(p), u),
                                         field)
-            return np.concatenate((dx, dp, dz.real, dz.imag))
+            return np.concatenate((dx, dp, np.zeros(4), dz.real, dz.imag))
 
-        y = np.concatenate((st.x.as_array(), st.p.as_array(), z.real,
-                            z.imag))
+        y = np.concatenate((st.x.as_array(), st.p.as_array(), np.zeros(4),
+                            z.real, z.imag))
         w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
         ys = [y]
         for _ in range(n):
@@ -428,7 +429,7 @@ class TestIntegrate:
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), photon=st.booleans(),
            kind=st.sampled_from(["none", "sin", "wave"]),
-           charge=st.sampled_from([1.0, 0.8, -1.3]))
+           charge=st.sampled_from([1.0, 0.8, -1.3, 0.0, 37.0]))
     def test_derivatives_match_complex_rhs(self, seed, photon, kind,
                                            charge):
         """derivative of an electron and of a photon state against the
@@ -473,8 +474,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("photon", [False, True])
     def test_packed_rhs_fills_its_row(self, photon, kind):
         """The stage core (the packed right-hand side) writes every entry
-        of its stage row, and nothing outside it: the rows of a NaN stage
-        array, against the complex right-hand side."""
+        of its stage row but the A slot, which stays 0, and nothing
+        outside it: the rows of a NaN stage array, against the complex
+        right-hand side."""
         rng = np.random.default_rng(5)
         cliff = SIGMA if photon else GAMMA
         mats = SIGMA if photon else dyn._G0G
@@ -489,8 +491,11 @@ class TestIntegrate:
         for row in range(4):
             k = np.full((4, len(y)), np.nan)
             out = k[row]
+            out[8:12] = 0.0
             dyn._stage(ops, f, dyn._split(y), dyn._split(out))()
-            got = out[:8 + d] + 1j * np.append(np.zeros(8), out[8 + d:])
+            assert np.array_equal(out[8:12], np.zeros(4))
+            got = (np.append(out[:8], out[12:12 + d])
+                   + 1j * np.append(np.zeros(8), out[12 + d:]))
             assert np.max(np.abs(got - want)) <= 1e-14 * (
                 1.0 + np.abs(p).sum()) * (z.conj() @ z).real
             assert np.isnan(np.delete(k, row, axis=0)).all()
@@ -536,6 +541,18 @@ class TestIntegrate:
         for state in (self.free_state(), self.photon_state()):
             with pytest.raises(DomainError, match="shape"):
                 dyn.derivative(state, field)
+
+    @pytest.mark.parametrize("a, grad", [
+        (np.full(4, 0.01j), np.zeros((4, 4))),
+        (np.zeros(4), np.full((4, 4), 0.01j))])
+    def test_complex_field_is_refused(self, a, grad):
+        """A complex A(x) or grad(x) fails before the first step: the
+        stage holds both as floats, which would drop an imaginary part."""
+        field = dyn.ExternalField(lambda x: a, lambda x: grad)
+        for state in (self.free_state(), self.photon_state()):
+            for run in (dyn.integrate, dyn.derivative):
+                with pytest.raises(DomainError, match="must be real"):
+                    run(state, field)
 
     def test_field_shape_checked_once(self):
         calls = []
@@ -713,6 +730,25 @@ class TestIntegrate:
         samples = sum(a.nbytes for a in (traj.tau, traj.x, traj.spinor,
                                          traj.zbar_z, traj.H))
         assert peak < 1.15 * samples, (peak, samples)
+
+    @pytest.mark.parametrize("photon", [False, True])
+    def test_memory_guard_counts_what_a_run_holds(self, monkeypatch,
+                                                  photon):
+        """The memory guard counts a free sample as 11 floats and the
+        spinor, and a field sample, whose packed row (x, p, A, spinor)
+        sits beside the unpacked spinor, as 15 floats and the spinor
+        twice: 1001 samples of each fit in just their own count."""
+        st = self.photon_state() if photon else self.free_state()
+        d = 2 if photon else 4
+        for field, floats in ((None, 11 + 2 * d), (WAVE_FIELD, 15 + 4 * d)):
+            monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 1000 * 8 * floats)
+            with pytest.raises(DomainError, match="memory"):
+                dyn.integrate(st, field, (0.0, 1.0), 1e-3)
+            monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 1002 * 8 * floats)
+            assert len(dyn.integrate(st, field, (0.0, 1.0), 1e-3).tau) == 1001
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 1002 * 8 * (11 + 2 * d))
+        with pytest.raises(DomainError, match="memory"):
+            dyn.integrate(st, WAVE_FIELD, (0.0, 1.0), 1e-3)
 
     def test_position_overflow_aborts_after_last_finite_sample(self):
         # |z|^2 = 1e307 at rest: x0 grows by about 3e306 a step and
