@@ -476,17 +476,18 @@ def _cmd_selftest(args):
         return abs(loops.vacuum_polarization_finite(0.0)) <= 1e-12
 
     def crossing():
-        # annihilation, evaluated from the Compton topology through its
-        # crossing map, against the closed form of its spin sum
-        # (Peskin & Schroeder 5.105; m = 1)
+        # every annihilation amplitude, evaluated from the Compton
+        # topology through its crossing map, against the closed form of
+        # its spin sum (Peskin & Schroeder 5.105; m = 1)
         cfg = processes.annihilation_cm_config(0.7, 1.1, 0.3)
+        amp = processes.amplitude(cfg).value
         p = cfg.momenta["p_minus"]
         k1 = minkowski_dot(p, cfg.momenta["k_i"])
         k2 = minkowski_dot(p, cfg.momenta["k_f"])
         s = 1.0 / k1 + 1.0 / k2
         want = (2.0 * (4.0 * math.pi * ALPHA_DEFAULT) ** 2
                 * (k2 / k1 + k1 / k2 + 2.0 * s - s * s))
-        return abs(processes.spin_summed_squared(cfg) - want) <= 1e-12 * want
+        return abs(np.sum(abs(amp) ** 2) / 4.0 - want) <= 1e-12 * want
 
     def exchange():
         # every helicity amplitude against the one with the final

@@ -27,7 +27,9 @@ gamma^0 is a one-slot absorbed photon, and `_four_fermion_core` the
 Moller topology. `amplitude` returns them all: one slot axis per leg,
 slot 0 spin up (the spinor built on chi_up, as in states.dirac_spinors)
 or helicity plus, slot 1 spin down or helicity minus. One point is a
-batch of one through the same code, without the batch axis.
+batch of one through the same code, without the batch axis. A 2->2 spin
+sum builds no amplitude: spin_summed_squared is the closed form of the
+Compton or Moller topology, through the same crossing plans.
 
 Crossing
 --------
@@ -63,7 +65,8 @@ from .constants import ALPHA_DEFAULT
 from .errors import DomainError, check_mass, reject
 from .fourvec import (METRIC_DIAG, SHELL_TOL, FourVector, _components,
                       minkowski_dot, on_shell)
-from .propagators import coulomb_line, fermion_line, photon_line
+from .propagators import (coulomb_line, fermion_denominator, fermion_line,
+                          photon_line)
 from .states import _u_spinors, _V_ORDER, polarization_vectors
 
 # each process's external legs, label -> (particle, side); every other
@@ -117,7 +120,7 @@ class KinematicConfig:
     momenta is keyed by leg label: a FourVector per leg for one point,
     or an (N, 4) array of contravariant components per leg for N points.
     It fixes no helicity: amplitude returns every helicity amplitude,
-    and spin sums run over all of them.
+    and spin_summed_squared sums over all of them in closed form.
     """
 
     process: str
@@ -375,18 +378,34 @@ electron_electron_amplitude = electron_positron_amplitude = amplitude
 
 def spin_summed_squared(cfg: KinematicConfig,
                         alpha: float = ALPHA_DEFAULT):
-    """(1/4) sum over all spin and polarization labels of |M|^2.
-
-    All helicity amplitudes come from one batched evaluation; 2->2
-    processes only. A float for one point, an (N,) array for N points.
-    """
-    sides = sorted(side for _, side in _LEGS.get(cfg.process, {}).values())
-    if sides != ["in", "in", "out", "out"]:
+    """(1/4) sum over all spin and polarization labels of |M|^2: the
+    closed form of the base topology (Klein-Nishina, Peskin & Schroeder
+    5.87; Moller, Berestetskii, Lifshitz and Pitaevskii section 81) on
+    the plan's signed legs q, times the crossing sign (the product of
+    the fermions' signs). The internal lines refuse their poles as the
+    amplitude's do. 2->2 processes only; a float for one point, an (N,)
+    array for N points."""
+    plan = _PLANS.get(cfg.process)
+    if plan is None or plan.base == "bremsstrahlung":
         raise DomainError(
             f"spin_summed_squared needs a 2->2 process, got {cfg.process}")
-    amps = _evaluate(_PLANS[cfg.process], cfg, cfg.validate(), alpha)
-    amps = amps.reshape(len(amps), -1)
-    total = np.sum(amps.real ** 2 + amps.imag ** 2, axis=1) / 4.0
+    mom = cfg.validate()
+    m2, e2 = cfg.mass * cfg.mass, 4.0 * math.pi * alpha
+    q = np.array([mom[lab] for lab in plan.axes]) * plan.sign
+    if plan.base == "compton":
+        _, q_pi, q_ki, q_kf = q
+        fermion_denominator(np.stack([q_pi + q_ki, q_pi - q_kf]), cfg.mass)
+        a, b = minkowski_dot(q_pi, q_ki), minkowski_dot(q_pi, q_kf)
+        d = 1.0 / a - 1.0 / b
+        total = b / a + a / b + 2.0 * m2 * d + m2 * m2 * d * d
+    else:
+        f2, i2, f1, i1 = q
+        t, u = photon_line(np.stack([i1 - f1, i1 - f2]), cfg.mass)
+        s = minkowski_dot(i1 + i2, i1 + i2)
+        total = ((s * s + u * u + 8.0 * m2 * (t - m2)) / (t * t)
+                 + (s * s + t * t + 8.0 * m2 * (u - m2)) / (u * u)
+                 + 2.0 * (s - 2.0 * m2) * (s - 6.0 * m2) / (t * u))
+    total *= 2.0 * (e2 * e2) * plan.sign[:plan.nf].prod()
     return float(total[0]) if cfg._is_point() else total
 
 

@@ -24,13 +24,19 @@ FERMION_POLE_THRESHOLD = 1e-6      # |q^2 - m^2| below this raises, units m^2
 PHOTON_POLE_THRESHOLD = 1e-10      # |q^2|, |q|^2 below this raise, units m^2
 
 
-def fermion_line(q: np.ndarray, mass: float) -> np.ndarray:
-    """(slash(q) + m) / (q^2 - m^2) at (..., 4) momenta, shape
-    (..., 4, 4)."""
+def fermion_denominator(q: np.ndarray, mass: float) -> np.ndarray:
+    """The fermion line's q^2 - m^2 at (..., 4) momenta, guarded."""
     dev = minkowski_dot(q, q) - mass * mass
     reject(np.abs(dev) < FERMION_POLE_THRESHOLD * mass * mass,
            "intermediate fermion too close to mass shell: q^2 - m^2", dev,
            error=PoleError)
+    return dev
+
+
+def fermion_line(q: np.ndarray, mass: float) -> np.ndarray:
+    """(slash(q) + m) / (q^2 - m^2) at (..., 4) momenta, shape
+    (..., 4, 4)."""
+    dev = fermion_denominator(q, mass)
     return (slash(q) + mass * I4) / dev[..., None, None]
 
 

@@ -15,6 +15,7 @@ from fqed.algebra import GAMMA, I4, SIGMA, slash
 from fqed.constants import ALPHA_DEFAULT
 from fqed.errors import DegenerateLevelError, DomainError
 from fqed.fourvec import minkowski_dot
+from fqed.states import _V_ORDER
 
 _METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -108,6 +109,26 @@ def bhabha_trace_m2(cfg, alpha):
                             - 2.0 * np.real(ts) / (t * s))))
 
 
+def _coulomb_kinematics(cfg):
+    """(p_out, p_in, k, q1, q2, q) of bremsstrahlung e-(p_i) -> e-(p_f)
+    gamma(k_f) or of pair production gamma(k_i) -> e-(p_minus)
+    e+(p_plus): the barred electron, the spinor end of the open line
+    (u(p_i), or v(p_plus)), the photon, the internal fermion momenta of
+    the two terms and the static transfer."""
+    mom = {lab: v.as_array() for lab, v in cfg.momenta.items()}
+    if cfg.process == "bremsstrahlung":
+        # ubar(p_f) [eps S(p_f + k) g0 + g0 S(p_i - k) eps] u(p_i)
+        p_out, p_in, k = mom["p_f"], mom["p_i"], mom["k_f"]
+        return p_out, p_in, k, p_out + k, p_in - k, p_out + k - p_in
+    # ubar(p-) [eps S(p- - k) g0 + g0 S(k - p+) eps] v(p+)
+    p_out, p_plus, k = mom["p_minus"], mom["p_plus"], mom["k_i"]
+    return p_out, p_plus, k, p_out - k, k - p_plus, p_out + p_plus - k
+
+
+def _fermion_prop(p, m):
+    return (slash(p) + m * I4) / (minkowski_dot(p, p) - m * m)
+
+
 def coulomb_trace_m2(cfg, alpha):
     """Sum over both fermion spins and both photon helicities of |M|^2
     in the static Coulomb field of a charge Z, for bremsstrahlung
@@ -117,24 +138,84 @@ def coulomb_trace_m2(cfg, alpha):
     polarization sum (the photon Ward identity makes them equal)."""
     e2 = 4.0 * math.pi * alpha
     m = cfg.mass
-    mom = {lab: v.as_array() for lab, v in cfg.momenta.items()}
-    if cfg.process == "bremsstrahlung":
-        # ubar(p_f) [eps S(p_f + k) g0 + g0 S(p_i - k) eps] u(p_i)
-        p_out, p_in, k = mom["p_f"], mom["p_i"], mom["k_f"]
-        rho_in = slash(p_in) + m * I4
-        q1, q2, q = p_out + k, p_in - k, p_out + k - p_in
-    else:
-        # ubar(p-) [eps S(p- - k) g0 + g0 S(k - p+) eps] v(p+)
-        p_out, p_plus, k = mom["p_minus"], mom["p_plus"], mom["k_i"]
-        rho_in = slash(p_plus) - m * I4
-        q1, q2, q = p_out - k, k - p_plus, p_out + p_plus - k
-    prop = lambda p: (slash(p) + m * I4) / (minkowski_dot(p, p) - m * m)
+    p_out, p_in, k, q1, q2, q = _coulomb_kinematics(cfg)
+    sign = 1.0 if cfg.process == "bremsstrahlung" else -1.0
+    rho_in = slash(p_in) + sign * m * I4
     g0 = GAMMA[0]
     total = 0.0 + 0.0j
     for mu in range(4):
-        vertex = GAMMA[mu] @ prop(q1) @ g0 + g0 @ prop(q2) @ GAMMA[mu]
+        vertex = (GAMMA[mu] @ _fermion_prop(q1, m) @ g0
+                  + g0 @ _fermion_prop(q2, m) @ GAMMA[mu])
         total -= _METRIC[mu, mu] * _tr(slash(p_out) + m * I4, vertex, rho_in,
                                        g0 @ vertex.conj().T @ g0)
+    q_sq = np.sum(q[1:] ** 2)
+    return float(np.real(cfg.Z ** 2 * e2 ** 3 / q_sq ** 2 * total))
+
+
+GAMMA5 = 1j * GAMMA[0] @ GAMMA[1] @ GAMMA[2] @ GAMMA[3]
+
+
+def spin_vector(p, m):
+    """The spin four-vector of the spinor built on chi_up at p: the
+    rest-frame z axis under the pure boost to p, (p_z/m, z-hat
+    + p_z p/(m (E + m)))."""
+    E, pz = p[0], p[3]
+    return np.array([pz / m, 0.0, 0.0, 1.0]) + np.concatenate(
+        [[0.0], pz * p[1:] / (m * (E + m))])
+
+
+def u_projector(p, m, slot):
+    """u ubar = (pslash + m)(1 + gamma5 sslash)/2 at p for the spin slot
+    (0 spin up, 1 down along the rest-frame z axis; Berestetskii,
+    Lifshitz and Pitaevskii section 29), with u-bar u = 2m."""
+    s = (1.0 - 2.0 * slot) * spin_vector(p, m)
+    return (slash(p) + m * I4) @ (I4 + GAMMA5 @ slash(s)) / 2.0
+
+
+def v_projector(p, m, slot):
+    """v vbar of the spin slot at p, v = P u with P the permutation
+    _V_ORDER: v vbar = P (u ubar) gamma^0 P^T gamma^0. In the
+    Dirac-Pauli representation P is gamma5, which makes this
+    (pslash - m)(1 - gamma5 sslash)/2: the u slot's spin reversed."""
+    perm = np.eye(4)[_V_ORDER]
+    return perm @ u_projector(p, m, slot) @ GAMMA[0] @ perm.T @ GAMMA[0]
+
+
+def helicity_vector(k, slot):
+    """A circular polarization four-vector of the photon k, up to its
+    phase: (0, e1 + i e2)/sqrt2 for slot 0 (helicity plus), its
+    conjugate for slot 1, with (e1, e2, k-hat) right-handed; e1 comes
+    from the coordinate axis least along k-hat, by Gram-Schmidt."""
+    khat = k[1:] / np.linalg.norm(k[1:])
+    axis = np.eye(3)[np.argmin(np.abs(khat))]
+    e1 = axis - (axis @ khat) * khat
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(khat, e1)
+    eps = np.concatenate([[0.0], e1 + 1j * e2]) / math.sqrt(2.0)
+    return eps.conj() if slot else eps
+
+
+def coulomb_slot_m2(cfg, alpha, slots=(0, 0, 0)):
+    """|M|^2 of one helicity amplitude of bremsstrahlung or pair
+    production, slots in the amplitude's axis order (the barred
+    electron, the spinor-end fermion, the photon): coulomb_trace_m2's
+    trace with each (pslash +- m) replaced by its spin projector and
+    -g_{mu nu} by eps_mu eps*_nu of the photon's slot, conjugated for
+    an emitted photon."""
+    e2 = 4.0 * math.pi * alpha
+    m = cfg.mass
+    p_out, p_in, k, q1, q2, q = _coulomb_kinematics(cfg)
+    if cfg.process == "bremsstrahlung":
+        rho_in = u_projector(p_in, m, slots[1])
+        eps = helicity_vector(k, slots[2]).conj()
+    else:
+        rho_in = v_projector(p_in, m, slots[1])
+        eps = helicity_vector(k, slots[2])
+    g0 = GAMMA[0]
+    vertex = (slash(eps) @ _fermion_prop(q1, m) @ g0
+              + g0 @ _fermion_prop(q2, m) @ slash(eps))
+    total = _tr(u_projector(p_out, m, slots[0]), vertex, rho_in,
+                g0 @ vertex.conj().T @ g0)
     q_sq = np.sum(q[1:] ** 2)
     return float(np.real(cfg.Z ** 2 * e2 ** 3 / q_sq ** 2 * total))
 

@@ -45,6 +45,33 @@ def run_in_process(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def assert_same_runs_under_blas_kernels(argvs):
+    """Each of argvs gives the same (exit code, stdout, stderr), all
+    exit 0, in a child process under each OpenBLAS kernel that
+    OPENBLAS_CORETYPE picks (set for the child only) as in this one."""
+    want = [list(run_in_process(argv)) for argv in argvs]
+    assert [rc for rc, _, _ in want] == [0] * len(argvs)
+    code = ("import contextlib, io, json, sys\n"
+            "from fqed import cli\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "        rc = cli.run(argv)\n"
+            "    runs.append([rc, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(runs))\n")
+    for kernel in ("Prescott", "Haswell"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(cli_cases.ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), kernel
+        assert json.loads(proc.stdout) == want, kernel
+
+
 def table_test(group, each=False):
     """The test that runs one group of the cases of tests/cli_cases.py in
     process, each in an empty directory of its own: with each, one test
@@ -835,32 +862,12 @@ class TestWriter:
         kernels that OPENBLAS_CORETYPE picks (set for the child only) as
         in this process: electron with the default --z, electron with a
         complex --z (JSON), and photon."""
-        argvs = [["classical", "--pz", "0.8", "--tau-max", "2.048"],
-                 ["classical", "--z", "0.3+0.2j,0.1,-0.5j,0.7", "--pz",
-                  "-0.8", "--tau-max", "2.048", "--format", "json"],
-                 ["classical", "--particle", "photon", "--pz", "-1",
-                  "--tau-max", "2.048"]]
-        want = [list(run_in_process(argv)) for argv in argvs]
-        assert [rc for rc, _, _ in want] == [0, 0, 0]
-        code = ("import contextlib, io, json, sys\n"
-                "from fqed import cli\n"
-                "runs = []\n"
-                "for argv in json.loads(sys.argv[1]):\n"
-                "    out, err = io.StringIO(), io.StringIO()\n"
-                "    with contextlib.redirect_stdout(out), "
-                "contextlib.redirect_stderr(err):\n"
-                "        rc = cli.run(argv)\n"
-                "    runs.append([rc, out.getvalue(), err.getvalue()])\n"
-                "print(json.dumps(runs))\n")
-        for kernel in ("Prescott", "Haswell"):
-            env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [str(cli_cases.ROOT / "src"), env.get("PYTHONPATH", "")])
-            proc = subprocess.run(
-                [sys.executable, "-c", code, json.dumps(argvs)],
-                capture_output=True, text=True, env=env, timeout=300)
-            assert (proc.returncode, proc.stderr) == (0, ""), kernel
-            assert json.loads(proc.stdout) == want, kernel
+        assert_same_runs_under_blas_kernels(
+            [["classical", "--pz", "0.8", "--tau-max", "2.048"],
+             ["classical", "--z", "0.3+0.2j,0.1,-0.5j,0.7", "--pz", "-0.8",
+              "--tau-max", "2.048", "--format", "json"],
+             ["classical", "--particle", "photon", "--pz", "-1",
+              "--tau-max", "2.048"]])
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("rows", [
@@ -971,6 +978,16 @@ class TestSubcommands:
         assert both[0] == rows(section("b", "d", 0.3))[1][0]
 
     test_brems_and_pairprod_rows = table_test("brems_and_pairprod_rows")
+
+    def test_tree_bytes_do_not_depend_on_blas_kernel(self):
+        """A compton, a moller and a brems sweep print the same bytes
+        under each OpenBLAS kernel as in this process: the tree path
+        makes no BLAS call."""
+        assert_same_runs_under_blas_kernels(
+            [["compton", "--sweep", "theta:1:179:37", "--omega-in", "2.5"],
+             ["moller", "--sweep", "theta:5:175:37", "--energy", "3",
+              "--format", "json"],
+             ["brems", "--sweep", "theta_k:5:175:37"]])
 
     test_annihilate_row = table_test("annihilate_row")
 
