@@ -13,20 +13,24 @@ gamma^mu and eta^dag in place of zbar. One law serves both: `velocity`
 reads dx/dtau off either spinor by its length, and `derivative` is the
 one right-hand side of either state, with no field the zero field. It
 and `integrate` in a field run one stage core (`_stage`) on the packed
-real row y = (x, p, A, Re z, Im z), whose A slot the stage fills with
-A(x): the symmetrised velocity operator V, the generator C and -e C are
-stacked in one real (12 * 2d, 2d) array, so with u = (Re z, Im z) and
-r = stacked.dot(u) viewed as (12, 2d) a stage is v = r[:4].dot(u),
-dp = -e grad(A).dot(v) with the index raised, and dz = -i cliff^mu
-(p - e A)_mu z = [p, A].dot(r[4:]), one product of the row's contiguous
-[p, A]. Each is written by `ndarray.dot(..., out=)` into a view built
-once per run: r into one (12 * 2d,) buffer, and v, dp and dz into the
-slices of the stage's row of a (4, 12 + 2d) array k whose A slot stays
-0 (dp then scaled in place). The stage inputs are the rows of a second
-such array, row 0 the state y itself and row s > 0 filled in place with
-y + h_s k[s - 1], so an RK4 step in a field is y += w.dot(k), with
-w = dt (1, 2, 2, 1) / 6. The field's A(x) and grad(x) get the stage
-position x as a new (4,) float64 array, after a test that it is finite.
+real row y = (x, A, p_lowered, Re z, Im z), which carries p with its
+index lowered and whose A slot the stage fills with A(x). The
+symmetrised velocity operator V, -e V, the generator -e C_A of the
+potential and the generator C_p of the lowered momentum are stacked in
+one real (16 * 2d, 2d) array, so with u = (Re z, Im z) and r =
+stacked.dot(u) viewed as (16, 2d) a stage is [v, -e v] = r[:8].dot(u),
+dp_lowered = grad(A).dot(-e v), and dz = -i cliff^mu (p - e A)_mu z =
+[A, p_lowered].dot(r[8:]), one product of the row's contiguous [A, p].
+Each is written by `ndarray.dot(..., out=)` into a view built once per
+run: r into one (16 * 2d,) buffer, and [v, -e v], dp and dz into the
+slices of the stage's derivative row, whose A slot so holds -e v, which
+the next stage input's A(x) overwrites. The stage inputs and the state
+share rows: the state y and the four derivative rows k are one (5, 12 +
+2d) array, and stage input s > 0 is one product coef_s.dot([y; k]),
+coef_s picking y + h_s k[s - 1], so an RK4 step in a field is y +=
+w.dot(k), with w = dt (1, 2, 2, 1) / 6. p is raised in place once, at
+the end of a run. The field's A(x) and grad(x) get the stage position x
+as a new (4,) float64 array, after a test that it is finite.
 
 Free runs of `integrate` (field = None) run no stage: the free equations
 are a linear constant-coefficient system, so one RK4 step is a linear
@@ -127,14 +131,14 @@ def _internal_norm(cliff: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _packed(mats, cliff, x, p, z, field):
-    """The packed row y = (x, p, A = 0, Re z, Im z) of a run and its
-    operators (stacked, em, r): stacked is the real (12 * 2d, 2d) stack of
-    V, C and -e C such that, with u = (Re z, Im z) and r = stacked.dot(u)
-    viewed as (12, 2d), r[:4].dot(u) is v^mu = z^dag mats^mu z and [p,
-    A].dot(r[4:]) is dz = -i cliff^mu (p - e A)_mu z; em is -e * metric;
-    r is the (12 * 2d,) buffer each stage fills, with its [:4] and [4:]
-    row views. Refuses unless A(x) and grad(x) are real, of shapes (4,)
-    and (4, 4)."""
+    """The packed row y = (x, A = 0, p_lowered, Re z, Im z) of a run and
+    its operators (stacked, r): stacked is the real (16 * 2d, 2d) stack of
+    V, -e V, -e C_A and C_p such that, with u = (Re z, Im z) and r =
+    stacked.dot(u) viewed as (16, 2d), r[:8].dot(u) is [v, -e v] with
+    v^mu = z^dag mats^mu z, and [A, p_lowered].dot(r[8:]) is dz = -i
+    cliff^mu (p - e A)_mu z; r is the (16 * 2d,) buffer each stage
+    fills, with its [:8] and [8:] row views. Refuses unless A(x) and
+    grad(x) are real, of shapes (4,) and (4, 4)."""
     xa = x.copy()
     a, g = field.A(xa), field.grad(xa)
     shapes = np.shape(a), np.shape(g)
@@ -143,40 +147,41 @@ def _packed(mats, cliff, x, p, z, field):
                           f"(4, 4), got {shapes[0]}, {shapes[1]}")
     if np.iscomplexobj(a) or np.iscomplexobj(g):
         raise DomainError("field A(x), grad(x) must be real")
-    em = -field.charge * METRIC_DIAG
-    m = np.stack([-1j * METRIC_DIAG[:, None, None] * cliff, mats])
-    c, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
-    n = c.shape[-1]
-    stacked = np.concatenate(((v + v.swapaxes(1, 2)) / 2, c,
-                              -field.charge * c))
-    r = np.empty(12 * n)
-    rows = r.reshape(12, n)
-    return ((stacked.reshape(12 * n, n), em, (r, rows[:4], rows[4:])),
-            np.concatenate((x, p, np.zeros(4), z.real, z.imag)))
+    # -i cliff^mu with A's index lowered by the metric, -i cliff^mu for
+    # the lowered p, and the velocity matrices
+    m = np.stack([-1j * METRIC_DIAG[:, None, None] * cliff, -1j * cliff,
+                  mats])
+    c_a, c_p, v = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    n = v.shape[-1]
+    v = (v + v.swapaxes(1, 2)) / 2
+    e = field.charge
+    stacked = np.concatenate((v, -e * v, -e * c_a, c_p))
+    r = np.zeros(16 * n)
+    rows = r.reshape(16, n)
+    return ((stacked.reshape(16 * n, n), (r, rows[:8], rows[8:])),
+            np.concatenate((x, np.zeros(4), p * METRIC_DIAG, z.real,
+                            z.imag)))
 
 
 def _unpacked(y, d: int):
-    """(x, p, z) of packed states y, over the last axis."""
-    return y[..., :4], y[..., 4:8], y[..., 12:12 + d] + 1j * y[..., 12 + d:]
-
-
-def _split(row):
-    """The (x, [p, A], u) views of a packed state row, or the (v, [dp, 0],
-    dz) views of a derivative row."""
-    return row[:4], row[4:12], row[12:]
+    """(x, p, z) of packed states y, over the last axis; p is raised in
+    place, so y's p slot then holds p^mu (and a derivative row's dp^mu)."""
+    y[..., 8:12] *= METRIC_DIAG
+    return y[..., :4], y[..., 8:12], y[..., 12:12 + d] + 1j * y[..., 12 + d:]
 
 
 def _stage(ops, field, state, deriv):
     """The stage core: a function of no arguments that writes dy/dtau of
-    the packed state views (x, [p, A], u) in the field into the
-    derivative views (v, [dp, 0], dz), bound to them once. stacked.dot(u)
-    fills the run's product buffer r: v = r[:4].dot(u) and, with A(x) in
-    the state's A slot, dz = [p, A].dot(r[4:]). A non-finite position
+    the packed state row (x, A, p_lowered, u) in the field into the
+    derivative row ([v, -e v], dp_lowered, dz), bound to views of both
+    once. stacked.dot(u) fills the run's product buffer r: [v, -e v] =
+    r[:8].dot(u), dp_lowered = grad.dot(-e v) and, with A(x) in the
+    state's A slot, dz = [A, p_lowered].dot(r[8:]). A non-finite position
     raises DomainError before the field is called; A and grad get the
     position as a new (4,) float64 array."""
-    stacked, em, (r, rv, rc) = ops
-    (x, pa, u), (v, dpa, dz) = state, deriv
-    a, dp = pa[4:], dpa[:4]
+    stacked, (r, rv, rc) = ops
+    x, a, ap, u = state[:4], state[4:8], state[4:12], state[12:]
+    vev, ev, dp, dz = deriv[:8], deriv[4:8], deriv[8:12], deriv[12:]
     potential, gradient = field.A, field.grad
 
     def stage():
@@ -185,14 +190,12 @@ def _stage(ops, field, state, deriv):
         if (t - t) + (x1 - x1) + (x2 - x2) + (x3 - x3) != 0.0:
             raise DomainError(f"non-finite position: {[t, x1, x2, x3]}")
         stacked.dot(u, out=r)
-        rv.dot(u, out=v)
+        rv.dot(u, out=vev)
         xa = x.copy()
         a[...] = potential(xa)
-        # dp^mu = -e v^nu dA_nu/dx_mu with the index raised by the metric;
-        # a closure cannot rebind dp, so no dp *= em
-        np.asarray(gradient(xa), dtype=float).dot(v, out=dp)
-        np.multiply(dp, em, out=dp)
-        pa.dot(rc, out=dz)
+        # dp_mu = -e v^nu dA_nu/dx^mu
+        np.asarray(gradient(xa), dtype=float).dot(ev, out=dp)
+        ap.dot(rc, out=dz)
     return stage
 
 
@@ -234,7 +237,7 @@ def derivative(state, field: ExternalField | None = None):
     field = ExternalField(lambda _: a, lambda _: g, charge)
     ops, y = _packed(mats, cliff, x, state.p.as_array(), z, field)
     out = np.zeros_like(y)
-    _stage(ops, field, _split(y), _split(out))()
+    _stage(ops, field, y, out)()
     return _unpacked(out, len(z))
 
 
@@ -326,32 +329,37 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
     """n RK4 steps in the field on the packed state: (xs, ps, zs), each
     with n + 1 rows; the rows after a non-finite state stay NaN.
 
-    The four stages are bound once per run: stage s reads the (x, [p, A],
-    u) views of row s of stage_in, whose row 0 is the state y, and writes
-    the (v, [dp, 0], dz) views of row s of k. Row s > 0 of stage_in is
-    filled in place with y + h_s k[s - 1], h = dt (1/2, 1/2, 1), and a
-    step is y += w.dot(k) with w = dt (1, 2, 2, 1) / 6. A non-finite
-    state needs no test of its own: a non-finite x stops the next step at
-    its first stage, and a non-finite p or u makes the velocity, and so
-    the position of a later stage of that step, non-finite."""
+    The state y and the stage rows k are the rows of one array yk = [y;
+    k]. The four stages are bound once per run: stage 0 reads y, stage s
+    > 0 reads row s - 1 of stage_in, filled in place with coef[s -
+    1].dot(yk) = y + h_s k[s - 1], h = dt (1/2, 1/2, 1), and stage s
+    writes k[s]; a step is y += w.dot(k) with w = dt (1, 2, 2, 1) / 6.
+    A non-finite state needs no test of its own: a non-finite x stops
+    the next step at its first stage, and a non-finite p or u makes the
+    velocity, and so the position of a later stage of that step,
+    non-finite. The other rows of k enter a stage input times 0, which
+    is NaN where one is non-finite; such a row makes a stage position of
+    its step, or the state after it, non-finite, so the run ends at the
+    same step as with y + h_s k[s - 1] formed alone."""
     ops, y0 = _packed(mats, cliff, x, p, z, field)
     ys = np.full((n + 1, len(y0)), np.nan)
     ys[0] = y0
-    stage_in = np.empty((4, len(y0)))
-    stage_in[0] = y0
-    y = stage_in[0]
-    k = np.zeros_like(stage_in)
+    yk = np.zeros((5, len(y0)))
+    yk[0] = y0
+    y, k = yk[0], yk[1:]
+    stage_in = np.zeros((3, len(y0)))
+    coef = np.array([[1.0, 0.5 * dt, 0.0, 0.0, 0.0],
+                     [1.0, 0.0, 0.5 * dt, 0.0, 0.0],
+                     [1.0, 0.0, 0.0, dt, 0.0]])
     w = dt * np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
-    first = _stage(ops, field, _split(y), _split(k[0]))
-    later = [(k[s - 1], np.array(h), stage_in[s],
-              _stage(ops, field, _split(stage_in[s]), _split(k[s])))
-             for s, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt))]
+    first = _stage(ops, field, y, k[0])
+    later = [(c, row, _stage(ops, field, row, k[s]))
+             for s, (c, row) in enumerate(zip(coef, stage_in), 1)]
     for i in range(1, n + 1):
         try:
             first()
-            for k_prev, h, row, stage in later:
-                np.multiply(k_prev, h, out=row)
-                row += y
+            for c, row, stage in later:
+                c.dot(yk, out=row)
                 stage()
         except DomainError:
             # a stage position is non-finite

@@ -220,17 +220,55 @@ def coulomb_slot_m2(cfg, alpha, slots=(0, 0, 0)):
     return float(np.real(cfg.Z ** 2 * e2 ** 3 / q_sq ** 2 * total))
 
 
+def compton_slot_m2(cfg, alpha, slots=(0, 0, 0, 0)):
+    """|M|^2 of one helicity amplitude of Compton scattering e-(p_i)
+    gamma(k_i) -> e-(p_f) gamma(k_f) or of pair annihilation e-(p_minus)
+    e+(p_plus) -> gamma(k_i) gamma(k_f), slots in the amplitude's axis
+    order (the barred fermion, the spinor-end electron, k_i, k_f): the
+    single-line trace of coulomb_slot_m2 with two photon vertices, eps_1
+    S(q_1) eps_2 + eps_2 S(q_2) eps_1, each photon's eps conjugated where
+    it is emitted and the positron's v projector at the barred end."""
+    e2 = 4.0 * math.pi * alpha
+    m = cfg.mass
+    mom = {lab: v.as_array() for lab, v in cfg.momenta.items()}
+    k_i, k_f = mom["k_i"], mom["k_f"]
+    if cfg.process == "compton":
+        # ubar(p_f) [eps_f* S(p_i + k_i) eps_i + eps_i S(p_i - k_f)
+        # eps_f*] u(p_i)
+        p_in = mom["p_i"]
+        rho_out = u_projector(mom["p_f"], m, slots[0])
+        eps_i = helicity_vector(k_i, slots[2])
+        q1 = p_in + k_i
+    else:
+        # vbar(p+) [eps_f* S(p- - k_i) eps_i* + eps_i* S(p- - k_f)
+        # eps_f*] u(p-)
+        p_in = mom["p_minus"]
+        rho_out = v_projector(mom["p_plus"], m, slots[0])
+        eps_i = helicity_vector(k_i, slots[2]).conj()
+        q1 = p_in - k_i
+    eps_f = helicity_vector(k_f, slots[3]).conj()
+    g0 = GAMMA[0]
+    vertex = (slash(eps_f) @ _fermion_prop(q1, m) @ slash(eps_i)
+              + slash(eps_i) @ _fermion_prop(p_in - k_f, m) @ slash(eps_f))
+    total = _tr(rho_out, vertex, u_projector(p_in, m, slots[1]),
+                g0 @ vertex.conj().T @ g0)
+    return float(np.real(e2 * e2 * total))
+
+
 def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):
     """Pi_bar by fixed high-order Gauss-Legendre quadrature.
 
-    Subdivides at the log-argument roots above threshold; used as the
+    Subdivides at the log-argument roots above threshold, and at x = 1/2
+    at and below it, where the log argument 1 - r x (1 - x) is smallest
+    and nearly vanishes just below threshold (the nodes cluster at an
+    end point, where they resolve that near-singularity); used as the
     refined-quadrature oracle (spacelike and timelike)."""
     from fqed.constants import ALPHA_DEFAULT
     if alpha is None:
         alpha = ALPHA_DEFAULT
     r = k2 / (mass * mass)
     x, w = np.polynomial.legendre.leggauss(nodes)
-    cuts = [0.0, 1.0]
+    cuts = [0.0, 0.5, 1.0]
     if r > 4.0:
         s = math.sqrt(1.0 - 4.0 / r)
         cuts = [0.0, 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0]

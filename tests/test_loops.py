@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fqed import loops
@@ -56,6 +58,31 @@ class TestVacuumPolarization:
             val = loops.vacuum_polarization_finite(k2)
             oracle = oracles.gauss_pi_bar(k2)
             assert abs(val - oracle) <= 1e-6 * abs(oracle)
+
+    @staticmethod
+    def mp_pi_bar(k2):
+        """Pi_bar(k2) at or below threshold (m = 1) by a 30-digit mpmath
+        quadrature of its Feynman-parameter integral, split at x = 1/2."""
+        import mpmath as mp
+        with mp.workdps(30):
+            r = mp.mpf(k2)
+            val = mp.quad(lambda x: x * (1 - x) * mp.log(1 - r * x * (1 - x)),
+                          [0, mp.mpf(1) / 2, 1])
+            return float(-2 * mp.mpf(ALPHA_DEFAULT) / mp.pi * val)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k2=st.floats(-7.0, -1.0).map(lambda u: 4.0 - 10.0 ** u))
+    @example(k2=3.999936857715431)
+    def test_oracle_just_below_threshold_against_mpmath(self, k2):
+        """The Gauss-Legendre oracle, at its default nodes and at the
+        benchmark gate's 1280, where the log argument nearly vanishes at
+        x = 1/2: k2 from 1e-7 to 1e-1 below 4 m^2 (the example is a k2
+        that a vacuum-pol sweep reaches)."""
+        want = self.mp_pi_bar(k2)
+        for nodes in (640, 1280):
+            got = oracles.gauss_pi_bar(k2, nodes=nodes)
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 1e-12 * abs(want), nodes
 
     def test_threshold_is_4m2(self):
         grid = np.linspace(1e-3, 4.0 - 1e-3, 50)
