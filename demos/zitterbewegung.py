@@ -1,8 +1,8 @@
 """Zitterbewegung of a rest-frame spinor superposition.
 
 Integrates the free classical spinning-electron equations for a state
-mixing the two gamma^0 eigenspaces, then reads the oscillation
-frequency of the z-velocity off an FFT. The peak sits at 2m, the
+mixing the two gamma^0 eigenspaces, then reads the frequency of the
+velocity's oscillation off the recurrence its steps obey. It is 2m, the
 energy gap between the two internal branches.
 """
 
@@ -30,7 +30,7 @@ def main():
 
     v3 = dyn.velocity(traj.spinor)[:, 3]
     print(f"\nz-velocity range: [{v3.min():+.4f}, {v3.max():+.4f}]")
-    w = dyn.zitterbewegung_frequency(traj, component=3)
+    w = dyn.zitterbewegung_frequency(traj)
     print(f"dominant frequency: {w:.6f} rad per unit tau  (expected 2m)")
 
 

@@ -87,13 +87,13 @@ def _parse_sweep(spec: str):
     scale = parts[4] if len(parts) == 5 else "linear"
     if scale not in ("linear", "log"):
         raise _UsageError(f"sweep scale must be linear|log, got {scale}")
-    if count == 1:
-        return name, np.array([start])
     if scale == "log":
         if start == 0.0 or stop == 0.0:
             raise _UsageError("log sweep endpoints must be nonzero")
         if (start > 0) != (stop > 0):
             raise _UsageError("log sweep endpoints must have the same sign")
+    if count == 1:
+        return name, np.array([start])
     if 8 * count > MAX_RECORD_BYTES:
         raise DomainError(f"sweep count {count} would not fit in memory "
                           f"({MAX_RECORD_BYTES} bytes)")

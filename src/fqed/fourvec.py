@@ -57,14 +57,6 @@ class FourVector:
         return FourVector(self.t - other.t, self.x - other.x,
                           self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> "FourVector":
-        return FourVector(-self.t, -self.x, -self.y, -self.z)
-
-    def __mul__(self, s: float) -> "FourVector":
-        return FourVector(self.t * s, self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
-
     def norm2(self) -> float:
         """Minkowski square p.p."""
         return minkowski_dot(self, self)

@@ -160,12 +160,14 @@ def vacuum_polarization_finite(k2, mass: float = 1.0,
     beta = np.sqrt(1.0 - 4.0 / rs)
     # (beta + 1)/(beta - 1) = 1 - (beta + 1) r/2
     B[spacelike] = beta * np.log1p(-0.5 * (beta + 1.0) * rs)
+    # b^2 and beta^2 as (4 - r)/r and (r - 4)/r: 4 - r is exact near 4
     below = (r >= 1.0) & (r <= 4.0)
-    b = np.sqrt(4.0 / r[below] - 1.0)
+    rw = r[below]
+    b = np.sqrt((4.0 - rw) / rw)
     B[below] = 2.0 * b * np.arctan2(1.0, b)
     above = r > 4.0
     ra = r[above]
-    beta = np.sqrt(1.0 - 4.0 / ra)
+    beta = np.sqrt((ra - 4.0) / ra)
     # (1 + beta)/(1 - beta) = 1 + beta (1 + beta) r/2
     B[above] = beta * np.log1p(0.5 * beta * (1.0 + beta) * ra)
     im[above] = -(alpha / 3.0) * (1.0 + 2.0 / ra) * beta

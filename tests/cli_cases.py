@@ -186,10 +186,18 @@ for key, text, k_max in (
         ("repeated-k-at-zero", "[levels]\nd 1.0\nb 0.7\n[current d b]\n"
          "0.0 0.0 0.2 0.0 0.0\n0.0 0.0 0.3 0.0 0.0\n5.0 0.0 0.2 0.0 0.0\n",
          "5"),
-        ("empty-header-default-k-max", "[levels]\nd 1.0\n[]\n", None)):
+        ("empty-header-default-k-max", "[levels]\nd 1.0\n[]\n", None),
+        ("empty-levels", "[levels]\n", "4"),
+        ("infinite-level", "[levels]\na 1e999\nb 0.5\n", "4"),
+        ("empty-current", "[levels]\na 1.0\nb 0.5\n[current a b]\n", "4"),
+        ("short-current-row", "[levels]\na 1.0\nb 0.5\n[current a b]\n"
+         "0.0 0.0 0.2\n4.0 0.0 0.2\n", "4")):
     case("bad_spectrum_file", ["energy-shift", "--spectrum", f"{key}.txt"]
          + (["--k-max", k_max] if k_max else []), 2,
          err=Line("domain error: "), files=[(f"{key}.txt", text)], key=key)
+
+case("usage_error", "classical --z 1,x,0,0", 64,
+     err="usage error: bad internal components: 1,x,0,0\n")
 
 for k_max in ("nan", "inf", "-inf", "0"):
     case("bad_k_max", f"energy-shift --spectrum levels.txt --k-max={k_max}",
@@ -351,6 +359,11 @@ case("sweep_bounds",
      "compton --sweep theta:0:1:100000000000000000000000000000", 2,
      err=Line("domain error: sweep count 10000000000000000000000000000",
               "would not fit in memory"))
+# a one-point log sweep is held to the log grid's endpoint rules
+case("sweep_bounds", "compton --sweep theta:-1:1:1:log", 64,
+     err="usage error: log sweep endpoints must have the same sign\n")
+case("sweep_bounds", "compton --sweep theta:0:10:1:log", 64,
+     err="usage error: log sweep endpoints must be nonzero\n")
 
 # a negative number in exponent form, or with a trailing dot, is a value,
 # as in the --opt=value form

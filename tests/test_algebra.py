@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from fqed import algebra
+from fqed.errors import DomainError
 from fqed.fourvec import METRIC_DIAG, FourVector, minkowski_dot
 
 rng = np.random.default_rng(42)
@@ -51,3 +53,17 @@ def test_minkowski_dot_conventions():
     assert np.isclose(minkowski_dot(a, a), 1.0 - 4.0 - 9.0 - 16.0)
     assert np.isclose(minkowski_dot(a.as_array(), a.as_array()),
                       a.norm2())
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 4), ()])
+def test_four_vector_of_wrong_shape_rejected(shape):
+    with pytest.raises(DomainError, match="expected 4 components"):
+        FourVector.from_array(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), ()])
+def test_minkowski_dot_of_wrong_shape_rejected(shape):
+    with pytest.raises(DomainError, match="expected 4 components"):
+        minkowski_dot(np.ones(shape), np.ones(4))
+    with pytest.raises(DomainError, match="expected 4 components"):
+        minkowski_dot(np.ones(4), np.ones(shape))

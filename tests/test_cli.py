@@ -931,6 +931,20 @@ class TestSubcommands:
         assert lines[0] == "FAIL clifford-algebra"
         assert len(lines) == 6
 
+    def test_selftest_check_that_raises_fails_alone(self, capsys,
+                                                    monkeypatch):
+        """A check that raises prints its FAIL line, the other five still
+        run and pass, and selftest exits 1."""
+        from fqed import loops
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+        monkeypatch.setattr(loops, "vacuum_polarization_finite", broken)
+        rc, out, err = run_capture(capsys, ["selftest"])
+        assert (rc, err) == (1, "")
+        assert out == cli_cases.SELFTEST.replace(
+            "PASS vacuum-pol-subtraction", "FAIL vacuum-pol-subtraction")
+
     def test_self_energy_row(self, capsys):
         rc, out, _ = run_capture(capsys, ["self-energy", "--p2", "0.5"])
         assert rc == 0

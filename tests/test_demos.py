@@ -1,6 +1,7 @@
 """Smoke test: every script in demos/ runs to the end and prints its
-report; the zitterbewegung demo finds the 2m oscillation, and the
-vacuum-polarization scan prints the 2 alpha/3 pi pole coefficient.
+report; the zitterbewegung demo prints the 2m oscillation to its six
+decimals, and the vacuum-polarization scan prints the 2 alpha/3 pi pole
+coefficient.
 Every python example of README.md runs too."""
 
 import pathlib
@@ -33,8 +34,9 @@ def test_demo_runs(path, capsys):
     out = capsys.readouterr().out
     assert out.strip()
     if path.stem == "zitterbewegung":
-        w = float(re.search(r"dominant frequency: (\S+)", out).group(1))
-        assert abs(w - 2.0) <= 0.01 * 2.0
+        # the step map's frequency, 2 - 1.7e-14, to the printed digits
+        assert re.search(r"dominant frequency: (\S+)", out).group(1) == (
+            "2.000000")
     if path.stem == "vacuum_polarization_scan":
         pole, ref = re.search(r"pole coefficient \(1/eps\): (\S+)"
                               r"\s+\[2 alpha / 3 pi = (\S+)\]", out).groups()

@@ -84,6 +84,20 @@ class TestVacuumPolarization:
             assert got.imag == 0.0
             assert abs(got.real - want) <= 1e-12 * abs(want), nodes
 
+    @settings(max_examples=20, deadline=None)
+    @given(k2=st.floats(-15.0, -7.0).map(lambda u: 4.0 - 10.0 ** u))
+    def test_oracle_at_threshold_against_mpmath(self, k2):
+        """The Gauss-Legendre oracle within 1e-15 to 1e-7 m^2 below
+        threshold, where the log's peak at x = 1/2 narrows to a width
+        sqrt(1 - k2/4) / 2 that its graded panels resolve; at 640 and
+        1280 nodes. In a scan of 4 - k2 from 1e-15 to 1e-7 it read at
+        most 6.6e-14 (1280 nodes)."""
+        want = self.mp_pi_bar(k2)
+        for nodes in (640, 1280):
+            got = oracles.gauss_pi_bar(k2, nodes=nodes)
+            assert got.imag == 0.0
+            assert abs(got.real - want) <= 1e-12 * abs(want), nodes
+
     def test_threshold_is_4m2(self):
         grid = np.linspace(1e-3, 4.0 - 1e-3, 50)
         for k2 in grid:

@@ -78,6 +78,15 @@ class TestElectronSpinors:
         with pytest.raises(DomainError):
             states.dirac_spinors([2.0, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("p", [[-1.0, 0.0, 0.0, 0.0],
+                                   [[1.0, 0.0, 0.0, 0.0],
+                                    [-math.sqrt(2.0), 0.0, 1.0, 0.0]]])
+    def test_negative_energy_rejected(self, p):
+        """An on-shell momentum with p0 < 0 is refused: the time direction
+        is the backward flag's."""
+        with pytest.raises(DomainError, match="p0 must be positive"):
+            states.dirac_spinors(p)
+
 
 class TestPhotonStates:
 
@@ -140,6 +149,19 @@ class TestPhotonStates:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             states.photon_state("scalar", 1.0)
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 2.0), (0.0, 0.0, 0.0),
+                                      (0.6, 0.8, 1e-4)])
+    def test_non_unit_axis_rejected(self, axis):
+        with pytest.raises(DomainError, match="unit 3-vector"):
+            states.photon_state("plus", 1.0, axis)
+
+    @pytest.mark.parametrize("k", [[1.0, 0.0, 0.0, 0.0],
+                                   [[1.0, 0.0, 0.0, 1.0],
+                                    [0.0, 0.0, 0.0, 0.0]]])
+    def test_polarization_of_zero_momentum_rejected(self, k):
+        with pytest.raises(DomainError, match=r"\|k\| > 0"):
+            states.polarization_vectors(k)
 
     def test_polarization_vector_z_axis(self):
         st = states.photon_state("plus", 1.0)
