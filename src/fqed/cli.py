@@ -333,7 +333,7 @@ def _coulomb_cmd(args, params, builder):
     cfg = getattr(processes, builder)(
         *(g[p] for p in energies), *(np.radians(g[p]) for p in angles),
         Z=args.Z, mass=args.mass)
-    m = processes.amplitude(cfg, args.alpha).value[:, 0, 0, 0]
+    m = processes.slot0_amplitude(cfg, args.alpha)
     return {**{p: g[p] * esc for p in energies},
             **{p + "_deg": g[p] for p in angles},
             "re_M": m.real, "im_M": m.imag, "abs2_M": np.abs(m) ** 2}

@@ -372,15 +372,19 @@ def _field_steps(mats, cliff, x, p, z, n, dt, field):
 def integrate(state0, field: ExternalField | None = None,
               tau_span: tuple[float, float] = (0.0, 1.0),
               dt: float = 1e-3) -> Trajectory:
-    """Fixed-step RK4 trajectory with per-step conserved-quantity log.
+    """Fixed-step RK4 trajectory with a per-step log of zbar_z and H.
+
+    zbar_z is conserved in any field. H = v^mu p_mu takes the canonical
+    p, so it is conserved by a free run but not in a field, where the
+    conserved quantity is v^mu (p - e A)_mu.
 
     Works for ElectronState and PhotonClassicalState. The run stops at
     the first sample where x, p or z is non-finite, returning the
-    samples before it with aborted set. The step count is the largest
-    that does not pass t1 by more than a relative 1e-9, so the last
-    sample is at or before t1; a span shorter than one step, or a step
-    count whose samples would not fit in memory, is a DomainError,
-    raised before allocating.
+    samples before it with aborted set; numpy's overflow warnings are
+    not raised. The step count is the largest that does not pass t1 by
+    more than a relative 1e-9, so the last sample is at or before t1; a
+    span shorter than one step, or a step count whose samples would not
+    fit in memory, is a DomainError, raised before allocating.
 
     A free run calls no BLAS (einsums and an elementwise zbar_z), so its
     bits do not depend on numpy's OpenBLAS kernel; in a field, the last
@@ -409,24 +413,27 @@ def integrate(state0, field: ExternalField | None = None,
     if n < 1:
         raise DomainError("span shorter than one step")
 
-    if field is None:
-        xs, zs = _free_steps(mats, cliff, x, p, z, n, dt)
-        # the constant momentum, one read-only row per sample
-        ps = np.broadcast_to(p, (n + 1, 4))
-    else:
-        xs, ps, zs = _field_steps(mats, cliff, x, p, z, n, dt, field)
-    finite = (np.isfinite(xs).all(axis=1) & np.isfinite(ps).all(axis=1)
-              & np.isfinite(zs).all(axis=1))
-    end = n + 1 if finite.all() else int(np.argmin(finite))
-    xs, ps, zs = xs[:end], ps[:end], zs[:end]
-    # H = v^mu p_mu and zbar_z in the row blocks of _velocity, each row
-    # through the same products as in one pass
-    hs, norms = np.empty(end), np.empty(end)
-    for start in range(0, end, _VELOCITY_ROWS):
-        rows = slice(start, start + _VELOCITY_ROWS)
-        hs[rows] = np.einsum("nm,nm->n", _velocity(mats, zs[rows]),
-                             ps[rows] * METRIC_DIAG)
-        norms[rows] = _internal_norm(cliff, zs[rows])
+    # a run that overflows is reported by its abort flag, or by an inf in
+    # its H or zbar_z log, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if field is None:
+            xs, zs = _free_steps(mats, cliff, x, p, z, n, dt)
+            # the constant momentum, one read-only row per sample
+            ps = np.broadcast_to(p, (n + 1, 4))
+        else:
+            xs, ps, zs = _field_steps(mats, cliff, x, p, z, n, dt, field)
+        finite = (np.isfinite(xs).all(axis=1) & np.isfinite(ps).all(axis=1)
+                  & np.isfinite(zs).all(axis=1))
+        end = n + 1 if finite.all() else int(np.argmin(finite))
+        xs, ps, zs = xs[:end], ps[:end], zs[:end]
+        # H = v^mu p_mu and zbar_z in the row blocks of _velocity, each
+        # row through the same products as in one pass
+        hs, norms = np.empty(end), np.empty(end)
+        for start in range(0, end, _VELOCITY_ROWS):
+            rows = slice(start, start + _VELOCITY_ROWS)
+            hs[rows] = np.einsum("nm,nm->n", _velocity(mats, zs[rows]),
+                                 ps[rows] * METRIC_DIAG)
+            norms[rows] = _internal_norm(cliff, zs[rows])
     return Trajectory(t0 + dt * np.arange(end), xs, ps, zs, norms, hs,
                       end <= n)
 

@@ -26,10 +26,14 @@ Compton topology and bremsstrahlung, whose static Coulomb vertex
 gamma^0 is a one-slot absorbed photon, and `_four_fermion_core` the
 Moller topology. `amplitude` returns them all: one slot axis per leg,
 slot 0 spin up (the spinor built on chi_up, as in states.dirac_spinors)
-or helicity plus, slot 1 spin down or helicity minus. One point is a
-batch of one through the same code, without the batch axis. A 2->2 spin
-sum builds no amplitude: spin_summed_squared is the closed form of the
-Compton or Moller topology, through the same crossing plans.
+or helicity plus, slot 1 spin down or helicity minus. slot0_amplitude
+returns slot 0 of every leg alone (the amplitude the brems and pairprod
+commands print): it cuts every spinor and polarization vector to slot 0
+before the same kernels contract them, so it builds one amplitude per
+point, not every one. One point is a batch of one through the same
+code, without the batch axis. A 2->2 spin sum builds no amplitude:
+spin_summed_squared is the closed form of the Compton or Moller
+topology, through the same crossing plans.
 
 Crossing
 --------
@@ -318,11 +322,12 @@ _PLANS = {process: _plan(process, *_CROSSINGS.get(
 
 # -- evaluation ------------------------------------------------------------
 
-def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict,
-              alpha: float) -> np.ndarray:
-    """Every helicity amplitude of the plan's base topology on the legs
+def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict, alpha: float,
+              slots: slice = slice(None)) -> np.ndarray:
+    """The helicity amplitudes of the plan's base topology on the legs
     mom (validated), in one stacked pass over the legs; axes
-    (N, *plan.axes)."""
+    (N, *plan.axes), each leg's slots selected by slots before any
+    contraction (every slot by default)."""
     m = cfg.mass
     e2 = 4.0 * math.pi * alpha
     nf = plan.nf
@@ -332,10 +337,11 @@ def _evaluate(plan: _Plan, cfg: KinematicConfig, mom: dict,
     u = np.sqrt(2.0 * p[:nf, ..., 0])[..., None, None] * _u_spinors(p[:nf], m)
     if plan.positrons:
         u[plan.positrons] = u[plan.positrons][..., _V_ORDER]
+    u = u[..., slots, :]
     bar, u = u[::2].conj() * _G0_DIAG, u[1::2]
     if nf < len(p):
         # the target's side decides: emitted legs enter conjugated
-        eps = polarization_vectors(p[nf:])
+        eps = polarization_vectors(p[nf:])[..., slots, :]
         np.conjugate(eps, out=eps, where=plan.emitted)
     if plan.base == "compton":
         # -i e^2 bar [eps_em 1/(p+k_abs-m) eps_abs + eps_abs 1/(p-k_em-m)
@@ -366,6 +372,16 @@ def amplitude(cfg: KinematicConfig,
     value = _evaluate(plan, cfg, mom, alpha)
     return ReducedAmplitude(value[0] if cfg._is_point() else value,
                             plan.ledger, plan.axes)
+
+
+def slot0_amplitude(cfg: KinematicConfig, alpha: float = ALPHA_DEFAULT):
+    """amplitude's value with every leg at slot 0 (spin up or helicity
+    plus), through the same kernels on that slot alone: an (N,) array,
+    or a complex scalar for one point."""
+    mom = cfg.validate()
+    value = _evaluate(_PLANS[cfg.process], cfg, mom, alpha, slice(1))
+    value = value.reshape(len(value))
+    return value[0] if cfg._is_point() else value
 
 
 # the per-process names of the direct evaluation

@@ -7,6 +7,7 @@ integration.
 """
 
 import cmath
+import functools
 import json
 import math
 
@@ -256,6 +257,16 @@ def compton_slot_m2(cfg, alpha, slots=(0, 0, 0, 0)):
     return float(np.real(e2 * e2 * total))
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_nodes(nodes):
+    """leggauss(nodes), built once per node count and returned read-only:
+    every call gets the same bits."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):
     """Pi_bar by fixed high-order Gauss-Legendre quadrature.
 
@@ -273,7 +284,7 @@ def gauss_pi_bar(k2, mass=1.0, alpha=None, nodes=640):
     if alpha is None:
         alpha = ALPHA_DEFAULT
     r = k2 / (mass * mass)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_nodes(nodes)
     total = 0.0 + 0.0j
     if 2.0 <= r <= 4.0:
         cuts, width = [0.5], max(math.sqrt((1.0 - 0.25 * r) / r), 1e-9)

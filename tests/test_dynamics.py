@@ -814,6 +814,20 @@ class TestIntegrate:
         assert len(traj.tau) == first_bad
         assert np.allclose(traj.x, xs[:first_bad], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("field", [None, dyn.ExternalField(
+        lambda x: np.array([0.1, 0.0, 0.0, 0.0]), lambda x: np.zeros((4, 4)))])
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_overflowing_run_aborts_without_warnings(self, field, scale):
+        """An overflow in the steps (the position cumsum at 1e154, the
+        internal norm at 1e160) is reported by the abort flag alone: a
+        library caller sees no RuntimeWarning."""
+        st = rest_state(z=(scale, 0.0, scale, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = dyn.integrate(st, field, (0.0, 5.0), 1e-2)
+        assert traj.aborted and 0 < len(traj.tau) < 501
+        assert np.isfinite(traj.x).all() and np.isfinite(traj.spinor).all()
+
 
 unit = st.floats(-1.0, 1.0)
 

@@ -618,12 +618,39 @@ class TestAmplitudeContract:
             np.testing.assert_allclose(m2, pr.spin_summed_squared(cfg),
                                        rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("process", pr.PROCESS_IDS)
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.floats(-1.0, 3.0), st.floats(0.05, 0.95),
+               st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0),
+                         st.floats(0.0, 2 * math.pi),
+                         st.floats(0.0, 2 * math.pi))),
+               min_size=1, max_size=12),
+           log_m=st.floats(-3.0, 3.0), point=st.booleans())
+    def test_slot0_amplitude_is_slot_zero(self, process, rows, log_m, point):
+        """slot0_amplitude is amplitude's value at slot 0 of every leg,
+        bit for bit, with its shape rule: (N,) for a batch of the rows'
+        points, no axis for one point."""
+        m = 10.0 ** log_m
+        cfgs = [HIGH_ENERGY[process][0](10.0 ** log_r, m, f, a)
+                for log_r, f, a in rows]
+        cfg = cfgs[0] if point else dataclasses.replace(cfgs[0], momenta={
+            lab: np.array([c.momenta[lab].as_array() for c in cfgs])
+            for lab in cfgs[0].momenta})
+        value = pr.amplitude(cfg).value
+        want = value[(Ellipsis,) + (0,) * len(cfg.momenta)]
+        got = pr.slot0_amplitude(cfg)
+        shape = () if point else (len(rows),)
+        assert np.shape(got) == np.shape(want) == shape
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("sub, build", [
         ("brems", pr.bremsstrahlung_config),
         ("pairprod", pr.pair_production_config)])
     def test_cli_prints_slot_zero(self, sub, build):
         """brems and pairprod print the amplitude at slot 0 of every leg
-        (spin up, helicity plus), read back from their JSON rows."""
+        (spin up, helicity plus) and its square, read back from their
+        JSON rows."""
         angle = "theta_k" if sub == "brems" else "theta_p"
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -637,6 +664,7 @@ class TestAmplitudeContract:
         m = pr.amplitude(cfg).value[:, 0, 0, 0]
         assert np.array_equal(cols["re_M"], m.real)
         assert np.array_equal(cols["im_M"], m.imag)
+        assert np.array_equal(cols["abs2_M"], np.abs(m) ** 2)
 
 
 # each process at the scale r: the config of its builder from r, the mass
@@ -739,6 +767,8 @@ class TestCoulombSlots:
                    for q in (q1, q2))
         tol = 8192 * np.finfo(float).eps * cond * want.sum()
         assert np.all(np.abs(got - want) <= tol)
+        # the slot the CLI prints, as it evaluates it
+        assert abs(abs(pr.slot0_amplitude(cfg)) ** 2 - want[0, 0, 0]) <= tol
 
     @pytest.mark.parametrize("process", pr._ENERGY_ONLY)
     @pytest.mark.parametrize("r, a", [
